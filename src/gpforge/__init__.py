@@ -65,9 +65,9 @@ from .homology import (
     ChainComplexData,
     IntegerMatrix,
     SnfResult,
+    SparseMatrix,
     abelianization,
     complex_homology,
-    gcd_of_minors_factors,
     invariant_factors,
     smith_normal_form,
 )

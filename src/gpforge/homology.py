@@ -3,20 +3,23 @@ cellular homology of two-dimensional chain complexes.
 
 All entries are Python ints (arbitrary precision); SNF intermediate growth
 is real even for small relator matrices, so fixed-width arithmetic is never
-used.  Two elimination routines live here:
+used.  Boundary matrices are `SparseMatrix` (one {column: entry} dict per
+row) from construction on; `IntegerMatrix` is the dense type of the SNF.
+Two elimination routines live here:
 
   * `smith_normal_form` -- dense, with unimodular transforms U, V such that
     U*A*V = D; deterministic pivot policy.
-  * `invariant_factors` -- transform-free path that eliminates unit pivots
-    sparsely first (boundary matrices of subdivided complexes are huge but
-    almost entirely unit-pivoted) and hands the small leftover block to the
-    dense routine.
+  * `invariant_factors` -- transform-free path over sparse rows that
+    eliminates unit pivots first (boundary matrices of subdivided complexes
+    are huge but almost entirely unit-pivoted) and hands only the small
+    leftover block to the dense routine.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import InvalidComplexError
 from .presentations import Presentation
@@ -80,8 +83,34 @@ class IntegerMatrix:
                             orow[j] += aik * brow[j]
         return out
 
+    def sparse_rows(self) -> List[Dict[int, int]]:
+        """The rows as {column: nonzero entry} dicts."""
+        return [{j: v for j, v in enumerate(row) if v} for row in self.entries]
+
     def __repr__(self):
         return f"IntegerMatrix({self.rows}x{self.cols})"
+
+
+class SparseMatrix:
+    """A rows x cols integer matrix kept as one {column: nonzero entry}
+    dict per row; the type of every boundary matrix."""
+
+    __slots__ = ("rows", "cols", "entries")
+
+    def __init__(self, rows: int, cols: int, entries: Optional[Sequence[Mapping[int, int]]] = None):
+        self.rows = rows
+        self.cols = cols
+        if entries is None:
+            self.entries: List[Dict[int, int]] = [{} for _ in range(rows)]
+        else:
+            if len(entries) != rows or any(
+                not 0 <= j < cols or not v for row in entries for j, v in row.items()
+            ):
+                raise ValueError("sparse rows do not match declared dimensions")
+            self.entries = [dict(row) for row in entries]
+
+    def __repr__(self):
+        return f"SparseMatrix({self.rows}x{self.cols})"
 
 
 @dataclass(frozen=True)
@@ -117,31 +146,6 @@ class AbelianGroup:
     def __str__(self):
         parts = ["Z"] * self.rank + [f"Z/{t}" for t in self.torsion]
         return " + ".join(parts) if parts else "0"
-
-
-def _det(entries: List[List[int]]) -> int:
-    """Exact determinant by cofactor expansion (small matrices only)."""
-    n = len(entries)
-    if n == 0:
-        return 1
-    if n == 1:
-        return entries[0][0]
-    if n == 2:
-        return entries[0][0] * entries[1][1] - entries[0][1] * entries[1][0]
-    total = 0
-    rest = entries[1:]
-    for j, a in enumerate(entries[0]):
-        if not a:
-            continue
-        minor = [row[:j] + row[j + 1 :] for row in rest]
-        total += (-1) ** j * a * _det(minor)
-    return total
-
-
-def det(m: IntegerMatrix) -> int:
-    if m.rows != m.cols:
-        raise ValueError("determinant of non-square matrix")
-    return _det(m.entries)
 
 
 def smith_normal_form(a: IntegerMatrix) -> SnfResult:
@@ -264,8 +268,9 @@ def _dense_invariant_factors(rows: List[List[int]]) -> List[int]:
     return list(res.invariant_factors)
 
 
-def invariant_factors(rows: List[List[int]]) -> List[int]:
-    """Invariant factors of the matrix given as a list of rows.
+def invariant_factors(rows: Sequence[Mapping[int, int]]) -> List[int]:
+    """Invariant factors of the matrix given as sparse rows ({column:
+    entry} dicts, e.g. `SparseMatrix.entries`); the rows are not modified.
 
     Sparse phase: eliminate +-1 pivots (shortest rows first, then least
     column fill) with exact integer row operations; each unit pivot
@@ -274,26 +279,18 @@ def invariant_factors(rows: List[List[int]]) -> List[int]:
     dense SNF.  All operations are unimodular, so the concatenation is the
     true invariant-factor chain.
     """
-    import heapq
-
     rowmap: dict = {}
-    colcount: dict = {}
     columns: dict = {}  # col -> set of row indices with a nonzero entry
     for i, row in enumerate(rows):
-        entries = {j: v for j, v in enumerate(row) if v}
+        entries = {j: v for j, v in row.items() if v}
         if entries:
             rowmap[i] = entries
             for j in entries:
-                colcount[j] = colcount.get(j, 0) + 1
                 columns.setdefault(j, set()).add(i)
     version = {i: 0 for i in rowmap}
     heap = [(len(r), i, 0) for i, r in rowmap.items()]
     heapq.heapify(heap)
     units = 0
-
-    def touch(i):
-        version[i] += 1
-        heapq.heappush(heap, (len(rowmap[i]), i, version[i]))
 
     while heap:
         _, pi, ver = heapq.heappop(heap)
@@ -303,37 +300,32 @@ def invariant_factors(rows: List[List[int]]) -> List[int]:
         unit_cols = [j for j, v in prow.items() if v in (1, -1)]
         if not unit_cols:
             continue  # parked; re-pushed if a later elimination touches it
-        pj = min(unit_cols, key=lambda j: (colcount[j], j))
+        pj = min(unit_cols, key=lambda j: (len(columns[j]), j))
         pval = prow[pj]
         del rowmap[pi]
         for j in prow:
-            colcount[j] -= 1
             columns[j].discard(pi)
-        for i in sorted(columns.get(pj, ())):
-            row = rowmap.get(i)
-            if row is None:
-                continue
-            coeff = row.get(pj)
-            if coeff is None:
-                continue
-            factor = -coeff * pval  # row -= (coeff / pval) * prow, pval = +-1
+        # Each row is updated on its own, so the order of `targets` does
+        # not matter; every one of them loses its entry in column pj.
+        targets, columns[pj] = columns[pj], set()
+        for i in targets:
+            row = rowmap[i]
+            factor = -row[pj] * pval  # row -= (row[pj] / pval) * prow, pval = +-1
             for j, v in prow.items():
                 old = row.get(j, 0)
                 new = old + factor * v
-                if old == 0 and new != 0:
+                if new:
+                    if not old:
+                        columns[j].add(i)
                     row[j] = new
-                    colcount[j] = colcount.get(j, 0) + 1
-                    columns.setdefault(j, set()).add(i)
-                elif old != 0 and new == 0:
+                else:
                     del row[j]
-                    colcount[j] -= 1
                     columns[j].discard(i)
-                elif new != 0:
-                    row[j] = new
-            if not row:
-                del rowmap[i]
+            if row:
+                version[i] += 1
+                heapq.heappush(heap, (len(row), i, version[i]))
             else:
-                touch(i)
+                del rowmap[i]
         units += 1
 
     leftover_cols = sorted({j for row in rowmap.values() for j in row})
@@ -346,34 +338,6 @@ def invariant_factors(rows: List[List[int]]) -> List[int]:
         dense.append(row)
     rest = _dense_invariant_factors(dense)
     return [1] * units + rest
-
-
-def gcd_of_minors_factors(a: IntegerMatrix) -> Tuple[int, ...]:
-    """Independent oracle: d_k = gcd(k-minors) / gcd((k-1)-minors).
-
-    Exponential in matrix size; meant for matrices up to ~5x5.
-    """
-    from itertools import combinations
-    from math import gcd
-
-    m, n = a.rows, a.cols
-    factors = []
-    prev = 1
-    for k in range(1, min(m, n) + 1):
-        g = 0
-        for rows_sel in combinations(range(m), k):
-            for cols_sel in combinations(range(n), k):
-                sub = [[a.entries[i][j] for j in cols_sel] for i in rows_sel]
-                g = gcd(g, _det(sub))
-                if g == 1:
-                    break
-            if g == 1:
-                break
-        if g == 0:
-            break
-        factors.append(g // prev)
-        prev = g
-    return tuple(factors)
 
 
 def relation_matrix(p: Presentation) -> IntegerMatrix:
@@ -391,8 +355,7 @@ def relation_matrix(p: Presentation) -> IntegerMatrix:
 
 def abelianization(p: Presentation) -> AbelianGroup:
     """H_1 of the presented group: cokernel of the exponent-sum matrix."""
-    mat = relation_matrix(p)
-    factors = [f for f in invariant_factors(mat.entries) if f]
+    factors = [f for f in invariant_factors(relation_matrix(p).sparse_rows()) if f]
     rank = len(p.alphabet) - len(factors)
     torsion = tuple(f for f in factors if f > 1)
     return AbelianGroup(rank, torsion)
@@ -403,8 +366,8 @@ class ChainComplexData:
     """Boundary matrices d1: C1 -> C0 and d2: C2 -> C1 (rows index the
     target basis, columns the source basis)."""
 
-    d1: IntegerMatrix
-    d2: IntegerMatrix
+    d1: SparseMatrix
+    d2: SparseMatrix
 
     @property
     def n0(self) -> int:
@@ -421,9 +384,14 @@ class ChainComplexData:
     def check_composition(self) -> None:
         if self.d2.rows != self.d1.cols:
             raise InvalidComplexError("boundary matrix dimensions do not compose")
-        prod = self.d1 @ self.d2
-        if any(any(row) for row in prod.entries):
-            raise InvalidComplexError("d1 * d2 != 0")
+        d2_rows = self.d2.entries
+        for row in self.d1.entries:
+            acc: Dict[int, int] = {}
+            for k, a in row.items():
+                for j, b in d2_rows[k].items():
+                    acc[j] = acc.get(j, 0) + a * b
+            if any(acc.values()):
+                raise InvalidComplexError("d1 * d2 != 0")
 
 
 def complex_homology(c: ChainComplexData) -> Tuple[AbelianGroup, AbelianGroup, AbelianGroup]:

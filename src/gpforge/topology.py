@@ -22,13 +22,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Set, Tuple
 
 from .errors import InvalidComplexError, InvalidInputError, ParseError
-from .homology import (
-    AbelianGroup,
-    ChainComplexData,
-    IntegerMatrix,
-    complex_homology,
-    relation_matrix,
-)
+from .homology import AbelianGroup, ChainComplexData, SparseMatrix, complex_homology
 from .presentations import Presentation, validate
 from .words import Alphabet, Word, cyclically_reduce, word
 
@@ -265,19 +259,19 @@ def triangulate(p: Presentation) -> SimplicialComplex:
 
 
 def simplicial_chain_complex(x: SimplicialComplex) -> ChainComplexData:
-    """Boundary matrices with ascending-orientation conventions."""
+    """Sparse boundary matrices with ascending-orientation conventions."""
     edges = x.edges()
     tris = x.two_simplices()
     edge_index = {e: i for i, e in enumerate(edges)}
-    d1 = IntegerMatrix(x.n_vertices, len(edges))
+    d1 = SparseMatrix(x.n_vertices, len(edges))
     for col, (i, j) in enumerate(edges):
-        d1.entries[i][col] -= 1
-        d1.entries[j][col] += 1
-    d2 = IntegerMatrix(len(edges), len(tris))
+        d1.entries[i][col] = -1
+        d1.entries[j][col] = 1
+    d2 = SparseMatrix(len(edges), len(tris))
     for col, (i, j, k) in enumerate(tris):
-        d2.entries[edge_index[(j, k)]][col] += 1
-        d2.entries[edge_index[(i, k)]][col] -= 1
-        d2.entries[edge_index[(i, j)]][col] += 1
+        d2.entries[edge_index[(j, k)]][col] = 1
+        d2.entries[edge_index[(i, k)]][col] = -1
+        d2.entries[edge_index[(i, j)]][col] = 1
     return ChainComplexData(d1, d2)
 
 
@@ -288,13 +282,16 @@ def simplicial_homology(x: SimplicialComplex) -> Tuple[AbelianGroup, AbelianGrou
 def cw_chain_complex(p: Presentation) -> ChainComplexData:
     """Cellular chain complex of the one-vertex presentation 2-complex:
     d1 = 0 (loops), d2 = transposed exponent-sum matrix."""
-    rel = relation_matrix(p)
-    d1 = IntegerMatrix(1, len(p.alphabet))
-    d2 = IntegerMatrix(len(p.alphabet), len(p.relators))
-    for r in range(rel.rows):
-        for c in range(rel.cols):
-            d2.entries[c][r] = rel.entries[r][c]
-    return ChainComplexData(d1, d2)
+    d2 = SparseMatrix(len(p.alphabet), len(p.relators))
+    for col, rel in enumerate(p.relators):
+        for sym, exp in rel.letters:
+            row = d2.entries[p.alphabet.index(sym)]
+            total = row.get(col, 0) + exp
+            if total:
+                row[col] = total
+            else:
+                del row[col]
+    return ChainComplexData(SparseMatrix(1, len(p.alphabet)), d2)
 
 
 def serialize_simplicial(x: SimplicialComplex) -> str:
@@ -304,6 +301,12 @@ def serialize_simplicial(x: SimplicialComplex) -> str:
     return "\n".join(lines)
 
 
+def _parse_nonnegative(token: str, lineno: int) -> int:
+    if not token.isdecimal():
+        raise ParseError(f"expected a nonnegative integer, got {token!r}", line=lineno)
+    return int(token)
+
+
 def parse_simplicial(text: str) -> SimplicialComplex:
     n_vertices = None
     facets: List[Tuple[int, ...]] = []
@@ -311,15 +314,17 @@ def parse_simplicial(text: str) -> SimplicialComplex:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        parts = line.split()
-        if parts[0] == "vertices":
+        directive, *args = line.split()
+        if directive == "vertices":
             if n_vertices is not None:
                 raise ParseError("duplicate vertices line", line=lineno)
-            n_vertices = int(parts[1])
-        elif parts[0] == "simplex":
-            facets.append(tuple(int(t) for t in parts[1:]))
+            if len(args) != 1:
+                raise ParseError("vertices line needs exactly one count", line=lineno)
+            n_vertices = _parse_nonnegative(args[0], lineno)
+        elif directive == "simplex":
+            facets.append(tuple(_parse_nonnegative(t, lineno) for t in args))
         else:
-            raise ParseError(f"unknown directive {parts[0]!r}", line=lineno)
+            raise ParseError(f"unknown directive {directive!r}", line=lineno)
     if n_vertices is None:
         raise ParseError("missing vertices line")
     return SimplicialComplex(n_vertices, tuple(facets))

@@ -10,7 +10,6 @@ from gpforge.homology import (
     AbelianGroup,
     IntegerMatrix,
     abelianization,
-    gcd_of_minors_factors,
     smith_normal_form,
 )
 from gpforge.inference import check_consistency, derive, query
@@ -34,6 +33,7 @@ from gpforge.rewriting import (
 )
 from gpforge.topology import serialize_simplicial, simplicial_homology, triangulate
 from gpforge.words import Word, commutator, parse_word, word
+from tests_util import gcd_of_minors_factors
 
 
 def _report(number, description, started):

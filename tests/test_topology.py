@@ -3,8 +3,17 @@ import random
 import pytest
 
 from gpforge.combinators import mu_stage, standard_mitosis
-from gpforge.errors import InvalidComplexError, InvalidInputError
-from gpforge.homology import AbelianGroup, abelianization, complex_homology
+from gpforge.errors import InvalidComplexError, InvalidInputError, ParseError
+from gpforge.homology import (
+    AbelianGroup,
+    ChainComplexData,
+    IntegerMatrix,
+    SparseMatrix,
+    abelianization,
+    complex_homology,
+    invariant_factors,
+    smith_normal_form,
+)
 from gpforge.presentations import Presentation, parse, presentation
 from gpforge.topology import (
     SimplicialComplex,
@@ -15,6 +24,7 @@ from gpforge.topology import (
     parse_simplicial,
     presentation_complex,
     serialize_simplicial,
+    simplicial_chain_complex,
     simplicial_homology,
     triangulate,
 )
@@ -130,6 +140,16 @@ def test_serialize_parse_round_trip():
     assert again == sc
 
 
+@pytest.mark.parametrize(
+    "text, line",
+    [("vertices x\n", 1), ("vertices 3\nsimplex 0 z\n", 2), ("# header\nvertices\n", 2)],
+)
+def test_parse_simplicial_malformed_lines_raise_parse_error(text, line):
+    with pytest.raises(ParseError) as info:
+        parse_simplicial(text)
+    assert info.value.line == line
+
+
 def test_edge_path_circle():
     circle = triangulate(presentation(["a"]))
     ep = edge_path_presentation(circle)
@@ -189,3 +209,41 @@ def test_cw_hurewicz_h1_on_all_fixtures():
     for p in fixtures:
         h1 = complex_homology(cw_chain_complex(p))[1]
         assert h1 == abelianization(p)
+
+
+def _densify(m):
+    dense = IntegerMatrix(m.rows, m.cols)
+    for i, row in enumerate(m.entries):
+        for j, v in row.items():
+            dense.entries[i][j] = v
+    return dense
+
+
+def test_sparse_boundary_invariant_factors_match_dense_snf():
+    rng = random.Random(2003)
+    from tests_util import random_presentation
+
+    for _ in range(6):
+        p = random_presentation(rng, max_gens=2, max_rels=2, max_len=2)
+        c = simplicial_chain_complex(triangulate(p))
+        for boundary in (c.d1, c.d2):
+            expected = smith_normal_form(_densify(boundary)).invariant_factors
+            assert tuple(f for f in invariant_factors(boundary.entries) if f) == expected
+
+
+def test_check_composition_sums_terms_before_judging():
+    d1 = SparseMatrix(1, 2, [{0: 1, 1: 1}])
+    two_terms = ChainComplexData(d1, SparseMatrix(2, 1, [{0: 1}, {0: 1}]))
+    with pytest.raises(InvalidComplexError):
+        two_terms.check_composition()
+    cancelling = ChainComplexData(d1, SparseMatrix(2, 1, [{0: 1}, {0: -1}]))
+    cancelling.check_composition()
+    assert complex_homology(cancelling) == (AbelianGroup(0), AbelianGroup(0), AbelianGroup(0))
+
+
+def test_mu3_triangulated_homology():
+    p = mu_stage(presentation(["g"]), 3).realized
+    h0, h1, h2 = simplicial_homology(triangulate(p))
+    assert h0 == AbelianGroup(1)
+    assert h1 == abelianization(p)
+    assert h0.rank - h1.rank + h2.rank == 1 - len(p.alphabet) + len(p.relators)

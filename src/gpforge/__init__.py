@@ -17,7 +17,6 @@ from .words import (
     commutator,
     cyclically_reduce,
     format_word,
-    free_reduce,
     parse_word,
     substitute,
     word,

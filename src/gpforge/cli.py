@@ -25,11 +25,11 @@ from .inference import (
     predicate_from_kebab,
     query,
 )
-from .presentations import Presentation, parse, serialize, tietze_simplify
+from .presentations import Presentation, parse, presentation, serialize, tietze_simplify
 from .rewriting import bs_reduce, finite_quotient_search, permutation_cycles
 from .sexpr import parse_expr, serialize_expr
 from .topology import serialize_simplicial, triangulate
-from .words import format_word, parse_word
+from .words import Word, format_word, parse_word
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -149,23 +149,12 @@ def _cmd_infer(args) -> int:
     return EXIT_OK
 
 
-def _oracle_from_flag(choice: str, pres: Presentation) -> red.WordProblemSource:
-    if choice == "free":
-        return red.WordProblemSource(pres, red.ORACLE_FREE, asserted_facts=(("TorsionFree", None),))
-    if choice.startswith("bs:"):
-        try:
-            m, n = (int(x) for x in choice[3:].split(","))
-        except ValueError:
-            raise UsageError("--oracle bs expects bs:m,n")
-        return red.WordProblemSource(
-            pres, red.ORACLE_BS, bs_params=(m, n), asserted_facts=(("TorsionFree", None),)
-        )
-    raise UsageError(f"unknown oracle {choice!r}")
-
-
 def _cmd_reduce(args) -> int:
     lam = _load_presentation(args.lam)
-    src = _oracle_from_flag(args.oracle, lam)
+    try:
+        src = red.parse_oracle(args.oracle, lam, (("TorsionFree", None),))
+    except ParseError as exc:
+        raise UsageError(str(exc))
     w = parse_word(args.word, lam.alphabet)
     construction = args.construction
     if construction == "lambda":
@@ -207,8 +196,6 @@ def _cmd_corpus(args) -> int:
     rng = random.Random(seed)
     family = args.family
     if family == "mu":
-        from .presentations import presentation
-
         base = presentation(["g"], name="F1")
         for k in range(1, args.depth + 1):
             stage = cb.mu_stage(base, k)
@@ -222,9 +209,6 @@ def _cmd_corpus(args) -> int:
         letters = [(s, 1) for s in alphabet.symbols] + [(s, -1) for s in alphabet.symbols]
         for i in range(args.count):
             length = rng.randint(1, 12)
-            w = parse_word("1")
-            from .words import Word
-
             picks = [letters[rng.randrange(len(letters))] for _ in range(length)]
             w = Word(picks)
             out = red.gamma_w(src, w)

@@ -2,7 +2,9 @@
 supports, each recording a GroupExpr construction-tree node.
 
 Node kinds: Atom, FreeProduct, DirectProduct, Amalgam, Hnn, Mitosis,
-MuStage, MeierT, MeierGamma, LambdaW, GammaW, WitnessW, PiW, DeltaW.
+MuStage, MeierT, MeierGamma, LambdaW, GammaW, WitnessW, PiW, DeltaW; the
+registry FAMILY / FORMS below says how each is read, written and reasoned
+about.
 The realized presentation of a node always equals re-running its
 constructor on the children's realizations, and every build is
 deterministic (fresh-name policy: suffix `_2`, `_3`, ... on clashes), so
@@ -11,7 +13,7 @@ repeated builds are bit-identical.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import DegenerateEdgeError, StableLetterError
 from .presentations import (
@@ -36,12 +38,114 @@ WITNESS_W = "witness-w"
 PI_W = "pi-w"
 DELTA_W = "delta-w"
 
-# Node kinds whose realization is a free product of the children.
-FREE_PRODUCT_LIKE = {FREE_PRODUCT, GAMMA_W, LAMBDA_W}
-# Node kinds whose realization is a direct product of the children.
-DIRECT_PRODUCT_LIKE = {DIRECT_PRODUCT, PI_W, DELTA_W}
-# Node kinds realizing amalgamated products (children are the factors).
-AMALGAM_LIKE = {AMALGAM, MEIER_T, WITNESS_W}
+
+# The node-kind registry.  Each kind belongs to a family, named by its
+# principal kind: the writer emits the family's form (`:kind` restores the
+# other kinds), and inference reads the family and its tags.  A kind whose
+# own form takes no arguments is written as that form.
+FAMILY: Dict[str, str] = {
+    ATOM: ATOM, HNN: HNN, MITOSIS: MITOSIS, MU_STAGE: MU_STAGE, MEIER_GAMMA: MEIER_GAMMA,
+    FREE_PRODUCT: FREE_PRODUCT, LAMBDA_W: FREE_PRODUCT, GAMMA_W: FREE_PRODUCT,
+    DIRECT_PRODUCT: DIRECT_PRODUCT, PI_W: DIRECT_PRODUCT, DELTA_W: DIRECT_PRODUCT,
+    AMALGAM: AMALGAM, MEIER_T: AMALGAM, WITNESS_W: AMALGAM,
+}
+
+REQUIRED = "required"
+
+
+class Arg(NamedTuple):
+    """One argument of a `.gx` form; `keyword` is None for a positional one.
+
+    Its `type` names a reader and a writer in `sexpr`.  An argument with a
+    `key` reaches the constructor as that keyword (or in `_extra_payload`,
+    see Form) and is written back from that payload entry; one without is
+    passed positionally.  An absent keyword argument is an error if
+    `default` is REQUIRED and no earlier argument gave its key, passes
+    `default` if that is not None, and is left out otherwise.
+    """
+
+    keyword: Optional[str]
+    type: str
+    key: Optional[str] = None
+    default: object = None
+
+
+class Tag(NamedTuple):
+    """A construction-certified payload tag: payload key, `.gx` flag (None
+    when no form writes it) and the structural predicate it seeds under
+    `rule` (about the only child if relational) when `needs` is set too."""
+
+    key: str
+    flag: Optional[str]
+    predicate: Optional[str]
+    rule: str = "S4"
+    needs: Optional[str] = None
+
+
+class Form(NamedTuple):
+    """A `.gx` form: its constructor as "module.function", looked up when
+    the form is read; its arguments in written order; its tags; and the
+    payload keys the constructor takes in `_extra_payload`."""
+
+    constructor: str
+    args: Tuple[Arg, ...] = ()
+    tags: Tuple[Tag, ...] = ()
+    extra: Tuple[str, ...] = ()
+
+
+_E = Arg(None, "expr")
+_KIND = Arg("kind", "kind", "_kind")
+_WITNESS = (Arg(None, "source"), Arg(None, "word", "w"))
+
+FORMS: Dict[str, Form] = {
+    ATOM: Form("combinators.atom", args=(
+        Arg(None, "name", "name"),
+        Arg("file", "file", "p"),
+        Arg("pres", "pres", "p", REQUIRED),
+        Arg("facts", "facts", "facts"),
+    )),
+    FREE_PRODUCT: Form(
+        "combinators.free_product",
+        args=(_E, _E, _KIND),
+        tags=(Tag("nonelementary", "nonelementary", "NonelemFreeProduct"),),
+        extra=("nonelementary",),
+    ),
+    DIRECT_PRODUCT: Form(
+        "combinators.direct_product", args=(_E, _E, _KIND, Arg("dim", "int", "dim")), extra=("dim",)
+    ),
+    AMALGAM: Form(
+        "combinators.amalgamated_product",
+        args=(_E, _E, Arg("pairs", "pairs", "pairs", ()), _KIND),
+        tags=(
+            Tag("edge_amenable", "edge-amenable", "EdgeAmenable"),
+            Tag("doublecoset_at_least_3", "doublecoset-3", "EdgeDoubleCosetsAtLeast3"),
+            Tag("proper_edge", "proper-edge", "EdgeProperContainment"),
+            Tag("edges_legitimate", "legit-edges", None),
+        ),
+    ),
+    HNN: Form(
+        "combinators.hnn_extension",
+        args=(_E, Arg("stable", "letter", "stable", REQUIRED), Arg("assoc", "pairs", "assoc")),
+        tags=(
+            Tag("ascending", "ascending", "AscendingHnn", rule="S2"),
+            Tag("bac_hnn_chain", "bac-chain", "SelfEmbeddingHnn", needs="ascending"),
+        ),
+        extra=("ascending", "bac_hnn_chain"),
+    ),
+    MITOSIS: Form("combinators.standard_mitosis", args=(_E,)),
+    MU_STAGE: Form("combinators.mu_stage", args=(_E, Arg("k", "int", "k", REQUIRED))),
+    MEIER_T: Form("meier.meier_t_expr"),
+    MEIER_GAMMA: Form("meier.meier_gamma_expr", tags=(
+        Tag("iso_to_self_times_self", None, "IsoToSelfTimesSelf"),
+        Tag("surjects_onto_child", None, "SurjectsOnto"),
+        Tag("torsion_free", None, "TorsionFree"),
+    )),
+    LAMBDA_W: Form("reductions.lambda_w", args=_WITNESS),
+    GAMMA_W: Form("reductions.gamma_w", args=_WITNESS),
+    WITNESS_W: Form("reductions.witness_w", args=(_E,) + _WITNESS),
+    PI_W: Form("reductions.pi_w", args=_WITNESS + (Arg("dim", "int", "d", 4),)),
+    DELTA_W: Form("reductions.delta_w", args=_WITNESS + (Arg("dim", "int", "d", 1),)),
+}
 
 
 class GroupExpr:
@@ -69,9 +173,6 @@ class GroupExpr:
         yield self
         for child in self.children:
             yield from child.walk()
-
-    def node_ids(self) -> Dict["GroupExpr", int]:
-        return {node: i for i, node in enumerate(self.walk())}
 
 
 ExprLike = Union[GroupExpr, Presentation]

@@ -23,15 +23,16 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from .combinators import (
-    AMALGAM_LIKE,
+    AMALGAM,
     ATOM,
-    DIRECT_PRODUCT_LIKE,
-    FREE_PRODUCT_LIKE,
+    DIRECT_PRODUCT,
+    FAMILY,
+    FORMS,
+    FREE_PRODUCT,
     GroupExpr,
     HNN,
     MITOSIS,
     MU_STAGE,
-    MEIER_GAMMA,
 )
 from .errors import GpforgeError
 
@@ -144,8 +145,8 @@ class _Context:
     def children(self, i: int) -> List[int]:
         return [self.ids[id(c)] for c in self.nodes[i].children]
 
-    def kind(self, i: int) -> str:
-        return self.nodes[i].kind
+    def family(self, i: int) -> str:
+        return FAMILY[self.nodes[i].kind]
 
     def payload(self, i: int) -> dict:
         return self.nodes[i].payload
@@ -157,14 +158,11 @@ class _Context:
 
     def embedding_children(self, i: int) -> List[int]:
         """Children known to embed into node i (factor/base inclusions)."""
-        kind = self.kind(i)
-        kids = self.children(i)
-        if kind in FREE_PRODUCT_LIKE or kind in DIRECT_PRODUCT_LIKE:
-            return kids
-        if kind in (MITOSIS, MU_STAGE, HNN):
-            return kids
-        if kind in AMALGAM_LIKE and self.payload(i).get("edges_legitimate"):
-            return kids
+        family = self.family(i)
+        if family in (FREE_PRODUCT, DIRECT_PRODUCT, MITOSIS, MU_STAGE, HNN):
+            return self.children(i)
+        if family == AMALGAM and self.payload(i).get("edges_legitimate"):
+            return self.children(i)
         return []
 
 
@@ -178,11 +176,7 @@ class _Context:
 class Rule:
     id: str
     citation: str
-    step: object  # callable(ctx, facts: Set[Fact]) -> iterable[(Fact, tuple[Fact, ...])]
-
-
-def _have(facts, node, pred, arg=None):
-    return Fact(node, pred, arg) in facts
+    step: object  # callable(ctx, facts: Collection[Fact]) -> iterable[(Fact, tuple[Fact, ...])]
 
 
 def _r1(ctx, facts):
@@ -199,7 +193,7 @@ def _r2(ctx, facts):
 
 def _r3(ctx, facts):
     for i in range(len(ctx.nodes)):
-        if ctx.kind(i) != HNN or not ctx.payload(i).get("ascending"):
+        if ctx.family(i) != HNN or not ctx.payload(i).get("ascending"):
             continue
         (base,) = ctx.children(i)
         bac = Fact(base, "BoundedlyAcyclic")
@@ -222,7 +216,7 @@ def _r4(ctx, facts):
 
 def _r5(ctx, facts):
     for i in range(len(ctx.nodes)):
-        if ctx.kind(i) not in DIRECT_PRODUCT_LIKE:
+        if ctx.family(i) != DIRECT_PRODUCT:
             continue
         kids = ctx.children(i)
         if len(kids) != 2:
@@ -240,11 +234,11 @@ def _r5(ctx, facts):
 
 def _r6(ctx, facts):
     for i in range(len(ctx.nodes)):
-        kind = ctx.kind(i)
-        if kind not in (MITOSIS, MU_STAGE):
+        family = ctx.family(i)
+        if family not in (MITOSIS, MU_STAGE):
             continue
         yield Fact(i, "ContainsF2"), ()
-        if kind == MU_STAGE:
+        if family == MU_STAGE:
             yield Fact(i, "BoundedlyAcyclic"), ()
             yield Fact(i, "NotFinPres"), ()
             (base,) = ctx.children(i)
@@ -257,7 +251,7 @@ def _r6(ctx, facts):
 
 def _r8(ctx, facts):
     for i in range(len(ctx.nodes)):
-        if ctx.kind(i) not in AMALGAM_LIKE:
+        if ctx.family(i) != AMALGAM:
             continue
         dc = Fact(i, "EdgeDoubleCosetsAtLeast3")
         proper = Fact(i, "EdgeProperContainment")
@@ -304,7 +298,7 @@ def _r12(ctx, facts):
 
 def _r13(ctx, facts):
     for i in range(len(ctx.nodes)):
-        if ctx.kind(i) not in DIRECT_PRODUCT_LIKE:
+        if ctx.family(i) != DIRECT_PRODUCT:
             continue
         kids = ctx.children(i)
         if len(kids) != 2:
@@ -361,7 +355,7 @@ def _r16(ctx, facts):
 
 def _r17(ctx, facts):
     for i in range(len(ctx.nodes)):
-        if ctx.kind(i) not in DIRECT_PRODUCT_LIKE:
+        if ctx.family(i) != DIRECT_PRODUCT:
             continue
         kids = ctx.children(i)
         if len(kids) != 2:
@@ -378,7 +372,7 @@ def _r17(ctx, facts):
 
 def _r18(ctx, facts):
     for i in range(len(ctx.nodes)):
-        if ctx.kind(i) not in AMALGAM_LIKE:
+        if ctx.family(i) != AMALGAM:
             continue
         edge = Fact(i, "EdgeAmenable")
         if edge not in facts:
@@ -481,39 +475,23 @@ _STRUCTURAL_CITATIONS = {
 def _structural_facts(ctx: _Context):
     """Yield (rule_id, fact) for structure-derived seed facts."""
     for i in range(len(ctx.nodes)):
-        kind = ctx.kind(i)
+        family = ctx.family(i)
         payload = ctx.payload(i)
-        if kind == ATOM:
+        if family == ATOM:
             pres = ctx.node(i).realized
             yield "S1", Fact(i, "FinPres")
             yield "S1", Fact(i, "FinGen", len(pres.alphabet))
             yield "S1", Fact(i, "RecPres")
-        if kind == HNN and payload.get("ascending"):
-            yield "S2", Fact(i, "AscendingHnn")
+        if family == HNN and payload.get("ascending"):
             (base,) = ctx.children(i)
             yield "S2", Fact(base, "CoAmenableIn", i)
-            if payload.get("bac_hnn_chain"):
-                yield "S4", Fact(i, "SelfEmbeddingHnn")
-        if kind in DIRECT_PRODUCT_LIKE:
+        if family == DIRECT_PRODUCT:
             for child in ctx.children(i):
                 yield "S3", Fact(child, "RetractOf", i)
-        if kind in AMALGAM_LIKE:
-            if payload.get("doublecoset_at_least_3"):
-                yield "S4", Fact(i, "EdgeDoubleCosetsAtLeast3")
-            if payload.get("proper_edge"):
-                yield "S4", Fact(i, "EdgeProperContainment")
-            if payload.get("edge_amenable"):
-                yield "S4", Fact(i, "EdgeAmenable")
-        if kind in FREE_PRODUCT_LIKE and payload.get("nonelementary"):
-            yield "S4", Fact(i, "NonelemFreeProduct")
-        if kind == MEIER_GAMMA:
-            if payload.get("iso_to_self_times_self"):
-                yield "S4", Fact(i, "IsoToSelfTimesSelf")
-            if payload.get("surjects_onto_child"):
-                (child,) = ctx.children(i)
-                yield "S4", Fact(i, "SurjectsOnto", child)
-            if payload.get("torsion_free"):
-                yield "S4", Fact(i, "TorsionFree")
+        for tag in FORMS[family].tags:
+            if tag.predicate and payload.get(tag.key) and (tag.needs is None or payload.get(tag.needs)):
+                arg = ctx.children(i)[0] if tag.predicate in RELATIONAL_PREDICATES else None
+                yield tag.rule, Fact(i, tag.predicate, arg)
 
 
 class Derivation:
@@ -536,7 +514,7 @@ class Derivation:
                     fact = Fact(i, pred, arg)
                     self._add(fact, Certificate(fact, "A0", A0_CITATION))
         for fact in self.asserted:
-            if self.ctx.kind(fact.node) != ATOM:
+            if self.ctx.family(fact.node) != ATOM:
                 raise AssertionError_(
                     f"asserted facts attach to Atom nodes only, got {self.ctx.label(fact.node)}"
                 )
@@ -555,7 +533,9 @@ class Derivation:
         changed = True
         while changed:
             changed = False
-            fact_set = set(self.certificates)
+            # Insertion-ordered, so rules scan facts in derivation order and
+            # the kept certificate does not depend on string hashing.
+            fact_set = dict.fromkeys(self.certificates)
             for rule in RULES:
                 for fact, premises in rule.step(self.ctx, fact_set):
                     if fact in self.certificates:
@@ -567,7 +547,7 @@ class Derivation:
                         tuple(self.certificates[p] for p in premises),
                     )
                     self._add(fact, cert)
-                    fact_set.add(fact)
+                    fact_set[fact] = None
                     changed = True
 
     # -- queries ----------------------------------------------------------
@@ -575,12 +555,6 @@ class Derivation:
     @property
     def facts(self) -> Set[Fact]:
         return set(self.certificates)
-
-    def facts_for(self, node: int) -> List[Fact]:
-        return sorted(
-            (f for f in self.certificates if f.node == node),
-            key=lambda f: (f.predicate, f.arg if f.arg is not None else -1),
-        )
 
     def node_id(self, node: Union[int, GroupExpr]) -> int:
         if isinstance(node, int):
@@ -620,12 +594,6 @@ def query(
     return derivation.certificates.get(Fact(node_id, predicate, degree))
 
 
-_CONTRADICTIONS = (
-    ("BoundedlyAcyclic", "LargeHb", "boundedly acyclic groups cannot have large H^n_b in positive degree"),
-    ("BoundedlyAcyclic", "NonvanishingHb", "boundedly acyclic groups cannot have nonvanishing H^n_b in positive degree"),
-)
-
-
 def check_consistency(derivation: Derivation) -> List[Tuple[int, str]]:
     """Definitional clashes in the derived fact set.
 
@@ -635,7 +603,7 @@ def check_consistency(derivation: Derivation) -> List[Tuple[int, str]]:
     never-finitely-presented.
     """
     out: List[Tuple[int, str]] = []
-    facts = derivation.facts
+    facts = derivation.certificates
     by_node: Dict[int, List[Fact]] = {}
     for f in facts:
         by_node.setdefault(f.node, []).append(f)

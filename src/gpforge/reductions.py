@@ -13,15 +13,12 @@ branch by branch:
   * w nontrivial  -> a fresh free-product letter wbar of infinite order is
                      returned and the expression records the structural
                      tags the inference rules consume.
-
-An oracle-free backend implementing a published relator schema can be
-plugged in behind the same WordProblemSource contract.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .combinators import (
     DELTA_W,
@@ -36,14 +33,13 @@ from .combinators import (
     direct_product,
     free_product,
 )
-from .errors import ConfigurationError, InternalError
+from .errors import ConfigurationError, InternalError, ParseError
 from .presentations import EMPTY_PRESENTATION, Presentation, presentation
 from .rewriting import bs_reduce, free_triviality
 from .words import Word, word
 
 ORACLE_FREE = "free"
 ORACLE_BS = "bs"
-ORACLE_EXTERNAL = "external"
 
 
 @dataclass(frozen=True)
@@ -53,7 +49,6 @@ class WordProblemSource:
     presentation: Presentation
     kind: str = ORACLE_FREE
     bs_params: Optional[Tuple[int, int]] = None
-    external: Optional[Callable[[Word], bool]] = None
     asserted_facts: Tuple = ()
 
     def is_trivial(self, w: Word) -> bool:
@@ -63,11 +58,20 @@ class WordProblemSource:
         if self.kind == ORACLE_BS:
             m, n = self.bs_params
             return not bs_reduce(m, n, w)
-        if self.kind == ORACLE_EXTERNAL:
-            if self.external is None:
-                raise ConfigurationError("external oracle requires a decision procedure")
-            return self.external(w)
         raise ConfigurationError(f"unknown oracle kind {self.kind!r}")
+
+
+def parse_oracle(spec: str, p: Presentation, asserted_facts: Tuple = ()) -> WordProblemSource:
+    """The word-problem source for an oracle spec: `free` or `bs:m,n`."""
+    if spec == ORACLE_FREE:
+        return WordProblemSource(p, ORACLE_FREE, asserted_facts=asserted_facts)
+    if spec.startswith(ORACLE_BS + ":"):
+        try:
+            m, n = (int(x) for x in spec[3:].split(","))
+        except ValueError:
+            raise ParseError(f"bs oracle expects bs:m,n, got {spec!r}") from None
+        return WordProblemSource(p, ORACLE_BS, bs_params=(m, n), asserted_facts=asserted_facts)
+    raise ParseError(f"unknown oracle {spec!r}")
 
 
 def free_source(gens: Sequence[str] = ("a", "b"), facts: Tuple = (("TorsionFree", None),)) -> WordProblemSource:

@@ -12,13 +12,17 @@ Construction forms:
     (lambda-w E "w")          (gamma-w E "w")
     (witness-w E E "w")       (pi-w E "w" :dim d)    (delta-w E "w" :dim d)
 
-Witness forms take the word-problem source as an atom E and accept an
-optional `:oracle "free"` or `:oracle "bs:2,3"` (default free).  Writers
-emit inline `:pres` atoms and structural forms carrying the optional tag
-keywords (`:kind`, `:nonelementary`, `:edge-amenable`, `:doublecoset-3`,
-`:proper-edge`, `:legit-edges`, `:bac-chain`, `:dim`), which readers
-restore, so written trees re-derive identically.  Words are quoted in the
-word text syntax.
+`combinators.FORMS` holds each form's argument schema; a missing,
+surplus, unknown or mistyped argument is a ParseError.  Witness forms take
+the word-problem source as an atom E and accept an optional
+`:oracle "free"` or `:oracle "bs:2,3"` (default free).  Writers emit
+inline `:pres` atoms, `(meier-T)` and `(meier-gamma)` as themselves, and
+every other node as its family's form, with `:kind lambda-w|gamma-w` on
+free-product, `:kind pi-w|delta-w` on direct and `:kind witness-w` on
+amalgam, plus `:dim` and the tag flags (`:nonelementary`,
+`:edge-amenable`, `:doublecoset-3`, `:proper-edge`, `:legit-edges`,
+`:ascending`, `:bac-chain`), which readers restore, so written trees
+re-derive identically.  Words are quoted in the word text syntax.
 """
 
 from __future__ import annotations
@@ -66,7 +70,7 @@ def _tokenize(text: str) -> List[object]:
                     i += 1
             if i >= n:
                 raise ParseError("unterminated string in expression file")
-            tokens.append(out and "".join(out) or "")
+            tokens.append("".join(out))
             i += 1
         else:
             j = i
@@ -100,67 +104,103 @@ def _read(tokens: List[object], pos: int) -> Tuple[object, int]:
     return tok, pos + 1
 
 
+def _is_keyword(item) -> bool:
+    return isinstance(item, Symbol) and item.startswith(":")
+
+
 def _split_args(items: List[object]):
     """Separate positional arguments from :keyword arguments (a keyword
     followed by a non-keyword takes it as value, else acts as a flag)."""
-    positional = []
-    keywords = {}
-    i = 0
-    while i < len(items):
-        item = items[i]
-        if isinstance(item, Symbol) and item.startswith(":"):
-            key = item[1:]
-            if i + 1 < len(items) and not (
-                isinstance(items[i + 1], Symbol) and str(items[i + 1]).startswith(":")
-            ):
-                keywords[key] = items[i + 1]
-                i += 2
-            else:
-                keywords[key] = True
-                i += 1
-        else:
+    positional, keywords = [], {}
+    for i, item in enumerate(items):
+        if _is_keyword(item):
+            has_value = i + 1 < len(items) and not _is_keyword(items[i + 1])
+            keywords[item[1:]] = items[i + 1] if has_value else True
+        elif not (i and _is_keyword(items[i - 1])):
             positional.append(item)
-            i += 1
     return positional, keywords
 
 
-def _parse_facts(obj) -> Tuple:
-    facts = []
-    if obj in (None, True):
-        return ()
-    for item in obj:
-        if isinstance(item, Symbol):
-            facts.append((predicate_from_kebab(str(item)), None))
-        elif isinstance(item, list) and len(item) == 2 and isinstance(item[0], Symbol):
-            facts.append((predicate_from_kebab(str(item[0])), int(item[1])))
-        else:
-            raise ParseError(f"bad fact form {item!r}")
-    return tuple(facts)
+def _expect(ok: bool, what: str, raw) -> None:
+    if not ok:
+        raise ParseError(f"expected {what}, got {raw!r}")
 
 
-def _parse_pairs(obj, left: Presentation, right: Presentation) -> List[Tuple[Word, Word]]:
-    pairs = []
-    for item in obj or []:
-        if not (isinstance(item, list) and len(item) == 2):
-            raise ParseError(f"bad identification pair {item!r}")
-        u = parse_word(item[0], left.alphabet)
-        v = parse_word(item[1], right.alphabet)
-        pairs.append((u, v))
-    return pairs
+def _string(raw) -> str:
+    _expect(isinstance(raw, str), "a string", raw)
+    return raw
 
 
-def _oracle_source(expr: cb.GroupExpr, oracle: Optional[str]) -> red.WordProblemSource:
-    if expr.kind != cb.ATOM:
-        raise ParseError("witness constructions need an atom as word-problem source")
-    pres = expr.realized
-    facts = expr.payload.get("facts", ())
-    choice = oracle or "free"
-    if choice == "free":
-        return red.WordProblemSource(pres, red.ORACLE_FREE, asserted_facts=facts)
-    if choice.startswith("bs:"):
-        m, n = (int(x) for x in choice[3:].split(","))
-        return red.WordProblemSource(pres, red.ORACLE_BS, bs_params=(m, n), asserted_facts=facts)
-    raise ParseError(f"unknown oracle {choice!r}")
+class _FormReader:
+    """One form's arguments, read against its schema in `cb.FORMS`."""
+
+    def __init__(self, head: str, items: List[object], loader):
+        self.head, self.loader = head, loader
+        self.positional, self.keywords = _split_args(items)
+        self.exprs: List[cb.GroupExpr] = []  # sub-expressions read so far
+        self.values = {}  # keyed arguments read so far
+
+    def expr(self, raw) -> cb.GroupExpr:
+        self.exprs.append(build_expr(raw, loader=self.loader))
+        return self.exprs[-1]
+
+    def source(self, raw) -> red.WordProblemSource:
+        node = self.expr(raw)
+        if node.kind != cb.ATOM:
+            raise ParseError("witness constructions need an atom as word-problem source")
+        spec = _string(self.keywords.pop("oracle", "free"))
+        return red.parse_oracle(spec, node.realized, node.payload["facts"])
+
+    def file(self, raw) -> Presentation:
+        if self.loader is None:
+            raise ParseError("atom :file reference but no loader available")
+        return self.loader(_string(raw))
+
+    def pres(self, raw) -> Presentation:
+        return parse_presentation(_string(raw), name=self.values["name"])
+
+    def facts(self, raw) -> Tuple:
+        _expect(isinstance(raw, list), "a fact list", raw)
+        facts = []
+        for item in raw:
+            if isinstance(item, list) and len(item) == 2 and isinstance(item[0], Symbol):
+                pred, arg = item
+                _expect(type(arg) is int, "an integer fact argument", arg)
+            else:
+                _expect(isinstance(item, Symbol), "a fact", item)
+                pred, arg = item, None
+            facts.append((predicate_from_kebab(str(pred)), arg))
+        return tuple(facts)
+
+    def kind(self, raw) -> str:
+        kinds = [k for k, family in cb.FAMILY.items() if family == self.head and cb.FORMS[k].args]
+        _expect(raw in kinds, f"a kind of {self.head} ({' '.join(kinds)})", raw)
+        return str(raw)
+
+    def integer(self, raw) -> int:
+        _expect(type(raw) is int, "an integer", raw)
+        return raw
+
+    def word(self, raw) -> Word:
+        return parse_word(_string(raw), self.exprs[-1].realized.alphabet)
+
+    def pairs(self, raw) -> List[Tuple[Word, Word]]:
+        _expect(isinstance(raw, list), "a list of word pairs", raw)
+        left, right = self.exprs[0].realized.alphabet, self.exprs[-1].realized.alphabet
+        out = []
+        for item in raw:
+            _expect(isinstance(item, list) and len(item) == 2, "a word pair", item)
+            out.append((parse_word(_string(item[0]), left), parse_word(_string(item[1]), right)))
+        return out
+
+
+_READ = {
+    "expr": _FormReader.expr, "source": _FormReader.source, "file": _FormReader.file,
+    "pres": _FormReader.pres, "facts": _FormReader.facts, "kind": _FormReader.kind,
+    "int": _FormReader.integer, "word": _FormReader.word, "pairs": _FormReader.pairs,
+    "name": lambda reader, raw: _string(raw), "letter": lambda reader, raw: _string(raw),
+}
+_MODULES = {"combinators": cb, "meier": meier_mod, "reductions": red}
 
 
 def build_expr(form, *, loader: Optional[Callable[[str], Presentation]] = None) -> cb.GroupExpr:
@@ -171,104 +211,49 @@ def build_expr(form, *, loader: Optional[Callable[[str], Presentation]] = None) 
     if not isinstance(form, list) or not form or not isinstance(form[0], Symbol):
         raise ParseError(f"expected a construction form, got {form!r}")
     head = str(form[0])
-    args, kw = _split_args(form[1:])
-
-    def sub(i):
-        return build_expr(args[i], loader=loader)
-
-    if head == "atom":
-        if not args or not isinstance(args[0], str):
-            raise ParseError("atom needs a name string")
-        name = args[0]
-        if "pres" in kw:
-            pres = parse_presentation(kw["pres"], name=name)
-        elif "file" in kw:
-            if loader is None:
-                raise ParseError("atom :file reference but no loader available")
-            pres = loader(kw["file"])
+    spec = cb.FORMS.get(head)
+    if spec is None:
+        raise ParseError(f"unknown construction form {head!r}")
+    reader = _FormReader(head, form[1:], loader)
+    args, values = [], reader.values
+    for arg in spec.args:
+        if arg.keyword is None:
+            if not reader.positional:
+                raise ParseError(f"{head} is missing a positional argument")
+            raw = reader.positional.pop(0)
         else:
-            raise ParseError(f"atom {name!r} needs :pres or :file")
-        return cb.atom(pres, facts=_parse_facts(kw.get("facts")), name=name)
-    if head == "free-product":
-        left, right = sub(0), sub(1)
-        return cb.free_product(
-            left,
-            right,
-            _kind=kw.get("kind", cb.FREE_PRODUCT),
-            _extra_payload={"nonelementary": True} if kw.get("nonelementary") else None,
-        )
-    if head == "direct":
-        left, right = sub(0), sub(1)
-        extra = {}
-        if "dim" in kw:
-            extra["dim"] = int(kw["dim"])
-        return cb.direct_product(
-            left, right, _kind=kw.get("kind", cb.DIRECT_PRODUCT), _extra_payload=extra or None
-        )
-    if head == "amalgam":
-        left, right = sub(0), sub(1)
-        pairs = _parse_pairs(kw.get("pairs"), left.realized, right.realized)
-        return cb.amalgamated_product(
-            left,
-            right,
-            pairs,
-            edge_amenable=bool(kw.get("edge-amenable")),
-            doublecoset_at_least_3=bool(kw.get("doublecoset-3")),
-            proper_edge=bool(kw.get("proper-edge")),
-            edges_legitimate=bool(kw.get("legit-edges")),
-            _kind=kw.get("kind", cb.AMALGAM),
-        )
-    if head == "hnn":
-        base = sub(0)
-        stable = kw.get("stable")
-        if not isinstance(stable, str):
-            raise ParseError("hnn needs :stable \"letter\"")
-        assoc = []
-        for item in kw.get("assoc") or []:
-            if not (isinstance(item, list) and len(item) == 2):
-                raise ParseError(f"bad assoc pair {item!r}")
-            assoc.append(
-                (parse_word(item[0], base.realized.alphabet), parse_word(item[1], base.realized.alphabet))
-            )
-        extra = {}
-        if kw.get("bac-chain"):
-            extra["bac_hnn_chain"] = True
-        node = cb.hnn_extension(base, stable, assoc, _extra_payload=extra or None)
-        if kw.get("ascending"):
-            node.payload["ascending"] = True
-        return node
-    if head == "mitosis":
-        return cb.standard_mitosis(sub(0))
-    if head == "mu":
-        if "k" not in kw:
-            raise ParseError("mu needs :k stage")
-        return cb.mu_stage(sub(0), int(kw["k"]))
-    if head == "meier-T":
-        return meier_mod.meier_t_expr()
-    if head == "meier-gamma":
-        return meier_mod.meier_gamma_expr()
-    if head in ("lambda-w", "gamma-w", "pi-w", "delta-w"):
-        source = sub(0)
-        if len(args) < 2 or not isinstance(args[1], str):
-            raise ParseError(f"{head} needs a word string")
-        src = _oracle_source(source, kw.get("oracle"))
-        w = parse_word(args[1], src.presentation.alphabet)
-        if head == "lambda-w":
-            return red.lambda_w(src, w).expr
-        if head == "gamma-w":
-            return red.gamma_w(src, w).expr
-        if head == "pi-w":
-            return red.pi_w(src, w, int(kw.get("dim", 4))).expr
-        return red.delta_w(src, w, int(kw.get("dim", 1))).expr
-    if head == "witness-w":
-        gamma = sub(0)
-        source = sub(1)
-        if len(args) < 3 or not isinstance(args[2], str):
-            raise ParseError("witness-w needs a word string")
-        src = _oracle_source(source, kw.get("oracle"))
-        w = parse_word(args[2], src.presentation.alphabet)
-        return red.witness_w(gamma, src, w).expr
-    raise ParseError(f"unknown construction form {head!r}")
+            raw = reader.keywords.pop(arg.keyword, None)
+        if raw is not None:
+            value = _READ[arg.type](reader, raw)
+        elif arg.default == cb.REQUIRED and arg.key not in values:
+            options = " or ".join(f":{a.keyword}" for a in spec.args if a.key == arg.key)
+            raise ParseError(f"{head} needs {options}")
+        elif arg.default in (None, cb.REQUIRED):
+            continue
+        else:
+            value = arg.default
+        if arg.key is None:
+            args.append(value)
+        else:
+            values[arg.key] = value
+    for tag in spec.tags:
+        if tag.flag in reader.keywords:
+            flag = reader.keywords.pop(tag.flag)
+            _expect(flag is True, f"no value after :{tag.flag}", flag)
+            values[tag.key] = True
+    if reader.positional or reader.keywords:
+        surplus = reader.positional + [f":{k}" for k in reader.keywords]
+        raise ParseError(f"{head} got a surplus argument {surplus[0]!r}")
+    kwargs = {k: v for k, v in values.items() if k not in spec.extra}
+    extra = {k: v for k, v in values.items() if k in spec.extra}
+    if extra:
+        kwargs["_extra_payload"] = extra
+    module, _, name = spec.constructor.partition(".")
+    try:
+        built = getattr(_MODULES[module], name)(*args, **kwargs)
+    except ValueError as exc:
+        raise ParseError(f"{head}: {exc}") from None
+    return built if isinstance(built, cb.GroupExpr) else built.expr
 
 
 def parse_expr(text: str, *, base_dir: Optional[str] = None) -> cb.GroupExpr:
@@ -297,67 +282,39 @@ def _facts_form(facts) -> str:
     return "(" + " ".join(parts) + ")"
 
 
+def _pairs_form(pairs) -> str:
+    return "(" + " ".join(f"({_quote(format_word(u))} {_quote(format_word(v))})" for u, v in pairs) + ")"
+
+
+# Writers per argument type: (node, payload key, children left) -> text, or
+# None to leave the argument out.  Sources and words are only ever read.
+_WRITE = {
+    "expr": lambda node, key, children: serialize_expr(next(children)),
+    "name": lambda node, key, children: _quote(node.payload[key] or node.kind),
+    "file": lambda node, key, children: None,
+    "pres": lambda node, key, children: _quote(serialize(node.realized)),
+    "facts": lambda node, key, children: _facts_form(node.payload[key]) if node.payload[key] else None,
+    "kind": lambda node, key, children: None if cb.FAMILY[node.kind] == node.kind else node.kind,
+    "int": lambda node, key, children: str(node.payload[key]) if key in node.payload else None,
+    "letter": lambda node, key, children: _quote(node.payload[key].name),
+    "pairs": lambda node, key, children: _pairs_form(node.payload[key]),
+}
+
+
 def serialize_expr(expr: cb.GroupExpr) -> str:
     """Self-contained form (inline presentations) that re-derives
     identically when parsed back."""
-    kind = expr.kind
-    if kind == cb.ATOM:
-        name = expr.payload.get("name") or "atom"
-        out = f"(atom {_quote(name)} :pres {_quote(serialize(expr.realized))}"
-        facts = expr.payload.get("facts", ())
-        if facts:
-            out += f" :facts {_facts_form(facts)}"
-        return out + ")"
-    if kind == cb.MEIER_T:
-        return "(meier-T)"
-    if kind == cb.MEIER_GAMMA:
-        return "(meier-gamma)"
-    if kind == cb.MITOSIS:
-        return f"(mitosis {serialize_expr(expr.children[0])})"
-    if kind == cb.MU_STAGE:
-        return f"(mu {serialize_expr(expr.children[0])} :k {expr.payload['k']})"
-    if kind == cb.HNN:
-        base = expr.children[0]
-        pairs = " ".join(
-            f"({_quote(format_word(u))} {_quote(format_word(v))})" for u, v in expr.payload["assoc"]
-        )
-        out = f"(hnn {serialize_expr(base)} :stable {_quote(expr.payload['stable'].name)} :assoc ({pairs})"
-        if expr.payload.get("ascending"):
-            out += " :ascending"
-        if expr.payload.get("bac_hnn_chain"):
-            out += " :bac-chain"
-        return out + ")"
-    if kind in cb.FREE_PRODUCT_LIKE:
-        out = f"(free-product {serialize_expr(expr.children[0])} {serialize_expr(expr.children[1])}"
-        if kind != cb.FREE_PRODUCT:
-            out += f" :kind {kind}"
-        if expr.payload.get("nonelementary"):
-            out += " :nonelementary"
-        return out + ")"
-    if kind in cb.DIRECT_PRODUCT_LIKE:
-        out = f"(direct {serialize_expr(expr.children[0])} {serialize_expr(expr.children[1])}"
-        if kind != cb.DIRECT_PRODUCT:
-            out += f" :kind {kind}"
-        if "dim" in expr.payload:
-            out += f" :dim {expr.payload['dim']}"
-        return out + ")"
-    if kind in cb.AMALGAM_LIKE:
-        pairs = " ".join(
-            f"({_quote(format_word(u))} {_quote(format_word(v))})" for u, v in expr.payload["pairs"]
-        )
-        out = (
-            f"(amalgam {serialize_expr(expr.children[0])} {serialize_expr(expr.children[1])} "
-            f":pairs ({pairs})"
-        )
-        if kind != cb.AMALGAM:
-            out += f" :kind {kind}"
-        for flag, key in (
-            ("edge_amenable", "edge-amenable"),
-            ("doublecoset_at_least_3", "doublecoset-3"),
-            ("proper_edge", "proper-edge"),
-            ("edges_legitimate", "legit-edges"),
-        ):
-            if expr.payload.get(flag):
-                out += f" :{key}"
-        return out + ")"
-    raise ParseError(f"cannot serialize node kind {kind!r}")
+    if expr.kind not in cb.FAMILY:
+        raise ParseError(f"cannot serialize node kind {expr.kind!r}")
+    if not cb.FORMS[expr.kind].args:
+        return f"({expr.kind})"
+    head = cb.FAMILY[expr.kind]
+    spec = cb.FORMS[head]
+    parts = [head]
+    children = iter(expr.children)
+    for arg in spec.args:
+        text = _WRITE[arg.type](expr, arg.key, children)
+        if text is not None:
+            parts.append(text if arg.keyword is None else f":{arg.keyword} {text}")
+    parts.extend(f":{tag.flag}" for tag in spec.tags if tag.flag and expr.payload.get(tag.key))
+    return "(" + " ".join(parts) + ")"

@@ -182,10 +182,6 @@ class Word:
     def exponent_sum(self, symbol: GeneratorSymbol) -> int:
         return sum(e for s, e in self._letters if s == symbol)
 
-    def occurrences(self, symbol: GeneratorSymbol):
-        """List of exponents of the runs of `symbol`, in order."""
-        return [e for s, e in self._letters if s == symbol]
-
     def single_letters(self) -> Iterator[Tuple[GeneratorSymbol, int]]:
         """Flatten to +-1 letters (avoid on words with huge exponents)."""
         for sym, exp in self._letters:
@@ -214,17 +210,6 @@ def word(*letters) -> Word:
                 sym = GeneratorSymbol(sym)
             out.append((sym, exp))
     return Word(out)
-
-
-def free_reduce(w: Word, alphabet: Optional[Alphabet] = None) -> Word:
-    """The unique freely reduced run-length form of `w`.
-
-    Words are kept reduced by construction, so this re-normalises (a no-op)
-    and optionally checks alphabet membership.
-    """
-    if alphabet is not None:
-        alphabet.check_word(w)
-    return Word(w.letters)
 
 
 def cyclically_reduce(w: Word) -> Tuple[Word, Word]:

@@ -1,4 +1,6 @@
 import io
+import os
+import subprocess
 import sys
 
 from gpforge.cli import EXIT_INPUT, EXIT_OK, EXIT_USAGE, main
@@ -198,3 +200,34 @@ def test_triangulate_rejects_invalid_presentation_as_input_error(tmp_path, monke
     bad.write_text("gens a\nrel 1\n", encoding="utf-8")
     code, _, err = run_cli(["triangulate", str(bad)], capsys=capsys, monkeypatch=monkeypatch)
     assert code == EXIT_INPUT and "input error" in err
+
+
+def test_bad_oracle_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    lam = tmp_path / "f2.grp"
+    lam.write_text("gens a b\n", encoding="utf-8")
+    for oracle in ("bs:2", "bs:x,3", "external"):
+        code, _, err = run_cli(
+            ["reduce", "--construction", "gamma", "--lambda", str(lam), "--oracle", oracle, "--word", "a"],
+            capsys=capsys,
+            monkeypatch=monkeypatch,
+        )
+        assert code == EXIT_USAGE and err.startswith("usage error:")
+
+
+def test_certificate_does_not_depend_on_hash_seed(tmp_path):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    lam = tmp_path / "f2.grp"
+    lam.write_text("gens a b\n", encoding="utf-8")
+    gx = tmp_path / "d.gx"
+    outputs = set()
+    for seed in ("0", "1", "4", "7"):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+
+        def gpforge(*argv):
+            cmd = [sys.executable, "-m", "gpforge.cli", *argv]
+            return subprocess.run(cmd, env=env, capture_output=True, text=True, check=True).stdout
+
+        gpforge("reduce", "--construction", "delta", "--dim", "3", "--lambda", str(lam),
+                "--word", "a b", "-o", str(tmp_path / "d.grp"), "--expr", str(gx))
+        outputs.add(gx.read_text(encoding="utf-8") + gpforge("infer", str(gx), "--query", "large-hb 2", "--cert"))
+    assert len(outputs) == 1

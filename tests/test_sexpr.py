@@ -1,9 +1,21 @@
 import pytest
 
-from gpforge.combinators import atom, direct_product, mu_stage
+from gpforge.cli import main
+from gpforge.combinators import (
+    FAMILY,
+    FORMS,
+    amalgamated_product,
+    atom,
+    direct_product,
+    free_product,
+    hnn_extension,
+    mu_stage,
+    standard_mitosis,
+)
 from gpforge.errors import ParseError
 from gpforge.homology import AbelianGroup, abelianization
 from gpforge.inference import derive
+from gpforge.meier import meier_gamma_expr, meier_t_expr
 from gpforge.presentations import presentation, serialize
 from gpforge.reductions import free_source, gamma_w, pi_w
 from gpforge.sexpr import parse_expr, serialize_expr
@@ -92,16 +104,32 @@ def test_round_trip_preserves_derivations():
 
 
 def test_parse_errors():
-    with pytest.raises(ParseError):
-        parse_expr("(")
-    with pytest.raises(ParseError):
-        parse_expr('(atom "x")')
-    with pytest.raises(ParseError):
-        parse_expr('(unknown-form (atom "x" :pres "gens a"))')
-    with pytest.raises(ParseError):
-        parse_expr('(mu (atom "x" :pres "gens a"))')
-    with pytest.raises(ParseError):
-        parse_expr('(atom "x" :pres "gens a") (atom "y" :pres "gens b")')
+    src = '(atom "L" :pres "gens a b")'
+    bad = [
+        "(",
+        '(atom "x")',
+        '(unknown-form (atom "x" :pres "gens a"))',
+        '(mu (atom "x" :pres "gens a"))',
+        '(atom "x" :pres "gens a") (atom "y" :pres "gens b")',
+        f"(free-product {src} {src} :kind hnn)",
+        f'(lambda-w {src} "a" :oracle "bs:2")',
+        f"(mu {src} :k 0)",
+        f'(mu {src} :k "x")',
+        '(atom "G" :pres "gens a" :facts ((fin-gen x)))',
+        f"(amalgam {src} {src} :pairs ((1 2)))",
+        f"(free-product {src})",
+        f'(pi-w {src} "a" :dim 2)',
+        '(atom "G" :pres 5)',
+        # A kind with its own form is not restored through :kind.
+        f"(amalgam {src} {src} :kind meier-T)",
+        # Surplus or unknown arguments, and values after flags.
+        f"(mitosis {src} {src})",
+        f"(mu {src} :k 2 :kind mu)",
+        f"(free-product {src} {src} :nonelementary 3)",
+    ]
+    for text in bad:
+        with pytest.raises(ParseError):
+            parse_expr(text)
 
 
 def test_comments_and_strings():
@@ -124,3 +152,92 @@ def test_bac_hnn_round_trip_keeps_chain_tag():
     d1, d2 = derive(expr), derive(again)
     assert d1.facts == d2.facts
     assert d2.has(again, "BoundedlyAcyclic")
+
+
+def _atom(name, gens, rels=(), facts=()):
+    return atom(presentation(gens, rels, name=name), facts=facts, name=name)
+
+
+def _sample(kind, tags):
+    """A node of `kind` built by its family's constructor, with `tags` set."""
+    if not FORMS[kind].args:
+        return {"meier-T": meier_t_expr, "meier-gamma": meier_gamma_expr}[kind]()
+    family = FAMILY[kind]
+    left = _atom("A", ["a"], ["a^4"], facts=(("Finite", None),))
+    right = _atom("B", ["b", "c"], ["b^6"], facts=(("AcylHyp", None),))
+    if family == "atom":
+        return _atom("G", ["x", "y"], ["x^2"], facts=(("Amenable", None), ("FinGen", 2)))
+    if family == "free-product":
+        return free_product(left, right, _kind=kind, _extra_payload=tags or None)
+    if family == "direct":
+        return direct_product(left, right, _kind=kind, _extra_payload=None if kind == "direct" else {"dim": 5})
+    if family == "amalgam":
+        pairs = [(parse_word("a^2"), parse_word("b^3"))]
+        return amalgamated_product(left, right, pairs, _kind=kind, **tags)
+    if family == "hnn":
+        base = _atom("Z", ["a"], facts=(("Amenable", None),))
+        return hnn_extension(base, "t", [(parse_word("a^2"), parse_word("a^3"))], _extra_payload=tags or None)
+    if family == "mitosis":
+        return standard_mitosis(left)
+    assert family == "mu"
+    return mu_stage(right, 2)
+
+
+def _samples():
+    """(kind, tags) pairs: every kind without tags, each tag of its family
+    alone, and all of them together.  Kinds written as their own nullary
+    form carry fixed tags."""
+    for kind, family in FAMILY.items():
+        keys = [tag.key for tag in FORMS[family].tags] if FORMS[kind].args else []
+        tag_sets = [{}] + [{key: True} for key in keys]
+        if len(keys) > 1:
+            tag_sets.append({key: True for key in keys})
+        yield from ((kind, tags) for tags in tag_sets)
+
+
+def _assert_round_trip(expr, text):
+    again = parse_expr(text)
+    assert again.kind == expr.kind
+    assert serialize_expr(again) == text
+    assert again.realized == expr.realized
+    d1, d2 = derive(expr, max_degree=6), derive(again, max_degree=6)
+    assert d1.facts == d2.facts
+    assert [c.render() for c in d1.certificates.values()] == [c.render() for c in d2.certificates.values()]
+
+
+def test_registry_round_trip_every_kind_and_tag():
+    seen = set()
+    for kind, tags in _samples():
+        expr = _sample(kind, tags)
+        assert expr.kind == kind
+        for key in tags:
+            assert expr.payload[key] is True
+        text = serialize_expr(expr)
+        _assert_round_trip(expr, text)
+        seen.add(kind)
+    assert seen == set(FAMILY)
+
+
+def test_every_registry_kind_has_a_writer():
+    for kind, family in FAMILY.items():
+        text = serialize_expr(_sample(kind, {}))
+        head = kind if not FORMS[kind].args else family
+        assert text.startswith(f"({head}")
+        assert (f":kind {kind}" in text) == (head != kind)
+
+
+def test_round_trip_corpus_large(capsys):
+    assert main(["corpus", "--family", "large"]) == 0
+    sections = [s for s in capsys.readouterr().out.split("## ") if s]
+    assert len(sections) == 2
+    for section in sections:
+        text = section.split("\n", 1)[1].strip()
+        _assert_round_trip(parse_expr(text), text)
+
+
+def test_ascending_restored_by_the_constructor():
+    text = '(hnn (atom "Z" :pres "gens a") :stable "t" :assoc (("a" "a^2")) :ascending)'
+    expr = parse_expr(text)
+    assert expr.payload["ascending"] is True and expr.payload["pending"] is False
+    assert derive(expr).has(expr, "AscendingHnn")
+    assert serialize_expr(expr) == text

@@ -19,15 +19,10 @@ from . import meier as meier_mod
 from . import reductions as red
 from .errors import GpforgeError, InternalError, InvalidComplexError, ParseError
 from .homology import abelianization
-from .inference import (
-    check_consistency,
-    derive,
-    predicate_from_kebab,
-    query,
-)
+from .inference import MAX_DEGREE, check_consistency, derive, query
 from .presentations import Presentation, parse, presentation, serialize, tietze_simplify
 from .rewriting import bs_reduce, finite_quotient_search, permutation_cycles
-from .sexpr import parse_expr, serialize_expr
+from .sexpr import parse_expr, parse_query, serialize_expr
 from .topology import serialize_simplicial, triangulate
 from .words import Word, format_word, parse_word
 
@@ -97,7 +92,10 @@ def _cmd_normalize(args) -> int:
 def _cmd_certify_nontrivial(args) -> int:
     p = _load_presentation(args.file)
     target = parse_word(args.word, p.alphabet)
-    cert = finite_quotient_search(p, args.degree, target=target)
+    try:
+        cert = finite_quotient_search(p, args.degree, target=target)
+    except ValueError as exc:
+        raise UsageError(f"--degree: {exc}")
     if cert is None:
         print("not found within bound")
         return EXIT_OK
@@ -123,19 +121,13 @@ def _cmd_build(args) -> int:
     return EXIT_OK
 
 
-def _parse_query(text: str):
-    parts = text.split()
-    if not parts:
-        raise UsageError("empty query")
-    predicate = predicate_from_kebab(parts[0])
-    degree = int(parts[1]) if len(parts) > 1 else None
-    return predicate, degree
-
-
 def _cmd_infer(args) -> int:
+    try:
+        predicate, degree = parse_query(args.query)
+    except ParseError as exc:
+        raise UsageError(f"--query: {exc}")
     expr = _load_expr(args.file)
-    predicate, degree = _parse_query(args.query)
-    derivation = derive(expr, max_degree=max(args.max_degree, degree or 0))
+    derivation = derive(expr, max_degree=max(MAX_DEGREE, degree or 0))
     cert = query(derivation, expr, predicate, degree)
     if cert is None:
         print("NOT DERIVABLE")
@@ -167,12 +159,12 @@ def _cmd_reduce(args) -> int:
             facts=(("TorsionFree", None),),
         )
         out = red.witness_w(gamma, src, w)
-    elif construction == "pi":
-        out = red.pi_w(src, w, args.dim)
-    elif construction == "delta":
-        out = red.delta_w(src, w, args.dim)
-    else:  # pragma: no cover - argparse restricts choices
-        raise UsageError(f"unknown construction {construction!r}")
+    else:
+        build = {"pi": red.pi_w, "delta": red.delta_w}[construction]
+        try:
+            out = build(src, w, args.dim)
+        except ValueError as exc:
+            raise UsageError(f"--dim: {exc}")
     _write_text(args.output, serialize(out.presentation))
     if args.expr_output:
         _write_text(args.expr_output, serialize_expr(out.expr))
@@ -180,7 +172,11 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_meier_probe(args) -> int:
-    for w, status in meier_mod.double_coset_probe(args.max_len, args.budget):
+    try:
+        results = meier_mod.double_coset_probe(args.max_len, args.budget)
+    except ValueError as exc:
+        raise UsageError(f"--max-len/--budget: {exc}")
+    for w, status in results:
         print(f"{format_word(w)}\t{status}")
     return EXIT_OK
 
@@ -271,7 +267,6 @@ def build_parser() -> _Parser:
     p.add_argument("file")
     p.add_argument("--query", required=True, help='e.g. "large-hb 4" or "boundedly-acyclic"')
     p.add_argument("--cert", action="store_true")
-    p.add_argument("--max-degree", type=int, default=12)
     p.set_defaults(func=_cmd_infer)
 
     p = sub.add_parser("reduce", help="witness constructions from a word-problem instance")

@@ -363,7 +363,7 @@ def _mitosis_relators(gens: Sequence[GeneratorSymbol], s: GeneratorSymbol, d: Ge
     return rels
 
 
-def standard_mitosis(p: ExprLike, *, s_name: str = "s", d_name: str = "d") -> GroupExpr:
+def standard_mitosis(p: ExprLike) -> GroupExpr:
     """Adjoin s, d with the two-step HNN relators of the standard mitosis.
 
     The node records the quotient morphism onto the free group on the two
@@ -372,9 +372,9 @@ def standard_mitosis(p: ExprLike, *, s_name: str = "s", d_name: str = "d") -> Gr
     pe = _as_expr(p)
     base = pe.realized
     taken = set(base.alphabet.names)
-    s = GeneratorSymbol(_fresh_name(s_name, taken))
+    s = GeneratorSymbol(_fresh_name("s", taken))
     taken.add(s.name)
-    d = GeneratorSymbol(_fresh_name(d_name, taken))
+    d = GeneratorSymbol(_fresh_name("d", taken))
     alphabet = Alphabet(tuple(base.alphabet.symbols) + (s, d))
     rels = base.relators + tuple(_mitosis_relators(base.alphabet.symbols, s, d))
     realized = Presentation(alphabet, rels)

@@ -20,7 +20,7 @@ clashes, reported by check_consistency.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
 from .combinators import (
     AMALGAM,
@@ -34,45 +34,77 @@ from .combinators import (
     MITOSIS,
     MU_STAGE,
 )
-from .errors import GpforgeError
+from .errors import GpforgeError, ParseError
 
-# Predicates that carry an integer degree/count argument.
-DEGREE_PREDICATES = {
-    "NonvanishingHb",
-    "LargeHb",
-    "LonebPositive",
-    "LonebLarge",
-    "FinGen",
-    "HypManifoldGroup",
-    "CdbAtLeast",
+# Argument kinds of a predicate (None: it takes no argument).
+DEGREE = "degree"  # an integer >= 0: a degree, a dimension or a count
+NODE = "node id"  # the pre-order id of another node
+
+
+class Predicate(NamedTuple):
+    """A `.gx`/`--query` name (None: never asserted or queried) and an argument kind."""
+
+    name: Optional[str]
+    arg: Optional[str] = None
+
+
+# The predicate registry: Fact, `.gx` `:facts` and `infer --query` all check against it.
+PREDICATES: Dict[str, Predicate] = {
+    "Amenable": Predicate("amenable"),
+    "Finite": Predicate("finite"),
+    "Mitotic": Predicate("mitotic"),
+    "BoundedlyAcyclic": Predicate("boundedly-acyclic"),
+    "NonvanishingHb": Predicate("nonvanishing-hb", DEGREE),
+    "LargeHb": Predicate("large-hb", DEGREE),
+    "LonebPositive": Predicate("loneb-positive", DEGREE),
+    "LonebLarge": Predicate("loneb-large", DEGREE),
+    "ContainsF2": Predicate("contains-f2"),
+    "AcylHyp": Predicate("acyl-hyp"),
+    "NonelemFreeProduct": Predicate("nonelem-free-product"),
+    "TorsionFree": Predicate("torsion-free"),
+    "FinGen": Predicate("fin-gen", DEGREE),
+    "FinPres": Predicate("fin-pres"),
+    "NotFinPres": Predicate("not-fin-pres"),
+    "RecPres": Predicate("rec-pres"),
+    "HypManifoldGroup": Predicate("hyp-manifold", DEGREE),
+    "ThompsonT": Predicate("thompson-t"),
+    "IsoToSelfTimesSelf": Predicate("iso-to-self-times-self"),
+    "AscendingHnn": Predicate("ascending-hnn"),
+    "CdbAtLeast": Predicate("cdb-at-least", DEGREE),
+    "CdbEquals0": Predicate("cdb-equals-0"),
+    "HdbEquals0": Predicate("hdb-equals-0"),
+    "MuEmbedsBack": Predicate("mu-embeds-back"),
+    "CoAmenableIn": Predicate(None, NODE),
+    "SurjectsOnto": Predicate(None, NODE),
+    "RetractOf": Predicate(None, NODE),
+    "SelfEmbeddingHnn": Predicate(None),
+    "EdgeDoubleCosetsAtLeast3": Predicate(None),
+    "EdgeProperContainment": Predicate(None),
+    "EdgeAmenable": Predicate(None),
 }
-# Predicates whose argument is another node id.
-RELATIONAL_PREDICATES = {"CoAmenableIn", "SurjectsOnto", "RetractOf"}
-PLAIN_PREDICATES = {
-    "Amenable",
-    "Finite",
-    "Mitotic",
-    "BoundedlyAcyclic",
-    "ContainsF2",
-    "AcylHyp",
-    "NonelemFreeProduct",
-    "TorsionFree",
-    "FinPres",
-    "NotFinPres",
-    "RecPres",
-    "ThompsonT",
-    "IsoToSelfTimesSelf",
-    "AscendingHnn",
-    "CdbEquals0",
-    "HdbEquals0",
-    "MuEmbedsBack",
-    # Structural payload-derived tags:
-    "SelfEmbeddingHnn",
-    "EdgeDoubleCosetsAtLeast3",
-    "EdgeProperContainment",
-    "EdgeAmenable",
-}
-ALL_PREDICATES = DEGREE_PREDICATES | RELATIONAL_PREDICATES | PLAIN_PREDICATES
+_BY_NAME = {p.name: predicate for predicate, p in PREDICATES.items() if p.name}
+
+MAX_DEGREE = 12  # derive's default depth
+
+
+def _arg_problem(kind: Optional[str], arg) -> Optional[str]:
+    """What is wrong with `arg` as an argument of this kind, or None."""
+    if kind is None:
+        return None if arg is None else f"takes no argument, got {arg!r}"
+    if type(arg) is not int or arg < 0:
+        return f"needs a {kind} argument >= 0, got {arg!r}"
+    return None
+
+
+def parse_fact(name: str, arg: object = None) -> Tuple[str, Optional[int]]:
+    """(predicate, argument) of an assertable fact read from text, else ParseError."""
+    predicate = _BY_NAME.get(name)
+    if predicate is None:
+        raise ParseError(f"unknown predicate {name!r}")
+    problem = _arg_problem(PREDICATES[predicate].arg, arg)
+    if problem:
+        raise ParseError(f"{name} {problem}")
+    return predicate, arg
 
 
 class AssertionError_(GpforgeError):
@@ -88,16 +120,12 @@ class Fact:
     arg: Optional[int] = None
 
     def __post_init__(self):
-        if self.predicate not in ALL_PREDICATES:
+        spec = PREDICATES.get(self.predicate)
+        if spec is None:
             raise AssertionError_(f"unknown predicate {self.predicate!r}")
-        if self.predicate in DEGREE_PREDICATES:
-            if not isinstance(self.arg, int) or self.arg < 0:
-                raise AssertionError_(f"{self.predicate} needs a degree argument >= 0")
-        elif self.predicate in RELATIONAL_PREDICATES:
-            if not isinstance(self.arg, int):
-                raise AssertionError_(f"{self.predicate} needs a node-id argument")
-        elif self.arg is not None:
-            raise AssertionError_(f"{self.predicate} takes no argument")
+        problem = _arg_problem(spec.arg, self.arg)
+        if problem:
+            raise AssertionError_(f"{self.predicate} {problem}")
 
     def render(self) -> str:
         if self.arg is None:
@@ -490,7 +518,7 @@ def _structural_facts(ctx: _Context):
                 yield "S3", Fact(child, "RetractOf", i)
         for tag in FORMS[family].tags:
             if tag.predicate and payload.get(tag.key) and (tag.needs is None or payload.get(tag.needs)):
-                arg = ctx.children(i)[0] if tag.predicate in RELATIONAL_PREDICATES else None
+                arg = ctx.children(i)[0] if PREDICATES[tag.predicate].arg == NODE else None
                 yield tag.rule, Fact(i, tag.predicate, arg)
 
 
@@ -565,7 +593,7 @@ class Derivation:
         return Fact(self.node_id(node), predicate, arg) in self.certificates
 
 
-def derive(expr: GroupExpr, asserted: Sequence[Fact] = (), max_degree: int = 12) -> Derivation:
+def derive(expr: GroupExpr, asserted: Sequence[Fact] = (), max_degree: int = MAX_DEGREE) -> Derivation:
     """Run the engine to its least fixpoint.
 
     Degree-parameterised rules (R12, R16, R17 and the product rule R13)
@@ -647,44 +675,3 @@ def replay_certificate(derivation: Derivation, cert: Certificate) -> bool:
     if cert.fact not in produced:
         return False
     return all(replay_certificate(derivation, p) for p in cert.premises)
-
-
-# Kebab-case names used by the s-expression format and the CLI.
-_KEBAB = {
-    "amenable": "Amenable",
-    "finite": "Finite",
-    "mitotic": "Mitotic",
-    "boundedly-acyclic": "BoundedlyAcyclic",
-    "nonvanishing-hb": "NonvanishingHb",
-    "large-hb": "LargeHb",
-    "loneb-positive": "LonebPositive",
-    "loneb-large": "LonebLarge",
-    "contains-f2": "ContainsF2",
-    "acyl-hyp": "AcylHyp",
-    "nonelem-free-product": "NonelemFreeProduct",
-    "torsion-free": "TorsionFree",
-    "fin-gen": "FinGen",
-    "fin-pres": "FinPres",
-    "not-fin-pres": "NotFinPres",
-    "rec-pres": "RecPres",
-    "hyp-manifold": "HypManifoldGroup",
-    "thompson-t": "ThompsonT",
-    "iso-to-self-times-self": "IsoToSelfTimesSelf",
-    "ascending-hnn": "AscendingHnn",
-    "cdb-at-least": "CdbAtLeast",
-    "cdb-equals-0": "CdbEquals0",
-    "hdb-equals-0": "HdbEquals0",
-    "mu-embeds-back": "MuEmbedsBack",
-}
-_KEBAB_INV = {v: k for k, v in _KEBAB.items()}
-
-
-def predicate_from_kebab(name: str) -> str:
-    try:
-        return _KEBAB[name]
-    except KeyError:
-        raise AssertionError_(f"unknown predicate {name!r}") from None
-
-
-def predicate_to_kebab(predicate: str) -> str:
-    return _KEBAB_INV[predicate]

@@ -27,6 +27,8 @@ STATUS_IN_F = "in-F"
 STATUS_UNKNOWN = "confirmed-in-preimage-unknown-membership"
 STATUS_WITNESS = "confirmed-witness"
 STATUS_EXHAUSTED = "exhausted"
+# The probe compares candidates with the elements of F of free length <= this.
+F_WORD_MAX_LEN = 6
 
 
 @dataclass(frozen=True)
@@ -64,21 +66,19 @@ def build_meier() -> MeierData:
     assertion consumed by the inference engine.
     """
     b = _bs_presentation()
-    a_sym, t_sym = b.alphabet.symbol("a"), b.alphabet.symbol("t")
     t_w, c_w = f_generators(b)
 
-    phi_images: Dict[GeneratorSymbol, Word] = {a_sym: word((a_sym, 2)), t_sym: t_w}
-    phi = PresentationMorphism(b, b, phi_images)
+    phi = PresentationMorphism(b, b, _phi_images(b))
     try:
         phi = phi.verify(lambda img: not bs_reduce(2, 3, img))
     except Exception as exc:  # pragma: no cover - should be impossible
         raise ConstructionIntegrityError(f"phi relator obligation failed: {exc}") from exc
 
-    if bs_reduce(2, 3, substitute(c_w, phi_images)):
+    if phi_apply(c_w):
         raise ConstructionIntegrityError("phi(c) did not rewrite to 1")
     if not bs_reduce(2, 3, c_w):
         raise ConstructionIntegrityError("c unexpectedly trivial in BS(2,3)")
-    if bs_reduce(2, 3, substitute(t_w, phi_images)) != t_w:
+    if phi_apply(t_w) != t_w:
         raise ConstructionIntegrityError("phi(t) != t")
 
     b_copy = _bs_presentation()
@@ -124,14 +124,19 @@ def meier_gamma_expr() -> GroupExpr:
     )
 
 
+def _phi_images(b: Presentation) -> Dict[GeneratorSymbol, Word]:
+    """phi on the generators of BS(2,3): a -> a^2, t -> t."""
+    a_sym, t_sym = b.alphabet.symbol("a"), b.alphabet.symbol("t")
+    return {a_sym: word((a_sym, 2)), t_sym: word(t_sym)}
+
+
 def phi_apply(w: Word) -> Word:
     """BS(2,3)-normal form of phi(w) for w over {a, t}."""
-    b = _bs_presentation()
-    a_sym, t_sym = b.alphabet.symbol("a"), b.alphabet.symbol("t")
+    images = _phi_images(_bs_presentation())
     for sym, _ in w.letters:
-        if sym not in (a_sym, t_sym):
+        if sym not in images:
             raise AlphabetMismatchError(f"phi is defined on {{a, t}}, got {sym.name!r}")
-    return bs_reduce(2, 3, substitute(w, {a_sym: word((a_sym, 2)), t_sym: word(t_sym)}))
+    return bs_reduce(2, 3, substitute(w, images))
 
 
 @dataclass(frozen=True)
@@ -201,12 +206,7 @@ def _is_t_power(nf: Word, t_sym: GeneratorSymbol) -> bool:
     return len(nf.letters) == 1 and nf.letters[0][0] == t_sym
 
 
-def double_coset_probe(
-    max_len: int,
-    budget: int,
-    *,
-    f_word_max_len: int = 6,
-) -> List[Tuple[Word, str]]:
+def double_coset_probe(max_len: int, budget: int) -> List[Tuple[Word, str]]:
     """Budgeted search for elements of phi^-1(F) and their F-membership.
 
     Enumerates freely reduced words x over {a, t} with |x| <= max_len in
@@ -217,7 +217,7 @@ def double_coset_probe(
     comparisons per candidate:
 
       * a match certifies x in F              -> status "in-F"
-      * full enumeration up to the F-length cap, no match
+      * full enumeration up to F_WORD_MAX_LEN, no match
                                               -> "confirmed-in-preimage-unknown-membership"
       * budget exhausted mid-enumeration      -> "exhausted"
 
@@ -234,14 +234,15 @@ def double_coset_probe(
     results: List[Tuple[Word, str]] = []
     letter_order = [(a_sym, 1), (a_sym, -1), (t_sym, 1), (t_sym, -1)]
 
-    # Free generators of F for the membership enumeration.
+    # The elements of F compared against each candidate: the images of the
+    # freely reduced words in F's free generators, in enumeration order.
     f_syms = (GeneratorSymbol("ft"), GeneratorSymbol("fc"))
     f_images = {f_syms[0]: t_w, f_syms[1]: c_w}
     f_letters = [(f_syms[0], 1), (f_syms[0], -1), (f_syms[1], 1), (f_syms[1], -1)]
+    f_elements = [substitute(f_word, f_images) for f_word in _reduced_words(f_letters, F_WORD_MAX_LEN)]
 
     for x in _reduced_words(letter_order, max_len):
-        nf = bs_reduce(2, 3, substitute(x, {a_sym: word((a_sym, 2)), t_sym: word(t_sym)}))
-        if not _is_t_power(nf, t_sym):
+        if not _is_t_power(phi_apply(x), t_sym):
             continue
         # Elements equal to a t-power (k = 0 included) lie in <t> <= F.
         if _is_t_power(bs_reduce(2, 3, x), t_sym):
@@ -250,12 +251,11 @@ def double_coset_probe(
         status = STATUS_UNKNOWN
         spent = 0
         ran_out = False
-        for f_word in _reduced_words(f_letters, f_word_max_len):
+        for candidate in f_elements:
             if spent >= budget:
                 ran_out = True
                 break
             spent += 1
-            candidate = substitute(f_word, f_images)
             if bs_equal(2, 3, candidate, x):
                 status = STATUS_IN_F
                 break

@@ -15,7 +15,12 @@ Construction forms:
 `combinators.FORMS` holds each form's argument schema; a missing,
 surplus, unknown or mistyped argument is a ParseError.  Witness forms take
 the word-problem source as an atom E and accept an optional
-`:oracle "free"` or `:oracle "bs:2,3"` (default free).  Writers emit
+`:oracle "free"` or `:oracle "bs:2,3"` (default free).  An atom's
+`:facts` list holds bare names and `(name arg)` pairs; `inference.PREDICATES`
+says which names are assertable and which take a degree >= 0, and
+`inference.parse_fact` rejects anything else as a ParseError;
+`parse_query` reads one such fact without its parentheses (`infer
+--query "large-hb 6"`).  Writers emit
 inline `:pres` atoms, `(meier-T)` and `(meier-gamma)` as themselves, and
 every other node as its family's form, with `:kind lambda-w|gamma-w` on
 free-product, `:kind pi-w|delta-w` on direct and `:kind witness-w` on
@@ -34,7 +39,7 @@ from . import combinators as cb
 from . import meier as meier_mod
 from . import reductions as red
 from .errors import ParseError
-from .inference import predicate_from_kebab, predicate_to_kebab
+from .inference import PREDICATES, parse_fact
 from .presentations import Presentation, parse as parse_presentation, serialize
 from .words import Word, format_word, parse_word
 
@@ -131,6 +136,19 @@ def _string(raw) -> str:
     return raw
 
 
+def _fact(item) -> Tuple[str, Optional[int]]:
+    """A fact: a bare name, or a list of a name and its argument."""
+    name, *arg = item if isinstance(item, list) and len(item) == 2 else (item,)
+    _expect(isinstance(name, Symbol), "a fact", item)
+    return parse_fact(name, *arg)
+
+
+def parse_query(text: str) -> Tuple[str, Optional[int]]:
+    """A fact as written in `:facts`, without parentheses: `name` or `name arg`."""
+    tokens = _tokenize(text)
+    return _fact(tokens[0] if len(tokens) == 1 else tokens)
+
+
 class _FormReader:
     """One form's arguments, read against its schema in `cb.FORMS`."""
 
@@ -161,16 +179,7 @@ class _FormReader:
 
     def facts(self, raw) -> Tuple:
         _expect(isinstance(raw, list), "a fact list", raw)
-        facts = []
-        for item in raw:
-            if isinstance(item, list) and len(item) == 2 and isinstance(item[0], Symbol):
-                pred, arg = item
-                _expect(type(arg) is int, "an integer fact argument", arg)
-            else:
-                _expect(isinstance(item, Symbol), "a fact", item)
-                pred, arg = item, None
-            facts.append((predicate_from_kebab(str(pred)), arg))
-        return tuple(facts)
+        return tuple(_fact(item) for item in raw)
 
     def kind(self, raw) -> str:
         kinds = [k for k, family in cb.FAMILY.items() if family == self.head and cb.FORMS[k].args]
@@ -277,8 +286,11 @@ def _quote(s: str) -> str:
 def _facts_form(facts) -> str:
     parts = []
     for pred, arg in facts:
-        kebab = predicate_to_kebab(pred)
-        parts.append(kebab if arg is None else f"({kebab} {arg})")
+        name = PREDICATES[pred].name if pred in PREDICATES else None
+        if name is None:
+            raise ParseError(f"cannot serialize the fact {pred!r}")
+        parse_fact(name, arg)  # write only what the reader accepts
+        parts.append(name if arg is None else f"({name} {arg})")
     return "(" + " ".join(parts) + ")"
 
 

@@ -1,9 +1,14 @@
+import contextlib
 import io
 import os
 import subprocess
 import sys
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from gpforge.cli import EXIT_INPUT, EXIT_OK, EXIT_USAGE, main
+from gpforge.inference import PREDICATES
 
 
 def run_cli(argv, stdin_text="", monkeypatch=None, capsys=None):
@@ -170,11 +175,59 @@ def test_corpus_deterministic_and_seeded(tmp_path, monkeypatch, capsys):
     assert "## mu stage 2" in mu_out
 
 
-def test_usage_error_exit_code(monkeypatch, capsys):
-    code, _, err = run_cli(["normalize", "--bs", "nonsense", "a"], capsys=capsys, monkeypatch=monkeypatch)
-    assert code == EXIT_USAGE
-    code, _, _ = run_cli(["no-such-command"], capsys=capsys, monkeypatch=monkeypatch)
-    assert code == EXIT_USAGE
+def test_usage_error_exit_code(tmp_path, monkeypatch, capsys):
+    bs = tmp_path / "bs.grp"
+    bs.write_text(BS23, encoding="utf-8")
+    lam = tmp_path / "f2.grp"
+    lam.write_text("gens a b\n", encoding="utf-8")
+    gx = tmp_path / "mu.gx"
+    gx.write_text('(mu (atom "F1" :pres "gens g") :k 2)\n', encoding="utf-8")
+    reduce = ["reduce", "--lambda", str(lam), "--word", "a", "--construction"]
+    bad = [
+        ["normalize", "--bs", "nonsense", "a"],
+        ["no-such-command"],
+        # Out-of-range numeric flags, rejected by the library's own checks.
+        reduce + ["pi", "--dim", "2"],
+        reduce + ["delta", "--dim", "0"],
+        ["certify-nontrivial", str(bs), "--word", "a", "--degree", "7"],
+        ["meier-probe", "--max-len", "0", "--budget", "10"],
+        ["meier-probe", "--max-len", "3", "--budget", "0"],
+    ]
+    # Queries: unknown names, missing, surplus or mistyped arguments.
+    for query in ("large-hb x", "large-hb", "boundedly-acyclic 3", "no-such", "", "large-hb 2 3", "large-hb -2"):
+        bad.append(["infer", str(gx), "--query", query])
+    for argv in bad:
+        code, out, err = run_cli(argv, capsys=capsys, monkeypatch=monkeypatch)
+        assert code == EXIT_USAGE and out == "" and err.startswith("usage error:"), argv
+
+
+@pytest.fixture(scope="module")
+def gx_mu(tmp_path_factory):
+    gx = tmp_path_factory.mktemp("query") / "mu.gx"
+    gx.write_text('(mu (atom "F1" :pres "gens g") :k 2)\n', encoding="utf-8")
+    return str(gx)
+
+
+_QUERY_WORDS = st.sampled_from(
+    sorted(spec.name for spec in PREDICATES.values() if spec.name) + ["LargeHb", "(", '"', "-", "0x3", "1e3"]
+)
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(
+    st.one_of(
+        st.text(),
+        st.lists(st.one_of(_QUERY_WORDS, st.integers().map(str)), max_size=3).map(" ".join),
+    )
+)
+def test_any_query_ends_in_exit_0_or_1(gx_mu, query):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["infer", gx_mu, "--query", query])
+    if code == EXIT_OK:
+        assert out.getvalue() == "NOT DERIVABLE\n" or out.getvalue().startswith("DERIVED via R")
+    else:
+        assert code == EXIT_USAGE and err.getvalue().startswith("usage error:")
 
 
 def test_input_error_exit_code(tmp_path, monkeypatch, capsys):
@@ -184,6 +237,11 @@ def test_input_error_exit_code(tmp_path, monkeypatch, capsys):
     bad.write_text("gens a\nrel b\n", encoding="utf-8")
     code, _, err = run_cli(["abelianize", str(bad)], capsys=capsys, monkeypatch=monkeypatch)
     assert code == EXIT_INPUT and "line 2" in err
+    gx = tmp_path / "bad.gx"
+    for facts in ("((amenable 3))", "(fin-gen)", "((large-hb -2))"):
+        gx.write_text(f'(atom "x" :pres "gens a" :facts {facts})\n', encoding="utf-8")
+        code, out, err = run_cli(["build", str(gx)], capsys=capsys, monkeypatch=monkeypatch)
+        assert code == EXIT_INPUT and out == "" and err.startswith("input error:"), facts
 
 
 def test_build_pipes_into_abelianize(tmp_path, monkeypatch, capsys):

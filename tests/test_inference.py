@@ -8,19 +8,23 @@ from gpforge.combinators import (
     mu_stage,
     standard_mitosis,
 )
+from gpforge.errors import ParseError
 from gpforge.inference import (
+    DEGREE,
+    NODE,
+    PREDICATES,
     AssertionError_,
     Fact,
     check_consistency,
     derive,
-    predicate_from_kebab,
-    predicate_to_kebab,
+    parse_fact,
     query,
     replay_certificate,
 )
 from gpforge.meier import meier_gamma_expr
 from gpforge.presentations import PresentationMorphism, presentation
 from gpforge.reductions import free_source, gamma_w, hyperbolic_manifold_atom, pi_w
+from gpforge.sexpr import serialize_expr
 from gpforge.words import parse_word, word
 
 
@@ -234,10 +238,35 @@ def test_certificate_render_mentions_rule_and_node():
 
 
 def test_kebab_round_trip():
-    for name in ("large-hb", "boundedly-acyclic", "thompson-t", "cdb-at-least"):
-        assert predicate_to_kebab(predicate_from_kebab(name)) == name
-    with pytest.raises(AssertionError_):
-        predicate_from_kebab("no-such-predicate")
+    named = {spec.name: predicate for predicate, spec in PREDICATES.items() if spec.name}
+    assert len(named) == 24
+    for name, predicate in named.items():
+        arg = 2 if PREDICATES[predicate].arg else None
+        assert parse_fact(name, arg) == (predicate, arg)
+        assert PREDICATES[parse_fact(name, arg)[0]].name == name
+    # Structural predicates have no name and are never read from text.
+    for text in ("no-such-predicate", "CoAmenableIn", "edge-amenable", "LargeHb"):
+        with pytest.raises(ParseError):
+            parse_fact(text)
+    for facts in ((("EdgeAmenable", None),), (("Amenable", 3),), (("Bogus", None),)):
+        with pytest.raises(ParseError):
+            serialize_expr(atom(presentation(["g"]), facts=facts))
+
+
+def test_argument_kinds():
+    accepted = {None: [None], DEGREE: [0, 7], NODE: [0, 3]}
+    rejected = {None: [0, "x"], DEGREE: [None, -1, "3", 2.0, True], NODE: [None, -2, "n1"]}
+    for predicate, spec in PREDICATES.items():
+        for arg in accepted[spec.arg]:
+            assert Fact(0, predicate, arg).arg == arg
+            if spec.name:
+                assert parse_fact(spec.name, arg) == (predicate, arg)
+        for arg in rejected[spec.arg]:
+            with pytest.raises(AssertionError_):
+                Fact(0, predicate, arg)
+            if spec.name:
+                with pytest.raises(ParseError):
+                    parse_fact(spec.name, arg)
 
 
 def test_unknown_predicate_rejected():

@@ -14,7 +14,7 @@ from gpforge.combinators import (
 )
 from gpforge.errors import ParseError
 from gpforge.homology import AbelianGroup, abelianization
-from gpforge.inference import derive
+from gpforge.inference import PREDICATES, derive
 from gpforge.meier import meier_gamma_expr, meier_t_expr
 from gpforge.presentations import presentation, serialize
 from gpforge.reductions import free_source, gamma_w, pi_w
@@ -92,6 +92,8 @@ def test_round_trip_preserves_derivations():
             atom(presentation(["x", "y"]), facts=(("HypManifoldGroup", 3),)),
         ),
         parse_expr("(meier-gamma)"),
+        # Every assertable fact, written by its registry name.
+        atom(presentation(["g"]), facts=[(p, 2 if spec.arg else None) for p, spec in PREDICATES.items() if spec.name]),
     ]
     for expr in exprs:
         text = serialize_expr(expr)
@@ -116,6 +118,14 @@ def test_parse_errors():
         f"(mu {src} :k 0)",
         f'(mu {src} :k "x")',
         '(atom "G" :pres "gens a" :facts ((fin-gen x)))',
+        # Fact arity: every name and argument is checked at read time.
+        '(atom "x" :pres "gens a" :facts ((amenable 3)))',
+        '(atom "x" :pres "gens a" :facts (fin-gen))',
+        '(atom "x" :pres "gens a" :facts ((large-hb -2)))',
+        '(atom "x" :pres "gens a" :facts ((large-hb 2 3)))',
+        '(atom "x" :pres "gens a" :facts ((amenable)))',
+        '(atom "x" :pres "gens a" :facts ("amenable"))',
+        '(atom "x" :pres "gens a" :facts (edge-amenable))',
         f"(amalgam {src} {src} :pairs ((1 2)))",
         f"(free-product {src})",
         f'(pi-w {src} "a" :dim 2)',

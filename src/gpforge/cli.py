@@ -21,7 +21,7 @@ from .errors import GpforgeError, InternalError, InvalidComplexError, ParseError
 from .homology import abelianization
 from .inference import MAX_DEGREE, check_consistency, derive, query
 from .presentations import Presentation, parse, presentation, serialize, tietze_simplify
-from .rewriting import bs_reduce, finite_quotient_search, permutation_cycles
+from .rewriting import britton_normal_form, finite_quotient_search, parse_bs, permutation_cycles
 from .sexpr import parse_expr, parse_query, serialize_expr
 from .topology import serialize_simplicial, triangulate
 from .words import Word, format_word, parse_word
@@ -81,11 +81,11 @@ def _cmd_abelianize(args) -> int:
 
 def _cmd_normalize(args) -> int:
     try:
-        m, n = (int(x) for x in args.bs.split(","))
-    except ValueError:
-        raise UsageError("--bs expects m,n")
+        system = parse_bs(args.bs)
+    except ParseError as exc:
+        raise UsageError(f"--bs: {exc}")
     w = parse_word(args.word)
-    print(format_word(bs_reduce(m, n, w)))
+    print(format_word(britton_normal_form(system, w)))
     return EXIT_OK
 
 
@@ -127,7 +127,10 @@ def _cmd_infer(args) -> int:
     except ParseError as exc:
         raise UsageError(f"--query: {exc}")
     expr = _load_expr(args.file)
-    derivation = derive(expr, max_degree=max(MAX_DEGREE, degree or 0))
+    try:
+        derivation = derive(expr, max_degree=max(MAX_DEGREE, degree or 0))
+    except ValueError as exc:
+        raise UsageError(f"--query: {exc}")
     cert = query(derivation, expr, predicate, degree)
     if cert is None:
         print("NOT DERIVABLE")
@@ -146,7 +149,7 @@ def _cmd_reduce(args) -> int:
     try:
         src = red.parse_oracle(args.oracle, lam, (("TorsionFree", None),))
     except ParseError as exc:
-        raise UsageError(str(exc))
+        raise UsageError(f"--oracle: {exc}")
     w = parse_word(args.word, lam.alphabet)
     construction = args.construction
     if construction == "lambda":

@@ -85,6 +85,9 @@ PREDICATES: Dict[str, Predicate] = {
 _BY_NAME = {p.name: predicate for predicate, p in PREDICATES.items() if p.name}
 
 MAX_DEGREE = 12  # derive's default depth
+# derive's largest depth: the degree rules (R17 above all) cost time
+# quadratic in it.
+MAX_QUERY_DEGREE = 256
 
 
 def _arg_problem(kind: Optional[str], arg) -> Optional[str]:
@@ -563,9 +566,8 @@ class Derivation:
             changed = False
             # Insertion-ordered, so rules scan facts in derivation order and
             # the kept certificate does not depend on string hashing.
-            fact_set = dict.fromkeys(self.certificates)
             for rule in RULES:
-                for fact, premises in rule.step(self.ctx, fact_set):
+                for fact, premises in rule.step(self.ctx, self.certificates):
                     if fact in self.certificates:
                         continue
                     cert = Certificate(
@@ -575,7 +577,6 @@ class Derivation:
                         tuple(self.certificates[p] for p in premises),
                     )
                     self._add(fact, cert)
-                    fact_set[fact] = None
                     changed = True
 
     # -- queries ----------------------------------------------------------
@@ -598,8 +599,10 @@ def derive(expr: GroupExpr, asserted: Sequence[Fact] = (), max_degree: int = MAX
 
     Degree-parameterised rules (R12, R16, R17 and the product rule R13)
     materialise facts up to `max_degree`; query() re-derives on demand for
-    higher degrees.
+    higher degrees, up to MAX_QUERY_DEGREE.
     """
+    if max_degree > MAX_QUERY_DEGREE:
+        raise ValueError(f"degree must be <= {MAX_QUERY_DEGREE}, got {max_degree}")
     return Derivation(expr, asserted, max_degree)
 
 
@@ -636,7 +639,6 @@ def check_consistency(derivation: Derivation) -> List[Tuple[int, str]]:
     for f in facts:
         by_node.setdefault(f.node, []).append(f)
     for node, fs in sorted(by_node.items()):
-        preds = {(f.predicate, f.arg) for f in fs}
         plain = {f.predicate for f in fs}
         if "BoundedlyAcyclic" in plain:
             for f in fs:
@@ -662,16 +664,13 @@ def replay_certificate(derivation: Derivation, cert: Certificate) -> bool:
     re-run their rule on exactly the premise facts and must reproduce the
     conclusion in one step.
     """
-    ctx = derivation.ctx
-    if not cert.premises:
-        if cert.rule == "A0" or cert.rule.startswith("S"):
-            return cert.fact in derivation.certificates
-        # Premise-free rule applications (structural rules like R6).
+    if cert.rule == "A0" or cert.rule.startswith("S"):
+        return derivation.certificates.get(cert.fact) == cert
     rule = next((r for r in RULES if r.id == cert.rule), None)
     if rule is None:
-        return (cert.rule == "A0" or cert.rule.startswith("S")) and cert.fact in derivation.certificates
+        return False
     premise_facts = {p.fact for p in cert.premises}
-    produced = {f for f, _ in rule.step(ctx, premise_facts)}
+    produced = {f for f, _ in rule.step(derivation.ctx, premise_facts)}
     if cert.fact not in produced:
         return False
     return all(replay_certificate(derivation, p) for p in cert.premises)

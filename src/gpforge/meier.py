@@ -16,11 +16,14 @@ from typing import Dict, Iterator, List, Tuple
 
 from .combinators import GroupExpr, MEIER_GAMMA, MEIER_T, amalgamated_product, atom
 from .errors import AlphabetMismatchError, ConstructionIntegrityError
-from .presentations import Presentation, PresentationMorphism, parse
-from .rewriting import bs_equal, bs_reduce
+from .presentations import Presentation, PresentationMorphism
+from .rewriting import bs_equal, bs_reduce, bs_system
 from .words import Alphabet, GeneratorSymbol, Word, commutator, parse_word, substitute, word
 
-BS23_TEXT = "gens a t\nrel t^-1 a^2 t = a^3"
+_B = bs_system(2, 3).presentation
+_A_SYM, _T_SYM = _B.alphabet.symbols
+# phi on the generators of B: a -> a^2, t -> t.
+_PHI = {_A_SYM: word((_A_SYM, 2)), _T_SYM: word(_T_SYM)}
 
 # Statuses reported by the double-coset probe.
 STATUS_IN_F = "in-F"
@@ -42,11 +45,6 @@ class MeierData:
     phi: PresentationMorphism  # a -> a^2, t -> t, relator obligation verified
 
 
-@lru_cache(maxsize=1)
-def _bs_presentation() -> Presentation:
-    return parse(BS23_TEXT, name="BS(2,3)")
-
-
 def f_generators(p: Presentation) -> Tuple[Word, Word]:
     a = word(p.alphabet.symbol("a"))
     t = word(p.alphabet.symbol("t"))
@@ -65,36 +63,29 @@ def build_meier() -> MeierData:
     which justifies tagging the amalgam node with the many-double-cosets
     assertion consumed by the inference engine.
     """
-    b = _bs_presentation()
-    t_w, c_w = f_generators(b)
-
-    phi = PresentationMorphism(b, b, _phi_images(b))
+    t_w, c_w = f_generators(_B)
+    phi = PresentationMorphism(_B, _B, dict(_PHI))
     try:
         phi = phi.verify(lambda img: not bs_reduce(2, 3, img))
     except Exception as exc:  # pragma: no cover - should be impossible
         raise ConstructionIntegrityError(f"phi relator obligation failed: {exc}") from exc
+    for identity, holds in verified_phi_facts().items():
+        if not holds:
+            raise ConstructionIntegrityError(f"phi identity fails: {identity}")
 
-    if phi_apply(c_w):
-        raise ConstructionIntegrityError("phi(c) did not rewrite to 1")
-    if not bs_reduce(2, 3, c_w):
-        raise ConstructionIntegrityError("c unexpectedly trivial in BS(2,3)")
-    if phi_apply(t_w) != t_w:
-        raise ConstructionIntegrityError("phi(t) != t")
-
-    b_copy = _bs_presentation()
-    tbar_w, cbar_w = f_generators(b_copy)
-    # Identifications switching the pairs: t = cbar, c = tbar.
+    # Identifications switching the pairs: t = cbar, c = tbar, where the
+    # right-hand words are read in the copy.
     t_node = amalgamated_product(
-        atom(b, facts=(("TorsionFree", None),), name="B"),
-        atom(b_copy, facts=(("TorsionFree", None),), name="B-copy"),
-        pairs=((t_w, cbar_w), (c_w, tbar_w)),
+        atom(_B, facts=(("TorsionFree", None),), name="B"),
+        atom(_B, facts=(("TorsionFree", None),), name="B-copy"),
+        pairs=((t_w, c_w), (c_w, t_w)),
         edge_amenable=False,
         doublecoset_at_least_3=True,
         proper_edge=True,
         edges_legitimate=True,
         _kind=MEIER_T,
     )
-    return MeierData(B=b, F_generators=(t_w, c_w), T=t_node.realized, T_expr=t_node, phi=phi)
+    return MeierData(B=_B, F_generators=(t_w, c_w), T=t_node.realized, T_expr=t_node, phi=phi)
 
 
 def meier_t_expr() -> GroupExpr:
@@ -124,19 +115,12 @@ def meier_gamma_expr() -> GroupExpr:
     )
 
 
-def _phi_images(b: Presentation) -> Dict[GeneratorSymbol, Word]:
-    """phi on the generators of BS(2,3): a -> a^2, t -> t."""
-    a_sym, t_sym = b.alphabet.symbol("a"), b.alphabet.symbol("t")
-    return {a_sym: word((a_sym, 2)), t_sym: word(t_sym)}
-
-
 def phi_apply(w: Word) -> Word:
     """BS(2,3)-normal form of phi(w) for w over {a, t}."""
-    images = _phi_images(_bs_presentation())
     for sym, _ in w.letters:
-        if sym not in images:
+        if sym not in _PHI:
             raise AlphabetMismatchError(f"phi is defined on {{a, t}}, got {sym.name!r}")
-    return bs_reduce(2, 3, substitute(w, images))
+    return bs_reduce(2, 3, substitute(w, _PHI))
 
 
 @dataclass(frozen=True)
@@ -227,12 +211,10 @@ def double_coset_probe(max_len: int, budget: int) -> List[Tuple[Word, str]]:
     """
     if max_len <= 0 or budget <= 0:
         raise ValueError("bounds must be positive")
-    b = _bs_presentation()
-    a_sym, t_sym = b.alphabet.symbol("a"), b.alphabet.symbol("t")
-    t_w, c_w = f_generators(b)
+    t_w, c_w = f_generators(_B)
 
     results: List[Tuple[Word, str]] = []
-    letter_order = [(a_sym, 1), (a_sym, -1), (t_sym, 1), (t_sym, -1)]
+    letter_order = [(_A_SYM, 1), (_A_SYM, -1), (_T_SYM, 1), (_T_SYM, -1)]
 
     # The elements of F compared against each candidate: the images of the
     # freely reduced words in F's free generators, in enumeration order.
@@ -242,10 +224,10 @@ def double_coset_probe(max_len: int, budget: int) -> List[Tuple[Word, str]]:
     f_elements = [substitute(f_word, f_images) for f_word in _reduced_words(f_letters, F_WORD_MAX_LEN)]
 
     for x in _reduced_words(letter_order, max_len):
-        if not _is_t_power(phi_apply(x), t_sym):
+        if not _is_t_power(phi_apply(x), _T_SYM):
             continue
         # Elements equal to a t-power (k = 0 included) lie in <t> <= F.
-        if _is_t_power(bs_reduce(2, 3, x), t_sym):
+        if _is_t_power(bs_reduce(2, 3, x), _T_SYM):
             results.append((x, STATUS_IN_F))
             continue
         status = STATUS_UNKNOWN
@@ -267,8 +249,7 @@ def double_coset_probe(max_len: int, budget: int) -> List[Tuple[Word, str]]:
 
 def verified_phi_facts() -> Dict[str, bool]:
     """The concrete identities backing the infinite-double-coset assertion."""
-    b = _bs_presentation()
-    t_w, c_w = f_generators(b)
+    t_w, c_w = f_generators(_B)
     return {
         "phi(t) = t": phi_apply(t_w) == t_w,
         "phi(c) = 1": not phi_apply(c_w),

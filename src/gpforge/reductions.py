@@ -2,10 +2,10 @@
 problem: w -> Lambda_w, Gamma_w, W(Gamma, Lambda, w), Pi_w, Delta_w.
 
 Each construction emits both a Presentation and a GroupExpr for the
-inference engine.  The default backend is oracle-gated: the word-problem
-source carries a sound decision procedure (free-group reduction or
-Britton rewriting for BS(m,n)), and the published contract is satisfied
-branch by branch:
+inference engine.  The backend is oracle-gated: the word-problem source
+pairs a presentation with the rewrite system that decides its word
+problem (None: free reduction), and refuses a presentation its oracle
+does not decide.  The published contract is satisfied branch by branch:
 
   * w trivial     -> the witness presentation is (Tietze-)trivial and the
                      expression collapses to an atom carrying the facts the
@@ -33,54 +33,60 @@ from .combinators import (
     direct_product,
     free_product,
 )
-from .errors import ConfigurationError, InternalError, ParseError
-from .presentations import EMPTY_PRESENTATION, Presentation, presentation
-from .rewriting import bs_reduce, free_triviality
+from .errors import ConfigurationError, InternalError, InvalidInputError, ParseError
+from .presentations import EMPTY_PRESENTATION, Presentation, presentation, serialize
+from .rewriting import HnnRewriteSystem, britton_normal_form, bs_system, free_triviality, parse_bs
 from .words import Word, word
 
-ORACLE_FREE = "free"
-ORACLE_BS = "bs"
+# Delta_w's largest dimension: its d - 1 nested direct products carry
+# commutator relators whose count grows quadratically in d.
+MAX_DELTA_DIM = 64
 
 
 @dataclass(frozen=True)
 class WordProblemSource:
-    """A presentation together with a sound triviality decision for it."""
+    """A presentation together with the rewrite system deciding its word
+    problem; `system` None is the free oracle (free reduction)."""
 
     presentation: Presentation
-    kind: str = ORACLE_FREE
-    bs_params: Optional[Tuple[int, int]] = None
+    system: Optional[HnnRewriteSystem] = None
     asserted_facts: Tuple = ()
+
+    def __post_init__(self):
+        if self.system is None:
+            if any(self.presentation.relators):
+                raise InvalidInputError("the free oracle decides presentations without relators only")
+        elif self.presentation != self.system.presentation:
+            own = serialize(self.system.presentation).replace("\n", "; ")
+            raise InvalidInputError(f"this oracle decides only the presentation {own}")
 
     def is_trivial(self, w: Word) -> bool:
         self.presentation.alphabet.check_word(w)
-        if self.kind == ORACLE_FREE:
+        if self.system is None:
             return free_triviality(w)
-        if self.kind == ORACLE_BS:
-            m, n = self.bs_params
-            return not bs_reduce(m, n, w)
-        raise ConfigurationError(f"unknown oracle kind {self.kind!r}")
+        return not britton_normal_form(self.system, w)
 
 
 def parse_oracle(spec: str, p: Presentation, asserted_facts: Tuple = ()) -> WordProblemSource:
-    """The word-problem source for an oracle spec: `free` or `bs:m,n`."""
-    if spec == ORACLE_FREE:
-        return WordProblemSource(p, ORACLE_FREE, asserted_facts=asserted_facts)
-    if spec.startswith(ORACLE_BS + ":"):
-        try:
-            m, n = (int(x) for x in spec[3:].split(","))
-        except ValueError:
-            raise ParseError(f"bs oracle expects bs:m,n, got {spec!r}") from None
-        return WordProblemSource(p, ORACLE_BS, bs_params=(m, n), asserted_facts=asserted_facts)
+    """The word-problem source for an oracle spec: `free` or `bs:m,n`.
+
+    ParseError for a malformed spec; InvalidInputError when the oracle
+    does not decide `p`.
+    """
+    if spec == "free":
+        return WordProblemSource(p, None, asserted_facts)
+    if spec.startswith("bs:"):
+        return WordProblemSource(p, parse_bs(spec[3:]), asserted_facts)
     raise ParseError(f"unknown oracle {spec!r}")
 
 
 def free_source(gens: Sequence[str] = ("a", "b"), facts: Tuple = (("TorsionFree", None),)) -> WordProblemSource:
-    return WordProblemSource(presentation(gens, (), name="free-source"), ORACLE_FREE, asserted_facts=facts)
+    return WordProblemSource(presentation(gens, (), name="free-source"), None, facts)
 
 
 def bs_source(m: int = 2, n: int = 3) -> WordProblemSource:
-    p = presentation(["a", "t"], [f"t^-1 a^{m} t a^-{n}"], name=f"BS({m},{n})")
-    return WordProblemSource(p, ORACLE_BS, bs_params=(m, n), asserted_facts=(("TorsionFree", None),))
+    system = bs_system(m, n)
+    return WordProblemSource(system.presentation, system, (("TorsionFree", None),))
 
 
 @dataclass(frozen=True)
@@ -253,8 +259,8 @@ def delta_w(src: WordProblemSource, w: Word, d: int) -> WitnessOutput:
 
     d = 1 returns Gamma_w itself.
     """
-    if d < 1:
-        raise ValueError("delta_w needs degree d >= 1")
+    if not 1 <= d <= MAX_DELTA_DIM:
+        raise ValueError(f"delta_w needs degree 1 <= d <= {MAX_DELTA_DIM}, got {d}")
     gw = gamma_w(src, w)
     if d == 1:
         return gw

@@ -1,10 +1,16 @@
-"""Word-problem engines.
+"""Word-problem engines: every word-problem decision and certificate of the
+toolkit comes from this module.
 
 * Britton pinch elimination for HNN extensions of free base groups with
-  cyclic edge subgroups (covers every Baumslag-Solitar group).
+  cyclic edge subgroups (covers every Baumslag-Solitar group).  A rewrite
+  system is also the oracle of a word-problem source: it owns the one
+  presentation it decides (`HnnRewriteSystem.presentation`), and BS(m, n)
+  is spelled only by `bs_system` and its text form `m,n` only by
+  `parse_bs`.
 * Free-group triviality.
 * Exhaustive search for finite symmetric-group quotients, producing
-  re-checkable nontriviality certificates.
+  re-checkable nontriviality certificates (`FiniteQuotient`, the one
+  certificate kind the toolkit issues).
 
 Only cyclic edge subgroups are supported: membership of a base word in
 <u> is decidable by exact power comparison, which is all the toolkit
@@ -18,10 +24,11 @@ them (amalgam facts are handled at the inference-rule level).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
+from typing import Dict, Iterator, List, Optional, Tuple
 
-from .errors import AlphabetMismatchError, UnsupportedEdgeError
+from .errors import AlphabetMismatchError, ParseError, UnsupportedEdgeError
 from .presentations import Presentation
 from .words import Alphabet, GeneratorSymbol, Word, cyclically_reduce, word
 
@@ -34,6 +41,7 @@ class HnnRewriteSystem:
     stable: GeneratorSymbol
     left_edge: Word   # u: subgroup conjugated by t^-1 ... t
     right_edge: Word  # v: subgroup conjugated by t ... t^-1
+    name: Optional[str] = field(default=None, compare=False)
 
     def __post_init__(self):
         if not self.left_edge or not self.right_edge:
@@ -43,7 +51,16 @@ class HnnRewriteSystem:
         self.base.check_word(self.left_edge)
         self.base.check_word(self.right_edge)
 
+    @cached_property
+    def presentation(self) -> Presentation:
+        """The group this system decides: the base generators, then the
+        stable letter, and the one relator t^-1 u t v^-1."""
+        t = word(self.stable)
+        relator = (~t) * self.left_edge * t * ~self.right_edge
+        return Presentation(Alphabet(self.base.symbols + (self.stable,)), (relator,), self.name)
 
+
+@lru_cache(maxsize=64)
 def bs_system(m: int, n: int) -> HnnRewriteSystem:
     """The Baumslag-Solitar group BS(m, n) = <a, t | t^-1 a^m t = a^n>."""
     if m == 0 or n == 0:
@@ -54,7 +71,20 @@ def bs_system(m: int, n: int) -> HnnRewriteSystem:
         stable=GeneratorSymbol("t"),
         left_edge=word((a, m)),
         right_edge=word((a, n)),
+        name=f"BS({m},{n})",
     )
+
+
+def parse_bs(text: str) -> HnnRewriteSystem:
+    """The BS(m, n) system for the text `m,n`; ParseError unless m and n
+    are nonzero integers."""
+    try:
+        m, n = (int(x) for x in text.split(","))
+        if m and n:
+            return bs_system(m, n)
+    except ValueError:
+        pass
+    raise ParseError(f"expected m,n with nonzero integers m and n, got {text!r}")
 
 
 def _edge_power(edge: Word, w: Word) -> Optional[int]:
@@ -255,45 +285,59 @@ class Homomorphism:
 
 @dataclass(frozen=True)
 class TrivialityCertificate:
-    """Independently re-checkable evidence about an element or presentation.
+    """Independently re-checkable evidence that a word is nontrivial in a
+    presentation: a homomorphism into a finite symmetric group that kills
+    every relator and moves the target.
 
-    Kinds: FreeReduction (word reduces to 1), BrittonNormalForm (pinch-free
-    nonempty form certifies != 1), FiniteQuotient (homomorphism separating
-    the target from 1), TietzeCollapse (the presentation simplifies to the
-    empty presentation).
+    `FiniteQuotient` is the one kind the toolkit issues; a certificate of
+    any other kind never revalidates.
     """
 
     kind: str
     presentation: Optional[Presentation] = None
     target: Optional[Word] = None
     hom: Optional[Homomorphism] = None
-    normal_form: Optional[Word] = None
 
     def revalidate(self) -> bool:
-        if self.kind == "FreeReduction":
-            return self.target is not None and free_triviality(self.target)
-        if self.kind == "BrittonNormalForm":
-            return self.normal_form is not None and bool(self.normal_form)
-        if self.kind == "FiniteQuotient":
-            if self.hom is None or self.presentation is None or self.target is None:
+        if self.kind != "FiniteQuotient" or None in (self.hom, self.presentation, self.target):
+            return False
+        ident = _identity(self.hom.degree)
+        for rel in self.presentation.relators:
+            if self.hom.evaluate(rel) != ident:
                 return False
-            ident = _identity(self.hom.degree)
-            for rel in self.presentation.relators:
-                if self.hom.evaluate(rel) != ident:
-                    return False
-            return self.hom.evaluate(self.target) != ident
-        if self.kind == "TietzeCollapse":
-            from .presentations import tietze_simplify
-
-            if self.presentation is None:
-                return False
-            simplified = tietze_simplify(self.presentation)
-            return len(simplified.alphabet) == 0 and not simplified.relators
-        return False
+        return self.hom.evaluate(self.target) != ident
 
 
-def _permutations_lex(n: int) -> List[Perm]:
-    return [tuple(p) for p in itertools.permutations(range(n))]
+def _homomorphisms(p: Presentation, degree_max: int) -> Iterator[Homomorphism]:
+    """Every homomorphism into S_degree, degree <= degree_max, in
+    enumeration order (see finite_quotient_search)."""
+    gens = list(p.alphabet.symbols)
+    # Relator checkable at depth k once its symbols lie in gens[:k].
+    checkable_at: List[List[Word]] = [[] for _ in range(len(gens) + 1)]
+    for rel in p.relators:
+        syms = rel.symbols()
+        depth = 0
+        for k, g in enumerate(gens, start=1):
+            if g in syms:
+                depth = k
+        checkable_at[depth].append(rel)
+
+    for degree in range(1, degree_max + 1):
+        perms = list(itertools.permutations(range(degree)))
+        ident = _identity(degree)
+        images: Dict[GeneratorSymbol, Perm] = {}
+
+        def assign(k: int) -> Iterator[Homomorphism]:
+            if k == len(gens):
+                yield Homomorphism(degree, dict(images))
+                return
+            for perm in perms:
+                images[gens[k]] = perm
+                if all(evaluate_word(rel, images, degree) == ident for rel in checkable_at[k + 1]):
+                    yield from assign(k + 1)
+            images.pop(gens[k], None)
+
+        yield from assign(0)
 
 
 def finite_quotient_search(
@@ -315,56 +359,10 @@ def finite_quotient_search(
     """
     if degree_max > 6:
         raise ValueError("degree_max must be <= 6")
-    gens = list(p.alphabet.symbols)
-    # Relator checkable at depth k once its symbols lie in gens[:k].
-    checkable_at: List[List[Word]] = [[] for _ in range(len(gens) + 1)]
-    for rel in p.relators:
-        syms = rel.symbols()
-        depth = 0
-        for k, g in enumerate(gens, start=1):
-            if g in syms:
-                depth = k
-        checkable_at[depth].append(rel)
-
-    found: List[Homomorphism] = []
-    for degree in range(1, degree_max + 1):
-        perms = _permutations_lex(degree)
-        ident = _identity(degree)
-        images: Dict[GeneratorSymbol, Perm] = {}
-
-        def assign(k: int):
-            if k == len(gens):
-                hom = Homomorphism(degree, dict(images))
-                if target is None:
-                    found.append(hom)
-                    return None
-                if hom.evaluate(target) != ident:
-                    return TrivialityCertificate(
-                        kind="FiniteQuotient", presentation=p, target=target, hom=hom
-                    )
-                return None
-            for perm in perms:
-                images[gens[k]] = perm
-                ok = all(
-                    evaluate_word(rel, images, degree) == ident
-                    for rel in checkable_at[k + 1]
-                )
-                if ok:
-                    result = assign(k + 1)
-                    if result is not None:
-                        return result
-            images.pop(gens[k], None)
-            return None
-
-        if not gens:
-            # No generators: the only (empty) homomorphism exists per degree.
-            hom = Homomorphism(degree, {})
-            if target is None:
-                found.append(hom)
-            continue
-        result = assign(0)
-        if result is not None:
-            return result
+    homs = _homomorphisms(p, degree_max)
     if target is None:
-        return found
+        return list(homs)
+    for hom in homs:
+        if hom.evaluate(target) != _identity(hom.degree):
+            return TrivialityCertificate(kind="FiniteQuotient", presentation=p, target=target, hom=hom)
     return None

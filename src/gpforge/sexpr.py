@@ -15,9 +15,10 @@ Construction forms:
 `combinators.FORMS` holds each form's argument schema; a missing,
 surplus, unknown or mistyped argument is a ParseError.  Witness forms take
 the word-problem source as an atom E and accept an optional
-`:oracle "free"` or `:oracle "bs:2,3"` (default free).  An atom's
-`:facts` list holds bare names and `(name arg)` pairs; `inference.PREDICATES`
-says which names are assertable and which take a degree >= 0, and
+`:oracle "free"` or `:oracle "bs:2,3"` (default free); the atom's
+presentation must be the oracle's group (`reductions.WordProblemSource`).
+An atom's `:facts` list holds bare names and `(name arg)` pairs;
+`inference.PREDICATES` says which names are assertable and which take a degree >= 0, and
 `inference.parse_fact` rejects anything else as a ParseError;
 `parse_query` reads one such fact without its parentheses (`infer
 --query "large-hb 6"`).  Writers emit

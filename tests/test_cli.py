@@ -185,16 +185,19 @@ def test_usage_error_exit_code(tmp_path, monkeypatch, capsys):
     reduce = ["reduce", "--lambda", str(lam), "--word", "a", "--construction"]
     bad = [
         ["normalize", "--bs", "nonsense", "a"],
+        ["normalize", "--bs", "0,3", "a"],
+        reduce + ["gamma", "--oracle", "bs:0,3"],
         ["no-such-command"],
         # Out-of-range numeric flags, rejected by the library's own checks.
         reduce + ["pi", "--dim", "2"],
         reduce + ["delta", "--dim", "0"],
+        reduce + ["delta", "--dim", "100000"],
         ["certify-nontrivial", str(bs), "--word", "a", "--degree", "7"],
         ["meier-probe", "--max-len", "0", "--budget", "10"],
         ["meier-probe", "--max-len", "3", "--budget", "0"],
     ]
     # Queries: unknown names, missing, surplus or mistyped arguments.
-    for query in ("large-hb x", "large-hb", "boundedly-acyclic 3", "no-such", "", "large-hb 2 3", "large-hb -2"):
+    for query in ("large-hb x", "large-hb", "boundedly-acyclic 3", "no-such", "", "large-hb 2 3", "large-hb -2", "large-hb 100000"):
         bad.append(["infer", str(gx), "--query", query])
     for argv in bad:
         code, out, err = run_cli(argv, capsys=capsys, monkeypatch=monkeypatch)
@@ -242,6 +245,17 @@ def test_input_error_exit_code(tmp_path, monkeypatch, capsys):
         gx.write_text(f'(atom "x" :pres "gens a" :facts {facts})\n', encoding="utf-8")
         code, out, err = run_cli(["build", str(gx)], capsys=capsys, monkeypatch=monkeypatch)
         assert code == EXIT_INPUT and out == "" and err.startswith("input error:"), facts
+    # An oracle refuses a presentation it does not decide.
+    bs = tmp_path / "bs.grp"
+    bs.write_text(BS23, encoding="utf-8")
+    f_at = tmp_path / "f_at.grp"
+    f_at.write_text("gens a t\n", encoding="utf-8")
+    gx.write_text('(lambda-w (atom "F" :pres "gens a t") "t^-1 a^2 t a^-3" :oracle "bs:2,3")\n', encoding="utf-8")
+    lam = ["reduce", "--construction", "lambda", "--word", "t^-1 a^2 t a^-3", "--lambda"]
+    mismatched = [lam + [str(bs), "--oracle", "free"], lam + [str(f_at), "--oracle", "bs:2,3"], ["build", str(gx)]]
+    for argv in mismatched:
+        code, out, err = run_cli(argv, capsys=capsys, monkeypatch=monkeypatch)
+        assert code == EXIT_INPUT and out == "" and err.startswith("input error:"), argv
 
 
 def test_build_pipes_into_abelianize(tmp_path, monkeypatch, capsys):

@@ -10,10 +10,13 @@ from gpforge.combinators import (
 )
 from gpforge.errors import ParseError
 from gpforge.inference import (
+    A0_CITATION,
     DEGREE,
+    MAX_QUERY_DEGREE,
     NODE,
     PREDICATES,
     AssertionError_,
+    Certificate,
     Fact,
     check_consistency,
     derive,
@@ -227,6 +230,28 @@ def test_certificates_replay():
     d = derive(expr, max_degree=6)
     for fact, cert in sorted(d.certificates.items(), key=lambda kv: kv[0].render()):
         assert replay_certificate(d, cert), fact.render()
+
+
+def test_forged_leaf_does_not_replay():
+    expr = direct_product(thompson_atom(), hyperbolic_manifold_atom(3))
+    d = derive(expr, max_degree=6)
+    fact = Fact(0, "LargeHb", 6)
+    assert d.certificates[fact].rule == "R17"
+    for rule in ("A0", "S1"):
+        assert not replay_certificate(d, Certificate(fact, rule, A0_CITATION))
+    # A leaf replays only as the derivation's own certificate of its fact.
+    seed = d.certificates[Fact(1, "ThompsonT")]
+    assert replay_certificate(d, seed)
+    assert not replay_certificate(d, Certificate(seed.fact, "S1", seed.citation))
+
+
+def test_degree_bound():
+    expr = direct_product(thompson_atom(), hyperbolic_manifold_atom(3))
+    d = derive(expr, max_degree=6)
+    with pytest.raises(ValueError):
+        query(d, expr, "LargeHb", MAX_QUERY_DEGREE + 1)
+    with pytest.raises(ValueError):
+        derive(expr, max_degree=MAX_QUERY_DEGREE + 1)
 
 
 def test_certificate_render_mentions_rule_and_node():

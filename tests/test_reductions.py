@@ -2,10 +2,11 @@ import random
 
 import pytest
 
-from gpforge.errors import ConfigurationError
+from gpforge.errors import ConfigurationError, InvalidInputError
 from gpforge.homology import AbelianGroup, abelianization
-from gpforge.presentations import serialize, tietze_simplify
+from gpforge.presentations import parse, serialize, tietze_simplify
 from gpforge.reductions import (
+    MAX_DELTA_DIM,
     WordProblemSource,
     bs_source,
     delta_w,
@@ -17,7 +18,7 @@ from gpforge.reductions import (
     pi_w,
     witness_w,
 )
-from gpforge.rewriting import finite_quotient_search, free_triviality
+from gpforge.rewriting import bs_system, finite_quotient_search, free_triviality
 from gpforge.words import Word, commutator, parse_word, word
 
 
@@ -61,10 +62,19 @@ def test_gamma_w_branches():
     assert nontrivial.expr.payload["nonelementary"]
 
 
-def test_external_oracle_requires_procedure():
-    src = WordProblemSource(free_source().presentation, "external")
-    with pytest.raises(ConfigurationError):
-        src.is_trivial(parse_word("a"))
+def test_source_refuses_a_presentation_its_oracle_does_not_decide():
+    bs23 = bs_system(2, 3)
+    relator = parse_word("t^-1 a^2 t a^-3")
+    assert WordProblemSource(parse("gens a t\nrel t^-1 a^2 t = a^3"), bs23).is_trivial(relator)
+    mismatched = [
+        (bs23.presentation, None),  # the free oracle on a relator
+        (free_source(("a", "t")).presentation, bs23),  # BS(2,3) decides only itself
+        (bs_system(3, 2).presentation, bs23),
+        (parse("gens t a\nrel t^-1 a^2 t = a^3"), bs23),
+    ]
+    for p, system in mismatched:
+        with pytest.raises(InvalidInputError):
+            WordProblemSource(p, system)
 
 
 def test_witness_w_trivial_collapses_to_empty():
@@ -127,6 +137,8 @@ def test_delta_w_shapes():
             [(trivial2.presentation.alphabet.symbols[0], s) for s in trivial2.presentation.alphabet.symbols[1:]],
         )
     )
+    with pytest.raises(ValueError):
+        delta_w(src, parse_word("b"), MAX_DELTA_DIM + 1)
     non3 = delta_w(src, parse_word("b"), 3)
     assert non3.expr.kind == "delta-w"
     assert len(non3.expr.children) == 2  # folded binary product chain

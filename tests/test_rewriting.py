@@ -3,8 +3,8 @@ from collections import deque
 
 import pytest
 
-from gpforge.errors import AlphabetMismatchError, UnsupportedEdgeError
-from gpforge.presentations import parse, presentation
+from gpforge.errors import AlphabetMismatchError, ParseError, UnsupportedEdgeError
+from gpforge.presentations import EMPTY_PRESENTATION, parse, presentation
 from gpforge.rewriting import (
     HnnRewriteSystem,
     TrivialityCertificate,
@@ -15,6 +15,7 @@ from gpforge.rewriting import (
     finite_quotient_search,
     free_triviality,
     is_pinch_free,
+    parse_bs,
     parse_cycles,
     permutation_cycles,
 )
@@ -35,8 +36,6 @@ def test_britton_commutator_is_pinch_free_hence_nontrivial():
     assert nf == c  # no pinch applies: a is in neither <a^2> nor <a^3>
     assert nf  # nonempty pinch-free => nontrivial
     assert is_pinch_free(bs_system(2, 3), nf)
-    cert = TrivialityCertificate(kind="BrittonNormalForm", normal_form=nf)
-    assert cert.revalidate()
 
 
 def test_britton_empty_word():
@@ -96,6 +95,17 @@ def test_britton_rejects_foreign_symbols_and_bad_edges():
         HnnRewriteSystem(Alphabet(["a"]), GeneratorSymbol("t"), Word(), word("a"))
     with pytest.raises(UnsupportedEdgeError):
         bs_system(0, 3)
+
+
+def test_bs_system_owns_its_presentation_and_text():
+    sys23 = bs_system(2, 3)
+    assert sys23 is bs_system(2, 3)
+    assert sys23.presentation == parse("gens a t\nrel t^-1 a^2 t = a^3")
+    assert sys23.presentation.name == "BS(2,3)"
+    assert parse_bs("2,3") is sys23 and parse_bs("-1,4") is bs_system(-1, 4)
+    for text in ("0,3", "2,0", "2", "x,3", "2,3,4", "", "2.5,3"):
+        with pytest.raises(ParseError):
+            parse_bs(text)
 
 
 def test_nested_pinches_resolve():
@@ -193,6 +203,9 @@ def test_finite_quotient_search_collects_all_homs():
     for h in homs:
         rel = p.relators[0]
         assert h.evaluate(rel) == tuple(range(h.degree))
+    # No generators: the empty homomorphism, once per degree.
+    assert [(h.degree, h.images) for h in finite_quotient_search(EMPTY_PRESENTATION, 3)] == [(1, {}), (2, {}), (3, {})]
+    assert finite_quotient_search(EMPTY_PRESENTATION, 3, target=Word()) is None
 
 
 def test_finite_quotient_degree_cap():
@@ -220,21 +233,16 @@ def test_cycle_notation_round_trip():
     assert parse_cycles("()", 4) == tuple(range(4))
 
 
-def test_all_certificate_kinds_revalidate():
-    from gpforge.presentations import parse
-
-    free_cert = TrivialityCertificate(kind="FreeReduction", target=parse_word("a a^-1"))
-    assert free_cert.revalidate()
-    assert not TrivialityCertificate(kind="FreeReduction", target=parse_word("a")).revalidate()
-    collapse = TrivialityCertificate(
-        kind="TietzeCollapse", presentation=parse("gens a b\nrel a\nrel b")
-    )
-    assert collapse.revalidate()
-    stays = TrivialityCertificate(
-        kind="TietzeCollapse", presentation=parse("gens a t\nrel t^-1 a^2 t a^-3")
-    )
-    assert not stays.revalidate()
-    assert not TrivialityCertificate(kind="Unknown").revalidate()
+def test_only_finite_quotient_certificates_revalidate():
+    p = presentation(["g"], ["g^3"])
+    cert = finite_quotient_search(p, 3, target=parse_word("g", p.alphabet))
+    assert cert.kind == "FiniteQuotient" and cert.revalidate()
+    for kind in ("BrittonNormalForm", "FreeReduction", "TietzeCollapse", "Unknown"):
+        assert not TrivialityCertificate(kind, cert.presentation, cert.target, cert.hom).revalidate()
+    assert not TrivialityCertificate("FiniteQuotient", p, cert.target).revalidate()
+    # The relator is 1 in BS(2,3): no kind may certify it nontrivial.
+    bs = bs_system(2, 3).presentation
+    assert finite_quotient_search(bs, 5, target=parse_word("t^-1 a^2 t a^-3", bs.alphabet)) is None
 
 
 def test_britton_equality_agrees_with_affine_representation():

@@ -12,7 +12,7 @@ from gpforge.combinators import (
     mu_stage,
     standard_mitosis,
 )
-from gpforge.errors import ParseError
+from gpforge.errors import InvalidInputError, ParseError
 from gpforge.homology import AbelianGroup, abelianization
 from gpforge.inference import PREDICATES, derive
 from gpforge.meier import meier_gamma_expr, meier_t_expr
@@ -115,6 +115,7 @@ def test_parse_errors():
         '(atom "x" :pres "gens a") (atom "y" :pres "gens b")',
         f"(free-product {src} {src} :kind hnn)",
         f'(lambda-w {src} "a" :oracle "bs:2")',
+        f'(lambda-w {src} "a" :oracle "bs:0,3")',
         f"(mu {src} :k 0)",
         f'(mu {src} :k "x")',
         '(atom "G" :pres "gens a" :facts ((fin-gen x)))',
@@ -129,6 +130,7 @@ def test_parse_errors():
         f"(amalgam {src} {src} :pairs ((1 2)))",
         f"(free-product {src})",
         f'(pi-w {src} "a" :dim 2)',
+        f'(delta-w {src} "a" :dim 100000)',
         '(atom "G" :pres 5)',
         # A kind with its own form is not restored through :kind.
         f"(amalgam {src} {src} :kind meier-T)",
@@ -139,6 +141,20 @@ def test_parse_errors():
     ]
     for text in bad:
         with pytest.raises(ParseError):
+            parse_expr(text)
+
+
+def test_oracle_must_decide_its_source():
+    bs = '(atom "B" :pres "gens a t\\nrel t^-1 a^2 t a^-3")'
+    f_at = '(atom "F" :pres "gens a t")'
+    bad = [
+        f'(lambda-w {bs} "t^-1 a^2 t a^-3" :oracle "free")',
+        f'(lambda-w {bs} "t^-1 a^2 t a^-3")',
+        f'(lambda-w {f_at} "t^-1 a^2 t a^-3" :oracle "bs:2,3")',
+        f'(gamma-w {bs} "a" :oracle "bs:3,2")',
+    ]
+    for text in bad:
+        with pytest.raises(InvalidInputError):
             parse_expr(text)
 
 

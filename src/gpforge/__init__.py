@@ -53,6 +53,7 @@ from .rewriting import (
     Homomorphism,
     TrivialityCertificate,
     britton_normal_form,
+    bs_canonical,
     bs_equal,
     bs_reduce,
     bs_system,

@@ -245,7 +245,7 @@ def build_parser() -> _Parser:
     p.add_argument("file")
     p.set_defaults(func=_cmd_abelianize)
 
-    p = sub.add_parser("normalize", help="Britton canonical form in BS(m,n)")
+    p = sub.add_parser("normalize", help="pinch-free Britton form in BS(m,n)")
     p.add_argument("--bs", required=True, metavar="m,n")
     p.add_argument("word")
     p.set_defaults(func=_cmd_normalize)

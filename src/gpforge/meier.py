@@ -17,7 +17,7 @@ from typing import Dict, Iterator, List, Tuple
 from .combinators import GroupExpr, MEIER_GAMMA, MEIER_T, amalgamated_product, atom
 from .errors import AlphabetMismatchError, ConstructionIntegrityError
 from .presentations import Presentation, PresentationMorphism
-from .rewriting import bs_equal, bs_reduce, bs_system
+from .rewriting import bs_canonical, bs_reduce, bs_system
 from .words import Alphabet, GeneratorSymbol, Word, commutator, parse_word, substitute, word
 
 _B = bs_system(2, 3).presentation
@@ -195,15 +195,16 @@ def double_coset_probe(max_len: int, budget: int) -> List[Tuple[Word, str]]:
 
     Enumerates freely reduced words x over {a, t} with |x| <= max_len in
     length-lexicographic order and keeps those whose image phi(x) has
-    Britton normal form t^k (certainly in <t> <= F).  For each kept x the
-    probe enumerates freely reduced words in the free generators {t, c} of
-    F, comparing them to x in BS(2,3), spending at most `budget`
-    comparisons per candidate:
+    Britton normal form t^k (certainly in <t> <= F).  A kept x whose own
+    Britton form is a t-power is in F.  Every other kept x is looked up
+    among the first `budget` elements of F, the images of the freely
+    reduced words in F's free generators {t, c} with length <=
+    F_WORD_MAX_LEN in length-lexicographic order, each held by its
+    BS(2,3) normal form (`bs_canonical`):
 
-      * a match certifies x in F              -> status "in-F"
-      * full enumeration up to F_WORD_MAX_LEN, no match
-                                              -> "confirmed-in-preimage-unknown-membership"
-      * budget exhausted mid-enumeration      -> "exhausted"
+      * found                                 -> status "in-F"
+      * not found, all of them looked up      -> "confirmed-in-preimage-unknown-membership"
+      * not found, more than `budget` of them -> "exhausted"
 
     "confirmed-witness" is reserved for a certified non-membership
     backend; no such certificate is available here, so the status is never
@@ -216,34 +217,21 @@ def double_coset_probe(max_len: int, budget: int) -> List[Tuple[Word, str]]:
     results: List[Tuple[Word, str]] = []
     letter_order = [(_A_SYM, 1), (_A_SYM, -1), (_T_SYM, 1), (_T_SYM, -1)]
 
-    # The elements of F compared against each candidate: the images of the
-    # freely reduced words in F's free generators, in enumeration order.
     f_syms = (GeneratorSymbol("ft"), GeneratorSymbol("fc"))
     f_images = {f_syms[0]: t_w, f_syms[1]: c_w}
     f_letters = [(f_syms[0], 1), (f_syms[0], -1), (f_syms[1], 1), (f_syms[1], -1)]
-    f_elements = [substitute(f_word, f_images) for f_word in _reduced_words(f_letters, F_WORD_MAX_LEN)]
+    f_words = list(_reduced_words(f_letters, F_WORD_MAX_LEN))
+    f_known = {bs_canonical(2, 3, substitute(f_word, f_images)) for f_word in f_words[:budget]}
+    miss = STATUS_EXHAUSTED if len(f_words) > budget else STATUS_UNKNOWN
 
     for x in _reduced_words(letter_order, max_len):
         if not _is_t_power(phi_apply(x), _T_SYM):
             continue
         # Elements equal to a t-power (k = 0 included) lie in <t> <= F.
-        if _is_t_power(bs_reduce(2, 3, x), _T_SYM):
+        if _is_t_power(bs_reduce(2, 3, x), _T_SYM) or bs_canonical(2, 3, x) in f_known:
             results.append((x, STATUS_IN_F))
-            continue
-        status = STATUS_UNKNOWN
-        spent = 0
-        ran_out = False
-        for candidate in f_elements:
-            if spent >= budget:
-                ran_out = True
-                break
-            spent += 1
-            if bs_equal(2, 3, candidate, x):
-                status = STATUS_IN_F
-                break
-        if status != STATUS_IN_F and ran_out:
-            status = STATUS_EXHAUSTED
-        results.append((x, status))
+        else:
+            results.append((x, miss))
     return results
 
 

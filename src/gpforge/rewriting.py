@@ -91,6 +91,12 @@ def _edge_power(edge: Word, w: Word) -> Optional[int]:
     """The integer k with w = edge^k in the free base, or None."""
     if not w:
         return 0
+    if len(edge.letters) == 1:
+        # A generator power a^e (every BS edge): w must be a^(ke).
+        (sym, e), = edge.letters
+        if len(w.letters) != 1 or w.letters[0][0] != sym or w.letters[0][1] % e:
+            return None
+        return w.letters[0][1] // e
     core, conj = cyclically_reduce(edge)
     inner = (~conj) * w * conj
     if not inner:
@@ -120,7 +126,8 @@ def britton_normal_form(sys: HnnRewriteSystem, w: Word) -> Word:
         if sym != t and sym not in sys.base:
             raise AlphabetMismatchError(f"symbol {sym.name!r} is neither base nor stable letter")
 
-    # Stack of tokens: ('t', +-1) or ('w', Word over the base).
+    # Stack of tokens: ('t', k), a run t^k with k != 0 (adjacent runs have
+    # opposite signs), or ('w', Word over the base).
     stack: List[Tuple[str, object]] = []
 
     def push_base(u: Word) -> None:
@@ -133,33 +140,44 @@ def britton_normal_form(sys: HnnRewriteSystem, w: Word) -> Word:
         else:
             stack.append(("w", u))
 
-    def push_stable(eps: int) -> None:
-        # Look for ... t^-eps [base] t^eps with the base segment in the
-        # matching edge subgroup.
-        base_seg = Word()
-        depth = None
-        if stack and stack[-1][0] == "w":
-            base_seg = stack[-1][1]
-            if len(stack) >= 2 and stack[-2][0] == "t":
-                depth = 2
-        elif stack and stack[-1][0] == "t":
-            depth = 1
-        if depth is not None and stack[-depth][1] == -eps:
-            edge_in = sys.left_edge if eps == 1 else sys.right_edge
-            edge_out = sys.right_edge if eps == 1 else sys.left_edge
-            k = _edge_power(edge_in, base_seg)
-            if k is not None:
-                for _ in range(depth):
+    def push_stable(k: int) -> None:
+        # Against t^-eps on top, the empty segment pinches, so letters
+        # cancel a run at a time; across a base segment in the matching
+        # edge subgroup each pinch consumes one letter of the run below and
+        # one of t^k.  What is left is pushed as one run.
+        eps = 1 if k > 0 else -1
+        edge_in = sys.left_edge if eps == 1 else sys.right_edge
+        edge_out = sys.right_edge if eps == 1 else sys.left_edge
+        left = abs(k)
+        while left:
+            if stack and stack[-1][0] == "t":
+                run = stack[-1][1]
+                if run * eps > 0:
+                    stack[-1] = ("t", run + eps * left)
+                    return
+                step = min(left, abs(run))
+                left -= step
+                if run + eps * step:
+                    stack[-1] = ("t", run + eps * step)
+                else:
                     stack.pop()
-                push_base(edge_out ** k)
-                return
-        stack.append(("t", eps))
+                continue
+            if len(stack) >= 2 and stack[-2][1] * eps < 0:
+                p = _edge_power(edge_in, stack[-1][1])
+                if p is not None:
+                    stack.pop()
+                    run = stack.pop()[1] + eps
+                    if run:
+                        stack.append(("t", run))
+                    push_base(edge_out ** p)
+                    left -= 1
+                    continue
+            stack.append(("t", eps * left))
+            return
 
     for sym, exp in w.letters:
         if sym == t:
-            step = 1 if exp > 0 else -1
-            for _ in range(abs(exp)):
-                push_stable(step)
+            push_stable(exp)
         else:
             push_base(word((sym, exp)))
 
@@ -178,15 +196,52 @@ def is_pinch_free(sys: HnnRewriteSystem, w: Word) -> bool:
 
 
 def bs_reduce(m: int, n: int, w: Word) -> Word:
-    """Britton canonical form in BS(m, n); base segments are a-powers.
+    """Pinch-free Britton form in BS(m, n); base segments are a-powers.
 
-    Equality test: u = v in BS(m, n) iff bs_reduce(m, n, u * ~v) is empty.
+    Not unique (a^2 t = t a^3 in BS(2, 3)); `bs_canonical` is the unique
+    form.  Equality test: u = v in BS(m, n) iff bs_reduce(m, n, u * ~v) is
+    empty.
     """
     return britton_normal_form(bs_system(m, n), w)
 
 
 def bs_equal(m: int, n: int, u: Word, v: Word) -> bool:
     return not bs_reduce(m, n, u * ~v)
+
+
+def bs_canonical(m: int, n: int, w: Word) -> Word:
+    """The unique normal form of w in BS(m, n): bs_canonical(m, n, u) ==
+    bs_canonical(m, n, v) iff u = v.
+
+    One left-to-right pass over the pinch-free Britton form.  Before each
+    t the base segment a^e is written a^(qm + r) with 0 <= r < |m| and
+    a^(qm) t = t a^(qn) carries a^(qn) to the right; before each t^-1 the
+    same is done mod |n|, carrying a^(qm).  A carry changes a segment by
+    a multiple of the edge exponent it meets, so no pinch appears, and the
+    segments before stable letters are coset representatives: this is
+    the HNN normal form (Lyndon-Schupp, Combinatorial Group Theory, IV.2).
+    A t-run passes through whole once the carry is zero; until then it is
+    rewritten letter by letter, and the form can be as long as the run
+    (a^-2 t^N is (a t)^N a^-2 in BS(3, 2)).
+    """
+    a = bs_system(m, n).base.symbols[0]
+    out: List[Tuple[GeneratorSymbol, int]] = []
+    e = 0  # exponent of the pending base segment, carry included
+    for sym, k in bs_reduce(m, n, w).letters:
+        if sym == a:
+            e += k
+            continue
+        eps = 1 if k > 0 else -1
+        into, across = (m, n) if eps == 1 else (n, m)
+        left = abs(k)
+        while left and e:
+            r = e % abs(into)
+            out += ((a, r), (sym, eps))
+            e = (e - r) // into * across
+            left -= 1
+        out.append((sym, eps * left))
+    out.append((a, e))
+    return Word(out)
 
 
 def free_triviality(w: Word) -> bool:
@@ -355,13 +410,16 @@ def finite_quotient_search(
     Without `target`: the list of all satisfying Homomorphisms, in
     enumeration order.  With `target`: a FiniteQuotient certificate for the
     first homomorphism sending the target word to a non-identity
-    permutation, or None if none exists within the bound.
+    permutation, or None if none exists within the bound.  A freely
+    trivial target is None at once: every homomorphism fixes it.
     """
     if degree_max > 6:
         raise ValueError("degree_max must be <= 6")
     homs = _homomorphisms(p, degree_max)
     if target is None:
         return list(homs)
+    if not target:
+        return None
     for hom in homs:
         if hom.evaluate(target) != _identity(hom.degree):
             return TrivialityCertificate(kind="FiniteQuotient", presentation=p, target=target, hom=hom)

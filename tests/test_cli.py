@@ -45,6 +45,24 @@ def test_normalize(monkeypatch, capsys):
     assert code == EXIT_OK and out == "1\n"
 
 
+def test_normalize_huge_stable_run(monkeypatch, capsys):
+    code, out, _ = run_cli(
+        ["normalize", "--bs", "2,3", "t^100000000000"], capsys=capsys, monkeypatch=monkeypatch
+    )
+    assert code == EXIT_OK and out == "t^100000000000\n"
+
+
+def test_certify_freely_trivial_target(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "abc.grp"
+    path.write_text("gens a b c\n", encoding="utf-8")
+    code, out, _ = run_cli(
+        ["certify-nontrivial", str(path), "--word", "a a^-1", "--degree", "6"],
+        capsys=capsys,
+        monkeypatch=monkeypatch,
+    )
+    assert code == EXIT_OK and out == "not found within bound\n"
+
+
 def test_certify_nontrivial(tmp_path, monkeypatch, capsys):
     path = tmp_path / "bs.grp"
     path.write_text(BS23, encoding="utf-8")

@@ -5,6 +5,7 @@ import pytest
 
 from gpforge.errors import AlphabetMismatchError
 from gpforge.meier import (
+    STATUS_EXHAUSTED,
     STATUS_IN_F,
     STATUS_UNKNOWN,
     build_meier,
@@ -19,6 +20,7 @@ from gpforge.meier import (
 from gpforge.presentations import tietze_simplify
 from gpforge.rewriting import bs_equal, bs_reduce
 from gpforge.words import Word, commutator, format_word, parse_word
+from tests_util import linear_scan_probe
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -126,8 +128,13 @@ def test_probe_small_run_statuses():
                        for k in [1, -1, 2, -2, 3, -3, 4, -4]}
 
 
-def test_probe_finds_f_generators_and_kernel_rotations():
-    results = double_coset_probe(8, 100_000)
+@pytest.fixture(scope="module")
+def probe_len8():
+    return double_coset_probe(8, 100_000)
+
+
+def test_probe_finds_f_generators_and_kernel_rotations(probe_len8):
+    results = probe_len8
     as_dict = {format_word(w): s for w, s in results}
     c_text = "a^-1 t^-1 a^-1 t a t^-1 a t"
     assert as_dict[c_text] == STATUS_IN_F  # c is an F-generator
@@ -141,9 +148,23 @@ def test_probe_finds_f_generators_and_kernel_rotations():
     assert all(s in (STATUS_IN_F, STATUS_UNKNOWN) for _, s in results)
 
 
-def test_probe_golden_file_len8():
-    results = double_coset_probe(8, 100_000)
-    lines = [f"{format_word(w)}\t{s}" for w, s in results]
+def test_probe_golden_file_len8(probe_len8):
+    lines = [f"{format_word(w)}\t{s}" for w, s in probe_len8]
     with open(os.path.join(DATA, "meier_probe_len8.txt"), "r", encoding="utf-8") as fh:
         golden = fh.read().splitlines()
     assert lines == golden
+
+
+@pytest.mark.parametrize("budget", [1, 7, 1456, 1457])
+def test_probe_matches_linear_scan_oracle(budget):
+    # 1456 elements of F are looked up: budget 1456 spends them all,
+    # 1457 is the first budget with none left over.
+    assert double_coset_probe(6, budget) == linear_scan_probe(6, budget)
+
+
+def test_probe_budget_boundary_len8(probe_len8):
+    # Length 8 is the first length whose candidates need the F lookup.
+    small = double_coset_probe(8, 7)
+    assert small == linear_scan_probe(8, 7)
+    assert {s for _, s in small} == {STATUS_IN_F, STATUS_EXHAUSTED}
+    assert double_coset_probe(8, 1456) == probe_len8

@@ -9,6 +9,7 @@ from gpforge.rewriting import (
     HnnRewriteSystem,
     TrivialityCertificate,
     britton_normal_form,
+    bs_canonical,
     bs_equal,
     bs_reduce,
     bs_system,
@@ -146,6 +147,59 @@ def test_britton_output_is_always_pinch_free():
         assert is_pinch_free(sys23, nf)
 
 
+def test_stable_letter_runs_rewrite_whole():
+    huge = 10**11
+    sys23 = bs_system(2, 3)
+    assert bs_reduce(2, 3, parse_word(f"t^{huge}")) == parse_word(f"t^{huge}")
+    # A pinch consumes one letter of each run; runs that meet across an
+    # emptied segment cancel in bulk.
+    assert bs_reduce(2, 3, parse_word(f"t^{huge} a^3 t^-1 a^-2 t^-{huge}")) == parse_word("t^-1")
+    assert bs_reduce(2, 3, parse_word(f"t^{huge} a^3 t^-1 a^-2 t^-{huge - 3} a")) == parse_word("t^2 a")
+    assert bs_reduce(2, 3, parse_word(f"t^{huge} a^3 t^-1 a t^-{huge}")) == parse_word(f"t^{huge - 2} a^2 t^-{huge - 1}")
+    assert bs_reduce(2, 3, parse_word(f"t^-{huge} a^4 t^2 a")) == parse_word(f"t^-{huge - 2} a^10")
+    assert bs_canonical(2, 3, parse_word(f"t^{huge}")) == parse_word(f"t^{huge}")
+    assert bs_canonical(2, 3, parse_word(f"a t^{huge}")) == parse_word(f"a t^{huge}")
+    assert is_pinch_free(sys23, parse_word(f"t^{huge} a t^-{huge}"))
+
+
+CANONICAL_PAIRS = [(2, 3), (3, 2), (1, -1), (-2, 3), (1, 2), (2, -4)]
+
+
+def equal_by_relator_insertion(rng, m, n, w, times=3):
+    """w with conjugates g r^+-1 g^-1 of the relator r = t^-1 a^m t a^-n
+    inserted at random run boundaries: the same element of BS(m, n)."""
+    relator = parse_word(f"t^-1 a^{m} t a^{-n}")
+    for _ in range(times):
+        cut = rng.randint(0, len(w.letters))
+        g = random_bs_word(rng, 4)
+        w = Word(w.letters[:cut]) * g * relator ** rng.choice([-1, 1]) * ~g * Word(w.letters[cut:])
+    return w
+
+
+@pytest.mark.parametrize("m,n", CANONICAL_PAIRS)
+def test_bs_canonical_decides_equality(m, n):
+    rng = random.Random(100 * m + n)
+    words = [random_bs_word(rng, 8) for _ in range(40)]
+    for u in words:
+        cu = bs_canonical(m, n, u)
+        assert bs_equal(m, n, cu, u) and bs_canonical(m, n, cu) == cu
+        v = equal_by_relator_insertion(rng, m, n, u)
+        assert bs_equal(m, n, u, v) and bs_canonical(m, n, v) == cu
+        for x in words[:15]:
+            assert (bs_canonical(m, n, x) == cu) == bs_equal(m, n, x, u)
+
+
+def test_bs_canonical_is_unique_where_britton_is_not():
+    u, v = parse_word("a^2 t"), parse_word("t a^3")
+    assert bs_reduce(2, 3, u) != bs_reduce(2, 3, v) and bs_equal(2, 3, u, v)
+    assert bs_canonical(2, 3, u) == bs_canonical(2, 3, v) == v
+    # Coset representatives: 0 <= r < |m| before t, 0 <= r < |n| before t^-1.
+    assert bs_canonical(2, 3, parse_word("a^-1 t")) == parse_word("a t a^-3")
+    assert bs_canonical(2, 3, parse_word("a^4 t^-1 a")) == parse_word("a t^-1 a^3")
+    assert bs_canonical(2, 3, parse_word("a^3 t^2")) == parse_word("a t a t a^3")
+    assert bs_canonical(-2, 3, parse_word("a^-1 t")) == parse_word("a t a^3")
+
+
 def test_general_cyclic_edge_words():
     # <a, b, t | t^-1 [a,b] t = b^2>: pinch over a non-power edge word.
     sys = HnnRewriteSystem(
@@ -206,6 +260,11 @@ def test_finite_quotient_search_collects_all_homs():
     # No generators: the empty homomorphism, once per degree.
     assert [(h.degree, h.images) for h in finite_quotient_search(EMPTY_PRESENTATION, 3)] == [(1, {}), (2, {}), (3, {})]
     assert finite_quotient_search(EMPTY_PRESENTATION, 3, target=Word()) is None
+
+
+def test_freely_trivial_target_has_no_certificate():
+    abc = parse("gens a b c")
+    assert finite_quotient_search(abc, 6, target=parse_word("a a^-1", abc.alphabet)) is None
 
 
 def test_finite_quotient_degree_cap():

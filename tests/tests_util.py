@@ -5,8 +5,19 @@ from math import gcd
 from typing import List, Tuple
 
 from gpforge.homology import IntegerMatrix
+from gpforge.meier import (
+    F_WORD_MAX_LEN,
+    STATUS_EXHAUSTED,
+    STATUS_IN_F,
+    STATUS_UNKNOWN,
+    _is_t_power,
+    _reduced_words,
+    f_generators,
+    phi_apply,
+)
 from gpforge.presentations import Presentation
-from gpforge.words import Alphabet, Word
+from gpforge.rewriting import bs_equal, bs_reduce, bs_system
+from gpforge.words import Alphabet, GeneratorSymbol, Word, substitute
 
 
 def random_presentation(rng, max_gens=4, max_rels=4, max_len=6):
@@ -81,3 +92,34 @@ def gcd_of_minors_factors(a: IntegerMatrix) -> Tuple[int, ...]:
         factors.append(g // prev)
         prev = g
     return tuple(factors)
+
+
+def linear_scan_probe(max_len: int, budget: int) -> List[Tuple[Word, str]]:
+    """Oracle for meier.double_coset_probe: each candidate is compared
+    with the elements of F one `bs_equal` rewrite at a time, spending at
+    most `budget` comparisons."""
+    a_sym, t_sym = bs_system(2, 3).base.symbols[0], bs_system(2, 3).stable
+    t_w, c_w = f_generators(bs_system(2, 3).presentation)
+    f_syms = (GeneratorSymbol("ft"), GeneratorSymbol("fc"))
+    f_images = {f_syms[0]: t_w, f_syms[1]: c_w}
+    f_letters = [(f_syms[0], 1), (f_syms[0], -1), (f_syms[1], 1), (f_syms[1], -1)]
+    f_elements = [substitute(f, f_images) for f in _reduced_words(f_letters, F_WORD_MAX_LEN)]
+    results = []
+    for x in _reduced_words([(a_sym, 1), (a_sym, -1), (t_sym, 1), (t_sym, -1)], max_len):
+        if not _is_t_power(phi_apply(x), t_sym):
+            continue
+        if _is_t_power(bs_reduce(2, 3, x), t_sym):
+            results.append((x, STATUS_IN_F))
+            continue
+        status = STATUS_UNKNOWN
+        spent = 0
+        for candidate in f_elements:
+            if spent >= budget:
+                status = STATUS_EXHAUSTED
+                break
+            spent += 1
+            if bs_equal(2, 3, candidate, x):
+                status = STATUS_IN_F
+                break
+        results.append((x, status))
+    return results

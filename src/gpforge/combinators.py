@@ -168,12 +168,6 @@ class GroupExpr:
     def __repr__(self):
         return f"<GroupExpr {self.kind} gens={len(self.realized.alphabet)} children={len(self.children)}>"
 
-    def walk(self):
-        """Pre-order traversal; index order is the node-id order."""
-        yield self
-        for child in self.children:
-            yield from child.walk()
-
 
 ExprLike = Union[GroupExpr, Presentation]
 

@@ -340,22 +340,24 @@ def invariant_factors(rows: Sequence[Mapping[int, int]]) -> List[int]:
     return [1] * units + rest
 
 
-def relation_matrix(p: Presentation) -> IntegerMatrix:
+def relation_matrix(p: Presentation) -> SparseMatrix:
     """Exponent-sum matrix: one row per relator, one column per generator
-    in alphabet order."""
-    cols = len(p.alphabet)
-    rows = []
-    for rel in p.relators:
-        row = [0] * cols
+    in alphabet order; zero sums are left out."""
+    m = SparseMatrix(len(p.relators), len(p.alphabet))
+    for row, rel in zip(m.entries, p.relators):
         for sym, exp in rel.letters:
-            row[p.alphabet.index(sym)] += exp
-        rows.append(row)
-    return IntegerMatrix(len(rows), cols, rows) if rows else IntegerMatrix(0, cols)
+            j = p.alphabet.index(sym)
+            total = row.get(j, 0) + exp
+            if total:
+                row[j] = total
+            else:
+                del row[j]
+    return m
 
 
 def abelianization(p: Presentation) -> AbelianGroup:
     """H_1 of the presented group: cokernel of the exponent-sum matrix."""
-    factors = [f for f in invariant_factors(relation_matrix(p).sparse_rows()) if f]
+    factors = [f for f in invariant_factors(relation_matrix(p).entries) if f]
     rank = len(p.alphabet) - len(factors)
     torsion = tuple(f for f in factors if f > 1)
     return AbelianGroup(rank, torsion)

@@ -5,11 +5,13 @@ large or nonvanishing H^n_b, l1-Betti positivity, dimension bounds) with
 citation-bearing certificates.  Analytic objects are never represented;
 every rule works on predicates attached to construction-tree nodes.
 
-Facts attach to nodes by pre-order index.  Externally asserted facts are
-accepted on Atom nodes only; everything else is either structural (read
-off node kinds and construction-certified payload tags) or derived by the
-catalogued rules R1..R21 (R7 intentionally unused).  Negative facts are
-never derived: absence means "not derivable", never "false".
+Facts attach to node occurrences by pre-order position: a subtree object
+that occurs twice in the tree has two positions.  Externally asserted
+facts are accepted on Atom nodes only; everything else is either
+structural (read off node kinds and construction-certified payload tags)
+or derived by the catalogued rules R1..R21 (R7 intentionally unused).
+Negative facts are never derived: absence means "not derivable", never
+"false".
 
 Deliberately absent rules: no quotient-closure rule for bounded
 acyclicity (whether the class is quotient-closed is an open problem) and
@@ -157,27 +159,38 @@ class Certificate:
             lines.append(prem.render(indent + 1))
         return "\n".join(lines)
 
-    def size(self) -> int:
-        return 1 + sum(p.size() for p in self.premises)
-
 
 class _Context:
-    """Indexed view of a GroupExpr tree."""
+    """Indexed view of a GroupExpr tree: one pre-order position per node
+    occurrence, so a subtree object that occurs twice gets two positions
+    and every position's children are its own."""
 
     def __init__(self, expr: GroupExpr, max_degree: int):
         self.expr = expr
-        self.nodes: List[GroupExpr] = list(expr.walk())
-        self.ids: Dict[int, int] = {id(n): i for i, n in enumerate(self.nodes)}
         self.max_degree = max_degree
-
-    def node(self, i: int) -> GroupExpr:
-        return self.nodes[i]
+        self.nodes: List[GroupExpr] = []
+        self.kids: List[List[int]] = []
+        self.by_family: Dict[str, List[int]] = {family: [] for family in FAMILY.values()}
+        stack = [(expr, None)]
+        while stack:
+            node, parent = stack.pop()
+            i = len(self.nodes)
+            if parent is not None:
+                self.kids[parent].append(i)
+            self.nodes.append(node)
+            self.kids.append([])
+            self.by_family[FAMILY[node.kind]].append(i)
+            stack.extend((child, i) for child in reversed(node.children))
 
     def children(self, i: int) -> List[int]:
-        return [self.ids[id(c)] for c in self.nodes[i].children]
+        return self.kids[i]
 
     def family(self, i: int) -> str:
         return FAMILY[self.nodes[i].kind]
+
+    def of(self, *families: str) -> List[int]:
+        """Ascending positions of the nodes in these families."""
+        return sorted(i for family in families for i in self.by_family[family])
 
     def payload(self, i: int) -> dict:
         return self.nodes[i].payload
@@ -223,8 +236,8 @@ def _r2(ctx, facts):
 
 
 def _r3(ctx, facts):
-    for i in range(len(ctx.nodes)):
-        if ctx.family(i) != HNN or not ctx.payload(i).get("ascending"):
+    for i in ctx.of(HNN):
+        if not ctx.payload(i).get("ascending"):
             continue
         (base,) = ctx.children(i)
         bac = Fact(base, "BoundedlyAcyclic")
@@ -246,9 +259,7 @@ def _r4(ctx, facts):
 
 
 def _r5(ctx, facts):
-    for i in range(len(ctx.nodes)):
-        if ctx.family(i) != DIRECT_PRODUCT:
-            continue
+    for i in ctx.of(DIRECT_PRODUCT):
         kids = ctx.children(i)
         if len(kids) != 2:
             continue
@@ -264,12 +275,9 @@ def _r5(ctx, facts):
 
 
 def _r6(ctx, facts):
-    for i in range(len(ctx.nodes)):
-        family = ctx.family(i)
-        if family not in (MITOSIS, MU_STAGE):
-            continue
+    for i in ctx.of(MITOSIS, MU_STAGE):
         yield Fact(i, "ContainsF2"), ()
-        if family == MU_STAGE:
+        if ctx.family(i) == MU_STAGE:
             yield Fact(i, "BoundedlyAcyclic"), ()
             yield Fact(i, "NotFinPres"), ()
             (base,) = ctx.children(i)
@@ -281,9 +289,7 @@ def _r6(ctx, facts):
 
 
 def _r8(ctx, facts):
-    for i in range(len(ctx.nodes)):
-        if ctx.family(i) != AMALGAM:
-            continue
+    for i in ctx.of(AMALGAM):
         dc = Fact(i, "EdgeDoubleCosetsAtLeast3")
         proper = Fact(i, "EdgeProperContainment")
         if dc in facts and proper in facts:
@@ -328,9 +334,7 @@ def _r12(ctx, facts):
 
 
 def _r13(ctx, facts):
-    for i in range(len(ctx.nodes)):
-        if ctx.family(i) != DIRECT_PRODUCT:
-            continue
+    for i in ctx.of(DIRECT_PRODUCT):
         kids = ctx.children(i)
         if len(kids) != 2:
             continue
@@ -385,9 +389,7 @@ def _r16(ctx, facts):
 
 
 def _r17(ctx, facts):
-    for i in range(len(ctx.nodes)):
-        if ctx.family(i) != DIRECT_PRODUCT:
-            continue
+    for i in ctx.of(DIRECT_PRODUCT):
         kids = ctx.children(i)
         if len(kids) != 2:
             continue
@@ -402,9 +404,7 @@ def _r17(ctx, facts):
 
 
 def _r18(ctx, facts):
-    for i in range(len(ctx.nodes)):
-        if ctx.family(i) != AMALGAM:
-            continue
+    for i in ctx.of(AMALGAM):
         edge = Fact(i, "EdgeAmenable")
         if edge not in facts:
             continue
@@ -509,7 +509,7 @@ def _structural_facts(ctx: _Context):
         family = ctx.family(i)
         payload = ctx.payload(i)
         if family == ATOM:
-            pres = ctx.node(i).realized
+            pres = ctx.nodes[i].realized
             yield "S1", Fact(i, "FinPres")
             yield "S1", Fact(i, "FinGen", len(pres.alphabet))
             yield "S1", Fact(i, "RecPres")
@@ -539,11 +539,10 @@ class Derivation:
     # -- derivation -------------------------------------------------------
 
     def _seed(self):
-        for i, node in enumerate(self.ctx.nodes):
-            if node.kind == ATOM:
-                for pred, arg in node.payload.get("facts", ()):
-                    fact = Fact(i, pred, arg)
-                    self._add(fact, Certificate(fact, "A0", A0_CITATION))
+        for i in self.ctx.of(ATOM):
+            for pred, arg in self.ctx.payload(i).get("facts", ()):
+                fact = Fact(i, pred, arg)
+                self._add(fact, Certificate(fact, "A0", A0_CITATION))
         for fact in self.asserted:
             if self.ctx.family(fact.node) != ATOM:
                 raise AssertionError_(
@@ -586,9 +585,10 @@ class Derivation:
         return set(self.certificates)
 
     def node_id(self, node: Union[int, GroupExpr]) -> int:
+        """A position, or the first occurrence of a node object."""
         if isinstance(node, int):
             return node
-        return self.ctx.ids[id(node)]
+        return self.ctx.nodes.index(node)
 
     def has(self, node, predicate: str, arg: Optional[int] = None) -> bool:
         return Fact(self.node_id(node), predicate, arg) in self.certificates

@@ -100,9 +100,7 @@ def meier_gamma_expr() -> GroupExpr:
     the self-square and first-coordinate-projection tags.
     """
     data = build_meier()
-    gamma_p = Presentation(
-        Alphabet(("A", "Abar", "Tt", "D")), (), name="meier-gamma"
-    )
+    gamma_p = Presentation(MeierElement.ALPHABET, (), name="meier-gamma")
     return GroupExpr(
         MEIER_GAMMA,
         (data.T_expr,),

@@ -45,9 +45,6 @@ class Presentation:
     def generators(self) -> Tuple[GeneratorSymbol, ...]:
         return self.alphabet.symbols
 
-    def generator_count(self) -> int:
-        return len(self.alphabet)
-
     def relator_count(self) -> int:
         return len(self.relators)
 

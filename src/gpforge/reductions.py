@@ -33,7 +33,7 @@ from .combinators import (
     direct_product,
     free_product,
 )
-from .errors import ConfigurationError, InternalError, InvalidInputError, ParseError
+from .errors import ConfigurationError, InvalidInputError, ParseError
 from .presentations import EMPTY_PRESENTATION, Presentation, presentation, serialize
 from .rewriting import HnnRewriteSystem, britton_normal_form, bs_system, free_triviality, parse_bs
 from .words import Word, word
@@ -159,8 +159,12 @@ def witness_w(gamma: GroupExpr, src: WordProblemSource, w: Word) -> WitnessOutpu
     identification s'_j = wbar_j each.  When w = 1 the result is
     Tietze-trivial because every generator of gamma is killed.
     """
-    k = len(gamma.realized.alphabet)
-    if src.is_trivial(w):
+    return _push_out(gamma, lambda_w(src, w))
+
+
+def _push_out(gamma: GroupExpr, lw: WitnessOutput) -> WitnessOutput:
+    """witness_w over an already decided triviality witness lw."""
+    if lw.trivial_branch:
         # Lambda_w is the empty presentation and wbar is empty, so the
         # identifications kill the distinguished generators outright.
         relators = list(gamma.realized.relators)
@@ -173,9 +177,6 @@ def witness_w(gamma: GroupExpr, src: WordProblemSource, w: Word) -> WitnessOutpu
         )
         return WitnessOutput(pres, expr)
 
-    lw = lambda_w(src, w)
-    if lw.wbar is None:
-        raise InternalError("nontrivial branch without a witness word")
     expr: GroupExpr = gamma
     first_wbar: Optional[Word] = None
     for s in gamma.realized.alphabet.symbols:
@@ -246,10 +247,11 @@ def pi_w(src: WordProblemSource, w: Word, d: int, hyp_group: Optional[GroupExpr]
     if hyp_group is None:
         hyp_group = hyperbolic_manifold_atom(d - 2)
     _require_fact(hyp_group, "HypManifoldGroup", d - 2)
-    if src.is_trivial(w):
+    lw = lambda_w(src, w)
+    if lw.trivial_branch:
         return WitnessOutput(EMPTY_PRESENTATION, _trivial_atom("pi-w-collapsed"))
-    w1 = witness_w(f2_atom(), src, w)
-    w2 = witness_w(hyp_group, src, w)
+    w1 = _push_out(f2_atom(), lw)
+    w2 = _push_out(hyp_group, lw)
     expr = direct_product(w1.expr, w2.expr, _kind=PI_W, _extra_payload={"dim": d})
     return WitnessOutput(expr.realized, expr, wbar=w1.wbar)
 

@@ -59,6 +59,11 @@ class HnnRewriteSystem:
         relator = (~t) * self.left_edge * t * ~self.right_edge
         return Presentation(Alphabet(self.base.symbols + (self.stable,)), (relator,), self.name)
 
+    @cached_property
+    def edge_ratio(self) -> Optional[int]:
+        """The k with v = u^k in the free base, or None."""
+        return _edge_power(self.left_edge, self.right_edge)
+
 
 @lru_cache(maxsize=64)
 def bs_system(m: int, n: int) -> HnnRewriteSystem:
@@ -144,7 +149,9 @@ def britton_normal_form(sys: HnnRewriteSystem, w: Word) -> Word:
         # Against t^-eps on top, the empty segment pinches, so letters
         # cancel a run at a time; across a base segment in the matching
         # edge subgroup each pinch consumes one letter of the run below and
-        # one of t^k.  What is left is pushed as one run.
+        # one of t^k, and when v = u^+-1 the segment it leaves pinches
+        # again, so the pinches down the run happen at once.  What is left
+        # is pushed as one run.
         eps = 1 if k > 0 else -1
         edge_in = sys.left_edge if eps == 1 else sys.right_edge
         edge_out = sys.right_edge if eps == 1 else sys.left_edge
@@ -166,11 +173,15 @@ def britton_normal_form(sys: HnnRewriteSystem, w: Word) -> Word:
                 p = _edge_power(edge_in, stack[-1][1])
                 if p is not None:
                     stack.pop()
-                    run = stack.pop()[1] + eps
-                    if run:
-                        stack.append(("t", run))
+                    run = stack.pop()[1]
+                    steps = 1
+                    if sys.edge_ratio in (1, -1):
+                        steps = min(left, abs(run))
+                        p *= sys.edge_ratio ** (steps - 1)
+                    if run + eps * steps:
+                        stack.append(("t", run + eps * steps))
                     push_base(edge_out ** p)
-                    left -= 1
+                    left -= steps
                     continue
             stack.append(("t", eps * left))
             return

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Set, Tuple
 
 from .errors import InvalidComplexError, InvalidInputError, ParseError
-from .homology import AbelianGroup, ChainComplexData, SparseMatrix, complex_homology
+from .homology import AbelianGroup, ChainComplexData, SparseMatrix, complex_homology, relation_matrix
 from .presentations import Presentation, validate
 from .words import Alphabet, Word, cyclically_reduce, word
 
@@ -199,22 +199,27 @@ class SimplicialComplex:
     def euler_characteristic(self) -> int:
         return self.n_vertices - len(self.edges()) + len(self.two_simplices())
 
-    def is_connected(self) -> bool:
-        if self.n_vertices <= 1:
-            return True
-        adjacency: Dict[int, Set[int]] = {i: set() for i in range(self.n_vertices)}
+    def spanning_tree(self) -> List[Tuple[int, int]]:
+        """Edges (i < j) of the BFS tree from vertex 0, neighbours taken in
+        ascending order; it spans exactly when the complex is connected."""
+        adjacency: Dict[int, List[int]] = {i: [] for i in range(self.n_vertices)}
         for i, j in self.edges():
-            adjacency[i].add(j)
-            adjacency[j].add(i)
+            adjacency[i].append(j)
+            adjacency[j].append(i)
+        tree: List[Tuple[int, int]] = []
         seen = {0}
-        queue = deque([0])
+        queue = deque([0] if self.n_vertices else [])
         while queue:
             u = queue.popleft()
             for v in sorted(adjacency[u]):
                 if v not in seen:
                     seen.add(v)
+                    tree.append((min(u, v), max(u, v)))
                     queue.append(v)
-        return len(seen) == self.n_vertices
+        return tree
+
+    def is_connected(self) -> bool:
+        return self.n_vertices <= 1 or len(self.spanning_tree()) == self.n_vertices - 1
 
 
 def delta_to_simplicial(c: DeltaComplex) -> SimplicialComplex:
@@ -282,16 +287,12 @@ def simplicial_homology(x: SimplicialComplex) -> Tuple[AbelianGroup, AbelianGrou
 def cw_chain_complex(p: Presentation) -> ChainComplexData:
     """Cellular chain complex of the one-vertex presentation 2-complex:
     d1 = 0 (loops), d2 = transposed exponent-sum matrix."""
-    d2 = SparseMatrix(len(p.alphabet), len(p.relators))
-    for col, rel in enumerate(p.relators):
-        for sym, exp in rel.letters:
-            row = d2.entries[p.alphabet.index(sym)]
-            total = row.get(col, 0) + exp
-            if total:
-                row[col] = total
-            else:
-                del row[col]
-    return ChainComplexData(SparseMatrix(1, len(p.alphabet)), d2)
+    sums = relation_matrix(p)
+    d2 = SparseMatrix(sums.cols, sums.rows)
+    for col, row in enumerate(sums.entries):
+        for j, v in row.items():
+            d2.entries[j][col] = v
+    return ChainComplexData(SparseMatrix(1, sums.cols), d2)
 
 
 def serialize_simplicial(x: SimplicialComplex) -> str:
@@ -334,23 +335,10 @@ def edge_path_presentation(x: SimplicialComplex) -> Presentation:
     """Fundamental-group presentation from a deterministic BFS spanning
     tree rooted at vertex 0: generators are the non-tree edges, relators
     read off the 2-simplex boundaries."""
-    if not x.is_connected():
+    tree = set(x.spanning_tree())
+    if x.n_vertices > 1 and len(tree) != x.n_vertices - 1:
         raise InvalidComplexError("edge-path presentation needs a connected complex")
     edges = x.edges()
-    adjacency: Dict[int, List[int]] = {i: [] for i in range(x.n_vertices)}
-    for i, j in edges:
-        adjacency[i].append(j)
-        adjacency[j].append(i)
-    tree: Set[Tuple[int, int]] = set()
-    seen = {0} if x.n_vertices else set()
-    queue = deque([0] if x.n_vertices else [])
-    while queue:
-        u = queue.popleft()
-        for v in sorted(adjacency[u]):
-            if v not in seen:
-                seen.add(v)
-                tree.add((min(u, v), max(u, v)))
-                queue.append(v)
     non_tree = [e for e in edges if e not in tree]
     names = [f"e{i+1}" for i in range(len(non_tree))]
     alphabet = Alphabet(names)

@@ -3,6 +3,7 @@ import io
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -50,6 +51,18 @@ def test_normalize_huge_stable_run(monkeypatch, capsys):
         ["normalize", "--bs", "2,3", "t^100000000000"], capsys=capsys, monkeypatch=monkeypatch
     )
     assert code == EXIT_OK and out == "t^100000000000\n"
+
+
+@pytest.mark.parametrize("bs, base", [("2,2", "a^2"), ("3,-3", "a^3")])
+def test_normalize_huge_run_that_pinches_whole(bs, base, monkeypatch, capsys):
+    # With |m| = |n| each pinched segment pinches again down the run.
+    huge = 10**11
+    start = time.perf_counter()
+    code, out, _ = run_cli(
+        ["normalize", "--bs", bs, f"t^-{huge} {base} t^{huge}"], capsys=capsys, monkeypatch=monkeypatch
+    )
+    assert code == EXIT_OK and out == f"{base}\n"
+    assert time.perf_counter() - start < 1.0
 
 
 def test_certify_freely_trivial_target(tmp_path, monkeypatch, capsys):

@@ -78,7 +78,7 @@ def test_sparse_invariant_factors_match_dense():
 
 def test_abelianization_bs23_relation_matrix():
     bs = parse("gens a t\nrel t^-1 a^2 t = a^3")
-    assert relation_matrix(bs).entries == [[-1, 0]]
+    assert relation_matrix(bs).entries == [{0: -1}]
     assert abelianization(bs) == AbelianGroup(1)
 
 

@@ -26,8 +26,8 @@ from gpforge.inference import (
 )
 from gpforge.meier import meier_gamma_expr
 from gpforge.presentations import PresentationMorphism, presentation
-from gpforge.reductions import free_source, gamma_w, hyperbolic_manifold_atom, pi_w
-from gpforge.sexpr import serialize_expr
+from gpforge.reductions import free_source, gamma_w, hyperbolic_manifold_atom, pi_w, witness_w
+from gpforge.sexpr import parse_expr, serialize_expr
 from gpforge.words import parse_word, word
 
 
@@ -299,3 +299,30 @@ def test_unknown_predicate_rejected():
         Fact(0, "Bogus")
     with pytest.raises(AssertionError_):
         Fact(0, "LargeHb")  # missing degree
+
+
+@pytest.mark.parametrize("build", ["witness_w", "pi_w"])
+def test_shared_subtrees_certify_the_tree_as_written(build):
+    # Both constructions reuse one Lambda_w node object for every push-out
+    # copy; each copy is its own position, as in the written tree.
+    src = free_source(("a", "b"), facts=(("ContainsF2", None),))
+    w = parse_word("a")
+    if build == "witness_w":
+        out = witness_w(atom(presentation(["x", "y"])), src, w)
+    else:
+        out = pi_w(src, w, 5)
+    in_memory = derive(out.expr)
+    written = derive(parse_expr(serialize_expr(out.expr)))
+    assert len(in_memory.ctx.nodes) == len(written.ctx.nodes)
+    assert [c.render() for c in in_memory.certificates.values()] == [
+        c.render() for c in written.certificates.values()
+    ]
+    assert all(replay_certificate(written, c) for c in in_memory.certificates.values())
+
+
+def test_repeated_factor_is_a_retract_at_each_position():
+    x = atom(presentation(["x"]))
+    d = derive(direct_product(x, x))
+    assert d.ctx.children(0) == [1, 2]
+    assert Fact(1, "RetractOf", 0) in d.facts and Fact(2, "RetractOf", 0) in d.facts
+    assert d.node_id(x) == 1

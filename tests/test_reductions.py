@@ -184,3 +184,28 @@ def test_determinism_bit_identical_outputs():
     from gpforge.sexpr import serialize_expr
 
     assert serialize_expr(first.expr) == serialize_expr(second.expr)
+
+
+@pytest.mark.parametrize("text", ["a a^-1", "a b"])
+@pytest.mark.parametrize(
+    "construct",
+    [
+        lambda src, w: lambda_w(src, w),
+        lambda src, w: gamma_w(src, w),
+        lambda src, w: witness_w(f2_atom(), src, w),
+        lambda src, w: pi_w(src, w, 4),
+        lambda src, w: delta_w(src, w, 3),
+    ],
+    ids=["lambda_w", "gamma_w", "witness_w", "pi_w", "delta_w"],
+)
+def test_each_construction_asks_the_oracle_once(monkeypatch, construct, text):
+    calls = []
+    decide = WordProblemSource.is_trivial
+
+    def counted(self, w):
+        calls.append(w)
+        return decide(self, w)
+
+    monkeypatch.setattr(WordProblemSource, "is_trivial", counted)
+    construct(free_source(), parse_word(text))
+    assert len(calls) == 1

@@ -160,6 +160,21 @@ def test_stable_letter_runs_rewrite_whole():
     assert bs_canonical(2, 3, parse_word(f"t^{huge}")) == parse_word(f"t^{huge}")
     assert bs_canonical(2, 3, parse_word(f"a t^{huge}")) == parse_word(f"a t^{huge}")
     assert is_pinch_free(sys23, parse_word(f"t^{huge} a t^-{huge}"))
+    # With |m| = |n| a run pinches whole; one longer than t^k keeps the rest.
+    assert bs_reduce(3, -3, parse_word(f"t^-{huge + 1} a^3 t^{huge - 1}")) == parse_word("t^-2 a^-3")
+    assert bs_reduce(2, 2, parse_word(f"t^{huge} a^2 t^-{huge - 1}")) == parse_word("t a^2")
+
+
+@pytest.mark.parametrize("v, segment, expected", [
+    ("x y", "x y x y", "x y x y"),
+    ("y^-1 x^-1", "x y", "y^-1 x^-1"),
+])
+def test_run_pinches_whole_when_edges_agree(v, segment, expected):
+    # v = u^+-1: the segment left by each pinch pinches again, so the
+    # whole run goes at once (an odd run inverts when v = u^-1).
+    n = 10**11 + 1
+    system = HnnRewriteSystem(Alphabet(("x", "y")), GeneratorSymbol("t"), parse_word("x y"), parse_word(v))
+    assert britton_normal_form(system, parse_word(f"t^-{n} {segment} t^{n}")) == parse_word(expected)
 
 
 CANONICAL_PAIRS = [(2, 3), (3, 2), (1, -1), (-2, 3), (1, 2), (2, -4)]

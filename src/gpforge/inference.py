@@ -10,6 +10,8 @@ that occurs twice in the tree has two positions.  Externally asserted
 facts are accepted on Atom nodes only; everything else is either
 structural (read off node kinds and construction-certified payload tags)
 or derived by the catalogued rules R1..R21 (R7 intentionally unused).
+Rules read facts through one index, `_Facts`, always in derivation order,
+so the certificate kept for a fact does not depend on how facts are stored.
 Negative facts are never derived: absence means "not derivable", never
 "false".
 
@@ -21,6 +23,7 @@ clashes, reported by check_consistency.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
@@ -210,9 +213,41 @@ class _Context:
         return []
 
 
+class _Facts:
+    """The facts of one derivation with their certificates, in derivation
+    order, indexed by predicate and by (node, predicate)."""
+
+    def __init__(self, certificates: Dict[Fact, Certificate]):
+        self.certificates = certificates
+        self.position: Dict[Fact, int] = {}
+        self.by_predicate: Dict[str, List[Fact]] = defaultdict(list)
+        self.by_node: Dict[Tuple[int, str], List[Fact]] = defaultdict(list)
+
+    def __contains__(self, fact: Fact) -> bool:
+        return fact in self.certificates
+
+    def add(self, fact: Fact, cert: Certificate) -> None:
+        """Keep a fact's first certificate only."""
+        self.certificates.setdefault(fact, cert)
+        if len(self.position) < len(self.certificates):  # it was new
+            self.position[fact] = len(self.position)
+            self.by_predicate[fact.predicate].append(fact)
+            self.by_node[fact.node, fact.predicate].append(fact)
+
+    def of(self, *predicates: str, nodes: Sequence[int] = ()) -> List[Fact]:
+        """A new list of the facts with these predicates (about these nodes,
+        if given): those a scan of all facts, in order, would find now."""
+        index = self.by_node if nodes else self.by_predicate
+        keys = [(n, p) for n in nodes for p in predicates] if nodes else predicates
+        if len(keys) == 1:
+            return list(index.get(keys[0], ()))
+        found = (f for key in keys for f in index.get(key, ()))
+        return sorted(found, key=self.position.__getitem__)
+
+
 # ---------------------------------------------------------------------------
 # Rules.  Each step function yields (fact, premise_facts) pairs derivable in
-# one application from the current fact set; the fixpoint loop adds new ones.
+# one application from the current facts; the fixpoint loop adds new ones.
 # ---------------------------------------------------------------------------
 
 
@@ -220,19 +255,17 @@ class _Context:
 class Rule:
     id: str
     citation: str
-    step: object  # callable(ctx, facts: Collection[Fact]) -> iterable[(Fact, tuple[Fact, ...])]
+    step: object  # callable(ctx, facts: _Facts) -> iterable[(Fact, tuple[Fact, ...])]
 
 
 def _r1(ctx, facts):
-    for f in list(facts):
-        if f.predicate == "Amenable":
-            yield Fact(f.node, "BoundedlyAcyclic"), (f,)
+    for f in facts.of("Amenable"):
+        yield Fact(f.node, "BoundedlyAcyclic"), (f,)
 
 
 def _r2(ctx, facts):
-    for f in list(facts):
-        if f.predicate == "Mitotic":
-            yield Fact(f.node, "BoundedlyAcyclic"), (f,)
+    for f in facts.of("Mitotic"):
+        yield Fact(f.node, "BoundedlyAcyclic"), (f,)
 
 
 def _r3(ctx, facts):
@@ -250,9 +283,7 @@ def _r3(ctx, facts):
 
 
 def _r4(ctx, facts):
-    for f in list(facts):
-        if f.predicate != "CoAmenableIn":
-            continue
+    for f in facts.of("CoAmenableIn"):
         bac = Fact(f.node, "BoundedlyAcyclic")
         if bac in facts:
             yield Fact(f.arg, "BoundedlyAcyclic"), (f, bac)
@@ -281,10 +312,10 @@ def _r6(ctx, facts):
             yield Fact(i, "BoundedlyAcyclic"), ()
             yield Fact(i, "NotFinPres"), ()
             (base,) = ctx.children(i)
-            for f in list(facts):
-                if f.node == base and f.predicate == "FinGen":
+            for f in facts.of("FinGen", "RecPres", nodes=(base,)):
+                if f.predicate == "FinGen":
                     yield Fact(i, "FinGen", f.arg + 3), (f,)
-                if f.node == base and f.predicate == "RecPres":
+                else:
                     yield Fact(i, "RecPres"), (f,)
 
 
@@ -297,40 +328,30 @@ def _r8(ctx, facts):
 
 
 def _r9(ctx, facts):
-    for f in list(facts):
-        if f.predicate != "SurjectsOnto":
-            continue
+    for f in facts.of("SurjectsOnto"):
         large = Fact(f.arg, "LargeHb", 2)
         if large in facts:
             yield Fact(f.node, "LargeHb", 2), (f, large)
 
 
 def _r10(ctx, facts):
-    for f in list(facts):
-        if f.predicate != "RetractOf":
-            continue
-        for g in list(facts):
-            if g.node == f.node and g.predicate == "LargeHb":
-                yield Fact(f.arg, "LargeHb", g.arg), (f, g)
+    for f in facts.of("RetractOf"):
+        for g in facts.of("LargeHb", nodes=(f.node,)):
+            yield Fact(f.arg, "LargeHb", g.arg), (f, g)
 
 
 def _r11(ctx, facts):
-    for f in list(facts):
-        if f.predicate == "AcylHyp":
-            yield Fact(f.node, "LargeHb", 2), (f,)
-            yield Fact(f.node, "LargeHb", 3), (f,)
+    for f in facts.of("AcylHyp"):
+        yield Fact(f.node, "LargeHb", 2), (f,)
+        yield Fact(f.node, "LargeHb", 3), (f,)
 
 
 def _r12(ctx, facts):
-    for f in list(facts):
-        if f.predicate != "IsoToSelfTimesSelf":
-            continue
+    for f in facts.of("IsoToSelfTimesSelf"):
         large2 = Fact(f.node, "LargeHb", 2)
         if large2 in facts:
-            d = 1
-            while 2 * d <= ctx.max_degree:
-                yield Fact(f.node, "LargeHb", 2 * d), (f, large2)
-                d += 1
+            for n in range(2, ctx.max_degree + 1, 2):
+                yield Fact(f.node, "LargeHb", n), (f, large2)
 
 
 def _r13(ctx, facts):
@@ -338,28 +359,21 @@ def _r13(ctx, facts):
         kids = ctx.children(i)
         if len(kids) != 2:
             continue
-        p, q = kids
-        pos = {side: {} for side in (p, q)}
-        large = {side: {} for side in (p, q)}
-        for f in list(facts):
-            if f.node in (p, q):
-                if f.predicate == "LonebPositive":
-                    pos[f.node][f.arg] = f
-                elif f.predicate == "LonebLarge":
-                    large[f.node][f.arg] = f
-        for side, other in ((p, q), (q, p)):
-            for k, fk in list(large[side].items()):
-                for m, fm in list(pos[other].items()) + list(large[other].items()):
-                    if k >= 1 and m >= 1 and k + m <= ctx.max_degree:
-                        yield Fact(i, "LonebLarge", k + m), (fk, fm)
-        for k, fk in list(pos[p].items()):
-            for m, fm in list(pos[q].items()):
-                if k >= 1 and m >= 1 and k + m <= ctx.max_degree:
-                    yield Fact(i, "LonebPositive", k + m), (fk, fm)
+        pos = [facts.of("LonebPositive", nodes=(k,)) for k in kids]
+        large = [facts.of("LonebLarge", nodes=(k,)) for k in kids]
+        for lefts, rights, predicate in (
+            (large[0], pos[1] + large[1], "LonebLarge"),
+            (large[1], pos[0] + large[0], "LonebLarge"),
+            (pos[0], pos[1], "LonebPositive"),
+        ):
+            for fk in lefts:
+                for fm in rights:
+                    if fk.arg >= 1 and fm.arg >= 1 and fk.arg + fm.arg <= ctx.max_degree:
+                        yield Fact(i, predicate, fk.arg + fm.arg), (fk, fm)
 
 
 def _r14(ctx, facts):
-    for f in list(facts):
+    for f in facts.of("LonebLarge", "LonebPositive", "LargeHb", "NonvanishingHb"):
         if f.predicate == "LonebLarge" and f.arg >= 2:
             yield Fact(f.node, "LargeHb", f.arg), (f,)
         elif f.predicate == "LonebPositive" and f.arg >= 1:
@@ -371,21 +385,16 @@ def _r14(ctx, facts):
 
 
 def _r15(ctx, facts):
-    for f in list(facts):
-        if f.predicate != "HypManifoldGroup":
-            continue
+    for f in facts.of("HypManifoldGroup"):
         yield Fact(f.node, "LonebPositive", f.arg), (f,)
         if f.arg >= 2:
             yield Fact(f.node, "AcylHyp"), (f,)
 
 
 def _r16(ctx, facts):
-    for f in list(facts):
-        if f.predicate == "ThompsonT":
-            d = 1
-            while 2 * d <= ctx.max_degree:
-                yield Fact(f.node, "NonvanishingHb", 2 * d), (f,)
-                d += 1
+    for f in facts.of("ThompsonT"):
+        for n in range(2, ctx.max_degree + 1, 2):
+            yield Fact(f.node, "NonvanishingHb", n), (f,)
 
 
 def _r17(ctx, facts):
@@ -406,22 +415,18 @@ def _r17(ctx, facts):
 def _r18(ctx, facts):
     for i in ctx.of(AMALGAM):
         edge = Fact(i, "EdgeAmenable")
-        if edge not in facts:
-            continue
-        kids = set(ctx.children(i))
-        for f in list(facts):
-            if f.node in kids and f.predicate in ("LargeHb", "LonebPositive", "LonebLarge"):
+        if edge in facts:
+            for f in facts.of("LargeHb", "LonebPositive", "LonebLarge", nodes=ctx.children(i)):
                 yield Fact(i, f.predicate, f.arg), (edge, f)
 
 
 def _r19(ctx, facts):
-    for f in list(facts):
-        if f.predicate == "NonelemFreeProduct":
-            yield Fact(f.node, "AcylHyp"), (f,)
+    for f in facts.of("NonelemFreeProduct"):
+        yield Fact(f.node, "AcylHyp"), (f,)
 
 
 def _r20(ctx, facts):
-    for f in list(facts):
+    for f in facts.of("Finite", "CdbEquals0", "Amenable", "HdbEquals0", "NonvanishingHb"):
         if f.predicate == "Finite":
             yield Fact(f.node, "CdbEquals0"), (f,)
         elif f.predicate == "CdbEquals0":
@@ -436,15 +441,13 @@ def _r20(ctx, facts):
     # Subgroup monotonicity along embedding edges.
     for i in range(len(ctx.nodes)):
         for child in ctx.embedding_children(i):
-            for f in list(facts):
-                if f.node == child and f.predicate == "CdbAtLeast":
-                    yield Fact(i, "CdbAtLeast", f.arg), (f,)
+            for f in facts.of("CdbAtLeast", nodes=(child,)):
+                yield Fact(i, "CdbAtLeast", f.arg), (f,)
 
 
 def _r21(ctx, facts):
-    for f in list(facts):
-        if f.predicate == "ContainsF2":
-            yield Fact(f.node, "CdbAtLeast", 3), (f,)
+    for f in facts.of("ContainsF2"):
+        yield Fact(f.node, "CdbAtLeast", 3), (f,)
 
 
 RULES: Tuple[Rule, ...] = (
@@ -538,45 +541,33 @@ class Derivation:
 
     # -- derivation -------------------------------------------------------
 
-    def _seed(self):
+    def _seed(self, facts: _Facts):
         for i in self.ctx.of(ATOM):
             for pred, arg in self.ctx.payload(i).get("facts", ()):
                 fact = Fact(i, pred, arg)
-                self._add(fact, Certificate(fact, "A0", A0_CITATION))
+                facts.add(fact, Certificate(fact, "A0", A0_CITATION))
         for fact in self.asserted:
             if self.ctx.family(fact.node) != ATOM:
                 raise AssertionError_(
                     f"asserted facts attach to Atom nodes only, got {self.ctx.label(fact.node)}"
                 )
-            self._add(fact, Certificate(fact, "A0", A0_CITATION))
+            facts.add(fact, Certificate(fact, "A0", A0_CITATION))
         for rule_id, fact in _structural_facts(self.ctx):
-            self._add(fact, Certificate(fact, rule_id, _STRUCTURAL_CITATIONS[rule_id]))
-
-    def _add(self, fact: Fact, cert: Certificate) -> bool:
-        if fact in self.certificates:
-            return False
-        self.certificates[fact] = cert
-        return True
+            facts.add(fact, Certificate(fact, rule_id, _STRUCTURAL_CITATIONS[rule_id]))
 
     def _run(self):
-        self._seed()
+        # The index lives only as long as the fixpoint; the certificates stay.
+        facts = _Facts(self.certificates)
+        self._seed(facts)
         changed = True
         while changed:
             changed = False
-            # Insertion-ordered, so rules scan facts in derivation order and
-            # the kept certificate does not depend on string hashing.
             for rule in RULES:
-                for fact, premises in rule.step(self.ctx, self.certificates):
-                    if fact in self.certificates:
-                        continue
-                    cert = Certificate(
-                        fact,
-                        rule.id,
-                        rule.citation,
-                        tuple(self.certificates[p] for p in premises),
-                    )
-                    self._add(fact, cert)
-                    changed = True
+                for fact, premises in rule.step(self.ctx, facts):
+                    if fact not in self.certificates:
+                        premise_certs = tuple(self.certificates[p] for p in premises)
+                        facts.add(fact, Certificate(fact, rule.id, rule.citation, premise_certs))
+                        changed = True
 
     # -- queries ----------------------------------------------------------
 
@@ -669,8 +660,10 @@ def replay_certificate(derivation: Derivation, cert: Certificate) -> bool:
     rule = next((r for r in RULES if r.id == cert.rule), None)
     if rule is None:
         return False
-    premise_facts = {p.fact for p in cert.premises}
-    produced = {f for f, _ in rule.step(derivation.ctx, premise_facts)}
+    premises = _Facts({})
+    for p in cert.premises:
+        premises.add(p.fact, p)
+    produced = {f for f, _ in rule.step(derivation.ctx, premises)}
     if cert.fact not in produced:
         return False
     return all(replay_certificate(derivation, p) for p in cert.premises)

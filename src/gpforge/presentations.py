@@ -41,10 +41,6 @@ class Presentation:
     def __post_init__(self):
         object.__setattr__(self, "relators", tuple(self.relators))
 
-    @property
-    def generators(self) -> Tuple[GeneratorSymbol, ...]:
-        return self.alphabet.symbols
-
     def relator_count(self) -> int:
         return len(self.relators)
 

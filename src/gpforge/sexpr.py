@@ -299,10 +299,10 @@ def _pairs_form(pairs) -> str:
     return "(" + " ".join(f"({_quote(format_word(u))} {_quote(format_word(v))})" for u, v in pairs) + ")"
 
 
-# Writers per argument type: (node, payload key, children left) -> text, or
-# None to leave the argument out.  Sources and words are only ever read.
+# Writers per argument type: (node, payload key, children's texts, the next
+# one last) -> text, or None to leave it out.  Sources and words are only read.
 _WRITE = {
-    "expr": lambda node, key, children: serialize_expr(next(children)),
+    "expr": lambda node, key, children: children.pop(),
     "name": lambda node, key, children: _quote(node.payload[key] or node.kind),
     "file": lambda node, key, children: None,
     "pres": lambda node, key, children: _quote(serialize(node.realized)),
@@ -316,18 +316,32 @@ _WRITE = {
 
 def serialize_expr(expr: cb.GroupExpr) -> str:
     """Self-contained form (inline presentations) that re-derives
-    identically when parsed back."""
-    if expr.kind not in cb.FAMILY:
-        raise ParseError(f"cannot serialize node kind {expr.kind!r}")
-    if not cb.FORMS[expr.kind].args:
-        return f"({expr.kind})"
-    head = cb.FAMILY[expr.kind]
+    identically when parsed back.  Iterative: nodes are written in reverse
+    pre-order, each taking its children's texts off one stack."""
+    order, stack = [], [expr]
+    while stack:
+        node = stack.pop()
+        if node.kind not in cb.FAMILY:
+            raise ParseError(f"cannot serialize node kind {node.kind!r}")
+        order.append(node)
+        if cb.FORMS[node.kind].args:
+            stack.extend(reversed(node.children))
+    texts: List[str] = []
+    for node in reversed(order):
+        texts.append(_form(node, texts))
+    return texts[0]
+
+
+def _form(node: cb.GroupExpr, texts: List[str]) -> str:
+    """One node's form, taking its children's texts off the end of `texts`."""
+    if not cb.FORMS[node.kind].args:
+        return f"({node.kind})"
+    head = cb.FAMILY[node.kind]
     spec = cb.FORMS[head]
     parts = [head]
-    children = iter(expr.children)
     for arg in spec.args:
-        text = _WRITE[arg.type](expr, arg.key, children)
+        text = _WRITE[arg.type](node, arg.key, texts)
         if text is not None:
             parts.append(text if arg.keyword is None else f":{arg.keyword} {text}")
-    parts.extend(f":{tag.flag}" for tag in spec.tags if tag.flag and expr.payload.get(tag.key))
+    parts.extend(f":{tag.flag}" for tag in spec.tags if tag.flag and node.payload.get(tag.key))
     return "(" + " ".join(parts) + ")"

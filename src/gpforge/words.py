@@ -162,9 +162,6 @@ class Word:
     def __invert__(self) -> "Word":
         return Word(tuple((s, -e) for s, e in reversed(self._letters)))
 
-    def inverse(self) -> "Word":
-        return ~self
-
     def __pow__(self, k: int) -> "Word":
         if k == 0 or not self._letters:
             return Word()

@@ -169,6 +169,20 @@ def test_reduce_writes_presentation_and_expr(tmp_path, monkeypatch, capsys):
     assert code == EXIT_OK and out == "DERIVED via R11\n"
 
 
+def test_reduce_writes_a_witness_w_tree_deeper_than_the_stack(tmp_path, monkeypatch, capsys):
+    # One push-out per generator of G: 600 nested amalgams.
+    lam = tmp_path / "f2.grp"
+    lam.write_text("gens a b\n", encoding="utf-8")
+    gamma = tmp_path / "G.grp"
+    gamma.write_text("gens " + " ".join(f"g{i}" for i in range(600)) + "\n", encoding="utf-8")
+    out_e = tmp_path / "out.gx"
+    argv = ["reduce", "--construction", "witness-w", "--lambda", str(lam), "--gamma", str(gamma)]
+    argv += ["--word", "a", "-o", str(tmp_path / "out.grp"), "--expr", str(out_e)]
+    code, _, _ = run_cli(argv, capsys=capsys, monkeypatch=monkeypatch)
+    assert code == EXIT_OK
+    assert out_e.read_text(encoding="utf-8").count(":kind witness-w") == 600
+
+
 def test_meier_probe_lines(monkeypatch, capsys):
     code, out, _ = run_cli(
         ["meier-probe", "--max-len", "3", "--budget", "50"], capsys=capsys, monkeypatch=monkeypatch

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from gpforge.combinators import (
@@ -54,6 +56,16 @@ def test_mu_over_two_generated_atom():
     assert d.has(expr, "NotFinPres")
     assert d.has(expr, "RecPres")
     assert query(d, expr, "BoundedlyAcyclic").rule == "R6"
+
+
+def test_mu_over_a_generator_free_atom():
+    expr = mu_stage(atom(presentation([])), 1)
+    d = derive(expr)
+    cert = query(d, expr, "FinGen", 3)
+    assert cert is not None and cert.rule == "R6"
+    assert [p.fact for p in cert.premises] == [Fact(1, "FinGen", 0)]
+    assert not d.has(expr, "FinGen", 0)
+    assert query(d, expr, "RecPres").rule == "R6"
 
 
 def test_mitosis_node_gets_f2_but_not_bac():
@@ -326,3 +338,14 @@ def test_repeated_factor_is_a_retract_at_each_position():
     assert d.ctx.children(0) == [1, 2]
     assert Fact(1, "RetractOf", 0) in d.facts and Fact(2, "RetractOf", 0) in d.facts
     assert d.node_id(x) == 1
+
+
+def test_derive_is_fast_on_a_wide_witness_tree():
+    # One push-out per generator: 800 amalgams, each with an edge fact.
+    src = free_source()
+    gamma = atom(presentation([f"g{i}" for i in range(800)]))
+    out = witness_w(gamma, src, parse_word("a", src.presentation.alphabet))
+    started = time.perf_counter()
+    d = derive(out.expr)
+    assert time.perf_counter() - started < 1.5
+    assert sum(f.predicate == "EdgeAmenable" for f in d.certificates) == 800

@@ -41,6 +41,10 @@ class InvalidInputError(GpforgeError):
     """User-supplied data fails a precondition (e.g. an empty relator)."""
 
 
+class SearchBudgetError(GpforgeError):
+    """A search tried more candidates than its fixed budget allows."""
+
+
 class InvalidComplexError(GpforgeError):
     """Chain-complex or simplicial-complex invariants are violated."""
 

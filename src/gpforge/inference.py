@@ -192,7 +192,10 @@ class _Context:
         return FAMILY[self.nodes[i].kind]
 
     def of(self, *families: str) -> List[int]:
-        """Ascending positions of the nodes in these families."""
+        """Ascending positions of the nodes in these families (each family's
+        list is built ascending, so only several families need a merge)."""
+        if len(families) == 1:
+            return list(self.by_family[families[0]])
         return sorted(i for family in families for i in self.by_family[family])
 
     def payload(self, i: int) -> dict:

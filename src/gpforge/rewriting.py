@@ -10,7 +10,12 @@ toolkit comes from this module.
 * Free-group triviality.
 * Exhaustive search for finite symmetric-group quotients, producing
   re-checkable nontriviality certificates (`FiniteQuotient`, the one
-  certificate kind the toolkit issues).
+  certificate kind the toolkit issues).  It fills the permutations one
+  point at a time and scans the relators through the partial permutations
+  after each new image, like a coset-table scan in low-index subgroup
+  search (Sims, Computation with Finitely Presented Groups, Ch. 5), with
+  relator exponents reduced modulo lcm(1..degree) and a fixed budget of
+  image assignments per call (QUOTIENT_SEARCH_BUDGET).
 
 Only cyclic edge subgroups are supported: membership of a base word in
 <u> is decidable by exact power comparison, which is all the toolkit
@@ -23,12 +28,12 @@ them (amalgam facts are handled at the inference-rule level).
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from .errors import AlphabetMismatchError, ParseError, UnsupportedEdgeError
+from .errors import AlphabetMismatchError, ParseError, SearchBudgetError, UnsupportedEdgeError
 from .presentations import Presentation
 from .words import Alphabet, GeneratorSymbol, Word, cyclically_reduce, word
 
@@ -374,36 +379,114 @@ class TrivialityCertificate:
         return self.hom.evaluate(self.target) != ident
 
 
+QUOTIENT_SEARCH_BUDGET = 1_000_000
+"""Image assignments one finite_quotient_search call may try, over all its
+degrees, before it raises SearchBudgetError."""
+
+
+def _actions(rel: Word, index: Dict[GeneratorSymbol, int], period: int) -> List[Tuple[int, int]]:
+    """The letters of a relator as (generator index, sign), one per unit of
+    exponent, in the order they act: right to left, since
+    (p * q)(x) = p(q(x)).  Each exponent is first reduced modulo `period`
+    = lcm(1..degree), to the residue nearest zero, which no permutation of
+    that degree can tell from the exponent itself."""
+    acts: List[Tuple[int, int]] = []
+    for sym, exp in reversed(rel.letters):
+        r = exp % period
+        if 2 * r > period:
+            r -= period
+        acts.extend([(index[sym], 1 if r > 0 else -1)] * abs(r))
+    return acts
+
+
+def _closes(steps: Tuple[List[int], ...], backs: Tuple[List[int], ...], first: int, end: int, start: int) -> bool:
+    """Whether the trace of the letters steps[first:end] from `start` can
+    still close on the partial permutations.  It runs forward while images
+    are defined and back from the end while preimages are; it fails only
+    when it is complete and ends off `start`, or when the two runs meet at
+    different points."""
+    x = start
+    for i in range(first, end):
+        y = steps[i][x]
+        if y < 0:
+            break
+        x = y
+    else:
+        return x == start
+    y = start
+    for j in range(end - 1, i - 1, -1):
+        z = backs[j][y]
+        if z < 0:
+            return True
+        y = z
+    return x == y
+
+
 def _homomorphisms(p: Presentation, degree_max: int) -> Iterator[Homomorphism]:
     """Every homomorphism into S_degree, degree <= degree_max, in
     enumeration order (see finite_quotient_search)."""
-    gens = list(p.alphabet.symbols)
-    # Relator checkable at depth k once its symbols lie in gens[:k].
-    checkable_at: List[List[Word]] = [[] for _ in range(len(gens) + 1)]
-    for rel in p.relators:
-        syms = rel.symbols()
-        depth = 0
-        for k, g in enumerate(gens, start=1):
-            if g in syms:
-                depth = k
-        checkable_at[depth].append(rel)
-
+    gens = p.alphabet.symbols
+    index = {g: k for k, g in enumerate(gens)}
+    budget, nodes = QUOTIENT_SEARCH_BUDGET, 0
     for degree in range(1, degree_max + 1):
-        perms = list(itertools.permutations(range(degree)))
-        ident = _identity(degree)
-        images: Dict[GeneratorSymbol, Perm] = {}
-
-        def assign(k: int) -> Iterator[Homomorphism]:
-            if k == len(gens):
-                yield Homomorphism(degree, dict(images))
-                return
-            for perm in perms:
-                images[gens[k]] = perm
-                if all(evaluate_word(rel, images, degree) == ident for rel in checkable_at[k + 1]):
-                    yield from assign(k + 1)
-            images.pop(gens[k], None)
-
-        yield from assign(0)
+        image = [[-1] * degree for _ in gens]
+        preimage = [[-1] * degree for _ in gens]
+        arrays = {1: (image, preimage), -1: (preimage, image)}
+        # scans[k][sign]: the rotations of every relator that start with
+        # gens[k]^sign, as (steps, backs, first, end) over the relator's
+        # letters written twice; their traces start at the new point x, or
+        # at its image v.  A relator that is a proper power is scanned
+        # from each start in its root only.
+        scans = [{1: [], -1: []} for _ in gens]
+        period = math.lcm(*range(1, degree + 1))
+        for rel in p.relators:
+            acts = _actions(rel, index, period)
+            m = len(acts)
+            root = next((d for d in range(1, m + 1) if m % d == 0 and acts[d:] + acts[:d] == acts), 0)
+            steps = tuple(arrays[sign][0][k] for k, sign in acts) * 2
+            backs = tuple(arrays[sign][1][k] for k, sign in acts) * 2
+            for j in range(root):
+                k, sign = acts[j]
+                scans[k][sign].append((steps, backs, j, j + m))
+        perms: Dict[Perm, Perm] = {}  # one tuple per image, shared by all homomorphisms
+        slots = len(gens) * degree
+        slot, v = 0, 0
+        while slot >= 0:
+            if slot < slots:
+                k, x = divmod(slot, degree)
+                fwd, back = image[k], preimage[k]
+                for v in range(v, degree):
+                    if back[v] >= 0:
+                        continue
+                    nodes += 1
+                    if nodes > budget:
+                        raise SearchBudgetError(
+                            f"finite-quotient search passed its budget of {budget} "
+                            f"image assignments at degree {degree}"
+                        )
+                    fwd[x], back[v] = v, x
+                    if all(_closes(*scan, x) for scan in scans[k][1]) and all(
+                        _closes(*scan, v) for scan in scans[k][-1]
+                    ):
+                        break
+                    fwd[x] = back[v] = -1
+                else:
+                    v = degree
+                if v < degree:
+                    slot, v = slot + 1, 0
+                    continue
+            else:
+                images: Dict[GeneratorSymbol, Perm] = {}
+                for k, g in enumerate(gens):
+                    perm = tuple(image[k])
+                    images[g] = perms.setdefault(perm, perm)
+                yield Homomorphism(degree, images)
+            slot -= 1
+            if slot >= 0:
+                k, x = divmod(slot, degree)
+                v = image[k][x]
+                image[k][x] = preimage[k][v] = -1
+                v += 1
 
 
 def finite_quotient_search(
@@ -413,10 +496,25 @@ def finite_quotient_search(
 ):
     """Exhaustive search for homomorphisms into S_degree, degree <= degree_max.
 
-    Generator assignments are enumerated in a fixed order (generators in
-    alphabet order, permutations lexicographic, degrees ascending), pruned
-    on prefixes: a relator is checked as soon as all its symbols are
-    assigned, which never changes the surviving set.
+    Homomorphisms are enumerated in a fixed order: degrees ascending, then
+    the generators' permutations lexicographically, generators in alphabet
+    order.  The search defines images one point at a time in that order
+    (generator-major, point-minor, each unused image in ascending order),
+    so a partial assignment is a prefix of the concatenated image arrays,
+    whose lex order is the order above.  After each new image g(x) = v it
+    scans, as a coset-table scan does, every cyclic rotation of every
+    relator that starts with g (from x) or with g^-1 (from v), forward and
+    backward through the images defined so far, and cuts the branch when a
+    trace is defined all the way round and does not end where it started.
+    A cut drops only assignments no completion satisfies, and every full
+    trace is scanned when its last image is set, so the surviving set and
+    its order are those of a search over whole permutations.  Relator
+    exponents are reduced modulo lcm(1..degree) first: at degree 5,
+    `g^100000000000` is scanned as `g^-20`.
+
+    The search tries at most QUOTIENT_SEARCH_BUDGET image assignments over
+    all degrees of one call and then raises SearchBudgetError (exit 2 on
+    the command line).  `m(<g|g^2>)` at degree 5 tries about 79,000.
 
     Without `target`: the list of all satisfying Homomorphisms, in
     enumeration order.  With `target`: a FiniteQuotient certificate for the

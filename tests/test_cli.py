@@ -76,6 +76,21 @@ def test_certify_freely_trivial_target(tmp_path, monkeypatch, capsys):
     assert code == EXIT_OK and out == "not found within bound\n"
 
 
+def test_certify_past_the_search_budget_is_an_input_error(tmp_path, monkeypatch, capsys):
+    # [b, a] is trivial in Z^2 * Z, so the search runs until its budget is
+    # spent; a lowered budget keeps the test short.
+    monkeypatch.setattr("gpforge.rewriting.QUOTIENT_SEARCH_BUDGET", 20_000)
+    path = tmp_path / "z2c.grp"
+    path.write_text("gens a b c\nrel a b a^-1 b^-1\n", encoding="utf-8")
+    code, out, err = run_cli(
+        ["certify-nontrivial", str(path), "--word", "b a b^-1 a^-1", "--degree", "6"],
+        capsys=capsys,
+        monkeypatch=monkeypatch,
+    )
+    assert code == EXIT_INPUT and out == ""
+    assert err == "input error: finite-quotient search passed its budget of 20000 image assignments at degree 5\n"
+
+
 def test_certify_nontrivial(tmp_path, monkeypatch, capsys):
     path = tmp_path / "bs.grp"
     path.write_text(BS23, encoding="utf-8")

@@ -1,9 +1,12 @@
 import random
+import time
 from collections import deque
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gpforge.errors import AlphabetMismatchError, ParseError, UnsupportedEdgeError
+from gpforge.combinators import standard_mitosis
+from gpforge.errors import AlphabetMismatchError, ParseError, SearchBudgetError, UnsupportedEdgeError
 from gpforge.presentations import EMPTY_PRESENTATION, parse, presentation
 from gpforge.rewriting import (
     HnnRewriteSystem,
@@ -21,6 +24,7 @@ from gpforge.rewriting import (
     permutation_cycles,
 )
 from gpforge.words import Alphabet, GeneratorSymbol, Word, commutator, parse_word, word
+from tests_util import random_presentation, random_word, whole_permutation_homomorphisms
 
 A = GeneratorSymbol("a")
 T = GeneratorSymbol("t")
@@ -285,6 +289,66 @@ def test_freely_trivial_target_has_no_certificate():
 def test_finite_quotient_degree_cap():
     with pytest.raises(ValueError):
         finite_quotient_search(presentation(["g"]), 7)
+
+
+def _assert_search_matches_oracle(p, degree, target):
+    oracle = list(whole_permutation_homomorphisms(p, degree))
+    homs = finite_quotient_search(p, degree)
+    assert [(h.degree, h.images) for h in homs] == [(h.degree, h.images) for h in oracle]
+    assert [list(h.images) for h in homs] == [list(p.alphabet.symbols)] * len(homs)
+    first = next((h for h in oracle if h.evaluate(target) != tuple(range(h.degree))), None)
+    cert = finite_quotient_search(p, degree, target=target)
+    if first is None:
+        assert cert is None
+    else:
+        assert (cert.hom.degree, cert.hom.images) == (first.degree, first.images)
+        assert cert.revalidate()
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(st.integers(0, 2**32))
+def test_quotient_search_matches_whole_permutation_oracle(seed):
+    rng = random.Random(seed)
+    p = random_presentation(rng, max_gens=3)
+    _assert_search_matches_oracle(p, 4, random_word(rng, p.alphabet, max_len=6))
+
+
+@pytest.mark.parametrize(
+    "p, target",
+    [
+        (EMPTY_PRESENTATION, "1"),
+        # b occurs in no relator.
+        (presentation(["a", "b", "c"], ["a^2 c^-1 a c"]), "b a b^-1 a^-1"),
+        # Exponents far past and at multiples of lcm(1..degree) <= 60.
+        (presentation(["g", "h"], ["g^100000000000 h^-100000000000", "g^60 h g^-120 h^-1"]), "g h"),
+        (presentation(["g", "h"], ["g h^-7 g^-1 h^-1", "h^-100000000001"]), "h"),
+        # The relators use only the later generators.
+        (presentation(["a", "b", "c"], ["c^3", "b c b^-1 c"]), "a c"),
+        # Scanned left to right, these relators give other homomorphisms.
+        (presentation(["a", "b", "c"], ["a b^2 c"]), "a"),
+        (standard_mitosis(presentation(["g"], ["g^2"])).realized, "s d"),
+    ],
+)
+def test_quotient_search_matches_oracle_on_fixed_cases(p, target):
+    _assert_search_matches_oracle(p, 4, parse_word(target, p.alphabet))
+
+
+def test_quotient_search_is_fast_on_mitosis():
+    # The whole-permutation search takes several seconds here.
+    p = standard_mitosis(presentation(["g"], ["g^2"])).realized
+    started = time.perf_counter()
+    homs = finite_quotient_search(p, 5)
+    assert time.perf_counter() - started < 1.5
+    assert len(homs) == 17321
+
+
+def test_quotient_search_budget(monkeypatch):
+    p = parse("gens a b c\nrel a b a^-1 b^-1")
+    target = parse_word("b a b^-1 a^-1", p.alphabet)
+    monkeypatch.setattr("gpforge.rewriting.QUOTIENT_SEARCH_BUDGET", 1_000)
+    assert finite_quotient_search(p, 3, target=target) is None
+    with pytest.raises(SearchBudgetError, match="budget of 1000 image assignments at degree 4"):
+        finite_quotient_search(p, 4, target=target)
 
 
 def test_quotient_separation_is_consistent_with_britton():

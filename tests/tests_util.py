@@ -1,8 +1,8 @@
 """Shared helpers for the test suite."""
 
-from itertools import combinations
+from itertools import combinations, permutations
 from math import gcd
-from typing import List, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from gpforge.homology import IntegerMatrix
 from gpforge.meier import (
@@ -16,7 +16,7 @@ from gpforge.meier import (
     phi_apply,
 )
 from gpforge.presentations import Presentation
-from gpforge.rewriting import bs_equal, bs_reduce, bs_system
+from gpforge.rewriting import Homomorphism, bs_equal, bs_reduce, bs_system, evaluate_word
 from gpforge.words import Alphabet, GeneratorSymbol, Word, substitute
 
 
@@ -123,3 +123,36 @@ def linear_scan_probe(max_len: int, budget: int) -> List[Tuple[Word, str]]:
                 break
         results.append((x, status))
     return results
+
+
+def whole_permutation_homomorphisms(p: Presentation, degree_max: int) -> Iterator[Homomorphism]:
+    """Oracle for rewriting.finite_quotient_search: each generator is given
+    a whole permutation, in lexicographic order, and a relator is checked
+    once every symbol in it has an image."""
+    gens = list(p.alphabet.symbols)
+    # Relator checkable at depth k once its symbols lie in gens[:k].
+    checkable_at: List[List[Word]] = [[] for _ in range(len(gens) + 1)]
+    for rel in p.relators:
+        syms = rel.symbols()
+        depth = 0
+        for k, g in enumerate(gens, start=1):
+            if g in syms:
+                depth = k
+        checkable_at[depth].append(rel)
+
+    for degree in range(1, degree_max + 1):
+        perms = list(permutations(range(degree)))
+        ident = tuple(range(degree))
+        images: Dict[GeneratorSymbol, Tuple[int, ...]] = {}
+
+        def assign(k: int) -> Iterator[Homomorphism]:
+            if k == len(gens):
+                yield Homomorphism(degree, dict(images))
+                return
+            for perm in perms:
+                images[gens[k]] = perm
+                if all(evaluate_word(rel, images, degree) == ident for rel in checkable_at[k + 1]):
+                    yield from assign(k + 1)
+            images.pop(gens[k], None)
+
+        yield from assign(0)

@@ -42,13 +42,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            return sys.stdin.read()
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror}")
+    except UnicodeDecodeError:
+        raise ParseError(f"cannot read {path}: not UTF-8 text")
 
 
 def _write_text(path: Optional[str], text: str) -> None:
@@ -191,7 +193,10 @@ def _corpus_emit(label: str, body: str) -> None:
 
 
 def _cmd_corpus(args) -> int:
-    seed = int(os.environ.get("GPFORGE_SEED", args.seed))
+    try:
+        seed = int(os.environ.get("GPFORGE_SEED", args.seed))
+    except ValueError:
+        raise UsageError(f"GPFORGE_SEED must be an integer, got {os.environ['GPFORGE_SEED']!r}")
     rng = random.Random(seed)
     family = args.family
     if family == "mu":
@@ -232,8 +237,6 @@ def _cmd_corpus(args) -> int:
         hyp = red.hyperbolic_manifold_atom(3)
         product = cb.direct_product(thompson, hyp)
         _corpus_emit("thompson-times-hyperbolic expression", serialize_expr(product))
-    else:  # pragma: no cover
-        raise UsageError(f"unknown family {family!r}")
     return EXIT_OK
 
 
@@ -309,10 +312,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (InternalError, InvalidComplexError) as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except GpforgeError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
+    except (GpforgeError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -175,22 +175,12 @@ ExprLike = Union[GroupExpr, Presentation]
 def atom(p: Presentation, facts: Iterable = (), name: Optional[str] = None) -> GroupExpr:
     """Leaf node: a presentation plus externally asserted base facts.
 
-    Facts are (predicate, arg) pairs or bare predicate names; they are the
-    only place deep external theorems enter the inference engine.
+    Facts are (predicate, arg) pairs, arg None for a predicate without
+    one; they are the only place deep external theorems enter the
+    inference engine.
     """
-    normalized = []
-    for f in facts:
-        if isinstance(f, str):
-            normalized.append((f, None))
-        else:
-            pred, arg = f
-            normalized.append((pred, arg))
-    return GroupExpr(
-        ATOM,
-        (),
-        {"facts": tuple(normalized), "name": name or p.name},
-        p,
-    )
+    facts = tuple((pred, arg) for pred, arg in facts)
+    return GroupExpr(ATOM, (), {"facts": facts, "name": name or p.name}, p)
 
 
 def _as_expr(x: ExprLike) -> GroupExpr:
@@ -485,12 +475,12 @@ def bac_hnn(p: ExprLike, embed: PresentationMorphism) -> GroupExpr:
     )
 
 
-def canonical_rename(p: Presentation, prefix: str = "g") -> Presentation:
-    """Rename generators to prefix1, prefix2, ... preserving order."""
+def canonical_rename(p: Presentation) -> Presentation:
+    """Rename generators to g1, g2, ... preserving order."""
     mapping: Dict[GeneratorSymbol, Word] = {}
     new_syms = []
     for i, sym in enumerate(p.alphabet, start=1):
-        new_sym = GeneratorSymbol(f"{prefix}{i}")
+        new_sym = GeneratorSymbol(f"g{i}")
         new_syms.append(new_sym)
         mapping[sym] = Word(((new_sym, 1),))
     return Presentation(
@@ -498,11 +488,11 @@ def canonical_rename(p: Presentation, prefix: str = "g") -> Presentation:
     )
 
 
-def canonical_form(p: Presentation, prefix: str = "g") -> Presentation:
+def canonical_form(p: Presentation) -> Presentation:
     """Canonical renaming plus a deterministic relator order, for comparing
     presentations that agree up to bookkeeping (e.g. associativity of the
     product combinators)."""
-    renamed = canonical_rename(p, prefix)
+    renamed = canonical_rename(p)
 
     def key(rel: Word):
         return tuple((renamed.alphabet.index(s), e) for s, e in rel.letters)

@@ -53,9 +53,5 @@ class ConstructionIntegrityError(GpforgeError):
     """A build-time verification that should be impossible to fail, failed."""
 
 
-class ConfigurationError(GpforgeError):
-    """A component was used without required configuration (e.g. no oracle)."""
-
-
 class InternalError(GpforgeError):
     """An internal invariant was violated; indicates a bug, not bad input."""

@@ -7,9 +7,10 @@ every rule works on predicates attached to construction-tree nodes.
 
 Facts attach to node occurrences by pre-order position: a subtree object
 that occurs twice in the tree has two positions.  Externally asserted
-facts are accepted on Atom nodes only; everything else is either
-structural (read off node kinds and construction-certified payload tags)
-or derived by the catalogued rules R1..R21 (R7 intentionally unused).
+facts live in Atom payloads only (`combinators.atom(facts=...)`);
+everything else is either structural (read off node kinds and
+construction-certified payload tags) or derived by the catalogued rules
+R1..R21 (R7 intentionally unused).
 Rules read facts through one index, `_Facts`, always in derivation order,
 so the certificate kept for a fact does not depend on how facts are stored.
 Negative facts are never derived: absence means "not derivable", never
@@ -200,11 +201,6 @@ class _Context:
 
     def payload(self, i: int) -> dict:
         return self.nodes[i].payload
-
-    def label(self, i: int) -> str:
-        node = self.nodes[i]
-        name = node.payload.get("name") if node.kind == ATOM else None
-        return f"n{i}:{node.kind}" + (f"[{name}]" if name else "")
 
     def embedding_children(self, i: int) -> List[int]:
         """Children known to embed into node i (factor/base inclusions)."""
@@ -534,9 +530,8 @@ def _structural_facts(ctx: _Context):
 class Derivation:
     """The least fixpoint of the rule set over one expression tree."""
 
-    def __init__(self, expr: GroupExpr, asserted: Sequence[Fact], max_degree: int):
+    def __init__(self, expr: GroupExpr, max_degree: int):
         self.expr = expr
-        self.asserted = tuple(asserted)
         self.max_degree = max_degree
         self.ctx = _Context(expr, max_degree)
         self.certificates: Dict[Fact, Certificate] = {}
@@ -549,12 +544,6 @@ class Derivation:
             for pred, arg in self.ctx.payload(i).get("facts", ()):
                 fact = Fact(i, pred, arg)
                 facts.add(fact, Certificate(fact, "A0", A0_CITATION))
-        for fact in self.asserted:
-            if self.ctx.family(fact.node) != ATOM:
-                raise AssertionError_(
-                    f"asserted facts attach to Atom nodes only, got {self.ctx.label(fact.node)}"
-                )
-            facts.add(fact, Certificate(fact, "A0", A0_CITATION))
         for rule_id, fact in _structural_facts(self.ctx):
             facts.add(fact, Certificate(fact, rule_id, _STRUCTURAL_CITATIONS[rule_id]))
 
@@ -588,7 +577,7 @@ class Derivation:
         return Fact(self.node_id(node), predicate, arg) in self.certificates
 
 
-def derive(expr: GroupExpr, asserted: Sequence[Fact] = (), max_degree: int = MAX_DEGREE) -> Derivation:
+def derive(expr: GroupExpr, max_degree: int = MAX_DEGREE) -> Derivation:
     """Run the engine to its least fixpoint.
 
     Degree-parameterised rules (R12, R16, R17 and the product rule R13)
@@ -597,7 +586,7 @@ def derive(expr: GroupExpr, asserted: Sequence[Fact] = (), max_degree: int = MAX
     """
     if max_degree > MAX_QUERY_DEGREE:
         raise ValueError(f"degree must be <= {MAX_QUERY_DEGREE}, got {max_degree}")
-    return Derivation(expr, asserted, max_degree)
+    return Derivation(expr, max_degree)
 
 
 def query(
@@ -612,7 +601,7 @@ def query(
     order and the first derivation of a fact is kept.
     """
     if degree is not None and degree > derivation.max_degree:
-        derivation = derive(derivation.expr, derivation.asserted, max_degree=degree)
+        derivation = derive(derivation.expr, max_degree=degree)
     node_id = derivation.node_id(node)
     if node_id >= len(derivation.ctx.nodes):
         raise AssertionError_(f"unknown node id {node_id}")

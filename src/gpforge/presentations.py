@@ -137,10 +137,14 @@ def _isolated_symbol(rel: Word, sym: GeneratorSymbol) -> Optional[Word]:
     return ~tail
 
 
-def tietze_simplify(p: Presentation, budget: int = 10_000) -> Presentation:
+TIETZE_BUDGET = 10_000
+"""Moves one tietze_simplify call may make before it stops."""
+
+
+def tietze_simplify(p: Presentation) -> Presentation:
     """Greedy deterministic Tietze simplification.
 
-    Moves, each costing one budget step:
+    Moves, each costing one step of TIETZE_BUDGET:
       * deletion of a relator that freely/cyclically reduces to 1,
       * elimination of a generator isolated by some relator (single
         occurrence with exponent +-1), substituting its solved value
@@ -150,14 +154,12 @@ def tietze_simplify(p: Presentation, budget: int = 10_000) -> Presentation:
     normalisation throughout.  Generators are scanned in reverse alphabet
     order, so eliminations keep the earliest-declared generators alive;
     within one generator, relators are scanned in stored order.  Stops at
-    a fixpoint or after `budget` moves, whichever comes first.
+    a fixpoint or after TIETZE_BUDGET moves, whichever comes first.
     """
-    if budget < 0:
-        raise ValueError("budget must be >= 0")
     symbols = list(p.alphabet.symbols)
     relators = [cyclically_reduce(r)[0] for r in p.relators]
     steps = 0
-    while steps < budget:
+    while steps < TIETZE_BUDGET:
         idx = next((i for i, r in enumerate(relators) if not r), None)
         if idx is not None:
             del relators[idx]

@@ -18,7 +18,7 @@ does not decide.  The published contract is satisfied branch by branch:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from .combinators import (
     DELTA_W,
@@ -33,7 +33,7 @@ from .combinators import (
     direct_product,
     free_product,
 )
-from .errors import ConfigurationError, InvalidInputError, ParseError
+from .errors import InvalidInputError, ParseError
 from .presentations import EMPTY_PRESENTATION, Presentation, presentation, serialize
 from .rewriting import HnnRewriteSystem, britton_normal_form, bs_system, free_triviality, parse_bs
 from .words import Word, word
@@ -80,8 +80,9 @@ def parse_oracle(spec: str, p: Presentation, asserted_facts: Tuple = ()) -> Word
     raise ParseError(f"unknown oracle {spec!r}")
 
 
-def free_source(gens: Sequence[str] = ("a", "b"), facts: Tuple = (("TorsionFree", None),)) -> WordProblemSource:
-    return WordProblemSource(presentation(gens, (), name="free-source"), None, facts)
+def free_source() -> WordProblemSource:
+    p = presentation(["a", "b"], (), name="free-source")
+    return WordProblemSource(p, None, (("TorsionFree", None),))
 
 
 def bs_source(m: int = 2, n: int = 3) -> WordProblemSource:
@@ -195,15 +196,6 @@ def _push_out(gamma: GroupExpr, lw: WitnessOutput) -> WitnessOutput:
     return WitnessOutput(expr.realized, expr, wbar=first_wbar)
 
 
-def _require_fact(node: GroupExpr, predicate: str, arg) -> None:
-    for pred, a in node.payload.get("facts", ()):
-        if pred == predicate and a == arg:
-            return
-    raise ConfigurationError(
-        f"expected atom asserting {predicate}({arg}); assert it explicitly on the input"
-    )
-
-
 def genus2_presentation() -> Presentation:
     return presentation(
         ["a", "b", "c", "d"],
@@ -230,28 +222,25 @@ def hyperbolic_manifold_atom(n: int) -> GroupExpr:
     return atom(p, facts=facts, name=f"hyp{n}-manifold-stand-in")
 
 
-def f2_atom(gens: Tuple[str, str] = ("x_1", "x_2")) -> GroupExpr:
+def f2_atom() -> GroupExpr:
     return atom(
-        presentation(list(gens), (), name="F2"),
+        presentation(["x_1", "x_2"], (), name="F2"),
         facts=(("TorsionFree", None), ("AcylHyp", None)),
         name="F2",
     )
 
 
-def pi_w(src: WordProblemSource, w: Word, d: int, hyp_group: Optional[GroupExpr] = None) -> WitnessOutput:
+def pi_w(src: WordProblemSource, w: Word, d: int) -> WitnessOutput:
     """Product of two push-out witnesses whose l1-Betti numbers multiply
     into degree d: one over F2 (degree 2), one over a hyperbolic
     (d-2)-manifold group (degree d-2)."""
     if d < 4:
         raise ValueError("pi_w needs degree d >= 4")
-    if hyp_group is None:
-        hyp_group = hyperbolic_manifold_atom(d - 2)
-    _require_fact(hyp_group, "HypManifoldGroup", d - 2)
     lw = lambda_w(src, w)
     if lw.trivial_branch:
         return WitnessOutput(EMPTY_PRESENTATION, _trivial_atom("pi-w-collapsed"))
     w1 = _push_out(f2_atom(), lw)
-    w2 = _push_out(hyp_group, lw)
+    w2 = _push_out(hyperbolic_manifold_atom(d - 2), lw)
     expr = direct_product(w1.expr, w2.expr, _kind=PI_W, _extra_payload={"dim": d})
     return WitnessOutput(expr.realized, expr, wbar=w1.wbar)
 

@@ -522,8 +522,8 @@ def finite_quotient_search(
     permutation, or None if none exists within the bound.  A freely
     trivial target is None at once: every homomorphism fixes it.
     """
-    if degree_max > 6:
-        raise ValueError("degree_max must be <= 6")
+    if not 1 <= degree_max <= 6:
+        raise ValueError(f"degree_max must be in 1..6, got {degree_max}")
     homs = _homomorphisms(p, degree_max)
     if target is None:
         return list(homs)

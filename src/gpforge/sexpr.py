@@ -13,7 +13,9 @@ Construction forms:
     (witness-w E E "w")       (pi-w E "w" :dim d)    (delta-w E "w" :dim d)
 
 `combinators.FORMS` holds each form's argument schema; a missing,
-surplus, unknown or mistyped argument is a ParseError.  Witness forms take
+surplus, unknown or mistyped argument is a ParseError.  Reader and writer
+are iterative, so nesting depth is bounded by memory, not by the Python
+stack.  Witness forms take
 the word-problem source as an atom E and accept an optional
 `:oracle "free"` or `:oracle "bs:2,3"` (default free); the atom's
 presentation must be the oracle's group (`reductions.WordProblemSource`).
@@ -34,6 +36,7 @@ re-derive identically.  Words are quoted in the word text syntax.
 from __future__ import annotations
 
 import os
+import reprlib
 from typing import Callable, List, Optional, Tuple
 
 from . import combinators as cb
@@ -91,25 +94,6 @@ def _tokenize(text: str) -> List[object]:
     return tokens
 
 
-def _read(tokens: List[object], pos: int) -> Tuple[object, int]:
-    if pos >= len(tokens):
-        raise ParseError("unexpected end of expression file")
-    tok = tokens[pos]
-    if isinstance(tok, Symbol) and tok == "(":
-        items = []
-        pos += 1
-        while True:
-            if pos >= len(tokens):
-                raise ParseError("missing closing parenthesis")
-            if isinstance(tokens[pos], Symbol) and tokens[pos] == ")":
-                return items, pos + 1
-            item, pos = _read(tokens, pos)
-            items.append(item)
-    if isinstance(tok, Symbol) and tok == ")":
-        raise ParseError("unbalanced closing parenthesis")
-    return tok, pos + 1
-
-
 def _is_keyword(item) -> bool:
     return isinstance(item, Symbol) and item.startswith(":")
 
@@ -127,9 +111,24 @@ def _split_args(items: List[object]):
     return positional, keywords
 
 
+def _show(raw) -> str:
+    """A read item for an error message; a data list however deep shows
+    only its first levels."""
+    return reprlib.repr(raw) if isinstance(raw, list) else repr(raw)
+
+
 def _expect(ok: bool, what: str, raw) -> None:
     if not ok:
-        raise ParseError(f"expected {what}, got {raw!r}")
+        raise ParseError(f"expected {what}, got {_show(raw)}")
+
+
+def _expr(raw) -> cb.GroupExpr:
+    """A form that parse_expr has built; a list it left as data names no
+    construction."""
+    if isinstance(raw, list) and raw and isinstance(raw[0], Symbol):
+        raise ParseError(f"unknown construction form {str(raw[0])!r}")
+    _expect(isinstance(raw, cb.GroupExpr), "a construction form", raw)
+    return raw
 
 
 def _string(raw) -> str:
@@ -160,7 +159,7 @@ class _FormReader:
         self.values = {}  # keyed arguments read so far
 
     def expr(self, raw) -> cb.GroupExpr:
-        self.exprs.append(build_expr(raw, loader=self.loader))
+        self.exprs.append(_expr(raw))
         return self.exprs[-1]
 
     def source(self, raw) -> red.WordProblemSource:
@@ -213,18 +212,13 @@ _READ = {
 _MODULES = {"combinators": cb, "meier": meier_mod, "reductions": red}
 
 
-def build_expr(form, *, loader: Optional[Callable[[str], Presentation]] = None) -> cb.GroupExpr:
-    """Evaluate one parsed form to a GroupExpr.
+def _build(head: str, items: List[object], loader: Callable[[str], Presentation]) -> cb.GroupExpr:
+    """Evaluate one form, its sub-forms already built, to a GroupExpr.
 
     `loader` resolves `:file` references in atom forms.
     """
-    if not isinstance(form, list) or not form or not isinstance(form[0], Symbol):
-        raise ParseError(f"expected a construction form, got {form!r}")
-    head = str(form[0])
-    spec = cb.FORMS.get(head)
-    if spec is None:
-        raise ParseError(f"unknown construction form {head!r}")
-    reader = _FormReader(head, form[1:], loader)
+    spec = cb.FORMS[head]
+    reader = _FormReader(head, items, loader)
     args, values = [], reader.values
     for arg in spec.args:
         if arg.keyword is None:
@@ -253,7 +247,7 @@ def build_expr(form, *, loader: Optional[Callable[[str], Presentation]] = None) 
             values[tag.key] = True
     if reader.positional or reader.keywords:
         surplus = reader.positional + [f":{k}" for k in reader.keywords]
-        raise ParseError(f"{head} got a surplus argument {surplus[0]!r}")
+        raise ParseError(f"{head} got a surplus argument {_show(surplus[0])}")
     kwargs = {k: v for k, v in values.items() if k not in spec.extra}
     extra = {k: v for k, v in values.items() if k in spec.extra}
     if extra:
@@ -267,17 +261,46 @@ def build_expr(form, *, loader: Optional[Callable[[str], Presentation]] = None) 
 
 
 def parse_expr(text: str, *, base_dir: Optional[str] = None) -> cb.GroupExpr:
-    tokens = _tokenize(text)
-    form, pos = _read(tokens, 0)
-    if pos != len(tokens):
-        raise ParseError("trailing tokens after the construction form")
+    """Read one construction form.  Iterative, so nesting depth is bounded
+    by memory only: one loop over the tokens keeps a stack of open lists,
+    and each list is finished when its `)` is read.  A list whose head is
+    a `cb.FORMS` key is built into a GroupExpr then, its sub-forms already
+    built; any other list stays data (`:pairs`, `:facts`)."""
 
     def loader(path: str) -> Presentation:
         full = path if base_dir is None else os.path.join(base_dir, path)
-        with open(full, "r", encoding="utf-8") as fh:
-            return parse_presentation(fh.read(), name=os.path.basename(path))
+        try:
+            with open(full, "r", encoding="utf-8") as fh:
+                body = fh.read()
+        except OSError as exc:
+            raise ParseError(f"cannot read {path}: {exc.strerror}")
+        except UnicodeDecodeError:
+            raise ParseError(f"cannot read {path}: not UTF-8 text")
+        return parse_presentation(body, name=os.path.basename(path))
 
-    return build_expr(form, loader=loader)
+    stack: List[List[object]] = [[]]
+    for tok in _tokenize(text):
+        if isinstance(tok, Symbol) and tok == "(":
+            stack.append([])
+        elif isinstance(tok, Symbol) and tok == ")":
+            if len(stack) == 1:
+                raise ParseError("unbalanced closing parenthesis")
+            items = stack.pop()
+            head = items[0] if items else None
+            if isinstance(head, Symbol) and head in cb.FORMS:
+                stack[-1].append(_build(str(head), items[1:], loader))
+            else:
+                stack[-1].append(items)
+        else:
+            stack[-1].append(tok)
+    if len(stack) > 1:
+        raise ParseError("missing closing parenthesis")
+    forms = stack[0]
+    if not forms:
+        raise ParseError("unexpected end of expression file")
+    if len(forms) > 1:
+        raise ParseError("trailing tokens after the construction form")
+    return _expr(forms[0])
 
 
 def _quote(s: str) -> str:

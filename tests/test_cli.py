@@ -196,6 +196,11 @@ def test_reduce_writes_a_witness_w_tree_deeper_than_the_stack(tmp_path, monkeypa
     code, _, _ = run_cli(argv, capsys=capsys, monkeypatch=monkeypatch)
     assert code == EXIT_OK
     assert out_e.read_text(encoding="utf-8").count(":kind witness-w") == 600
+    # ... and read back: the reader does not recurse either.
+    code, out, _ = run_cli(["infer", str(out_e), "--query", "large-hb 2"], capsys=capsys, monkeypatch=monkeypatch)
+    assert code == EXIT_OK and out == "NOT DERIVABLE\n"
+    code, out, _ = run_cli(["build", str(out_e)], capsys=capsys, monkeypatch=monkeypatch)
+    assert code == EXIT_OK and out == (tmp_path / "out.grp").read_text(encoding="utf-8")
 
 
 def test_meier_probe_lines(monkeypatch, capsys):
@@ -253,6 +258,8 @@ def test_usage_error_exit_code(tmp_path, monkeypatch, capsys):
         reduce + ["delta", "--dim", "0"],
         reduce + ["delta", "--dim", "100000"],
         ["certify-nontrivial", str(bs), "--word", "a", "--degree", "7"],
+        ["certify-nontrivial", str(bs), "--word", "a", "--degree", "0"],
+        ["certify-nontrivial", str(bs), "--word", "a", "--degree", "-1"],
         ["meier-probe", "--max-len", "0", "--budget", "10"],
         ["meier-probe", "--max-len", "3", "--budget", "0"],
     ]
@@ -262,6 +269,10 @@ def test_usage_error_exit_code(tmp_path, monkeypatch, capsys):
     for argv in bad:
         code, out, err = run_cli(argv, capsys=capsys, monkeypatch=monkeypatch)
         assert code == EXIT_USAGE and out == "" and err.startswith("usage error:"), argv
+    # The seed's environment override is checked like a flag.
+    monkeypatch.setenv("GPFORGE_SEED", "x")
+    code, out, err = run_cli(["corpus", "--family", "witness"], capsys=capsys, monkeypatch=monkeypatch)
+    assert code == EXIT_USAGE and out == "" and err.startswith("usage error: GPFORGE_SEED")
 
 
 @pytest.fixture(scope="module")
@@ -300,6 +311,13 @@ def test_input_error_exit_code(tmp_path, monkeypatch, capsys):
     bad.write_text("gens a\nrel b\n", encoding="utf-8")
     code, _, err = run_cli(["abelianize", str(bad)], capsys=capsys, monkeypatch=monkeypatch)
     assert code == EXIT_INPUT and "line 2" in err
+    # Unreadable files, named directly or by an atom's :file.
+    (tmp_path / "latin1.grp").write_bytes(b"gens \xe9\n")
+    for name, text in (("missing.gx", '(atom "x" :file "missing.grp")'), ("latin1.gx", '(atom "x" :file "latin1.grp")')):
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    for argv in (["abelianize", str(tmp_path / "latin1.grp")], ["build", str(tmp_path / "missing.gx")], ["build", str(tmp_path / "latin1.gx")]):
+        code, out, err = run_cli(argv, capsys=capsys, monkeypatch=monkeypatch)
+        assert code == EXIT_INPUT and out == "" and err.startswith("input error: cannot read"), argv
     gx = tmp_path / "bad.gx"
     for facts in ("((amenable 3))", "(fin-gen)", "((large-hb -2))"):
         gx.write_text(f'(atom "x" :pres "gens a" :facts {facts})\n', encoding="utf-8")

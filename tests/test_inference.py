@@ -28,7 +28,7 @@ from gpforge.inference import (
 )
 from gpforge.meier import meier_gamma_expr
 from gpforge.presentations import PresentationMorphism, presentation
-from gpforge.reductions import free_source, gamma_w, hyperbolic_manifold_atom, pi_w, witness_w
+from gpforge.reductions import WordProblemSource, free_source, gamma_w, hyperbolic_manifold_atom, pi_w, witness_w
 from gpforge.sexpr import parse_expr, serialize_expr
 from gpforge.words import parse_word, word
 
@@ -195,21 +195,12 @@ def test_query_absent_is_none():
     assert query(d, trivial, "LargeHb", 2) is None
 
 
-def test_asserted_facts_only_on_atoms():
-    expr = direct_product(presentation(["a"]), presentation(["b"]))
-    with pytest.raises(AssertionError_):
-        derive(expr, asserted=(Fact(0, "Amenable"),))
-    # Atom children are fine.
-    d = derive(expr, asserted=(Fact(1, "Amenable"), Fact(2, "Amenable")))
-    assert d.has(expr, "BoundedlyAcyclic")
-
-
 def test_monotonicity_of_assertions():
-    base = atom(presentation(["x", "y"]))
-    expr = mu_stage(base, 2)
+    expr = mu_stage(atom(presentation(["x", "y"])), 2)
+    asserted = mu_stage(atom(presentation(["x", "y"]), facts=(("TorsionFree", None),)), 2)
     d_before = derive(expr)
-    d_after = derive(expr, asserted=(Fact(1, "TorsionFree"),))
-    assert d_before.facts <= d_after.facts
+    d_after = derive(asserted)
+    assert d_before.facts < d_after.facts
 
 
 def test_contradiction_detection():
@@ -317,7 +308,7 @@ def test_unknown_predicate_rejected():
 def test_shared_subtrees_certify_the_tree_as_written(build):
     # Both constructions reuse one Lambda_w node object for every push-out
     # copy; each copy is its own position, as in the written tree.
-    src = free_source(("a", "b"), facts=(("ContainsF2", None),))
+    src = WordProblemSource(presentation(["a", "b"], name="free-source"), None, (("ContainsF2", None),))
     w = parse_word("a")
     if build == "witness_w":
         out = witness_w(atom(presentation(["x", "y"])), src, w)

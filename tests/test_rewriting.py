@@ -287,8 +287,9 @@ def test_freely_trivial_target_has_no_certificate():
 
 
 def test_finite_quotient_degree_cap():
-    with pytest.raises(ValueError):
-        finite_quotient_search(presentation(["g"]), 7)
+    for degree in (7, 0, -1):
+        with pytest.raises(ValueError):
+            finite_quotient_search(presentation(["g"]), degree)
 
 
 def _assert_search_matches_oracle(p, degree, target):

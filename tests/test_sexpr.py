@@ -1,9 +1,11 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gpforge.cli import main
 from gpforge.combinators import (
     FAMILY,
     FORMS,
+    GroupExpr,
     amalgamated_product,
     atom,
     direct_product,
@@ -12,7 +14,7 @@ from gpforge.combinators import (
     mu_stage,
     standard_mitosis,
 )
-from gpforge.errors import InvalidInputError, ParseError
+from gpforge.errors import GpforgeError, InvalidInputError, ParseError
 from gpforge.homology import AbelianGroup, abelianization
 from gpforge.inference import PREDICATES, derive
 from gpforge.meier import meier_gamma_expr, meier_t_expr
@@ -34,6 +36,8 @@ def test_atom_file_reference(tmp_path):
     path.write_text("gens a\nrel a^3\n", encoding="utf-8")
     expr = parse_expr(f'(atom "C3" :file "p.grp")', base_dir=str(tmp_path))
     assert abelianization(expr.realized) == AbelianGroup(0, (3,))
+    with pytest.raises(ParseError):
+        parse_expr('(atom "C3" :file "missing.grp")', base_dir=str(tmp_path))
 
 
 def test_structural_forms():
@@ -138,6 +142,8 @@ def test_parse_errors():
         f"(mitosis {src} {src})",
         f"(mu {src} :k 2 :kind mu)",
         f"(free-product {src} {src} :nonelementary 3)",
+        # A data list deeper than the stack, where a string belongs.
+        '(atom "x" :pres ' + "(" * 5000 + ")" * 5000 + ")",
     ]
     for text in bad:
         with pytest.raises(ParseError):
@@ -267,3 +273,77 @@ def test_ascending_restored_by_the_constructor():
     assert expr.payload["ascending"] is True and expr.payload["pending"] is False
     assert derive(expr).has(expr, "AscendingHnn")
     assert serialize_expr(expr) == text
+
+
+def test_round_trip_deeper_than_the_stack():
+    # 600 nested forms: the reader builds each one when its `)` is read.
+    text = '(atom "G" :pres "gens g")'
+    for _ in range(600):
+        text = f'(free-product {text} (atom "Z" :pres "gens z"))'
+    assert serialize_expr(parse_expr(text)) == text
+
+
+# Values per argument type, each one token of the fuzz vocabulary (an
+# inline atom counts as one).  Integers stay small: unbounded :k and :dim
+# are out of scope here.
+_GX_WORDS = ['""', '"a"', '"b"', '"t"', '"a b"', '"a^-1"', '"a^2"', "1"]
+_GX_ATOMS = ['(atom "L" :pres "gens a b")', '(atom "F" :pres "gens a" :facts (amenable))']
+_GX_VALUES = {
+    "expr": _GX_ATOMS + ["(meier-T)"],
+    "source": _GX_ATOMS,
+    "word": _GX_WORDS,
+    "name": _GX_WORDS,
+    "letter": _GX_WORDS,
+    "file": _GX_WORDS,
+    "pres": ['"gens a b"', '"gens a\\nrel a^2"', '"a"', '""'],
+    "facts": ["(amenable)", "((fin-gen 2))", "((amenable 3))", "()"],
+    "pairs": ['(("a" "a"))', '(("a" "b^2"))', '(("" "a"))', "()"],
+    "kind": sorted(FAMILY),
+    "int": ["0", "1", "2", "3"],
+}
+_GX_ORACLES = ['"free"', '"bs:2,3"', '"bs:2"']
+_GX_TOKENS = st.sampled_from(
+    ["(", ")", ":oracle"]
+    + sorted(FORMS)
+    + sorted({f":{arg.keyword}" for form in FORMS.values() for arg in form.args if arg.keyword})
+    + sorted({f":{tag.flag}" for form in FORMS.values() for tag in form.tags if tag.flag})
+    + sorted({value for values in _GX_VALUES.values() for value in values} | set(_GX_ORACLES))
+)
+
+
+@st.composite
+def _gx_texts(draw):
+    """One form, its head's own arguments drawn from the vocabulary (each
+    keyword argument and flag present or not), then up to two tokens
+    inserted or deleted inside it: about 12 tokens at most.  Brackets and
+    heads come mostly from insertions, so most texts reach a form's
+    schema and many its constructor."""
+    head = draw(st.sampled_from(sorted(FORMS)))
+    tokens = ["(", head]
+    for arg in FORMS[head].args:
+        if arg.keyword is not None:
+            if not draw(st.booleans()):
+                continue
+            tokens.append(f":{arg.keyword}")
+        tokens.append(draw(st.sampled_from(_GX_VALUES[arg.type])))
+        if arg.type == "source" and draw(st.booleans()):
+            tokens += [":oracle", draw(st.sampled_from(_GX_ORACLES))]
+    tokens += [f":{tag.flag}" for tag in FORMS[head].tags if tag.flag and draw(st.booleans())]
+    tokens.append(")")
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(2, len(tokens) - 1))  # after the head, up to the `)`
+        if draw(st.booleans()) or tokens[i] == ")":
+            tokens.insert(i, draw(_GX_TOKENS))
+        else:
+            del tokens[i]
+    return " ".join(tokens)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(_gx_texts())
+def test_any_gx_text_is_read_or_refused(text):
+    try:
+        expr = parse_expr(text)
+    except GpforgeError:
+        return
+    assert isinstance(expr, GroupExpr)

@@ -20,7 +20,7 @@ from . import reductions as red
 from .errors import GpforgeError, InternalError, InvalidComplexError, ParseError
 from .homology import abelianization
 from .inference import MAX_DEGREE, check_consistency, derive, query
-from .presentations import Presentation, parse, presentation, serialize, tietze_simplify
+from .presentations import Presentation, parse, presentation, read_text, serialize, tietze_simplify
 from .rewriting import britton_normal_form, finite_quotient_search, parse_bs, permutation_cycles
 from .sexpr import parse_expr, parse_query, serialize_expr
 from .topology import serialize_simplicial, triangulate
@@ -42,15 +42,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_text(path: str) -> str:
+    """A file's UTF-8 text, or standard input's for `-`."""
+    if path != "-":
+        return read_text(path)
     try:
-        if path == "-":
-            return sys.stdin.read()
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc.strerror}")
+        return sys.stdin.read()
     except UnicodeDecodeError:
-        raise ParseError(f"cannot read {path}: not UTF-8 text")
+        raise ParseError("cannot read -: not UTF-8 text")
 
 
 def _write_text(path: Optional[str], text: str) -> None:

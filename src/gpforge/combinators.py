@@ -13,7 +13,7 @@ repeated builds are bit-identical.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import DegenerateEdgeError, StableLetterError
 from .presentations import (
@@ -57,9 +57,9 @@ class Arg(NamedTuple):
     """One argument of a `.gx` form; `keyword` is None for a positional one.
 
     Its `type` names a reader and a writer in `sexpr`.  An argument with a
-    `key` reaches the constructor as that keyword (or in `_extra_payload`,
-    see Form) and is written back from that payload entry; one without is
-    passed positionally.  An absent keyword argument is an error if
+    `key` reaches the constructor as the keyword parameter of that name and
+    is written back from that payload entry; one without is passed
+    positionally.  An absent keyword argument is an error if
     `default` is REQUIRED and no earlier argument gave its key, passes
     `default` if that is not None, and is left out otherwise.
     """
@@ -73,7 +73,9 @@ class Arg(NamedTuple):
 class Tag(NamedTuple):
     """A construction-certified payload tag: payload key, `.gx` flag (None
     when no form writes it) and the structural predicate it seeds under
-    `rule` (about the only child if relational) when `needs` is set too."""
+    `rule` (about the only child if relational) when `needs` is set too.
+    A flagged tag's key is also the constructor's keyword parameter that
+    sets it."""
 
     key: str
     flag: Optional[str]
@@ -84,13 +86,13 @@ class Tag(NamedTuple):
 
 class Form(NamedTuple):
     """A `.gx` form: its constructor as "module.function", looked up when
-    the form is read; its arguments in written order; its tags; and the
-    payload keys the constructor takes in `_extra_payload`."""
+    the form is read; its arguments in written order; and its tags.  Every
+    keyed argument and flagged tag names a keyword parameter of the
+    constructor, which stores each tag in the payload, False when unset."""
 
     constructor: str
     args: Tuple[Arg, ...] = ()
     tags: Tuple[Tag, ...] = ()
-    extra: Tuple[str, ...] = ()
 
 
 _E = Arg(None, "expr")
@@ -108,11 +110,8 @@ FORMS: Dict[str, Form] = {
         "combinators.free_product",
         args=(_E, _E, _KIND),
         tags=(Tag("nonelementary", "nonelementary", "NonelemFreeProduct"),),
-        extra=("nonelementary",),
     ),
-    DIRECT_PRODUCT: Form(
-        "combinators.direct_product", args=(_E, _E, _KIND, Arg("dim", "int", "dim")), extra=("dim",)
-    ),
+    DIRECT_PRODUCT: Form("combinators.direct_product", args=(_E, _E, _KIND, Arg("dim", "int", "dim"))),
     AMALGAM: Form(
         "combinators.amalgamated_product",
         args=(_E, _E, Arg("pairs", "pairs", "pairs", ()), _KIND),
@@ -130,7 +129,6 @@ FORMS: Dict[str, Form] = {
             Tag("ascending", "ascending", "AscendingHnn", rule="S2"),
             Tag("bac_hnn_chain", "bac-chain", "SelfEmbeddingHnn", needs="ascending"),
         ),
-        extra=("ascending", "bac_hnn_chain"),
     ),
     MITOSIS: Form("combinators.standard_mitosis", args=(_E,)),
     MU_STAGE: Form("combinators.mu_stage", args=(_E, Arg("k", "int", "k", REQUIRED))),
@@ -196,52 +194,51 @@ def _fresh_name(base: str, taken: set) -> str:
     return f"{base}_{k}"
 
 
-def _disjoint_union(p: Presentation, q: Presentation) -> Tuple[Alphabet, Dict[GeneratorSymbol, Word], Tuple[Word, ...]]:
-    """Alphabet of p + renamed q, the renaming map for q, and q's relators
-    rewritten through it."""
-    taken = set(p.alphabet.names)
-    renamed: List[GeneratorSymbol] = []
-    mapping: Dict[GeneratorSymbol, Word] = {}
-    for sym in q.alphabet:
-        name = _fresh_name(sym.name, taken)
-        taken.add(name)
-        new_sym = GeneratorSymbol(name)
-        renamed.append(new_sym)
-        mapping[sym] = Word(((new_sym, 1),))
-    alphabet = Alphabet(tuple(p.alphabet.symbols) + tuple(renamed))
-    relators = tuple(substitute(r, mapping) for r in q.relators)
-    return alphabet, mapping, relators
+def _product(
+    kind: str,
+    p: ExprLike,
+    q: ExprLike,
+    cross_relators: Callable[[Presentation, Dict[GeneratorSymbol, Word]], Iterable[Word]],
+    payload: dict,
+) -> GroupExpr:
+    """The two-factor node all three products share: p's generators and
+    relators, then q's renamed apart, then `cross_relators(p, renaming)`
+    over p's realization and q's renaming.  The renaming is recorded in
+    the payload as `right_renaming`."""
+    pe, qe = _as_expr(p), _as_expr(q)
+    taken = set(pe.realized.alphabet.names)
+    names: List[str] = []
+    for sym in qe.realized.alphabet:
+        names.append(_fresh_name(sym.name, taken))
+        taken.add(names[-1])
+    renaming = {sym: word(name) for sym, name in zip(qe.realized.alphabet, names)}
+    alphabet = Alphabet(pe.realized.alphabet.symbols + tuple(names))
+    q_rels = tuple(substitute(r, renaming) for r in qe.realized.relators)
+    relators = pe.realized.relators + q_rels + tuple(cross_relators(pe.realized, renaming))
+    payload = {"right_renaming": renaming, **payload}
+    return GroupExpr(kind, (pe, qe), payload, Presentation(alphabet, relators))
 
 
-def free_product(p: ExprLike, q: ExprLike, *, _kind: str = FREE_PRODUCT, _extra_payload: Optional[dict] = None) -> GroupExpr:
+def free_product(p: ExprLike, q: ExprLike, *, nonelementary: bool = False, _kind: str = FREE_PRODUCT) -> GroupExpr:
     """Disjoint union of alphabets, concatenated relators, no cross relators.
 
     Name clashes in the right factor get deterministic `_2`, `_3`, ...
-    suffixes.
+    suffixes.  `nonelementary` is the caller's assertion that the product
+    is not virtually cyclic (no trivial factor, not Z/2 * Z/2), which the
+    inference engine reads as acylindrical hyperbolicity.
     """
-    pe, qe = _as_expr(p), _as_expr(q)
-    alphabet, mapping, q_rels = _disjoint_union(pe.realized, qe.realized)
-    realized = Presentation(alphabet, pe.realized.relators + q_rels)
-    payload = {"right_renaming": mapping}
-    if _extra_payload:
-        payload.update(_extra_payload)
-    return GroupExpr(_kind, (pe, qe), payload, realized)
+    return _product(_kind, p, q, lambda pp, renaming: (), {"nonelementary": nonelementary})
 
 
-def direct_product(p: ExprLike, q: ExprLike, *, _kind: str = DIRECT_PRODUCT, _extra_payload: Optional[dict] = None) -> GroupExpr:
+def direct_product(p: ExprLike, q: ExprLike, *, dim: Optional[int] = None, _kind: str = DIRECT_PRODUCT) -> GroupExpr:
     """Free-product presentation plus commutator relators [x, y] for every
-    generator x of p and y of q."""
-    pe, qe = _as_expr(p), _as_expr(q)
-    alphabet, mapping, q_rels = _disjoint_union(pe.realized, qe.realized)
-    commutators = []
-    for x in pe.realized.alphabet:
-        for y in qe.realized.alphabet:
-            commutators.append(commutator(word(x), mapping[y]))
-    realized = Presentation(alphabet, pe.realized.relators + q_rels + tuple(commutators))
-    payload = {"right_renaming": mapping}
-    if _extra_payload:
-        payload.update(_extra_payload)
-    return GroupExpr(_kind, (pe, qe), payload, realized)
+    generator x of p and y of q.  `dim`, recorded only, is the degree a
+    witness product (Pi_w, Delta_w) is built for."""
+
+    def commutators(pp: Presentation, renaming: Dict[GeneratorSymbol, Word]) -> List[Word]:
+        return [commutator(word(x), y) for x in pp.alphabet for y in renaming.values()]
+
+    return _product(_kind, p, q, commutators, {"dim": dim})
 
 
 def amalgamated_product(
@@ -262,15 +259,10 @@ def amalgamated_product(
     obligation unless the caller certifies `edges_legitimate`.  The
     keyword tags are caller assertions consumed by the inference engine.
     """
-    pe, qe = _as_expr(p), _as_expr(q)
     for u, v in pairs:
         if not u or not v:
             raise DegenerateEdgeError("amalgam identification words must be nonempty")
-    alphabet, mapping, q_rels = _disjoint_union(pe.realized, qe.realized)
-    ident = tuple(u * ~substitute(v, mapping) for u, v in pairs)
-    realized = Presentation(alphabet, pe.realized.relators + q_rels + ident)
     payload = {
-        "right_renaming": mapping,
         "pairs": tuple(pairs),
         "edge_amenable": edge_amenable,
         "doublecoset_at_least_3": doublecoset_at_least_3,
@@ -278,7 +270,7 @@ def amalgamated_product(
         "edges_legitimate": edges_legitimate,
         "obligations": () if edges_legitimate else ("edge-subgroups-isomorphic",),
     }
-    return GroupExpr(_kind, (pe, qe), payload, realized)
+    return _product(_kind, p, q, lambda pp, renaming: [u * ~substitute(v, renaming) for u, v in pairs], payload)
 
 
 def hnn_extension(
@@ -287,19 +279,23 @@ def hnn_extension(
     assoc: Sequence[Tuple[Word, Word]] = (),
     ascending_domain: Optional[PresentationMorphism] = None,
     *,
-    _extra_payload: Optional[dict] = None,
+    ascending: bool = False,
+    bac_hnn_chain: bool = False,
 ) -> GroupExpr:
     """Adjoin a stable letter t with relators t^-1 * u_i * t * v_i^-1.
 
     With `ascending_domain` (a self-morphism of p), assoc is derived as
     (x, phi(x)) over all generators and the node is tagged ascending.
+    The keywords are caller assertions consumed by the inference engine:
+    `ascending` tags the node ascending without a morphism, and
+    `bac_hnn_chain` says the base embeds in itself along a chain that
+    makes the extension boundedly acyclic (read only on ascending nodes).
     """
     pe = _as_expr(p)
     base = pe.realized
     if stable in base.alphabet:
         raise StableLetterError(f"stable letter {stable!r} clashes with a base generator")
     t = GeneratorSymbol(stable)
-    ascending = False
     pending = False
     if ascending_domain is not None:
         phi = ascending_domain
@@ -320,9 +316,8 @@ def hnn_extension(
         "assoc": tuple(assoc),
         "ascending": ascending,
         "pending": pending,
+        "bac_hnn_chain": bac_hnn_chain,
     }
-    if _extra_payload:
-        payload.update(_extra_payload)
     return GroupExpr(HNN, (pe,), payload, realized)
 
 
@@ -466,13 +461,8 @@ def bac_hnn(p: ExprLike, embed: PresentationMorphism) -> GroupExpr:
     """Ascending HNN over a self-embedding, tagged for the inference rule
     that certifies bounded acyclicity from the base's embedding chain."""
     pe = _as_expr(p)
-    if embed.source.alphabet != pe.realized.alphabet or embed.target.alphabet != pe.realized.alphabet:
-        raise StableLetterError("embedding must be a self-map of the base presentation")
-    taken = set(pe.realized.alphabet.names)
-    stable = _fresh_name("t", taken)
-    return hnn_extension(
-        pe, stable, ascending_domain=embed, _extra_payload={"bac_hnn_chain": True}
-    )
+    stable = _fresh_name("t", set(pe.realized.alphabet.names))
+    return hnn_extension(pe, stable, ascending_domain=embed, bac_hnn_chain=True)
 
 
 def canonical_rename(p: Presentation) -> Presentation:

@@ -156,11 +156,15 @@ class Certificate:
     citation: str
     premises: Tuple["Certificate", ...] = ()
 
-    def render(self, indent: int = 0) -> str:
-        pad = "  " * indent
-        lines = [f"{pad}{self.rule} {self.fact.render()} -- {self.citation}"]
-        for prem in self.premises:
-            lines.append(prem.render(indent + 1))
+    def render(self) -> str:
+        """One line per certificate in pre-order, each premise indented two
+        spaces under its conclusion.  Iterative, so depth is bounded by
+        memory, not by the Python stack."""
+        lines, stack = [], [(self, 0)]
+        while stack:
+            cert, depth = stack.pop()
+            lines.append(f"{'  ' * depth}{cert.rule} {cert.fact.render()} -- {cert.citation}")
+            stack.extend((prem, depth + 1) for prem in reversed(cert.premises))
         return "\n".join(lines)
 
 
@@ -641,12 +645,28 @@ def check_consistency(derivation: Derivation) -> List[Tuple[int, str]]:
 
 
 def replay_certificate(derivation: Derivation, cert: Certificate) -> bool:
-    """Re-check a certificate bottom-up.
+    """Re-check every certificate in a tree.
 
     Leaves must be seed facts (assertions or structural); internal nodes
     re-run their rule on exactly the premise facts and must reproduce the
-    conclusion in one step.
+    conclusion in one step.  Iterative, and each distinct certificate
+    object is checked once: a shared premise is not checked again, while
+    two certificates for the same fact are both checked.
     """
+    checked, stack = set(), [cert]
+    while stack:
+        c = stack.pop()
+        if id(c) in checked:
+            continue
+        checked.add(id(c))
+        if not _replays(derivation, c):
+            return False
+        stack.extend(c.premises)
+    return True
+
+
+def _replays(derivation: Derivation, cert: Certificate) -> bool:
+    """One certificate's own step, its premises taken as given."""
     if cert.rule == "A0" or cert.rule.startswith("S"):
         return derivation.certificates.get(cert.fact) == cert
     rule = next((r for r in RULES if r.id == cert.rule), None)
@@ -655,7 +675,4 @@ def replay_certificate(derivation: Derivation, cert: Certificate) -> bool:
     premises = _Facts({})
     for p in cert.premises:
         premises.add(p.fact, p)
-    produced = {f for f, _ in rule.step(derivation.ctx, premises)}
-    if cert.fact not in produced:
-        return False
-    return all(replay_certificate(derivation, p) for p in cert.premises)
+    return cert.fact in {f for f, _ in rule.step(derivation.ctx, premises)}

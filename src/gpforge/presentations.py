@@ -59,6 +59,18 @@ def presentation(gens: Sequence[str], relator_texts: Sequence[str] = (), name: O
 EMPTY_PRESENTATION = Presentation(Alphabet(()), ())
 
 
+def read_text(path: str) -> str:
+    """The text of a UTF-8 file; a ParseError naming `path` if it cannot be
+    read or decoded."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc.strerror}")
+    except UnicodeDecodeError:
+        raise ParseError(f"cannot read {path}: not UTF-8 text")
+
+
 def parse(text: str, name: Optional[str] = None) -> Presentation:
     """Parse the presentation file grammar; errors carry line numbers."""
     alphabet: Optional[Alphabet] = None

@@ -49,8 +49,8 @@ class WordProblemSource:
     problem; `system` None is the free oracle (free reduction)."""
 
     presentation: Presentation
-    system: Optional[HnnRewriteSystem] = None
-    asserted_facts: Tuple = ()
+    system: Optional[HnnRewriteSystem]
+    asserted_facts: Tuple
 
     def __post_init__(self):
         if self.system is None:
@@ -85,19 +85,22 @@ def free_source() -> WordProblemSource:
     return WordProblemSource(p, None, (("TorsionFree", None),))
 
 
-def bs_source(m: int = 2, n: int = 3) -> WordProblemSource:
+def bs_source(m: int, n: int) -> WordProblemSource:
     system = bs_system(m, n)
     return WordProblemSource(system.presentation, system, (("TorsionFree", None),))
 
 
 @dataclass(frozen=True)
 class WitnessOutput:
-    """presentation + expression + the infinite-order witness word, present
+    """The witness expression and the infinite-order witness word, present
     exactly when the oracle decided w != 1."""
 
-    presentation: Presentation
     expr: GroupExpr
     wbar: Optional[Word] = None
+
+    @property
+    def presentation(self) -> Presentation:
+        return self.expr.realized
 
     @property
     def trivial_branch(self) -> bool:
@@ -124,11 +127,11 @@ def lambda_w(src: WordProblemSource, w: Word) -> WitnessOutput:
     """Triviality witness: trivial group iff w = 1 in the source, else the
     free product with Z whose fresh letter has infinite order."""
     if src.is_trivial(w):
-        return WitnessOutput(EMPTY_PRESENTATION, _trivial_atom("lambda-w-collapsed"))
+        return WitnessOutput(_trivial_atom("lambda-w-collapsed"))
     base = atom(src.presentation, facts=src.asserted_facts, name=src.presentation.name)
     expr = free_product(base, _z_atom(), _kind=LAMBDA_W)
     z_sym = expr.realized.alphabet.symbols[-1]
-    return WitnessOutput(expr.realized, expr, wbar=word(z_sym))
+    return WitnessOutput(expr, wbar=word(z_sym))
 
 
 def gamma_w(src: WordProblemSource, w: Word) -> WitnessOutput:
@@ -140,15 +143,9 @@ def gamma_w(src: WordProblemSource, w: Word) -> WitnessOutput:
     """
     lw = lambda_w(src, w)
     if lw.trivial_branch:
-        z = _z_atom("t")
-        return WitnessOutput(z.realized, z)
-    expr = free_product(
-        lw.expr,
-        _z_atom("t"),
-        _kind=GAMMA_W,
-        _extra_payload={"nonelementary": True},
-    )
-    return WitnessOutput(expr.realized, expr, wbar=lw.wbar)
+        return WitnessOutput(_z_atom("t"))
+    expr = free_product(lw.expr, _z_atom("t"), nonelementary=True, _kind=GAMMA_W)
+    return WitnessOutput(expr, wbar=lw.wbar)
 
 
 def witness_w(gamma: GroupExpr, src: WordProblemSource, w: Word) -> WitnessOutput:
@@ -171,12 +168,7 @@ def _push_out(gamma: GroupExpr, lw: WitnessOutput) -> WitnessOutput:
         relators = list(gamma.realized.relators)
         relators.extend(word(s) for s in gamma.realized.alphabet)
         pres = Presentation(gamma.realized.alphabet, tuple(relators), name="witness-w")
-        expr = atom(
-            pres,
-            facts=(("Finite", None), ("Amenable", None)),
-            name="witness-w-collapsed",
-        )
-        return WitnessOutput(pres, expr)
+        return WitnessOutput(atom(pres, facts=(("Finite", None), ("Amenable", None)), name="witness-w-collapsed"))
 
     expr: GroupExpr = gamma
     first_wbar: Optional[Word] = None
@@ -193,7 +185,7 @@ def _push_out(gamma: GroupExpr, lw: WitnessOutput) -> WitnessOutput:
         if first_wbar is None:
             renaming = expr.payload["right_renaming"]
             first_wbar = renaming[lw.wbar.letters[0][0]]
-    return WitnessOutput(expr.realized, expr, wbar=first_wbar)
+    return WitnessOutput(expr, wbar=first_wbar)
 
 
 def genus2_presentation() -> Presentation:
@@ -238,11 +230,11 @@ def pi_w(src: WordProblemSource, w: Word, d: int) -> WitnessOutput:
         raise ValueError("pi_w needs degree d >= 4")
     lw = lambda_w(src, w)
     if lw.trivial_branch:
-        return WitnessOutput(EMPTY_PRESENTATION, _trivial_atom("pi-w-collapsed"))
+        return WitnessOutput(_trivial_atom("pi-w-collapsed"))
     w1 = _push_out(f2_atom(), lw)
     w2 = _push_out(hyperbolic_manifold_atom(d - 2), lw)
-    expr = direct_product(w1.expr, w2.expr, _kind=PI_W, _extra_payload={"dim": d})
-    return WitnessOutput(expr.realized, expr, wbar=w1.wbar)
+    expr = direct_product(w1.expr, w2.expr, dim=d, _kind=PI_W)
+    return WitnessOutput(expr, wbar=w1.wbar)
 
 
 def delta_w(src: WordProblemSource, w: Word, d: int) -> WitnessOutput:
@@ -259,9 +251,6 @@ def delta_w(src: WordProblemSource, w: Word, d: int) -> WitnessOutput:
     for i in range(d - 1):
         last = i == d - 2
         expr = direct_product(
-            expr,
-            f2_atom(),
-            _kind=DELTA_W if last else DIRECT_PRODUCT,
-            _extra_payload={"dim": d} if last else None,
+            expr, f2_atom(), dim=d if last else None, _kind=DELTA_W if last else DIRECT_PRODUCT
         )
-    return WitnessOutput(expr.realized, expr, wbar=gw.wbar)
+    return WitnessOutput(expr, wbar=gw.wbar)

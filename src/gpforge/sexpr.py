@@ -44,7 +44,7 @@ from . import meier as meier_mod
 from . import reductions as red
 from .errors import ParseError
 from .inference import PREDICATES, parse_fact
-from .presentations import Presentation, parse as parse_presentation, serialize
+from .presentations import Presentation, parse as parse_presentation, read_text, serialize
 from .words import Word, format_word, parse_word
 
 
@@ -248,13 +248,9 @@ def _build(head: str, items: List[object], loader: Callable[[str], Presentation]
     if reader.positional or reader.keywords:
         surplus = reader.positional + [f":{k}" for k in reader.keywords]
         raise ParseError(f"{head} got a surplus argument {_show(surplus[0])}")
-    kwargs = {k: v for k, v in values.items() if k not in spec.extra}
-    extra = {k: v for k, v in values.items() if k in spec.extra}
-    if extra:
-        kwargs["_extra_payload"] = extra
     module, _, name = spec.constructor.partition(".")
     try:
-        built = getattr(_MODULES[module], name)(*args, **kwargs)
+        built = getattr(_MODULES[module], name)(*args, **values)
     except ValueError as exc:
         raise ParseError(f"{head}: {exc}") from None
     return built if isinstance(built, cb.GroupExpr) else built.expr
@@ -269,14 +265,7 @@ def parse_expr(text: str, *, base_dir: Optional[str] = None) -> cb.GroupExpr:
 
     def loader(path: str) -> Presentation:
         full = path if base_dir is None else os.path.join(base_dir, path)
-        try:
-            with open(full, "r", encoding="utf-8") as fh:
-                body = fh.read()
-        except OSError as exc:
-            raise ParseError(f"cannot read {path}: {exc.strerror}")
-        except UnicodeDecodeError:
-            raise ParseError(f"cannot read {path}: not UTF-8 text")
-        return parse_presentation(body, name=os.path.basename(path))
+        return parse_presentation(read_text(full), name=os.path.basename(path))
 
     stack: List[List[object]] = [[]]
     for tok in _tokenize(text):
@@ -331,7 +320,7 @@ _WRITE = {
     "pres": lambda node, key, children: _quote(serialize(node.realized)),
     "facts": lambda node, key, children: _facts_form(node.payload[key]) if node.payload[key] else None,
     "kind": lambda node, key, children: None if cb.FAMILY[node.kind] == node.kind else node.kind,
-    "int": lambda node, key, children: str(node.payload[key]) if key in node.payload else None,
+    "int": lambda node, key, children: None if node.payload[key] is None else str(node.payload[key]),
     "letter": lambda node, key, children: _quote(node.payload[key].name),
     "pairs": lambda node, key, children: _pairs_form(node.payload[key]),
 }

@@ -34,7 +34,7 @@ DIGESTS = os.path.join(os.path.dirname(__file__), "data", "certificate_digests.t
 # (oracle, source, trivial word, nontrivial word)
 SOURCES = (
     ("free", free_source, "a b b^-1 a^-1", "a b"),
-    ("bs:2,3", bs_source, "t^-1 a^2 t a^-3", "a"),
+    ("bs:2,3", lambda: bs_source(2, 3), "t^-1 a^2 t a^-3", "a"),
 )
 DEGREES = (12, 20)  # the default max_degree and one above it
 AMALGAM_TAGS = ("edge_amenable", "doublecoset_at_least_3", "proper_edge", "edges_legitimate")

@@ -6,6 +6,7 @@ from gpforge.combinators import (
     atom,
     bac_hnn,
     direct_product,
+    free_product,
     hnn_extension,
     mu_stage,
     standard_mitosis,
@@ -246,6 +247,43 @@ def test_forged_leaf_does_not_replay():
     seed = d.certificates[Fact(1, "ThompsonT")]
     assert replay_certificate(d, seed)
     assert not replay_certificate(d, Certificate(seed.fact, "S1", seed.citation))
+
+
+def test_forged_premise_beside_a_valid_one_does_not_replay():
+    # Two certificates for one fact in one tree are both checked.
+    expr = direct_product(thompson_atom(), hyperbolic_manifold_atom(3))
+    d = derive(expr, max_degree=6)
+    root = d.certificates[Fact(0, "LargeHb", 6)]
+    valid = root.premises[0]
+    assert valid.rule == "R16" and replay_certificate(d, root)
+    forged = Certificate(valid.fact, "A0", A0_CITATION)
+    for premises in (root.premises + (forged,), (forged,) + root.premises):
+        assert not replay_certificate(d, Certificate(root.fact, root.rule, root.citation, premises))
+
+
+def _nested_free_products(depth):
+    expr = atom(presentation(["x", "y"], name="G"), facts=(("ContainsF2", None),))
+    for _ in range(depth):
+        expr = free_product(expr, atom(presentation(["z"], name="Z")))
+    return expr
+
+
+def test_replay_deeper_than_the_stack():
+    expr = _nested_free_products(400)
+    d = derive(expr)
+    cert = query(d, expr, "CdbAtLeast", 3)
+    assert cert.render().count("\n") > 400  # one premise per level
+    assert replay_certificate(d, cert)
+
+
+def test_render_deeper_than_the_stack():
+    cert = Certificate(Fact(0, "FinPres"), "A0", A0_CITATION)
+    for i in range(1, 5001):
+        cert = Certificate(Fact(i, "FinPres"), "R1", "c", (cert,))
+    lines = cert.render().split("\n")
+    assert len(lines) == 5001
+    assert lines[0] == "R1 FinPres@n5000 -- c"
+    assert lines[-1] == "  " * 5000 + f"A0 FinPres@n0 -- {A0_CITATION}"
 
 
 def test_degree_bound():

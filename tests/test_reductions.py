@@ -65,7 +65,7 @@ def test_gamma_w_branches():
 def test_source_refuses_a_presentation_its_oracle_does_not_decide():
     bs23 = bs_system(2, 3)
     relator = parse_word("t^-1 a^2 t a^-3")
-    assert WordProblemSource(parse("gens a t\nrel t^-1 a^2 t = a^3"), bs23).is_trivial(relator)
+    assert WordProblemSource(parse("gens a t\nrel t^-1 a^2 t = a^3"), bs23, ()).is_trivial(relator)
     mismatched = [
         (bs23.presentation, None),  # the free oracle on a relator
         (parse("gens a t"), bs23),  # BS(2,3) decides only itself
@@ -74,7 +74,7 @@ def test_source_refuses_a_presentation_its_oracle_does_not_decide():
     ]
     for p, system in mismatched:
         with pytest.raises(InvalidInputError):
-            WordProblemSource(p, system)
+            WordProblemSource(p, system, ())
 
 
 def test_witness_w_trivial_collapses_to_empty():

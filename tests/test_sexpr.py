@@ -1,3 +1,6 @@
+import importlib
+import inspect
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -200,15 +203,15 @@ def _sample(kind, tags):
     if family == "atom":
         return _atom("G", ["x", "y"], ["x^2"], facts=(("Amenable", None), ("FinGen", 2)))
     if family == "free-product":
-        return free_product(left, right, _kind=kind, _extra_payload=tags or None)
+        return free_product(left, right, _kind=kind, **tags)
     if family == "direct":
-        return direct_product(left, right, _kind=kind, _extra_payload=None if kind == "direct" else {"dim": 5})
+        return direct_product(left, right, dim=None if kind == "direct" else 5, _kind=kind)
     if family == "amalgam":
         pairs = [(parse_word("a^2"), parse_word("b^3"))]
         return amalgamated_product(left, right, pairs, _kind=kind, **tags)
     if family == "hnn":
         base = _atom("Z", ["a"], facts=(("Amenable", None),))
-        return hnn_extension(base, "t", [(parse_word("a^2"), parse_word("a^3"))], _extra_payload=tags or None)
+        return hnn_extension(base, "t", [(parse_word("a^2"), parse_word("a^3"))], **tags)
     if family == "mitosis":
         return standard_mitosis(left)
     assert family == "mu"
@@ -248,6 +251,17 @@ def test_registry_round_trip_every_kind_and_tag():
         _assert_round_trip(expr, text)
         seen.add(kind)
     assert seen == set(FAMILY)
+
+
+def test_registry_keys_name_constructor_parameters():
+    # The reader passes every keyed argument and set tag as a keyword; a
+    # name the constructor lacks would escape as a TypeError.
+    for head, form in FORMS.items():
+        module, _, name = form.constructor.partition(".")
+        params = inspect.signature(getattr(importlib.import_module(f"gpforge.{module}"), name)).parameters
+        keys = [arg.key for arg in form.args if arg.key] + [tag.key for tag in form.tags if tag.flag]
+        for key in keys:
+            assert key in params, (head, key)
 
 
 def test_every_registry_kind_has_a_writer():

@@ -15,6 +15,7 @@ gpforge.words.
 from __future__ import annotations
 
 import threading
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -163,42 +164,75 @@ def tietze_simplify(p: Presentation) -> Presentation:
         everywhere and dropping the defining relator.
 
     Relator-by-relator free and cyclic reduction is applied as free
-    normalisation throughout.  Generators are scanned in reverse alphabet
+    normalisation throughout.  Empty relators are deleted first, in
+    stored order.  Otherwise generators are scanned in reverse alphabet
     order, so eliminations keep the earliest-declared generators alive;
     within one generator, relators are scanned in stored order.  Stops at
     a fixpoint or after TIETZE_BUDGET moves, whichever comes first.
+
+    Relators keep their input positions; a deleted one becomes None.  An
+    occurrence index (Havas, Kenne, Richardson and Robertson, "A Tietze
+    transformation program", 1984) holds, for each symbol, two bitsets
+    over those positions: the live relators that contain it, and those
+    that isolate it; a third bitset holds the empty ones.  The lowest set
+    bit is the first relator in stored order, so the index picks the same
+    move as a rescan of every relator would.  A move rewrites and
+    re-indexes only the relators that contain the eliminated symbol: the
+    others are cyclically reduced already and would come out unchanged.
     """
     symbols = list(p.alphabet.symbols)
-    relators = [cyclically_reduce(r)[0] for r in p.relators]
-    steps = 0
-    while steps < TIETZE_BUDGET:
-        idx = next((i for i, r in enumerate(relators) if not r), None)
-        if idx is not None:
-            del relators[idx]
-            steps += 1
+    relators: List[Optional[Word]] = [cyclically_reduce(r)[0] for r in p.relators]
+    letter = {s: Word(((s, 1),)) for s in symbols}
+    # Keyed by name: a str caches its hash, a GeneratorSymbol does not.
+    contains: Dict[str, int] = defaultdict(int)
+    isolates: Dict[str, int] = defaultdict(int)
+    empty = 0
+
+    def toggle(i: int) -> None:
+        # Adds relator i's entries to the index, or removes them again.
+        runs: Dict[str, int] = {}
+        for s, e in relators[i].letters:
+            runs[s.name] = 0 if s.name in runs else e
+        bit = 1 << i
+        for s, e in runs.items():
+            contains[s] ^= bit
+            if e == 1 or e == -1:
+                isolates[s] ^= bit
+
+    for i, rel in enumerate(relators):
+        toggle(i)
+        if not rel:
+            empty |= 1 << i
+    for _ in range(TIETZE_BUDGET):
+        if empty:
+            low = empty & -empty
+            relators[low.bit_length() - 1] = None
+            empty ^= low
             continue
-        chosen = None
-        for sym in reversed(symbols):
-            for i, rel in enumerate(relators):
-                value = _isolated_symbol(rel, sym)
-                if value is not None:
-                    chosen = (sym, i, value)
-                    break
-            if chosen is not None:
-                break
-        if chosen is None:
+        sym = next((s for s in reversed(symbols) if isolates[s.name]), None)
+        if sym is None:
             break
-        sym, i, value = chosen
-        mapping = {s: Word(((s, 1),)) for s in symbols if s != sym}
-        mapping[sym] = value
-        relators = [
-            cyclically_reduce(substitute(r, mapping))[0]
-            for j, r in enumerate(relators)
-            if j != i
-        ]
+        bits = isolates[sym.name]
+        i = (bits & -bits).bit_length() - 1
+        mapping = dict(letter)
+        mapping[sym] = _isolated_symbol(relators[i], sym)
+        toggle(i)
+        relators[i] = None
+        rest = contains[sym.name]
+        while rest:
+            low = rest & -rest
+            j = low.bit_length() - 1
+            toggle(j)
+            relators[j] = cyclically_reduce(substitute(relators[j], mapping))[0]
+            toggle(j)
+            if not relators[j]:
+                empty |= low
+            rest ^= low
         symbols.remove(sym)
-        steps += 1
-    return Presentation(Alphabet(symbols), tuple(relators), p.name)
+        del letter[sym]
+    return Presentation(
+        Alphabet(symbols), tuple(r for r in relators if r is not None), p.name
+    )
 
 
 @dataclass(frozen=True)

@@ -163,6 +163,11 @@ class Word:
         return Word(tuple((s, -e) for s, e in reversed(self._letters)))
 
     def __pow__(self, k: int) -> "Word":
+        # Words are immutable, so w ** 1 may be w itself.
+        if k == 1:
+            return self
+        if k == -1:
+            return ~self
         if k == 0 or not self._letters:
             return Word()
         if k < 0:

@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gpforge import presentations
+from gpforge.combinators import mu_stage
 from gpforge.errors import ParseError
 from gpforge.homology import abelianization
 from gpforge.presentations import (
@@ -17,7 +19,9 @@ from gpforge.presentations import (
     tietze_simplify,
     validate,
 )
+from gpforge.reductions import bs_source, delta_w, f2_atom, free_source, gamma_w, lambda_w, pi_w, witness_w
 from gpforge.words import Alphabet, Word, parse_word, word
+from tests_util import rescan_tietze_simplify
 
 
 def test_parse_bs23_with_equals_sugar():
@@ -178,3 +182,97 @@ def test_tietze_elimination_with_wraparound_seam():
     simplified = tietze_simplify(p)
     assert simplified.alphabet.names == ("a",)
     assert simplified.relators == ()
+
+
+def _assert_tietze_matches_oracle(p):
+    assert serialize(tietze_simplify(p)) == serialize(rescan_tietze_simplify(p))
+
+
+@st.composite
+def _presentations(draw):
+    n = draw(st.integers(1, 8))
+    alphabet = Alphabet([f"g{i}" for i in range(1, n + 1)])
+    letters = st.tuples(st.sampled_from(alphabet.symbols), st.sampled_from([-2, -1, 1, 2]))
+    rels = []
+    for _ in range(draw(st.integers(0, 10))):
+        body = draw(st.lists(letters, min_size=1, max_size=6))
+        shape = draw(st.sampled_from(["word", "freely trivial", "conjugate"]))
+        if shape == "freely trivial":
+            body = body + [(s, -e) for s, e in reversed(body)]
+        elif shape == "conjugate":
+            x, e = draw(letters)
+            body = [(x, e)] + body + [(x, -e)]
+        rels.append(Word(body))
+    return Presentation(alphabet, tuple(rels))
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@given(_presentations())
+def test_tietze_matches_rescan_oracle(p):
+    _assert_tietze_matches_oracle(p)
+
+
+def _budget_sweep_cases():
+    # Deletion, elimination (c = b), deletion of the b b^-1 it leaves.
+    cases = [parse("gens a b c\nrel 1\nrel c b^-1\nrel b c^-1\nrel a b a^-1 b^-1\nrel a^2")]
+    rng = random.Random(12)
+    while len(cases) < 12:
+        p = random_presentation(rng, max_gens=5, max_rels=7)
+        q = rescan_tietze_simplify(p)
+        eliminations = len(p.alphabet) - len(q.alphabet)
+        if len(p.relators) - len(q.relators) > eliminations > 0:
+            cases.append(p)
+    return cases
+
+
+@pytest.mark.parametrize("p", _budget_sweep_cases())
+def test_tietze_matches_oracle_at_every_budget(p, monkeypatch):
+    # Each move removes one relator, so the relators removed count the moves.
+    moves = len(p.relators) - len(rescan_tietze_simplify(p).relators)
+    for budget in range(moves + 2):
+        monkeypatch.setattr(presentations, "TIETZE_BUDGET", budget)
+        _assert_tietze_matches_oracle(p)
+
+
+def test_tietze_matches_oracle_on_mu_stages():
+    # Stage 8 would add about 2 s; stage 7 has 16 generators and 517 relators.
+    for k in range(1, 8):
+        _assert_tietze_matches_oracle(mu_stage(presentation(["g"]), k).realized)
+
+
+@pytest.mark.parametrize(
+    "source, words",
+    [
+        (free_source, ("b a a^-1 b^-1", "a b")),
+        (lambda: bs_source(2, 3), ("t^-1 a^2 t a^-3", "a^-1 t^-1 a^-1 t a t^-1 a t")),
+    ],
+    ids=["free", "bs:2,3"],
+)
+def test_tietze_matches_oracle_on_witness_constructions(source, words):
+    src = source()
+    trivial, nontrivial = (parse_word(t, src.presentation.alphabet) for t in words)
+    assert lambda_w(src, trivial).trivial_branch and not lambda_w(src, nontrivial).trivial_branch
+    for w in (trivial, nontrivial):
+        for out in (
+            lambda_w(src, w),
+            gamma_w(src, w),
+            witness_w(f2_atom(), src, w),
+            pi_w(src, w, 4),
+            delta_w(src, w, 3),
+        ):
+            _assert_tietze_matches_oracle(out.presentation)
+
+
+def test_tietze_rewrites_only_relators_holding_the_eliminated_symbol(monkeypatch):
+    # c = a; c occurs in three more relators, and fifty relators lack it
+    # and isolate nothing.
+    texts = ["c a^-1", "c^2 b^2", "b^2 c^-2 a^2", "a^2 c^3"]
+    texts += [f"a^2 b^{k} a^-2 b^-{k}" for k in range(2, 52)]
+    p = presentation(["a", "b", "c"], texts)
+    calls = []
+    real = presentations.substitute
+    monkeypatch.setattr(presentations, "substitute", lambda w, m: calls.append(w) or real(w, m))
+    q = tietze_simplify(p)
+    assert q.alphabet.names == ("a", "b")
+    assert calls == [parse_word(t, p.alphabet) for t in texts[1:4]]
+    assert serialize(q) == serialize(rescan_tietze_simplify(p))

@@ -187,6 +187,10 @@ def test_word_power_and_exponent_sums():
     assert w ** 3 == parse_word("a b a b a b")
     assert w ** -1 == parse_word("b^-1 a^-1")
     assert (word((A, 2)) ** (10 ** 9)).letters == (((A, 2 * 10 ** 9)),)
+    for text in ("a b a^-1", "a^2 b^-1 a^3", "b^-1 a b^2"):
+        v = parse_word(text)
+        assert v ** 1 == v
+        assert v ** -1 == ~v
     assert word((A, 5), "b", (A, -2)).exponent_sum(A) == 3
 
 

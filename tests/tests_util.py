@@ -15,9 +15,10 @@ from gpforge.meier import (
     f_generators,
     phi_apply,
 )
-from gpforge.presentations import Presentation
+from gpforge import presentations
+from gpforge.presentations import Presentation, _isolated_symbol
 from gpforge.rewriting import Homomorphism, bs_equal, bs_reduce, bs_system, evaluate_word
-from gpforge.words import Alphabet, GeneratorSymbol, Word, substitute
+from gpforge.words import Alphabet, GeneratorSymbol, Word, cyclically_reduce, substitute
 
 
 def random_presentation(rng, max_gens=4, max_rels=4, max_len=6):
@@ -156,3 +157,40 @@ def whole_permutation_homomorphisms(p: Presentation, degree_max: int) -> Iterato
             images.pop(gens[k], None)
 
         yield from assign(0)
+
+
+def rescan_tietze_simplify(p: Presentation) -> Presentation:
+    """Oracle for presentations.tietze_simplify: each move rescans every
+    relator for an empty one, then every (symbol, relator) pair for an
+    isolated symbol, and substitutes into every remaining relator."""
+    symbols = list(p.alphabet.symbols)
+    relators = [cyclically_reduce(r)[0] for r in p.relators]
+    steps = 0
+    while steps < presentations.TIETZE_BUDGET:
+        idx = next((i for i, r in enumerate(relators) if not r), None)
+        if idx is not None:
+            del relators[idx]
+            steps += 1
+            continue
+        chosen = None
+        for sym in reversed(symbols):
+            for i, rel in enumerate(relators):
+                value = _isolated_symbol(rel, sym)
+                if value is not None:
+                    chosen = (sym, i, value)
+                    break
+            if chosen is not None:
+                break
+        if chosen is None:
+            break
+        sym, i, value = chosen
+        mapping = {s: Word(((s, 1),)) for s in symbols if s != sym}
+        mapping[sym] = value
+        relators = [
+            cyclically_reduce(substitute(r, mapping))[0]
+            for j, r in enumerate(relators)
+            if j != i
+        ]
+        symbols.remove(sym)
+        steps += 1
+    return Presentation(Alphabet(symbols), tuple(relators), p.name)

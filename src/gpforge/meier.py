@@ -12,12 +12,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, List, Tuple
 
 from .combinators import GroupExpr, MEIER_GAMMA, MEIER_T, amalgamated_product, atom
-from .errors import AlphabetMismatchError, ConstructionIntegrityError
+from .errors import AlphabetMismatchError, ConstructionIntegrityError, SearchBudgetError
 from .presentations import Presentation, PresentationMorphism
-from .rewriting import bs_canonical, bs_reduce, bs_system
+from .rewriting import (
+    britton_is_stable_power,
+    britton_push,
+    britton_word,
+    bs_canonical_pass,
+    bs_reduce,
+    bs_system,
+)
 from .words import Alphabet, GeneratorSymbol, Word, commutator, parse_word, substitute, word
 
 _B = bs_system(2, 3).presentation
@@ -32,6 +39,9 @@ STATUS_WITNESS = "confirmed-witness"
 STATUS_EXHAUSTED = "exhausted"
 # The probe compares candidates with the elements of F of free length <= this.
 F_WORD_MAX_LEN = 6
+PROBE_NODE_BUDGET = 2_000_000
+"""Prefix-trie nodes one double_coset_probe call may visit; a longer
+max_len raises SearchBudgetError before the walk starts."""
 
 
 @dataclass(frozen=True)
@@ -164,41 +174,83 @@ def meier_eval(e: MeierElement, index: int) -> Word:
 # ---------------------------------------------------------------------------
 
 
-def _reduced_words(symbols: List[Tuple[GeneratorSymbol, int]], max_len: int) -> Iterator[Word]:
-    """Freely reduced words over +-1 letters, lazily, in length-lex order."""
+def _walk(letter_order, max_len: int, root, push, visit) -> None:
+    """Depth-first over the prefix trie of the freely reduced words of
+    length 1..max_len in the +-1 letters `letter_order`: each node's state
+    is push(parent's state, letter), and visit(prefix, state) sees the
+    nodes of each length in lexicographic order.  Recursion is
+    max_len deep."""
+    prefix: List[Tuple[GeneratorSymbol, int]] = []
 
-    def of_length(length: int, prefix: List[Tuple[GeneratorSymbol, int]]) -> Iterator[Word]:
-        if len(prefix) == length:
-            yield Word(prefix)
-            return
-        for sym, eps in symbols:
-            if prefix and prefix[-1][0] == sym and prefix[-1][1] == -eps:
+    def descend(state) -> None:
+        for letter in letter_order:
+            if prefix and prefix[-1] == (letter[0], -letter[1]):
                 continue
-            prefix.append((sym, eps))
-            yield from of_length(length, prefix)
+            child = push(state, letter)
+            prefix.append(letter)
+            visit(prefix, child)
+            if len(prefix) < max_len:
+                descend(child)
             prefix.pop()
 
-    for length in range(1, max_len + 1):
-        yield from of_length(length, [])
+    descend(root)
 
 
-def _is_t_power(nf: Word, t_sym: GeneratorSymbol) -> bool:
-    if not nf:
-        return True
-    return len(nf.letters) == 1 and nf.letters[0][0] == t_sym
+def _length_lex(buckets: List[list]) -> list:
+    return [item for bucket in buckets for item in bucket]
+
+
+def _push_all(sys, state, letters):
+    for sym, exp in letters:
+        state = britton_push(sys, state, sym, exp)
+    return state
+
+
+def _f_table(budget: int) -> Tuple[set, bool]:
+    """The BS(2,3) normal forms of the first `budget` elements of F, the
+    images of the freely reduced words in F's free generators {t, c} of
+    length <= F_WORD_MAX_LEN in length-lexicographic order, and whether
+    any such word was left out."""
+    t_w, c_w = f_generators(_B)
+    f_syms = (GeneratorSymbol("ft"), GeneratorSymbol("fc"))
+    f_letters = [(f_syms[0], 1), (f_syms[0], -1), (f_syms[1], 1), (f_syms[1], -1)]
+    images = {f_syms[0]: t_w, f_syms[1]: c_w}
+    image_letters = {(sym, eps): (images[sym] ** eps).letters for sym, eps in f_letters}
+    sys = bs_system(2, 3)
+    buckets: List[list] = [[] for _ in range(F_WORD_MAX_LEN + 1)]
+    _walk(
+        f_letters,
+        F_WORD_MAX_LEN,
+        None,
+        lambda state, letter: _push_all(sys, state, image_letters[letter]),
+        lambda prefix, state: buckets[len(prefix)].append(state),
+    )
+    states = _length_lex(buckets)
+    known = {bs_canonical_pass(2, 3, britton_word(sys, state)) for state in states[:budget]}
+    return known, len(states) > budget
 
 
 def double_coset_probe(max_len: int, budget: int) -> List[Tuple[Word, str]]:
     """Budgeted search for elements of phi^-1(F) and their F-membership.
 
-    Enumerates freely reduced words x over {a, t} with |x| <= max_len in
-    length-lexicographic order and keeps those whose image phi(x) has
-    Britton normal form t^k (certainly in <t> <= F).  A kept x whose own
-    Britton form is a t-power is in F.  Every other kept x is looked up
-    among the first `budget` elements of F, the images of the freely
-    reduced words in F's free generators {t, c} with length <=
-    F_WORD_MAX_LEN in length-lexicographic order, each held by its
-    BS(2,3) normal form (`bs_canonical`):
+    Walks the freely reduced words x over {a, t} with |x| <= max_len
+    depth-first in the prefix trie, carrying the Britton state
+    (`britton_push`) of phi(x): a child pushes the image of its last
+    letter (a^+-1 -> a^+-2, t^+-1 -> t^+-1) onto its parent's state, so
+    each trie node costs one letter, not a rewrite of the whole word.
+    Only the few kept words fold their own Britton form.  Kept words go
+    into one bucket per length, and the buckets are joined at the end, so
+    results come in length-lexicographic order.  The walk visits
+    2 (3^max_len - 1) nodes; above PROBE_NODE_BUDGET it raises
+    SearchBudgetError before it starts.
+
+    A word x is kept when the Britton form of phi(x) is t^k (certainly in
+    <t> <= F).  A kept x whose own Britton form is a t-power is in F.
+    Every other kept x is looked up among the first `budget` elements of
+    F, the images of the freely reduced words in F's free generators
+    {t, c} with length <= F_WORD_MAX_LEN in length-lexicographic order,
+    each held by its BS(2,3) normal form (`bs_canonical`), built by the
+    same walk:
 
       * found                                 -> status "in-F"
       * not found, all of them looked up      -> "confirmed-in-preimage-unknown-membership"
@@ -210,27 +262,36 @@ def double_coset_probe(max_len: int, budget: int) -> List[Tuple[Word, str]]:
     """
     if max_len <= 0 or budget <= 0:
         raise ValueError("bounds must be positive")
-    t_w, c_w = f_generators(_B)
-
-    results: List[Tuple[Word, str]] = []
+    # 3^40 nodes exceed any budget; the cap keeps huge max_len cheap.
+    nodes = 2 * (3 ** min(max_len, 40) - 1)
+    if nodes > PROBE_NODE_BUDGET:
+        raise SearchBudgetError(
+            f"a probe to length {max_len} visits more than {PROBE_NODE_BUDGET} trie nodes"
+        )
+    f_known, truncated = _f_table(budget)
+    miss = STATUS_EXHAUSTED if truncated else STATUS_UNKNOWN
+    sys = bs_system(2, 3)
     letter_order = [(_A_SYM, 1), (_A_SYM, -1), (_T_SYM, 1), (_T_SYM, -1)]
+    phi_letters = {(sym, eps): (_PHI[sym] ** eps).letters for sym, eps in letter_order}
 
-    f_syms = (GeneratorSymbol("ft"), GeneratorSymbol("fc"))
-    f_images = {f_syms[0]: t_w, f_syms[1]: c_w}
-    f_letters = [(f_syms[0], 1), (f_syms[0], -1), (f_syms[1], 1), (f_syms[1], -1)]
-    f_words = list(_reduced_words(f_letters, F_WORD_MAX_LEN))
-    f_known = {bs_canonical(2, 3, substitute(f_word, f_images)) for f_word in f_words[:budget]}
-    miss = STATUS_EXHAUSTED if len(f_words) > budget else STATUS_UNKNOWN
+    def push(phi_state, letter):
+        return _push_all(sys, phi_state, phi_letters[letter])
 
-    for x in _reduced_words(letter_order, max_len):
-        if not _is_t_power(phi_apply(x), _T_SYM):
-            continue
+    buckets: List[list] = [[] for _ in range(max_len + 1)]
+
+    def visit(prefix, phi_state) -> None:
+        if not britton_is_stable_power(phi_state):
+            return
         # Elements equal to a t-power (k = 0 included) lie in <t> <= F.
-        if _is_t_power(bs_reduce(2, 3, x), _T_SYM) or bs_canonical(2, 3, x) in f_known:
-            results.append((x, STATUS_IN_F))
+        x_state = _push_all(sys, None, prefix)
+        if britton_is_stable_power(x_state) or bs_canonical_pass(2, 3, britton_word(sys, x_state)) in f_known:
+            status = STATUS_IN_F
         else:
-            results.append((x, miss))
-    return results
+            status = miss
+        buckets[len(prefix)].append((Word(prefix), status))
+
+    _walk(letter_order, max_len, None, push, visit)
+    return _length_lex(buckets)
 
 
 def verified_phi_facts() -> Dict[str, bool]:

@@ -21,6 +21,8 @@ Only cyclic edge subgroups are supported: membership of a base word in
 <u> is decidable by exact power comparison, which is all the toolkit
 needs.  Pinch replacement is leftmost-innermost (a stack pass), so each
 replacement removes one stable-letter pair and the procedure terminates.
+The stack is persistent (`britton_push`), so words that share a prefix
+share the rewriting of it.
 General edge subgroups would need a membership oracle interface, and
 amalgam normal forms are deliberately absent: nothing downstream consumes
 them (amalgam facts are handled at the inference-rule level).
@@ -123,9 +125,94 @@ def _edge_power(edge: Word, w: Word) -> Optional[int]:
     return None
 
 
+BrittonState = Optional[Tuple["BrittonState", str, object]]
+"""A Britton stack as an immutable linked list (below, tag, value), None
+when empty: tag "t" holds a run t^k (k != 0), tag "w" a nonempty base
+Word.  Adjacent nodes have different tags.  Pushing never changes a
+state, so words that share a prefix can share the state reached on it."""
+
+
+def _push_base(state: BrittonState, u: Word) -> BrittonState:
+    if not u:
+        return state
+    if state is not None and state[1] == "w":
+        u = state[2] * u
+        return (state[0], "w", u) if u else state[0]
+    return (state, "w", u)
+
+
+def _push_stable(sys: HnnRewriteSystem, state: BrittonState, k: int) -> BrittonState:
+    # Against t^-eps on top, the empty segment pinches, so letters cancel a
+    # run at a time; across a base segment in the matching edge subgroup
+    # each pinch consumes one letter of the run below and one of t^k, and
+    # when v = u^+-1 the segment it leaves pinches again, so the pinches
+    # down the run happen at once.  What is left is pushed as one run.
+    eps = 1 if k > 0 else -1
+    edge_in = sys.left_edge if eps == 1 else sys.right_edge
+    edge_out = sys.right_edge if eps == 1 else sys.left_edge
+    left = abs(k)
+    while left:
+        if state is not None and state[1] == "t":
+            below, _, run = state
+            if run * eps > 0:
+                return (below, "t", run + eps * left)
+            step = min(left, abs(run))
+            left -= step
+            state = (below, "t", run + eps * step) if run + eps * step else below
+            continue
+        if state is not None and state[0] is not None and state[0][2] * eps < 0:
+            p = _edge_power(edge_in, state[2])
+            if p is not None:
+                below, _, run = state[0]
+                steps = 1
+                if sys.edge_ratio in (1, -1):
+                    steps = min(left, abs(run))
+                    p *= sys.edge_ratio ** (steps - 1)
+                if run + eps * steps:
+                    below = (below, "t", run + eps * steps)
+                state = _push_base(below, edge_out ** p)
+                left -= steps
+                continue
+        return (state, "t", eps * left)
+    return state
+
+
+def britton_push(sys: HnnRewriteSystem, state: BrittonState, sym: GeneratorSymbol, exp: int) -> BrittonState:
+    """The state reached by pushing the letter sym^exp onto `state`,
+    eliminating the pinches it closes; `state` itself is unchanged.  sym
+    must be the stable letter or a base generator (`britton_normal_form`
+    checks a whole word)."""
+    if sym == sys.stable:
+        return _push_stable(sys, state, exp)
+    return _push_base(state, Word(((sym, exp),)))
+
+
+def britton_word(sys: HnnRewriteSystem, state: BrittonState) -> Word:
+    """The pinch-free word a state spells, bottom of the stack first."""
+    nodes = []
+    while state is not None:
+        nodes.append(state)
+        state = state[0]
+    out: List[Tuple[GeneratorSymbol, int]] = []
+    for _, tag, val in reversed(nodes):
+        if tag == "t":
+            out.append((sys.stable, val))
+        else:
+            out.extend(val.letters)
+    return Word(out)
+
+
+def britton_is_stable_power(state: BrittonState) -> bool:
+    """Whether a state spells t^k (k = 0 included), read without building
+    the word: adjacent nodes have different tags, so only a lone "t" node
+    does."""
+    return state is None or (state[0] is None and state[1] == "t")
+
+
 def britton_normal_form(sys: HnnRewriteSystem, w: Word) -> Word:
     """Eliminate every pinch t^-1 u t (u in <left_edge>) and t v t^-1
-    (v in <right_edge>), leftmost-innermost.
+    (v in <right_edge>), leftmost-innermost: a fold of `britton_push` over
+    the letters of w from the empty state, read back by `britton_word`.
 
     The result is pinch-free; it is the identity iff it is the empty word,
     and a nonempty pinch-free word containing the stable letter is
@@ -135,75 +222,10 @@ def britton_normal_form(sys: HnnRewriteSystem, w: Word) -> Word:
     for sym, _ in w.letters:
         if sym != t and sym not in sys.base:
             raise AlphabetMismatchError(f"symbol {sym.name!r} is neither base nor stable letter")
-
-    # Stack of tokens: ('t', k), a run t^k with k != 0 (adjacent runs have
-    # opposite signs), or ('w', Word over the base).
-    stack: List[Tuple[str, object]] = []
-
-    def push_base(u: Word) -> None:
-        if not u:
-            return
-        if stack and stack[-1][0] == "w":
-            stack[-1] = ("w", stack[-1][1] * u)
-            if not stack[-1][1]:
-                stack.pop()
-        else:
-            stack.append(("w", u))
-
-    def push_stable(k: int) -> None:
-        # Against t^-eps on top, the empty segment pinches, so letters
-        # cancel a run at a time; across a base segment in the matching
-        # edge subgroup each pinch consumes one letter of the run below and
-        # one of t^k, and when v = u^+-1 the segment it leaves pinches
-        # again, so the pinches down the run happen at once.  What is left
-        # is pushed as one run.
-        eps = 1 if k > 0 else -1
-        edge_in = sys.left_edge if eps == 1 else sys.right_edge
-        edge_out = sys.right_edge if eps == 1 else sys.left_edge
-        left = abs(k)
-        while left:
-            if stack and stack[-1][0] == "t":
-                run = stack[-1][1]
-                if run * eps > 0:
-                    stack[-1] = ("t", run + eps * left)
-                    return
-                step = min(left, abs(run))
-                left -= step
-                if run + eps * step:
-                    stack[-1] = ("t", run + eps * step)
-                else:
-                    stack.pop()
-                continue
-            if len(stack) >= 2 and stack[-2][1] * eps < 0:
-                p = _edge_power(edge_in, stack[-1][1])
-                if p is not None:
-                    stack.pop()
-                    run = stack.pop()[1]
-                    steps = 1
-                    if sys.edge_ratio in (1, -1):
-                        steps = min(left, abs(run))
-                        p *= sys.edge_ratio ** (steps - 1)
-                    if run + eps * steps:
-                        stack.append(("t", run + eps * steps))
-                    push_base(edge_out ** p)
-                    left -= steps
-                    continue
-            stack.append(("t", eps * left))
-            return
-
+    state: BrittonState = None
     for sym, exp in w.letters:
-        if sym == t:
-            push_stable(exp)
-        else:
-            push_base(word((sym, exp)))
-
-    out: List[Tuple[GeneratorSymbol, int]] = []
-    for tag, val in stack:
-        if tag == "t":
-            out.append((t, val))
-        else:
-            out.extend(val.letters)
-    return Word(out)
+        state = britton_push(sys, state, sym, exp)
+    return britton_word(sys, state)
 
 
 def is_pinch_free(sys: HnnRewriteSystem, w: Word) -> bool:
@@ -227,23 +249,30 @@ def bs_equal(m: int, n: int, u: Word, v: Word) -> bool:
 
 def bs_canonical(m: int, n: int, w: Word) -> Word:
     """The unique normal form of w in BS(m, n): bs_canonical(m, n, u) ==
-    bs_canonical(m, n, v) iff u = v.
+    bs_canonical(m, n, v) iff u = v.  `bs_canonical_pass` over
+    `bs_reduce`."""
+    return bs_canonical_pass(m, n, bs_reduce(m, n, w))
 
-    One left-to-right pass over the pinch-free Britton form.  Before each
-    t the base segment a^e is written a^(qm + r) with 0 <= r < |m| and
-    a^(qm) t = t a^(qn) carries a^(qn) to the right; before each t^-1 the
-    same is done mod |n|, carrying a^(qm).  A carry changes a segment by
-    a multiple of the edge exponent it meets, so no pinch appears, and the
-    segments before stable letters are coset representatives: this is
-    the HNN normal form (Lyndon-Schupp, Combinatorial Group Theory, IV.2).
-    A t-run passes through whole once the carry is zero; until then it is
-    rewritten letter by letter, and the form can be as long as the run
-    (a^-2 t^N is (a t)^N a^-2 in BS(3, 2)).
+
+def bs_canonical_pass(m: int, n: int, nf: Word) -> Word:
+    """The unique normal form of a pinch-free word nf in BS(m, n), such as
+    a Britton form a caller already holds.
+
+    One left-to-right pass.  Before each t the base segment a^e is
+    written a^(qm + r) with 0 <= r < |m| and a^(qm) t = t a^(qn) carries
+    a^(qn) to the right; before each t^-1 the same is done mod |n|,
+    carrying a^(qm).  A carry changes a segment by a multiple of the edge
+    exponent it meets, so no pinch appears, and the segments before stable
+    letters are coset representatives: this is the HNN normal form
+    (Lyndon-Schupp, Combinatorial Group Theory, IV.2).  A t-run passes
+    through whole once the carry is zero; until then it is rewritten
+    letter by letter, and the form can be as long as the run (a^-2 t^N is
+    (a t)^N a^-2 in BS(3, 2)).
     """
     a = bs_system(m, n).base.symbols[0]
     out: List[Tuple[GeneratorSymbol, int]] = []
     e = 0  # exponent of the pending base segment, carry included
-    for sym, k in bs_reduce(m, n, w).letters:
+    for sym, k in nf.letters:
         if sym == a:
             e += k
             continue

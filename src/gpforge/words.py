@@ -160,7 +160,10 @@ class Word:
         return Word(self._letters + other._letters)
 
     def __invert__(self) -> "Word":
-        return Word(tuple((s, -e) for s, e in reversed(self._letters)))
+        # The inverse of a freely reduced run-length word is freely reduced.
+        inverse = object.__new__(Word)
+        object.__setattr__(inverse, "_letters", tuple((s, -e) for s, e in reversed(self._letters)))
+        return inverse
 
     def __pow__(self, k: int) -> "Word":
         # Words are immutable, so w ** 1 may be w itself.

@@ -381,3 +381,17 @@ def test_certificate_does_not_depend_on_hash_seed(tmp_path):
                 "--word", "a b", "-o", str(tmp_path / "d.grp"), "--expr", str(gx))
         outputs.add(gx.read_text(encoding="utf-8") + gpforge("infer", str(gx), "--query", "large-hb 2", "--cert"))
     assert len(outputs) == 1
+
+
+def test_meier_probe_over_the_node_budget_exits_2(monkeypatch, capsys):
+    # --max-len 1000 would walk 2 (3^1000 - 1) trie nodes; the count is
+    # checked before the walk, so the refusal is immediate.
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    cmd = [sys.executable, "-m", "gpforge.cli", "meier-probe", "--max-len", "1000", "--budget", "10"]
+    done = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == EXIT_INPUT and done.stdout == ""
+    assert done.stderr.startswith("input error:") and "Traceback" not in done.stderr
+    # 13 is the first length over the budget.
+    code, out, err = run_cli(["meier-probe", "--max-len", "13", "--budget", "10"], capsys=capsys, monkeypatch=monkeypatch)
+    assert code == EXIT_INPUT and out == "" and "trie nodes" in err

@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from gpforge.errors import AlphabetMismatchError
+from gpforge import meier
+from gpforge.errors import AlphabetMismatchError, SearchBudgetError
 from gpforge.meier import (
     STATUS_EXHAUSTED,
     STATUS_IN_F,
@@ -20,7 +21,7 @@ from gpforge.meier import (
 from gpforge.presentations import tietze_simplify
 from gpforge.rewriting import bs_equal, bs_reduce
 from gpforge.words import Word, commutator, format_word, parse_word
-from tests_util import linear_scan_probe
+from tests_util import linear_scan_probe, whole_word_probe
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -168,3 +169,28 @@ def test_probe_budget_boundary_len8(probe_len8):
     assert small == linear_scan_probe(8, 7)
     assert {s for _, s in small} == {STATUS_IN_F, STATUS_EXHAUSTED}
     assert double_coset_probe(8, 1456) == probe_len8
+
+
+def test_probe_matches_whole_word_probe_len9():
+    # The enumeration the trie walk replaced: phi(x) and x rewritten whole
+    # for each of the 39,364 words of length <= 9.
+    assert double_coset_probe(9, 100_000) == whole_word_probe(9, 100_000)
+
+
+@pytest.mark.parametrize("budget", [1, 1455])
+def test_probe_matches_whole_word_probe_at_budgets(budget):
+    # Budgets only show from length 8, the first that needs the F lookup;
+    # 1455 drops the last of the 1,456 elements of F.
+    assert double_coset_probe(8, budget) == whole_word_probe(8, budget)
+
+
+def test_probe_node_budget(monkeypatch):
+    # The walk visits 2 (3^L - 1) nodes: 160 at L = 4, 484 at L = 5.
+    monkeypatch.setattr(meier, "PROBE_NODE_BUDGET", 160)
+    assert double_coset_probe(4, 10) == whole_word_probe(4, 10)
+    with pytest.raises(SearchBudgetError, match="more than 160 trie nodes"):
+        double_coset_probe(5, 10)
+    monkeypatch.undo()
+    for max_len in (13, 1000, 10**12):
+        with pytest.raises(SearchBudgetError):
+            double_coset_probe(max_len, 10)

@@ -11,8 +11,12 @@ from gpforge.presentations import EMPTY_PRESENTATION, parse, presentation
 from gpforge.rewriting import (
     HnnRewriteSystem,
     TrivialityCertificate,
+    britton_is_stable_power,
     britton_normal_form,
+    britton_push,
+    britton_word,
     bs_canonical,
+    bs_canonical_pass,
     bs_equal,
     bs_reduce,
     bs_system,
@@ -24,7 +28,12 @@ from gpforge.rewriting import (
     permutation_cycles,
 )
 from gpforge.words import Alphabet, GeneratorSymbol, Word, commutator, parse_word, word
-from tests_util import random_presentation, random_word, whole_permutation_homomorphisms
+from tests_util import (
+    random_presentation,
+    random_word,
+    stack_britton_normal_form,
+    whole_permutation_homomorphisms,
+)
 
 A = GeneratorSymbol("a")
 T = GeneratorSymbol("t")
@@ -229,6 +238,101 @@ def test_general_cyclic_edge_words():
     )
     w = ~word("t") * commutator(word("a"), word("b")) ** 2 * word("t")
     assert britton_normal_form(sys, w) == word(("b", 4))
+
+
+# BS(m, n) with m = +-n (whole-run pinches), the usual ones, and free bases
+# with edges of more than one letter, where v = u^+-1 or v is no power of u.
+DIFFERENTIAL_SYSTEMS = [
+    bs_system(2, 3),
+    bs_system(1, 1),
+    bs_system(1, -1),
+    bs_system(2, 2),
+    bs_system(3, -3),
+    bs_system(3, 2),
+    bs_system(2, -4),
+    HnnRewriteSystem(Alphabet(("x", "y")), GeneratorSymbol("t"), parse_word("x y"), parse_word("x y")),
+    HnnRewriteSystem(Alphabet(("x", "y")), GeneratorSymbol("t"), parse_word("x y"), parse_word("y^-1 x^-1")),
+    HnnRewriteSystem(Alphabet(["a", "b"]), GeneratorSymbol("t"), commutator(word("a"), word("b")), word(("b", 2))),
+]
+
+
+def _pinchy_word(system, pieces):
+    """A word from (kind, k) pieces: a stable run t^k, a base letter, a
+    power of either edge word, or the defining relator r^+-1 conjugated
+    by the piece before it, so that pinches are common and segments left
+    by a pinch often cancel."""
+    t = word(system.stable)
+    base = system.base.symbols
+    relator = system.presentation.relators[0]
+    out = prev = Word()
+    for kind, k in pieces:
+        if kind == 4:
+            out = out * prev * relator ** (1 if k > 0 else -1) * ~prev
+            continue
+        if kind == 0:
+            prev = t ** k
+        elif kind == 1:
+            prev = word((base[abs(k) % len(base)], k))
+        else:
+            prev = (system.left_edge if kind == 2 else system.right_edge) ** k
+        out = out * prev
+    return out
+
+
+_PIECES = st.lists(
+    st.tuples(st.integers(0, 4), st.integers(-3, 3).filter(bool)), max_size=14
+)
+
+
+@settings(max_examples=600, deadline=None, database=None, derandomize=True)
+@given(st.sampled_from(range(len(DIFFERENTIAL_SYSTEMS))), _PIECES)
+def test_britton_fold_matches_stack_rewriter(index, pieces):
+    system = DIFFERENTIAL_SYSTEMS[index]
+    w = _pinchy_word(system, pieces)
+    nf = stack_britton_normal_form(system, w)
+    assert britton_normal_form(system, w) == nf
+    state = None
+    for sym, exp in w.letters:
+        state = britton_push(system, state, sym, exp)
+    stable_power = len(nf.letters) <= 1 and all(sym == system.stable for sym, _ in nf.letters)
+    assert britton_is_stable_power(state) == stable_power
+
+
+def test_pushes_leave_the_shared_state_unchanged():
+    for system in DIFFERENTIAL_SYSTEMS:
+        t = system.stable
+        u = system.left_edge
+        # t^-2 u: pushing t pinches through the top two nodes of the parent.
+        prefix = ~word(t) * ~word(t) * u
+        parent = None
+        for sym, exp in prefix.letters:
+            parent = britton_push(system, parent, sym, exp)
+        before = britton_word(system, parent)
+        snapshot = parent
+        letters = [(t, 1), (t, -1), (t, 3)] + [(g, e) for g in system.base for e in (1, -2)]
+        for sym, exp in letters:
+            child = britton_push(system, parent, sym, exp)
+            assert britton_word(system, child) == britton_normal_form(system, prefix * word((sym, exp)))
+            assert parent is snapshot and britton_word(system, parent) == before
+        assert before == britton_normal_form(system, prefix)
+
+
+@pytest.mark.parametrize("m,n", CANONICAL_PAIRS)
+def test_canonical_pass_accepts_any_pinch_free_form(m, n):
+    # Pushing letters that cancel only after a pinch (t^-1 a^m, then t,
+    # then t^-1) leaves another pinch-free form than the reduced word's;
+    # the canonical pass maps both to one normal form.
+    system = bs_system(m, n)
+    rng = random.Random(31 * m + n)
+    for _ in range(60):
+        letters = [(rng.choice([A, T]), rng.choice([-1, 1])) for _ in range(rng.randint(0, 10))]
+        letters[rng.randint(0, len(letters)):0] = [(T, -1), (A, m), (T, 1), (T, -1)]
+        state = None
+        for sym, exp in letters:
+            state = britton_push(system, state, sym, exp)
+        nf = britton_word(system, state)
+        assert is_pinch_free(system, nf)
+        assert bs_canonical_pass(m, n, nf) == bs_canonical(m, n, Word(letters))
 
 
 def test_free_triviality():

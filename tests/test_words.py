@@ -79,6 +79,23 @@ def test_free_reduce_idempotent_and_kills_inverses():
         assert w * ~w == Word()
 
 
+def test_inverse_is_reversed_negated_runs_without_renormalising():
+    rng = random.Random(11)
+    symbols = [A, B]
+    seen_not_cyclically_reduced = 0
+    for _ in range(500):
+        w = Word(random_letters(rng, symbols))
+        if cyclically_reduce(w)[1]:
+            seen_not_cyclically_reduced += 1
+        inverse = ~w
+        assert inverse == Word([(s, -e) for s, e in reversed(w.letters)])
+        assert inverse.letters == Word(inverse.letters).letters
+        assert ~inverse == w and hash(inverse) == hash(Word(inverse.letters))
+    assert seen_not_cyclically_reduced > 50
+    # a b a^-1: the inverse keeps the conjugating runs at both ends.
+    assert ~word("a", "b", (A, -1)) == word("a", (B, -1), (A, -1))
+
+
 def test_alphabet_mismatch():
     alphabet = Alphabet(["a", "b"])
     with pytest.raises(AlphabetMismatchError):

@@ -5,20 +5,31 @@ from math import gcd
 from typing import Dict, Iterator, List, Tuple
 
 from gpforge.homology import IntegerMatrix
+from gpforge.errors import AlphabetMismatchError
 from gpforge.meier import (
+    _B,
+    _A_SYM,
+    _T_SYM,
     F_WORD_MAX_LEN,
     STATUS_EXHAUSTED,
     STATUS_IN_F,
     STATUS_UNKNOWN,
-    _is_t_power,
-    _reduced_words,
     f_generators,
     phi_apply,
 )
 from gpforge import presentations
 from gpforge.presentations import Presentation, _isolated_symbol
-from gpforge.rewriting import Homomorphism, bs_equal, bs_reduce, bs_system, evaluate_word
-from gpforge.words import Alphabet, GeneratorSymbol, Word, cyclically_reduce, substitute
+from gpforge.rewriting import (
+    HnnRewriteSystem,
+    Homomorphism,
+    _edge_power,
+    bs_canonical,
+    bs_equal,
+    bs_reduce,
+    bs_system,
+    evaluate_word,
+)
+from gpforge.words import Alphabet, GeneratorSymbol, Word, cyclically_reduce, substitute, word
 
 
 def random_presentation(rng, max_gens=4, max_rels=4, max_len=6):
@@ -95,6 +106,78 @@ def gcd_of_minors_factors(a: IntegerMatrix) -> Tuple[int, ...]:
     return tuple(factors)
 
 
+def _reduced_words(symbols: List[Tuple[GeneratorSymbol, int]], max_len: int) -> Iterator[Word]:
+    """Freely reduced words over +-1 letters, lazily, in length-lex order."""
+
+    def of_length(length: int, prefix: List[Tuple[GeneratorSymbol, int]]) -> Iterator[Word]:
+        if len(prefix) == length:
+            yield Word(prefix)
+            return
+        for sym, eps in symbols:
+            if prefix and prefix[-1][0] == sym and prefix[-1][1] == -eps:
+                continue
+            prefix.append((sym, eps))
+            yield from of_length(length, prefix)
+            prefix.pop()
+
+    for length in range(1, max_len + 1):
+        yield from of_length(length, [])
+
+
+def _is_t_power(nf: Word, t_sym: GeneratorSymbol) -> bool:
+    if not nf:
+        return True
+    return len(nf.letters) == 1 and nf.letters[0][0] == t_sym
+
+
+def whole_word_probe(max_len: int, budget: int) -> List[Tuple[Word, str]]:
+    """Oracle for meier.double_coset_probe: the enumeration it replaced,
+    kept verbatim, which rewrites phi(x) and x whole for every word x.
+
+    Budgeted search for elements of phi^-1(F) and their F-membership.
+
+    Enumerates freely reduced words x over {a, t} with |x| <= max_len in
+    length-lexicographic order and keeps those whose image phi(x) has
+    Britton normal form t^k (certainly in <t> <= F).  A kept x whose own
+    Britton form is a t-power is in F.  Every other kept x is looked up
+    among the first `budget` elements of F, the images of the freely
+    reduced words in F's free generators {t, c} with length <=
+    F_WORD_MAX_LEN in length-lexicographic order, each held by its
+    BS(2,3) normal form (`bs_canonical`):
+
+      * found                                 -> status "in-F"
+      * not found, all of them looked up      -> "confirmed-in-preimage-unknown-membership"
+      * not found, more than `budget` of them -> "exhausted"
+
+    "confirmed-witness" is reserved for a certified non-membership
+    backend; no such certificate is available here, so the status is never
+    emitted by this probe.
+    """
+    if max_len <= 0 or budget <= 0:
+        raise ValueError("bounds must be positive")
+    t_w, c_w = f_generators(_B)
+
+    results: List[Tuple[Word, str]] = []
+    letter_order = [(_A_SYM, 1), (_A_SYM, -1), (_T_SYM, 1), (_T_SYM, -1)]
+
+    f_syms = (GeneratorSymbol("ft"), GeneratorSymbol("fc"))
+    f_images = {f_syms[0]: t_w, f_syms[1]: c_w}
+    f_letters = [(f_syms[0], 1), (f_syms[0], -1), (f_syms[1], 1), (f_syms[1], -1)]
+    f_words = list(_reduced_words(f_letters, F_WORD_MAX_LEN))
+    f_known = {bs_canonical(2, 3, substitute(f_word, f_images)) for f_word in f_words[:budget]}
+    miss = STATUS_EXHAUSTED if len(f_words) > budget else STATUS_UNKNOWN
+
+    for x in _reduced_words(letter_order, max_len):
+        if not _is_t_power(phi_apply(x), _T_SYM):
+            continue
+        # Elements equal to a t-power (k = 0 included) lie in <t> <= F.
+        if _is_t_power(bs_reduce(2, 3, x), _T_SYM) or bs_canonical(2, 3, x) in f_known:
+            results.append((x, STATUS_IN_F))
+        else:
+            results.append((x, miss))
+    return results
+
+
 def linear_scan_probe(max_len: int, budget: int) -> List[Tuple[Word, str]]:
     """Oracle for meier.double_coset_probe: each candidate is compared
     with the elements of F one `bs_equal` rewrite at a time, spending at
@@ -124,6 +207,92 @@ def linear_scan_probe(max_len: int, budget: int) -> List[Tuple[Word, str]]:
                 break
         results.append((x, status))
     return results
+
+
+def stack_britton_normal_form(sys: HnnRewriteSystem, w: Word) -> Word:
+    """Oracle for rewriting.britton_normal_form: the list-stack rewriter
+    the persistent state replaced, kept verbatim.
+
+    Eliminate every pinch t^-1 u t (u in <left_edge>) and t v t^-1
+    (v in <right_edge>), leftmost-innermost.
+
+    The result is pinch-free; it is the identity iff it is the empty word,
+    and a nonempty pinch-free word containing the stable letter is
+    certified nontrivial (Britton's lemma).
+    """
+    t = sys.stable
+    for sym, _ in w.letters:
+        if sym != t and sym not in sys.base:
+            raise AlphabetMismatchError(f"symbol {sym.name!r} is neither base nor stable letter")
+
+    # Stack of tokens: ('t', k), a run t^k with k != 0 (adjacent runs have
+    # opposite signs), or ('w', Word over the base).
+    stack: List[Tuple[str, object]] = []
+
+    def push_base(u: Word) -> None:
+        if not u:
+            return
+        if stack and stack[-1][0] == "w":
+            stack[-1] = ("w", stack[-1][1] * u)
+            if not stack[-1][1]:
+                stack.pop()
+        else:
+            stack.append(("w", u))
+
+    def push_stable(k: int) -> None:
+        # Against t^-eps on top, the empty segment pinches, so letters
+        # cancel a run at a time; across a base segment in the matching
+        # edge subgroup each pinch consumes one letter of the run below and
+        # one of t^k, and when v = u^+-1 the segment it leaves pinches
+        # again, so the pinches down the run happen at once.  What is left
+        # is pushed as one run.
+        eps = 1 if k > 0 else -1
+        edge_in = sys.left_edge if eps == 1 else sys.right_edge
+        edge_out = sys.right_edge if eps == 1 else sys.left_edge
+        left = abs(k)
+        while left:
+            if stack and stack[-1][0] == "t":
+                run = stack[-1][1]
+                if run * eps > 0:
+                    stack[-1] = ("t", run + eps * left)
+                    return
+                step = min(left, abs(run))
+                left -= step
+                if run + eps * step:
+                    stack[-1] = ("t", run + eps * step)
+                else:
+                    stack.pop()
+                continue
+            if len(stack) >= 2 and stack[-2][1] * eps < 0:
+                p = _edge_power(edge_in, stack[-1][1])
+                if p is not None:
+                    stack.pop()
+                    run = stack.pop()[1]
+                    steps = 1
+                    if sys.edge_ratio in (1, -1):
+                        steps = min(left, abs(run))
+                        p *= sys.edge_ratio ** (steps - 1)
+                    if run + eps * steps:
+                        stack.append(("t", run + eps * steps))
+                    push_base(edge_out ** p)
+                    left -= steps
+                    continue
+            stack.append(("t", eps * left))
+            return
+
+    for sym, exp in w.letters:
+        if sym == t:
+            push_stable(exp)
+        else:
+            push_base(word((sym, exp)))
+
+    out: List[Tuple[GeneratorSymbol, int]] = []
+    for tag, val in stack:
+        if tag == "t":
+            out.append((t, val))
+        else:
+            out.extend(val.letters)
+    return Word(out)
 
 
 def whole_permutation_homomorphisms(p: Presentation, degree_max: int) -> Iterator[Homomorphism]:

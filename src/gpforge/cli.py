@@ -12,6 +12,7 @@ import argparse
 import os
 import random
 import sys
+from functools import lru_cache
 from typing import List, Optional
 
 from . import combinators as cb
@@ -238,7 +239,11 @@ def _cmd_corpus(args) -> int:
     return EXIT_OK
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> _Parser:
+    """The command-line parser, built on the first call and shared by every
+    later one: each `parse_args` fills a fresh namespace, so no call sees
+    another's arguments."""
     parser = _Parser(prog="gpforge", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -24,8 +24,10 @@ from .words import (
     Alphabet,
     GeneratorSymbol,
     Word,
+    _reduced,
     cyclically_reduce,
     format_word,
+    identity_map,
     parse_word,
     substitute,
 )
@@ -144,9 +146,9 @@ def _isolated_symbol(rel: Word, sym: GeneratorSymbol) -> Optional[Word]:
         return None
     r = rel if occ[0] == 1 else ~rel
     j = next(k for k, (s, _) in enumerate(r.letters) if s == sym)
-    # r rotated at j reads sym * tail, so sym = tail^-1; the slice seam may
-    # merge two runs of one symbol, which Word() normalises.
-    tail = Word(r.letters[j + 1 :] + r.letters[:j])
+    # r rotated at j reads sym * tail, so sym = tail^-1; the two slices are
+    # reduced and can merge only at their seam.
+    tail = _reduced(r.letters[j + 1 :]) * _reduced(r.letters[:j])
     return ~tail
 
 
@@ -182,8 +184,8 @@ def tietze_simplify(p: Presentation) -> Presentation:
     """
     symbols = list(p.alphabet.symbols)
     relators: List[Optional[Word]] = [cyclically_reduce(r)[0] for r in p.relators]
-    letter = {s: Word(((s, 1),)) for s in symbols}
-    # Keyed by name: a str caches its hash, a GeneratorSymbol does not.
+    letter = identity_map(p.alphabet)
+    # Keyed by name: a str hashes in C, a GeneratorSymbol through a method.
     contains: Dict[str, int] = defaultdict(int)
     isolates: Dict[str, int] = defaultdict(int)
     empty = 0

@@ -37,7 +37,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from .errors import AlphabetMismatchError, ParseError, SearchBudgetError, UnsupportedEdgeError
 from .presentations import Presentation
-from .words import Alphabet, GeneratorSymbol, Word, cyclically_reduce, word
+from .words import Alphabet, GeneratorSymbol, Word, _reduced, cyclically_reduce, word
 
 
 @dataclass(frozen=True)
@@ -178,17 +178,20 @@ def _push_stable(sys: HnnRewriteSystem, state: BrittonState, k: int) -> BrittonS
 
 
 def britton_push(sys: HnnRewriteSystem, state: BrittonState, sym: GeneratorSymbol, exp: int) -> BrittonState:
-    """The state reached by pushing the letter sym^exp onto `state`,
-    eliminating the pinches it closes; `state` itself is unchanged.  sym
-    must be the stable letter or a base generator (`britton_normal_form`
-    checks a whole word)."""
+    """The state reached by pushing the letter sym^exp (exp a nonzero int)
+    onto `state`, eliminating the pinches it closes; `state` itself is
+    unchanged.  sym must be the stable letter or a base generator
+    (`britton_normal_form` checks a whole word)."""
     if sym == sys.stable:
         return _push_stable(sys, state, exp)
-    return _push_base(state, Word(((sym, exp),)))
+    return _push_base(state, _reduced(((sym, exp),)))
 
 
 def britton_word(sys: HnnRewriteSystem, state: BrittonState) -> Word:
-    """The pinch-free word a state spells, bottom of the stack first."""
+    """The pinch-free word a state spells, bottom of the stack first.
+
+    Base segments alternate with t-runs and hold no t, so the spelled runs
+    are reduced as they stand."""
     nodes = []
     while state is not None:
         nodes.append(state)
@@ -199,7 +202,7 @@ def britton_word(sys: HnnRewriteSystem, state: BrittonState) -> Word:
             out.append((sys.stable, val))
         else:
             out.extend(val.letters)
-    return Word(out)
+    return _reduced(tuple(out))
 
 
 def britton_is_stable_power(state: BrittonState) -> bool:
@@ -291,7 +294,7 @@ def bs_canonical_pass(m: int, n: int, nf: Word) -> Word:
 
 def free_triviality(w: Word) -> bool:
     """True iff the word freely reduces to the identity."""
-    return not Word(w.letters)
+    return not w
 
 
 # ---------------------------------------------------------------------------

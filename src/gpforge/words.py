@@ -2,8 +2,17 @@
 
 Words are stored in run-length form: a sequence of (symbol, exponent) pairs
 with nonzero arbitrary-precision exponents and distinct adjacent symbols.
-A word in this form is automatically freely reduced, so the constructor
-normalises and every operation returns reduced words.
+A word in this form is automatically freely reduced, so the public
+constructors (`Word(letters)`, `word`, `parse_word`) normalise every run
+and every operation returns reduced words.
+
+The operations trust that their operands are reduced already: products,
+powers, inverses, `substitute`, `cyclically_reduce` and `identity_map`
+build their results from the operands' runs, and two reduced run lists
+can cancel only where they meet (Lyndon-Schupp, Combinatorial Group
+Theory, I.1).  They join them with `_push_runs`, which merges or cancels
+at that seam, cascades included, and wrap the result with `_reduced`,
+which normalises nothing.
 
 Text syntax (used by every file format and by the CLI):
 
@@ -36,6 +45,18 @@ class GeneratorSymbol:
     def __post_init__(self):
         if not _IDENT_RE.match(self.name):
             raise ParseError(f"invalid generator name {self.name!r}")
+        # The dataclass hash, hash((name,)), computed once.
+        object.__setattr__(self, "_hash", hash((self.name,)))
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.name == other.name
+
+    def __hash__(self):
+        return self._hash
 
     def __repr__(self):
         return f"GeneratorSymbol({self.name!r})"
@@ -124,6 +145,33 @@ def _normalize(letters: Iterable[Tuple[GeneratorSymbol, int]]) -> Tuple[Tuple[Ge
     return tuple((s, e) for s, e in stack)
 
 
+def _push_runs(out: list, runs: Tuple[Tuple[GeneratorSymbol, int], ...]) -> None:
+    """Append the reduced runs `runs` to the reduced run list `out`.
+
+    Only the seam can merge: a run of the top symbol adds to it, and when
+    the sum is zero the run below is exposed to the next one.  Past the
+    first run that does not cancel, the runs are appended as they are.
+    """
+    i = 0
+    for sym, exp in runs:
+        if not out or out[-1][0] != sym:
+            break
+        i += 1
+        exp += out[-1][1]
+        if exp:
+            out[-1] = (sym, exp)
+            break
+        out.pop()
+    out.extend(runs[i:])
+
+
+def _reduced(runs: Tuple[Tuple[GeneratorSymbol, int], ...]) -> "Word":
+    """The Word of a run tuple that is reduced already, not normalised."""
+    w = object.__new__(Word)
+    object.__setattr__(w, "_letters", runs)
+    return w
+
+
 class Word:
     """A freely reduced word; immutable and hashable.
 
@@ -157,28 +205,33 @@ class Word:
         return hash(self._letters)
 
     def __mul__(self, other: "Word") -> "Word":
-        return Word(self._letters + other._letters)
+        out = list(self._letters)
+        _push_runs(out, other._letters)
+        return _reduced(tuple(out))
 
     def __invert__(self) -> "Word":
         # The inverse of a freely reduced run-length word is freely reduced.
-        inverse = object.__new__(Word)
-        object.__setattr__(inverse, "_letters", tuple((s, -e) for s, e in reversed(self._letters)))
-        return inverse
+        return _reduced(tuple((s, -e) for s, e in reversed(self._letters)))
 
     def __pow__(self, k: int) -> "Word":
         # Words are immutable, so w ** 1 may be w itself.
+        if not isinstance(k, int):
+            return NotImplemented
         if k == 1:
             return self
         if k == -1:
             return ~self
         if k == 0 or not self._letters:
-            return Word()
+            return _reduced(())
         if k < 0:
             return (~self) ** (-k)
         if len(self._letters) == 1:
-            sym, exp = self._letters[0]
-            return Word(((sym, exp * k),))
-        return Word(self._letters * k)
+            (sym, exp), = self._letters
+            return _reduced(((sym, exp * k),))
+        out: list = []
+        for _ in range(k):
+            _push_runs(out, self._letters)
+        return _reduced(tuple(out))
 
     def symbols(self):
         """The set of symbols occurring in the word."""
@@ -221,43 +274,60 @@ def cyclically_reduce(w: Word) -> Tuple[Word, Word]:
     """Return (core, conjugator) with w = conjugator * core * conjugator^-1.
 
     The core is cyclically reduced; peeling works on run-length entries so
-    huge exponents never get flattened.
+    huge exponents never get flattened.  Core and conjugator are slices of
+    w's runs, with at most one end run shortened, so both are reduced.
     """
-    letters = [list(p) for p in w.letters]
-    conj: list = []
-    while len(letters) >= 2:
-        (s0, e0), (s1, e1) = letters[0], letters[-1]
+    runs = w.letters
+    lo, hi = 0, len(runs)
+    while hi - lo >= 2:
+        (s0, e0), (s1, e1) = runs[lo], runs[hi - 1]
         if s0 != s1 or (e0 > 0) == (e1 > 0):
             break
-        m = min(abs(e0), abs(e1))
-        sign = 1 if e0 > 0 else -1
-        conj.append((s0, sign * m))
-        letters[0][1] -= sign * m
-        letters[-1][1] += sign * m
-        if letters[-1][1] == 0:
-            letters.pop()
-        if letters[0][1] == 0:
-            letters.pop(0)
-        # Freely reduced input: first/last cannot merge into a new run here,
-        # but a fully peeled pair may expose another cancellable pair.
-    core = Word(tuple((s, e) for s, e in letters))
-    return core, Word(conj)
+        if e0 + e1 == 0:
+            # A fully peeled pair may expose another cancellable pair.
+            lo, hi = lo + 1, hi - 1
+            continue
+        # The shorter run of the pair is peeled whole and the longer keeps
+        # the rest; the runs next to it have other symbols, so peeling stops.
+        if abs(e0) > abs(e1):
+            return _reduced(((s0, e0 + e1),) + runs[lo + 1 : hi - 1]), _reduced(runs[:lo] + ((s0, -e1),))
+        return _reduced(runs[lo + 1 : hi - 1] + ((s1, e0 + e1),)), _reduced(runs[: lo + 1])
+    return _reduced(runs[lo:hi]), _reduced(runs[:lo])
 
 
 def substitute(w: Word, mapping: Dict[GeneratorSymbol, Word]) -> Word:
-    """Homomorphic image of `w` under symbol -> word, freely reduced."""
-    parts: list = []
+    """Homomorphic image of `w` under symbol -> word, freely reduced.
+
+    Each letter's image power is pushed onto the result with a seam merge;
+    a single-run image s^e is pushed as the one run s^(e * exp).
+    """
+    out: list = []
     for sym, exp in w.letters:
         try:
-            image = mapping[sym]
+            runs = mapping[sym]._letters
         except KeyError:
             raise PartialMapError(f"substitution map has no image for {sym.name!r}") from None
-        parts.extend((image ** exp).letters)
-    return Word(parts)
+        if len(runs) == 1:
+            (s, e), = runs
+            e *= exp
+            if out and out[-1][0] == s:
+                e += out[-1][1]
+                if e:
+                    out[-1] = (s, e)
+                else:
+                    out.pop()
+            else:
+                out.append((s, e))
+        elif runs:
+            if exp < 0:
+                runs, exp = tuple((s, -e) for s, e in reversed(runs)), -exp
+            for _ in range(exp):
+                _push_runs(out, runs)
+    return _reduced(tuple(out))
 
 
 def identity_map(alphabet: Alphabet) -> Dict[GeneratorSymbol, Word]:
-    return {s: Word(((s, 1),)) for s in alphabet}
+    return {s: _reduced(((s, 1),)) for s in alphabet}
 
 
 def commutator(u: Word, v: Word) -> Word:

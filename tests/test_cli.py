@@ -395,3 +395,32 @@ def test_meier_probe_over_the_node_budget_exits_2(monkeypatch, capsys):
     # 13 is the first length over the budget.
     code, out, err = run_cli(["meier-probe", "--max-len", "13", "--budget", "10"], capsys=capsys, monkeypatch=monkeypatch)
     assert code == EXIT_INPUT and out == "" and "trie nodes" in err
+
+
+def test_one_process_runs_commands_back_to_back_like_fresh_processes(tmp_path, monkeypatch, capsys):
+    # main shares one parser across calls; no default or earlier argument
+    # may leak into a later call, a usage error included.
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    lam = tmp_path / "f2.grp"
+    lam.write_text("gens a b\n", encoding="utf-8")
+    bs = tmp_path / "bs.grp"
+    bs.write_text(BS23, encoding="utf-8")
+    delta = ["reduce", "--construction", "delta", "--lambda", str(lam), "--word", "a b"]
+    sequence = [
+        delta + ["--dim", "3"],
+        ["normalize", "--bs", "nonsense", "a"],
+        delta,
+        ["normalize", "--bs", "2,3", "t^-1 a^4 t a^-5"],
+        ["abelianize", str(bs)],
+        ["certify-nontrivial", str(bs), "--word", "a"],
+    ]
+    outputs = []
+    for argv in sequence:
+        code, out, _ = run_cli(argv, capsys=capsys, monkeypatch=monkeypatch)
+        fresh = subprocess.run(
+            [sys.executable, "-m", "gpforge.cli", *argv], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert (code, out) == (fresh.returncode, fresh.stdout), argv
+        outputs.append(out)
+    assert outputs[1] == "" and outputs[0] != outputs[2]

@@ -1,8 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from gpforge import combinators, meier, words
 from gpforge.errors import AlphabetMismatchError, ParseError, PartialMapError
+from gpforge.presentations import presentation, tietze_simplify
+from gpforge.rewriting import HnnRewriteSystem, britton_push, britton_word, bs_system
 from gpforge.words import (
     Alphabet,
     GeneratorSymbol,
@@ -222,3 +226,171 @@ def test_generator_symbol_name_pattern():
 def test_alphabet_duplicate_names_rejected():
     with pytest.raises(ParseError):
         Alphabet(["a", "a"])
+
+
+def test_generator_symbol_semantics():
+    a1, a2, b = GeneratorSymbol("a"), GeneratorSymbol("a"), GeneratorSymbol("b")
+    assert a1 is not a2 and a1 == a2 and not a1 != a2
+    assert hash(a1) == hash(a2) == hash(("a",))
+    assert a1 != b and {a1: 1}[a2] == 1
+    assert GeneratorSymbol("a") != "a" and "a" != GeneratorSymbol("a")
+    assert a1.__eq__("a") is NotImplemented
+    names = ["b", "A_9z", "a", "B", "a1"]
+    assert [s.name for s in sorted(GeneratorSymbol(n) for n in names)] == sorted(names)
+    assert a1 < b and not b < a1 and a1 <= a2
+    with pytest.raises(TypeError):
+        a1 < "b"
+    assert repr(GeneratorSymbol("x_1")) == "GeneratorSymbol('x_1')"
+    for bad in ("", "1a", "a b", "a^2"):
+        with pytest.raises(ParseError):
+            GeneratorSymbol(bad)
+
+
+def test_public_constructors_reject_non_int_exponents():
+    with pytest.raises(TypeError):
+        Word([(A, 1.0)])
+    with pytest.raises(TypeError):
+        word(("a", 2.0))
+    with pytest.raises(TypeError):
+        word("a") ** 2.0
+    with pytest.raises(TypeError):
+        word("a", "b") ** 2.0
+
+
+# Differential tests of the seam-merging operations against the
+# independent +-1-letter stack reduction.
+
+
+def assert_reduced(w):
+    """Run-length invariant: int nonzero exponents, distinct adjacent symbols."""
+    runs = w.letters
+    assert isinstance(runs, tuple)
+    for sym, exp in runs:
+        assert isinstance(sym, GeneratorSymbol) and type(exp) is int and exp != 0
+    for (s0, _), (s1, _) in zip(runs, runs[1:]):
+        assert s0 != s1
+
+
+def inverse_letters(letters):
+    return [(s, -e) for s, e in reversed(letters)]
+
+
+_WORDS = st.lists(
+    st.tuples(st.sampled_from([A, B, T]), st.integers(-3, 3).filter(bool)), max_size=10
+).map(Word)
+_SETTINGS = settings(max_examples=200, deadline=None, database=None, derandomize=True)
+
+
+@_SETTINGS
+@given(_WORDS, _WORDS)
+def test_product_matches_stack_oracle(u, v):
+    for w in (u * v, u * ~u, u * v * ~v):
+        assert_reduced(w)
+    assert (u * v).letters == oracle_stack_reduce(u.letters + v.letters)
+    assert not u * ~u
+    assert u * v * ~v == u
+
+
+def check_power(u, k):
+    letters = list(u.letters) * k if k >= 0 else inverse_letters(u.letters) * -k
+    assert_reduced(u ** k)
+    assert (u ** k).letters == oracle_stack_reduce(letters)
+
+
+@pytest.mark.parametrize("text", ["a b a^-1", "a^2 b a^-1 b^-1 a^-2", "a b a", "a^3", "b a^-2 t a^2 b^-1"])
+@pytest.mark.parametrize("k", range(-4, 5))
+def test_power_of_conjugates_matches_stack_oracle(text, k):
+    check_power(parse_word(text), k)
+
+
+@_SETTINGS
+@given(_WORDS, st.integers(-4, 4))
+def test_power_matches_stack_oracle(u, k):
+    check_power(u, k)
+
+
+# Images: empty, single-run and multi-run words.
+_IMAGES = st.one_of(
+    st.just(Word()),
+    st.tuples(st.sampled_from([A, B, T]), st.integers(-3, 3).filter(bool)).map(lambda run: Word([run])),
+    _WORDS,
+)
+
+
+@_SETTINGS
+@given(_WORDS, st.fixed_dictionaries({A: _IMAGES, B: _IMAGES, T: _IMAGES}))
+def test_substitute_matches_stack_oracle(w, mapping):
+    letters = []
+    for sym, exp in w.letters:
+        image = list(mapping[sym].letters)
+        letters += image * exp if exp > 0 else inverse_letters(image) * -exp
+    image = substitute(w, mapping)
+    assert_reduced(image)
+    assert image.letters == oracle_stack_reduce(letters)
+
+
+@_SETTINGS
+@given(_WORDS)
+def test_cyclically_reduce_is_a_conjugation_onto_a_cyclic_core(w):
+    core, conj = cyclically_reduce(w)
+    assert_reduced(core)
+    assert_reduced(conj)
+    assert conj * core * ~conj == w
+    spelled = list(conj.letters) + list(core.letters) + inverse_letters(conj.letters)
+    assert w.letters == oracle_stack_reduce(spelled)
+    if len(core.letters) >= 2:
+        (s0, e0), (s1, e1) = core.letters[0], core.letters[-1]
+        assert s0 != s1 or (e0 > 0) == (e1 > 0)
+
+
+_BRITTON_SYSTEMS = [
+    bs_system(2, 3),
+    bs_system(1, -1),
+    bs_system(2, 2),
+    HnnRewriteSystem(Alphabet(["a", "b"]), T, commutator(word("a"), word("b")), word(("b", 2))),
+]
+
+
+@_SETTINGS
+@given(
+    st.sampled_from(range(len(_BRITTON_SYSTEMS))),
+    st.lists(st.tuples(st.integers(0, 3), st.integers(-3, 3).filter(bool)), max_size=12),
+)
+def test_britton_word_after_pushes_is_reduced(index, pieces):
+    # Pieces: a stable run, a base letter, or the letters of an edge power
+    # pushed one by one, so that pinches are common.
+    system = _BRITTON_SYSTEMS[index]
+    base = system.base.symbols
+    state = None
+    for kind, k in pieces:
+        if kind == 0:
+            letters = [(system.stable, k)]
+        elif kind == 1:
+            letters = [(base[abs(k) % len(base)], k)]
+        else:
+            letters = ((system.left_edge if kind == 2 else system.right_edge) ** k).letters
+        for sym, exp in letters:
+            state = britton_push(system, state, sym, exp)
+            spelled = britton_word(system, state)
+            assert_reduced(spelled)
+            assert spelled.letters == Word(spelled.letters).letters
+
+
+def test_seam_merging_keeps_whole_word_normalisation_out_of_tietze_and_the_probe(monkeypatch):
+    # Products, powers, substitution and Britton pushes join reduced runs
+    # at the seam; a regression to renormalising whole words shows here as
+    # tens of thousands of calls (41,604 and 17,393 before seam merging).
+    stage = combinators.mu_stage(presentation(["g"]), 8).realized
+    calls = [0]
+    normalize = words._normalize
+
+    def counted(letters):
+        calls[0] += 1
+        return normalize(letters)
+
+    monkeypatch.setattr(words, "_normalize", counted)
+    tietze_simplify(stage)
+    assert calls[0] <= 100
+    calls[0] = 0
+    meier.double_coset_probe(8, 100000)
+    assert calls[0] <= 2000

@@ -34,7 +34,7 @@ class StableLetterError(GpforgeError):
 
 
 class UnsupportedEdgeError(GpforgeError):
-    """An HNN rewrite system was given a non-cyclic edge description."""
+    """A Baumslag-Solitar rewrite system was given a zero parameter."""
 
 
 class InvalidInputError(GpforgeError):

@@ -1,12 +1,11 @@
 """Word-problem engines: every word-problem decision and certificate of the
 toolkit comes from this module.
 
-* Britton pinch elimination for HNN extensions of free base groups with
-  cyclic edge subgroups (covers every Baumslag-Solitar group).  A rewrite
-  system is also the oracle of a word-problem source: it owns the one
-  presentation it decides (`HnnRewriteSystem.presentation`), and BS(m, n)
-  is spelled only by `bs_system` and its text form `m,n` only by
-  `parse_bs`.
+* Britton pinch elimination in the Baumslag-Solitar groups BS(m, n) =
+  <a, t | t^-1 a^m t = a^n>, the only HNN extensions the toolkit rewrites
+  in.  A rewrite system is also the oracle of a word-problem source: it
+  owns the one presentation it decides, and BS(m, n) is spelled only by
+  `bs_system` and its text form `m,n` only by `parse_bs`.
 * Free-group triviality.
 * Exhaustive search for finite symmetric-group quotients, producing
   re-checkable nontriviality certificates (`FiniteQuotient`, the one
@@ -17,74 +16,60 @@ toolkit comes from this module.
   relator exponents reduced modulo lcm(1..degree) and a fixed budget of
   image assignments per call (QUOTIENT_SEARCH_BUDGET).
 
-Only cyclic edge subgroups are supported: membership of a base word in
-<u> is decidable by exact power comparison, which is all the toolkit
-needs.  Pinch replacement is leftmost-innermost (a stack pass), so each
-replacement removes one stable-letter pair and the procedure terminates.
-The stack is persistent (`britton_push`), so words that share a prefix
-share the rewriting of it.
-General edge subgroups would need a membership oracle interface, and
-amalgam normal forms are deliberately absent: nothing downstream consumes
-them (amalgam facts are handled at the inference-rule level).
+The edge subgroups are <a^m> and <a^n>, so Britton rewriting is integer
+arithmetic: a segment a^e lies in <a^m> iff m divides e.  Pinch
+replacement is leftmost-innermost (a stack pass), so each replacement
+removes one stable-letter pair and the procedure terminates.  The stack is
+persistent (`britton_push`), so words that share a prefix share the
+rewriting of it.  Amalgam normal forms are deliberately absent: nothing
+downstream consumes them (amalgam facts are handled at the inference-rule
+level).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import ClassVar, Dict, Iterator, List, Optional, Tuple
 
 from .errors import AlphabetMismatchError, ParseError, SearchBudgetError, UnsupportedEdgeError
 from .presentations import Presentation
-from .words import Alphabet, GeneratorSymbol, Word, _reduced, cyclically_reduce, word
+from .words import Alphabet, GeneratorSymbol, Word, _reduced
+
+_A = GeneratorSymbol("a")
+_T = GeneratorSymbol("t")
 
 
 @dataclass(frozen=True)
 class HnnRewriteSystem:
-    """HNN data over a free base: t^-1 u^k t = v^k for the edge words u, v."""
+    """BS(m, n) as HNN data over the base <a>: t^-1 a^m t = a^n."""
 
-    base: Alphabet
-    stable: GeneratorSymbol
-    left_edge: Word   # u: subgroup conjugated by t^-1 ... t
-    right_edge: Word  # v: subgroup conjugated by t ... t^-1
-    name: Optional[str] = field(default=None, compare=False)
+    m: int
+    n: int
+    base: ClassVar[Alphabet] = Alphabet((_A,))
+    stable: ClassVar[GeneratorSymbol] = _T
 
     def __post_init__(self):
-        if not self.left_edge or not self.right_edge:
-            raise UnsupportedEdgeError("edge words must be nontrivial")
-        if self.stable in self.base:
-            raise UnsupportedEdgeError("stable letter must not be a base generator")
-        self.base.check_word(self.left_edge)
-        self.base.check_word(self.right_edge)
+        if self.m == 0 or self.n == 0:
+            raise UnsupportedEdgeError("BS parameters must be nonzero")
+
+    @property
+    def name(self) -> str:
+        return f"BS({self.m},{self.n})"
 
     @cached_property
     def presentation(self) -> Presentation:
-        """The group this system decides: the base generators, then the
-        stable letter, and the one relator t^-1 u t v^-1."""
-        t = word(self.stable)
-        relator = (~t) * self.left_edge * t * ~self.right_edge
-        return Presentation(Alphabet(self.base.symbols + (self.stable,)), (relator,), self.name)
-
-    @cached_property
-    def edge_ratio(self) -> Optional[int]:
-        """The k with v = u^k in the free base, or None."""
-        return _edge_power(self.left_edge, self.right_edge)
+        """The group this system decides: gens a t and the one relator
+        t^-1 a^m t a^-n."""
+        relator = _reduced(((_T, -1), (_A, self.m), (_T, 1), (_A, -self.n)))
+        return Presentation(Alphabet((_A, _T)), (relator,), self.name)
 
 
 @lru_cache(maxsize=64)
 def bs_system(m: int, n: int) -> HnnRewriteSystem:
     """The Baumslag-Solitar group BS(m, n) = <a, t | t^-1 a^m t = a^n>."""
-    if m == 0 or n == 0:
-        raise UnsupportedEdgeError("BS parameters must be nonzero")
-    a = GeneratorSymbol("a")
-    return HnnRewriteSystem(
-        base=Alphabet((a,)),
-        stable=GeneratorSymbol("t"),
-        left_edge=word((a, m)),
-        right_edge=word((a, n)),
-        name=f"BS({m},{n})",
-    )
+    return HnnRewriteSystem(m, n)
 
 
 def parse_bs(text: str) -> HnnRewriteSystem:
@@ -99,131 +84,94 @@ def parse_bs(text: str) -> HnnRewriteSystem:
     raise ParseError(f"expected m,n with nonzero integers m and n, got {text!r}")
 
 
-def _edge_power(edge: Word, w: Word) -> Optional[int]:
-    """The integer k with w = edge^k in the free base, or None."""
-    if not w:
-        return 0
-    if len(edge.letters) == 1:
-        # A generator power a^e (every BS edge): w must be a^(ke).
-        (sym, e), = edge.letters
-        if len(w.letters) != 1 or w.letters[0][0] != sym or w.letters[0][1] % e:
-            return None
-        return w.letters[0][1] // e
-    core, conj = cyclically_reduce(edge)
-    inner = (~conj) * w * conj
-    if not inner:
-        return 0
-    total = len(inner)
-    unit = len(core)
-    if unit == 0 or total % unit:
-        return None
-    k = total // unit
-    if core ** k == inner:
-        return k
-    if core ** (-k) == inner:
-        return -k
-    return None
+BrittonState = Optional[Tuple["BrittonState", GeneratorSymbol, int]]
+"""A Britton stack as an immutable linked list (below, letter, exponent),
+None when empty: a t-run t^k or a base segment a^e, k and e nonzero.
+Adjacent nodes have different letters.  Pushing never changes a state, so
+words that share a prefix can share the state reached on it."""
 
 
-BrittonState = Optional[Tuple["BrittonState", str, object]]
-"""A Britton stack as an immutable linked list (below, tag, value), None
-when empty: tag "t" holds a run t^k (k != 0), tag "w" a nonempty base
-Word.  Adjacent nodes have different tags.  Pushing never changes a
-state, so words that share a prefix can share the state reached on it."""
-
-
-def _push_base(state: BrittonState, u: Word) -> BrittonState:
-    if not u:
-        return state
-    if state is not None and state[1] == "w":
-        u = state[2] * u
-        return (state[0], "w", u) if u else state[0]
-    return (state, "w", u)
+def _push_base(state: BrittonState, e: int) -> BrittonState:
+    if state is not None and state[1] is _A:
+        e += state[2]
+        return (state[0], _A, e) if e else state[0]
+    return (state, _A, e)
 
 
 def _push_stable(sys: HnnRewriteSystem, state: BrittonState, k: int) -> BrittonState:
     # Against t^-eps on top, the empty segment pinches, so letters cancel a
-    # run at a time; across a base segment in the matching edge subgroup
-    # each pinch consumes one letter of the run below and one of t^k, and
-    # when v = u^+-1 the segment it leaves pinches again, so the pinches
-    # down the run happen at once.  What is left is pushed as one run.
+    # run at a time.  A segment a^e below t^-eps pinches with t^eps when
+    # `into` divides e and becomes a^(e / into * across); each pinch
+    # consumes one letter of the run below and one of t^k.  When n = +-m
+    # the segment it leaves pinches again, so the pinches down the run
+    # happen at once.  What is left is pushed as one run.
     eps = 1 if k > 0 else -1
-    edge_in = sys.left_edge if eps == 1 else sys.right_edge
-    edge_out = sys.right_edge if eps == 1 else sys.left_edge
+    into, across = (sys.m, sys.n) if eps == 1 else (sys.n, sys.m)
     left = abs(k)
     while left:
-        if state is not None and state[1] == "t":
+        if state is not None and state[1] is _T:
             below, _, run = state
             if run * eps > 0:
-                return (below, "t", run + eps * left)
+                return (below, _T, run + eps * left)
             step = min(left, abs(run))
             left -= step
-            state = (below, "t", run + eps * step) if run + eps * step else below
+            state = (below, _T, run + eps * step) if run + eps * step else below
             continue
-        if state is not None and state[0] is not None and state[0][2] * eps < 0:
-            p = _edge_power(edge_in, state[2])
-            if p is not None:
-                below, _, run = state[0]
-                steps = 1
-                if sys.edge_ratio in (1, -1):
-                    steps = min(left, abs(run))
-                    p *= sys.edge_ratio ** (steps - 1)
-                if run + eps * steps:
-                    below = (below, "t", run + eps * steps)
-                state = _push_base(below, edge_out ** p)
-                left -= steps
-                continue
-        return (state, "t", eps * left)
+        if state is not None and state[0] is not None and state[0][2] * eps < 0 and state[2] % into == 0:
+            e = state[2]
+            below, _, run = state[0]
+            if abs(across) == abs(into):
+                steps = min(left, abs(run))
+                e = -e if across != into and steps % 2 else e
+            else:
+                steps, e = 1, e // into * across
+            if run + eps * steps:
+                below = (below, _T, run + eps * steps)
+            state = _push_base(below, e)
+            left -= steps
+            continue
+        return (state, _T, eps * left)
     return state
 
 
 def britton_push(sys: HnnRewriteSystem, state: BrittonState, sym: GeneratorSymbol, exp: int) -> BrittonState:
     """The state reached by pushing the letter sym^exp (exp a nonzero int)
     onto `state`, eliminating the pinches it closes; `state` itself is
-    unchanged.  sym must be the stable letter or a base generator
-    (`britton_normal_form` checks a whole word)."""
-    if sym == sys.stable:
+    unchanged.  sym must be t or a (`britton_normal_form` checks a whole
+    word)."""
+    if sym == _T:
         return _push_stable(sys, state, exp)
-    return _push_base(state, _reduced(((sym, exp),)))
+    return _push_base(state, exp)
 
 
 def britton_word(sys: HnnRewriteSystem, state: BrittonState) -> Word:
-    """The pinch-free word a state spells, bottom of the stack first.
-
-    Base segments alternate with t-runs and hold no t, so the spelled runs
-    are reduced as they stand."""
-    nodes = []
+    """The pinch-free word a state spells, bottom of the stack first: its
+    nodes are the word's runs (a, e) and (t, k), reduced as they stand."""
+    runs = []
     while state is not None:
-        nodes.append(state)
-        state = state[0]
-    out: List[Tuple[GeneratorSymbol, int]] = []
-    for _, tag, val in reversed(nodes):
-        if tag == "t":
-            out.append((sys.stable, val))
-        else:
-            out.extend(val.letters)
-    return _reduced(tuple(out))
+        state, sym, exp = state
+        runs.append((sym, exp))
+    return _reduced(tuple(reversed(runs)))
 
 
 def britton_is_stable_power(state: BrittonState) -> bool:
     """Whether a state spells t^k (k = 0 included), read without building
-    the word: adjacent nodes have different tags, so only a lone "t" node
+    the word: adjacent nodes have different letters, so only a lone t-run
     does."""
-    return state is None or (state[0] is None and state[1] == "t")
+    return state is None or (state[0] is None and state[1] is _T)
 
 
 def britton_normal_form(sys: HnnRewriteSystem, w: Word) -> Word:
-    """Eliminate every pinch t^-1 u t (u in <left_edge>) and t v t^-1
-    (v in <right_edge>), leftmost-innermost: a fold of `britton_push` over
-    the letters of w from the empty state, read back by `britton_word`.
+    """Eliminate every pinch t^-1 a^(qm) t -> a^(qn) and t a^(qn) t^-1 ->
+    a^(qm), leftmost-innermost: a fold of `britton_push` over the letters
+    of w from the empty state, read back by `britton_word`.
 
     The result is pinch-free; it is the identity iff it is the empty word,
     and a nonempty pinch-free word containing the stable letter is
     certified nontrivial (Britton's lemma).
     """
-    t = sys.stable
     for sym, _ in w.letters:
-        if sym != t and sym not in sys.base:
+        if sym != _T and sym != _A:
             raise AlphabetMismatchError(f"symbol {sym.name!r} is neither base nor stable letter")
     state: BrittonState = None
     for sym, exp in w.letters:
@@ -375,6 +323,11 @@ def parse_cycles(text: str, degree: int) -> Perm:
     return tuple(perm)
 
 
+def _is_permutation(p, degree: int) -> bool:
+    """Whether p is a tuple of ints listing each of 0..degree-1 once."""
+    return isinstance(p, tuple) and all(type(x) is int for x in p) and sorted(p) == list(range(degree))
+
+
 @dataclass(frozen=True)
 class Homomorphism:
     """Generator -> permutation table defining a quotient in S_degree."""
@@ -393,7 +346,9 @@ class TrivialityCertificate:
     every relator and moves the target.
 
     `FiniteQuotient` is the one kind the toolkit issues; a certificate of
-    any other kind never revalidates.
+    any other kind never revalidates, nor does one whose map sends some
+    generator of the presentation to anything but a permutation tuple of
+    range(degree), or whose target is not a word in those generators.
     """
 
     kind: str
@@ -403,6 +358,11 @@ class TrivialityCertificate:
 
     def revalidate(self) -> bool:
         if self.kind != "FiniteQuotient" or None in (self.hom, self.presentation, self.target):
+            return False
+        gens = self.presentation.alphabet
+        if not all(_is_permutation(self.hom.images.get(g), self.hom.degree) for g in gens):
+            return False
+        if any(sym not in gens for sym, _ in self.target.letters):
             return False
         ident = _identity(self.hom.degree)
         for rel in self.presentation.relators:

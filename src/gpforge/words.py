@@ -299,9 +299,11 @@ def substitute(w: Word, mapping: Dict[GeneratorSymbol, Word]) -> Word:
     """Homomorphic image of `w` under symbol -> word, freely reduced.
 
     Each letter's image power is pushed onto the result with a seam merge;
-    a single-run image s^e is pushed as the one run s^(e * exp).
+    a single-run image s^e is pushed as the one run s^(e * exp).  A
+    multi-run image is inverted at most once per call.
     """
     out: list = []
+    inverses: dict = {}
     for sym, exp in w.letters:
         try:
             runs = mapping[sym]._letters
@@ -320,7 +322,10 @@ def substitute(w: Word, mapping: Dict[GeneratorSymbol, Word]) -> Word:
                 out.append((s, e))
         elif runs:
             if exp < 0:
-                runs, exp = tuple((s, -e) for s, e in reversed(runs)), -exp
+                inv = inverses.get(sym)
+                if inv is None:
+                    inv = inverses[sym] = tuple((s, -e) for s, e in reversed(runs))
+                runs, exp = inv, -exp
             for _ in range(exp):
                 _push_runs(out, runs)
     return _reduced(tuple(out))
@@ -338,7 +343,8 @@ def commutator(u: Word, v: Word) -> Word:
 def parse_word(text: str, alphabet: Optional[Alphabet] = None, *, line: Optional[int] = None) -> Word:
     """Parse the word text syntax; `1` is the empty word.
 
-    When an alphabet is supplied, identifiers must name its generators.
+    When an alphabet is supplied, identifiers must name its generators;
+    without one, each distinct name makes one new symbol per call.
     """
     text = text.strip()
     if text == "1":
@@ -346,6 +352,7 @@ def parse_word(text: str, alphabet: Optional[Alphabet] = None, *, line: Optional
     if not text:
         raise ParseError("empty word text (use '1' for the identity)", line=line)
     letters = []
+    made: Dict[str, GeneratorSymbol] = {}
     col = 1
     for token in text.split():
         ident, caret, expstr = token.partition("^")
@@ -359,8 +366,10 @@ def parse_word(text: str, alphabet: Optional[Alphabet] = None, *, line: Optional
             exp = 1
         if alphabet is not None:
             sym = alphabet.symbol(ident)
+        elif ident in made:
+            sym = made[ident]
         else:
-            sym = GeneratorSymbol(ident)
+            sym = made[ident] = GeneratorSymbol(ident)
         letters.append((sym, exp))
         col += len(token) + 1
     return Word(letters)

@@ -7,9 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from gpforge.combinators import standard_mitosis
 from gpforge.errors import AlphabetMismatchError, ParseError, SearchBudgetError, UnsupportedEdgeError
-from gpforge.presentations import EMPTY_PRESENTATION, parse, presentation
+from gpforge.presentations import EMPTY_PRESENTATION, parse, presentation, serialize
 from gpforge.rewriting import (
     HnnRewriteSystem,
+    Homomorphism,
     TrivialityCertificate,
     britton_is_stable_power,
     britton_normal_form,
@@ -27,7 +28,7 @@ from gpforge.rewriting import (
     parse_cycles,
     permutation_cycles,
 )
-from gpforge.words import Alphabet, GeneratorSymbol, Word, commutator, parse_word, word
+from gpforge.words import GeneratorSymbol, Word, commutator, parse_word, word
 from tests_util import (
     random_presentation,
     random_word,
@@ -106,9 +107,9 @@ def test_britton_rejects_foreign_symbols_and_bad_edges():
     with pytest.raises(AlphabetMismatchError):
         bs_reduce(2, 3, parse_word("b"))
     with pytest.raises(UnsupportedEdgeError):
-        HnnRewriteSystem(Alphabet(["a"]), GeneratorSymbol("t"), Word(), word("a"))
-    with pytest.raises(UnsupportedEdgeError):
         bs_system(0, 3)
+    with pytest.raises(UnsupportedEdgeError):
+        HnnRewriteSystem(2, 0)
 
 
 def test_bs_system_owns_its_presentation_and_text():
@@ -117,6 +118,10 @@ def test_bs_system_owns_its_presentation_and_text():
     assert sys23.presentation == parse("gens a t\nrel t^-1 a^2 t = a^3")
     assert sys23.presentation.name == "BS(2,3)"
     assert parse_bs("2,3") is sys23 and parse_bs("-1,4") is bs_system(-1, 4)
+    # The relator is built from the integers, signs included.
+    assert serialize(bs_system(-2, 3).presentation) == "gens a t\nrel t^-1 a^-2 t a^-3"
+    assert serialize(bs_system(3, -2).presentation) == "gens a t\nrel t^-1 a^3 t a^2"
+    assert bs_system(-2, 3).presentation.name == "BS(-2,3)" == bs_system(-2, 3).name
     for text in ("0,3", "2,0", "2", "x,3", "2,3,4", "", "2.5,3"):
         with pytest.raises(ParseError):
             parse_bs(text)
@@ -178,16 +183,17 @@ def test_stable_letter_runs_rewrite_whole():
     assert bs_reduce(2, 2, parse_word(f"t^{huge} a^2 t^-{huge - 1}")) == parse_word("t a^2")
 
 
-@pytest.mark.parametrize("v, segment, expected", [
-    ("x y", "x y x y", "x y x y"),
-    ("y^-1 x^-1", "x y", "y^-1 x^-1"),
+@pytest.mark.parametrize("m, n, segment, expected", [
+    (2, 2, "a^4", "a^4"),
+    (2, -2, "a^2", "a^-2"),
 ])
-def test_run_pinches_whole_when_edges_agree(v, segment, expected):
-    # v = u^+-1: the segment left by each pinch pinches again, so the
-    # whole run goes at once (an odd run inverts when v = u^-1).
-    n = 10**11 + 1
-    system = HnnRewriteSystem(Alphabet(("x", "y")), GeneratorSymbol("t"), parse_word("x y"), parse_word(v))
-    assert britton_normal_form(system, parse_word(f"t^-{n} {segment} t^{n}")) == parse_word(expected)
+def test_run_pinches_whole_when_edges_agree(m, n, segment, expected):
+    # n = +-m: the segment left by each pinch pinches again, so the whole
+    # run goes at once (an odd run inverts the segment when n = -m).
+    k = 10**11 + 1
+    system = bs_system(m, n)
+    assert britton_normal_form(system, parse_word(f"t^-{k} {segment} t^{k}")) == parse_word(expected)
+    assert britton_normal_form(system, parse_word(f"t^{k} {segment} t^-{k}")) == parse_word(expected)
 
 
 CANONICAL_PAIRS = [(2, 3), (3, 2), (1, -1), (-2, 3), (1, 2), (2, -4)]
@@ -228,20 +234,7 @@ def test_bs_canonical_is_unique_where_britton_is_not():
     assert bs_canonical(-2, 3, parse_word("a^-1 t")) == parse_word("a t a^3")
 
 
-def test_general_cyclic_edge_words():
-    # <a, b, t | t^-1 [a,b] t = b^2>: pinch over a non-power edge word.
-    sys = HnnRewriteSystem(
-        Alphabet(["a", "b"]),
-        GeneratorSymbol("t"),
-        commutator(word("a"), word("b")),
-        word(("b", 2)),
-    )
-    w = ~word("t") * commutator(word("a"), word("b")) ** 2 * word("t")
-    assert britton_normal_form(sys, w) == word(("b", 4))
-
-
-# BS(m, n) with m = +-n (whole-run pinches), the usual ones, and free bases
-# with edges of more than one letter, where v = u^+-1 or v is no power of u.
+# BS(m, n) with m = +-n (whole-run pinches) and the usual ones.
 DIFFERENTIAL_SYSTEMS = [
     bs_system(2, 3),
     bs_system(1, 1),
@@ -250,19 +243,15 @@ DIFFERENTIAL_SYSTEMS = [
     bs_system(3, -3),
     bs_system(3, 2),
     bs_system(2, -4),
-    HnnRewriteSystem(Alphabet(("x", "y")), GeneratorSymbol("t"), parse_word("x y"), parse_word("x y")),
-    HnnRewriteSystem(Alphabet(("x", "y")), GeneratorSymbol("t"), parse_word("x y"), parse_word("y^-1 x^-1")),
-    HnnRewriteSystem(Alphabet(["a", "b"]), GeneratorSymbol("t"), commutator(word("a"), word("b")), word(("b", 2))),
 ]
 
 
 def _pinchy_word(system, pieces):
-    """A word from (kind, k) pieces: a stable run t^k, a base letter, a
-    power of either edge word, or the defining relator r^+-1 conjugated
-    by the piece before it, so that pinches are common and segments left
-    by a pinch often cancel."""
+    """A word from (kind, k) pieces: a stable run t^k, a letter a^k, a
+    power of either edge word a^m or a^n, or the defining relator r^+-1
+    conjugated by the piece before it, so that pinches are common and
+    segments left by a pinch often cancel."""
     t = word(system.stable)
-    base = system.base.symbols
     relator = system.presentation.relators[0]
     out = prev = Word()
     for kind, k in pieces:
@@ -271,10 +260,8 @@ def _pinchy_word(system, pieces):
             continue
         if kind == 0:
             prev = t ** k
-        elif kind == 1:
-            prev = word((base[abs(k) % len(base)], k))
         else:
-            prev = (system.left_edge if kind == 2 else system.right_edge) ** k
+            prev = word((A, k * (1, system.m, system.n)[kind - 1]))
         out = out * prev
     return out
 
@@ -301,7 +288,7 @@ def test_britton_fold_matches_stack_rewriter(index, pieces):
 def test_pushes_leave_the_shared_state_unchanged():
     for system in DIFFERENTIAL_SYSTEMS:
         t = system.stable
-        u = system.left_edge
+        u = word((A, system.m))
         # t^-2 u: pushing t pinches through the top two nodes of the parent.
         prefix = ~word(t) * ~word(t) * u
         parent = None
@@ -309,7 +296,7 @@ def test_pushes_leave_the_shared_state_unchanged():
             parent = britton_push(system, parent, sym, exp)
         before = britton_word(system, parent)
         snapshot = parent
-        letters = [(t, 1), (t, -1), (t, 3)] + [(g, e) for g in system.base for e in (1, -2)]
+        letters = [(t, 1), (t, -1), (t, 3), (A, 1), (A, -2)]
         for sym, exp in letters:
             child = britton_push(system, parent, sym, exp)
             assert britton_word(system, child) == britton_normal_form(system, prefix * word((sym, exp)))
@@ -483,6 +470,29 @@ def test_only_finite_quotient_certificates_revalidate():
     for kind in ("BrittonNormalForm", "FreeReduction", "TietzeCollapse", "Unknown"):
         assert not TrivialityCertificate(kind, cert.presentation, cert.target, cert.hom).revalidate()
     assert not TrivialityCertificate("FiniteQuotient", p, cert.target).revalidate()
+    # In <a, x | x> the target a x a^-1 is 1.  A map that is no
+    # homomorphism into S_2 (a -> (0, 0)), or that leaves a generator of
+    # the presentation or a symbol of the target unmapped, certifies
+    # nothing and must not raise.
+    q = presentation(["a", "x"], ["x"])
+    a, x = q.alphabet.symbols
+    target = parse_word("a x a^-1", q.alphabet)
+    for images in (
+        {a: (0, 0), x: (0, 1)},
+        {a: (1, 0, 2), x: (0, 1)},
+        {a: (1, 2), x: (0, 1)},
+        {a: [1, 0], x: (0, 1)},
+        {x: (0, 1)},
+        {a: (1, 0)},
+    ):
+        forged = TrivialityCertificate("FiniteQuotient", q, target, Homomorphism(2, images))
+        assert forged.revalidate() is False
+    foreign = parse_word("b")
+    forged = TrivialityCertificate("FiniteQuotient", q, foreign, Homomorphism(2, {a: (0, 1), x: (0, 1)}))
+    assert forged.revalidate() is False
+    # Genuine certificates still revalidate, with images built elsewhere.
+    honest = Homomorphism(2, {a: parse_cycles("(1 2)", 2), x: parse_cycles("()", 2)})
+    assert TrivialityCertificate("FiniteQuotient", q, parse_word("a", q.alphabet), honest).revalidate()
     # The relator is 1 in BS(2,3): no kind may certify it nontrivial.
     bs = bs_system(2, 3).presentation
     assert finite_quotient_search(bs, 5, target=parse_word("t^-1 a^2 t a^-3", bs.alphabet)) is None

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from gpforge import combinators, meier, words
 from gpforge.errors import AlphabetMismatchError, ParseError, PartialMapError
 from gpforge.presentations import presentation, tietze_simplify
-from gpforge.rewriting import HnnRewriteSystem, britton_push, britton_word, bs_system
+from gpforge.rewriting import britton_push, britton_word, bs_system
 from gpforge.words import (
     Alphabet,
     GeneratorSymbol,
@@ -203,6 +203,15 @@ def test_parse_word_against_alphabet():
         parse_word("b", alphabet)
 
 
+def test_parse_word_makes_one_symbol_per_name():
+    # Without an alphabet, repeated names share one symbol within a call,
+    # and separate calls make separate (equal) symbols.
+    w = parse_word("a b a^-2 b a")
+    (a1, _), (b1, _), (a2, _), (b2, _), (a3, _) = w.letters
+    assert a1 is a2 is a3 and b1 is b2 and a1 != b1
+    assert parse_word("a").letters[0][0] is not a1 and parse_word("a").letters[0][0] == a1
+
+
 def test_word_power_and_exponent_sums():
     w = word("a", "b")
     assert w ** 3 == parse_word("a b a b a b")
@@ -347,7 +356,6 @@ _BRITTON_SYSTEMS = [
     bs_system(2, 3),
     bs_system(1, -1),
     bs_system(2, 2),
-    HnnRewriteSystem(Alphabet(["a", "b"]), T, commutator(word("a"), word("b")), word(("b", 2))),
 ]
 
 
@@ -357,18 +365,16 @@ _BRITTON_SYSTEMS = [
     st.lists(st.tuples(st.integers(0, 3), st.integers(-3, 3).filter(bool)), max_size=12),
 )
 def test_britton_word_after_pushes_is_reduced(index, pieces):
-    # Pieces: a stable run, a base letter, or the letters of an edge power
-    # pushed one by one, so that pinches are common.
+    # Pieces: a stable run t^k, or a base segment a^k or an edge power
+    # a^(km) or a^(kn), so that pinches are common.
     system = _BRITTON_SYSTEMS[index]
-    base = system.base.symbols
+    a = system.base.symbols[0]
     state = None
     for kind, k in pieces:
         if kind == 0:
             letters = [(system.stable, k)]
-        elif kind == 1:
-            letters = [(base[abs(k) % len(base)], k)]
         else:
-            letters = ((system.left_edge if kind == 2 else system.right_edge) ** k).letters
+            letters = [(a, k * (1, system.m, system.n)[kind - 1])]
         for sym, exp in letters:
             state = britton_push(system, state, sym, exp)
             spelled = britton_word(system, state)

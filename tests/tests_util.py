@@ -2,7 +2,7 @@
 
 from itertools import combinations, permutations
 from math import gcd
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from gpforge.homology import IntegerMatrix
 from gpforge.errors import AlphabetMismatchError
@@ -22,7 +22,6 @@ from gpforge.presentations import Presentation, _isolated_symbol
 from gpforge.rewriting import (
     HnnRewriteSystem,
     Homomorphism,
-    _edge_power,
     bs_canonical,
     bs_equal,
     bs_reduce,
@@ -209,12 +208,39 @@ def linear_scan_probe(max_len: int, budget: int) -> List[Tuple[Word, str]]:
     return results
 
 
+def _edge_power(edge: Word, w: Word) -> Optional[int]:
+    """The integer k with w = edge^k in the free base, or None."""
+    if not w:
+        return 0
+    if len(edge.letters) == 1:
+        # A generator power a^e (every BS edge): w must be a^(ke).
+        (sym, e), = edge.letters
+        if len(w.letters) != 1 or w.letters[0][0] != sym or w.letters[0][1] % e:
+            return None
+        return w.letters[0][1] // e
+    core, conj = cyclically_reduce(edge)
+    inner = (~conj) * w * conj
+    if not inner:
+        return 0
+    total = len(inner)
+    unit = len(core)
+    if unit == 0 or total % unit:
+        return None
+    k = total // unit
+    if core ** k == inner:
+        return k
+    if core ** (-k) == inner:
+        return -k
+    return None
+
+
 def stack_britton_normal_form(sys: HnnRewriteSystem, w: Word) -> Word:
     """Oracle for rewriting.britton_normal_form: the list-stack rewriter
-    the persistent state replaced, kept verbatim.
+    over Word segments that the persistent integer state replaced, kept
+    verbatim but for its edge words, u = a^m and v = a^n.
 
-    Eliminate every pinch t^-1 u t (u in <left_edge>) and t v t^-1
-    (v in <right_edge>), leftmost-innermost.
+    Eliminate every pinch t^-1 u^k t -> v^k and t v^k t^-1 -> u^k,
+    leftmost-innermost.
 
     The result is pinch-free; it is the identity iff it is the empty word,
     and a nonempty pinch-free word containing the stable letter is
@@ -224,6 +250,9 @@ def stack_britton_normal_form(sys: HnnRewriteSystem, w: Word) -> Word:
     for sym, _ in w.letters:
         if sym != t and sym not in sys.base:
             raise AlphabetMismatchError(f"symbol {sym.name!r} is neither base nor stable letter")
+    a = sys.base.symbols[0]
+    left_edge, right_edge = word((a, sys.m)), word((a, sys.n))
+    edge_ratio = _edge_power(left_edge, right_edge)
 
     # Stack of tokens: ('t', k), a run t^k with k != 0 (adjacent runs have
     # opposite signs), or ('w', Word over the base).
@@ -247,8 +276,8 @@ def stack_britton_normal_form(sys: HnnRewriteSystem, w: Word) -> Word:
         # again, so the pinches down the run happen at once.  What is left
         # is pushed as one run.
         eps = 1 if k > 0 else -1
-        edge_in = sys.left_edge if eps == 1 else sys.right_edge
-        edge_out = sys.right_edge if eps == 1 else sys.left_edge
+        edge_in = left_edge if eps == 1 else right_edge
+        edge_out = right_edge if eps == 1 else left_edge
         left = abs(k)
         while left:
             if stack and stack[-1][0] == "t":
@@ -269,9 +298,9 @@ def stack_britton_normal_form(sys: HnnRewriteSystem, w: Word) -> Word:
                     stack.pop()
                     run = stack.pop()[1]
                     steps = 1
-                    if sys.edge_ratio in (1, -1):
+                    if edge_ratio in (1, -1):
                         steps = min(left, abs(run))
-                        p *= sys.edge_ratio ** (steps - 1)
+                        p *= edge_ratio ** (steps - 1)
                     if run + eps * steps:
                         stack.append(("t", run + eps * steps))
                     push_base(edge_out ** p)

@@ -37,13 +37,11 @@ from .combinators import (
     amalgamated_product,
     atom,
     bac_hnn,
-    canonical_form,
     canonical_rename,
     direct_product,
     free_product,
     hnn_extension,
     mitosis_morphism,
-    mitosis_tower,
     mu_stage,
     mu_staged,
     standard_mitosis,
@@ -96,7 +94,6 @@ from .meier import (
 from .reductions import (
     WitnessOutput,
     WordProblemSource,
-    bs_source,
     delta_w,
     f2_atom,
     free_source,

@@ -444,19 +444,6 @@ def mitosis_morphism(phi: PresentationMorphism, m_source: GroupExpr, m_target: G
     return PresentationMorphism(m_source.realized, m_target.realized, images)
 
 
-def mitosis_tower(p: ExprLike) -> StagedPresentation:
-    """Lazy stage k -> the k-fold iterated standard mitosis (stage 0 = p)."""
-    pe = _as_expr(p)
-
-    def build(k: int) -> Presentation:
-        expr = pe
-        for _ in range(k):
-            expr = standard_mitosis(expr)
-        return expr.realized
-
-    return StagedPresentation(build, first_stage=0, name="mitosis-tower")
-
-
 def bac_hnn(p: ExprLike, embed: PresentationMorphism) -> GroupExpr:
     """Ascending HNN over a self-embedding, tagged for the inference rule
     that certifies bounded acyclicity from the base's embedding chain."""
@@ -476,15 +463,3 @@ def canonical_rename(p: Presentation) -> Presentation:
     return Presentation(
         Alphabet(new_syms), tuple(substitute(r, mapping) for r in p.relators), p.name
     )
-
-
-def canonical_form(p: Presentation) -> Presentation:
-    """Canonical renaming plus a deterministic relator order, for comparing
-    presentations that agree up to bookkeeping (e.g. associativity of the
-    product combinators)."""
-    renamed = canonical_rename(p)
-
-    def key(rel: Word):
-        return tuple((renamed.alphabet.index(s), e) for s, e in rel.letters)
-
-    return Presentation(renamed.alphabet, tuple(sorted(renamed.relators, key=key)), p.name)

@@ -42,7 +42,8 @@ class InvalidInputError(GpforgeError):
 
 
 class SearchBudgetError(GpforgeError):
-    """A search tried more candidates than its fixed budget allows."""
+    """A computation would pass one of its fixed budgets: candidates a
+    search tries, bits of a Britton segment, cells of a complex."""
 
 
 class InvalidComplexError(GpforgeError):

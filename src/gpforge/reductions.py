@@ -35,7 +35,7 @@ from .combinators import (
 )
 from .errors import InvalidInputError, ParseError
 from .presentations import EMPTY_PRESENTATION, Presentation, presentation, serialize
-from .rewriting import HnnRewriteSystem, britton_normal_form, bs_system, free_triviality, parse_bs
+from .rewriting import HnnRewriteSystem, britton_normal_form, free_triviality, parse_bs
 from .words import Word, word
 
 # Delta_w's largest dimension: its d - 1 nested direct products carry
@@ -83,11 +83,6 @@ def parse_oracle(spec: str, p: Presentation, asserted_facts: Tuple = ()) -> Word
 def free_source() -> WordProblemSource:
     p = presentation(["a", "b"], (), name="free-source")
     return WordProblemSource(p, None, (("TorsionFree", None),))
-
-
-def bs_source(m: int, n: int) -> WordProblemSource:
-    system = bs_system(m, n)
-    return WordProblemSource(system.presentation, system, (("TorsionFree", None),))
 
 
 @dataclass(frozen=True)

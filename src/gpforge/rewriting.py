@@ -98,13 +98,22 @@ def _push_base(state: BrittonState, e: int) -> BrittonState:
     return (state, _A, e)
 
 
+SEGMENT_BIT_BUDGET = 14_000
+"""Bits a base segment may grow to by pinching.  A pinch with |m| != |n|
+scales a segment by n/m, so the form of t^-k a t^k in BS(1, 2) holds
+a^(2^k); a pinch that would grow a segment past the budget raises
+SearchBudgetError instead.  The budget is below the 4,300-digit
+(14,284-bit) limit of str(int), so every form returned can be printed."""
+
+
 def _push_stable(sys: HnnRewriteSystem, state: BrittonState, k: int) -> BrittonState:
     # Against t^-eps on top, the empty segment pinches, so letters cancel a
     # run at a time.  A segment a^e below t^-eps pinches with t^eps when
     # `into` divides e and becomes a^(e / into * across); each pinch
     # consumes one letter of the run below and one of t^k.  When n = +-m
     # the segment it leaves pinches again, so the pinches down the run
-    # happen at once.  What is left is pushed as one run.
+    # happen at once; otherwise each pinch is checked against the segment
+    # budget.  What is left is pushed as one run.
     eps = 1 if k > 0 else -1
     into, across = (sys.m, sys.n) if eps == 1 else (sys.n, sys.m)
     left = abs(k)
@@ -125,6 +134,8 @@ def _push_stable(sys: HnnRewriteSystem, state: BrittonState, k: int) -> BrittonS
                 e = -e if across != into and steps % 2 else e
             else:
                 steps, e = 1, e // into * across
+                if e.bit_length() > SEGMENT_BIT_BUDGET and abs(across) > abs(into):
+                    raise SearchBudgetError(f"a pinch would grow a base segment past {SEGMENT_BIT_BUDGET} bits")
             if run + eps * steps:
                 below = (below, _T, run + eps * steps)
             state = _push_base(below, e)
@@ -305,22 +316,6 @@ def permutation_cycles(p: Perm) -> str:
             j = p[j]
         parts.append("(" + " ".join(str(x + 1) for x in cyc) + ")")
     return "".join(parts) if parts else "()"
-
-
-def parse_cycles(text: str, degree: int) -> Perm:
-    """Inverse of permutation_cycles for certificate re-validation."""
-    perm = list(range(degree))
-    text = text.strip()
-    if text == "()":
-        return tuple(perm)
-    for chunk in text.replace(")", ")|").split("|"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        pts = [int(x) - 1 for x in chunk.strip("()").split()]
-        for a, b in zip(pts, pts[1:] + pts[:1]):
-            perm[a] = b
-    return tuple(perm)
 
 
 def _is_permutation(p, degree: int) -> bool:

@@ -21,13 +21,18 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Set, Tuple
 
-from .errors import InvalidComplexError, InvalidInputError, ParseError
+from .errors import InvalidComplexError, InvalidInputError, ParseError, SearchBudgetError
 from .homology import AbelianGroup, ChainComplexData, SparseMatrix, complex_homology, relation_matrix
 from .presentations import Presentation, validate
 from .words import Alphabet, Word, cyclically_reduce, word
 
 Side = Tuple[int, int]  # (edge index, orientation +1/-1)
 Triangle = Tuple[Tuple[int, int, int], Tuple[Side, Side, Side]]
+
+CELL_BUDGET = 5_000
+"""Triangles `presentation_complex` may build, one per letter of a
+cyclically reduced relator; `triangulate` makes 36 of each, at about a
+millisecond per letter."""
 
 
 @dataclass(frozen=True)
@@ -72,17 +77,22 @@ def presentation_complex(p: Presentation) -> DeltaComplex:
     """One basepoint, a loop per generator, a coned polygon per relator.
 
     Relators are cyclically reduced first (conjugators discarded; the
-    fundamental group is unchanged).  Empty relators are rejected.
+    fundamental group is unchanged).  Empty relators are rejected, and so
+    is a complex of more than CELL_BUDGET triangles (SearchBudgetError),
+    before anything is built.
     """
     diagnostics = validate(p)
     if diagnostics:
         raise InvalidInputError("; ".join(diagnostics))
+    cores = [cyclically_reduce(rel)[0] for rel in p.relators]
+    cells = sum(abs(e) for core in cores for _, e in core.letters)
+    if cells > CELL_BUDGET:
+        raise SearchBudgetError(f"the presentation complex would have {cells} triangles, more than {CELL_BUDGET}")
     loops = {sym: i for i, sym in enumerate(p.alphabet.symbols)}
     edges: List[Tuple[int, int]] = [(0, 0) for _ in p.alphabet.symbols]
     triangles: List[Triangle] = []
     n_vertices = 1
-    for rel in p.relators:
-        core, _ = cyclically_reduce(rel)
+    for core in cores:
         boundary = list(core.single_letters())
         if not boundary:
             raise InvalidInputError("empty relator cannot bound a 2-cell")
@@ -287,12 +297,8 @@ def simplicial_homology(x: SimplicialComplex) -> Tuple[AbelianGroup, AbelianGrou
 def cw_chain_complex(p: Presentation) -> ChainComplexData:
     """Cellular chain complex of the one-vertex presentation 2-complex:
     d1 = 0 (loops), d2 = transposed exponent-sum matrix."""
-    sums = relation_matrix(p)
-    d2 = SparseMatrix(sums.cols, sums.rows)
-    for col, row in enumerate(sums.entries):
-        for j, v in row.items():
-            d2.entries[j][col] = v
-    return ChainComplexData(SparseMatrix(1, sums.cols), d2)
+    d2 = relation_matrix(p).transpose()
+    return ChainComplexData(SparseMatrix(1, d2.rows), d2)
 
 
 def serialize_simplicial(x: SimplicialComplex) -> str:

@@ -35,6 +35,11 @@ from .errors import AlphabetMismatchError, ParseError, PartialMapError
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 _INTEGER_RE = re.compile(r"-?[1-9][0-9]*\Z")
 
+EXPONENT_DIGIT_LIMIT = 4_000
+"""Digits an exponent literal may have: below the 4,300-digit limit of
+int(str) and str(int), so every parsed word, and a sum of its exponents,
+can be printed again."""
+
 
 @dataclass(frozen=True, order=True)
 class GeneratorSymbol:
@@ -361,6 +366,14 @@ def parse_word(text: str, alphabet: Optional[Alphabet] = None, *, line: Optional
         if caret:
             if not _INTEGER_RE.match(expstr):
                 raise ParseError(f"bad exponent in atom {token!r}", line=line, column=col)
+            digits = len(expstr.lstrip("-"))
+            if digits > EXPONENT_DIGIT_LIMIT:
+                raise ParseError(
+                    f"exponent in atom {token[:len(ident) + 12]!r}... has {digits} digits,"
+                    f" more than {EXPONENT_DIGIT_LIMIT}",
+                    line=line,
+                    column=col,
+                )
             exp = int(expstr)
         else:
             exp = 1

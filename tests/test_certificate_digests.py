@@ -18,7 +18,6 @@ from gpforge.inference import check_consistency, derive
 from gpforge.meier import meier_gamma_expr, meier_t_expr
 from gpforge.presentations import PresentationMorphism, presentation
 from gpforge.reductions import (
-    bs_source,
     delta_w,
     free_source,
     gamma_w,
@@ -28,6 +27,7 @@ from gpforge.reductions import (
     witness_w,
 )
 from gpforge.words import parse_word, word
+from tests_util import bs_source
 
 DIGESTS = os.path.join(os.path.dirname(__file__), "data", "certificate_digests.txt")
 

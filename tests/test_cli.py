@@ -65,6 +65,32 @@ def test_normalize_huge_run_that_pinches_whole(bs, base, monkeypatch, capsys):
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize(
+    "bs, word",
+    [("2,4", "t^-100000000000 a^2 t^100000000000"), ("1,2", "t^-40000 a t^40000")],
+)
+def test_normalize_past_the_segment_budget_is_an_input_error(bs, word, monkeypatch, capsys):
+    # Each pinch with |m| != |n| scales the segment by n/m: these forms
+    # hold a^(2^k) for k up to 10^11.
+    start = time.perf_counter()
+    code, out, err = run_cli(["normalize", "--bs", bs, word], capsys=capsys, monkeypatch=monkeypatch)
+    assert code == EXIT_INPUT and out == ""
+    assert err == "input error: a pinch would grow a base segment past 14000 bits\n"
+    assert time.perf_counter() - start < 1.0
+
+
+def test_normalize_huge_exponent_literal_is_an_input_error(monkeypatch, capsys):
+    code, out, err = run_cli(
+        ["normalize", "--bs", "2,3", "a^1" + "0" * 5000], capsys=capsys, monkeypatch=monkeypatch
+    )
+    assert code == EXIT_INPUT and out == ""
+    assert err == "input error: exponent in atom 'a^10000000000'... has 5001 digits, more than 4000\n"
+    code, out, _ = run_cli(
+        ["normalize", "--bs", "2,3", "a^-1" + "0" * 3999], capsys=capsys, monkeypatch=monkeypatch
+    )
+    assert code == EXIT_OK and out == "a^-1" + "0" * 3999 + "\n"
+
+
 def test_certify_freely_trivial_target(tmp_path, monkeypatch, capsys):
     path = tmp_path / "abc.grp"
     path.write_text("gens a b c\n", encoding="utf-8")
@@ -350,6 +376,16 @@ def test_triangulate_rejects_invalid_presentation_as_input_error(tmp_path, monke
     bad.write_text("gens a\nrel 1\n", encoding="utf-8")
     code, _, err = run_cli(["triangulate", str(bad)], capsys=capsys, monkeypatch=monkeypatch)
     assert code == EXIT_INPUT and "input error" in err
+
+
+def test_triangulate_past_the_cell_budget_is_an_input_error(tmp_path, monkeypatch, capsys):
+    big = tmp_path / "big.grp"
+    big.write_text("gens a\nrel a^100000\n", encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = run_cli(["triangulate", str(big)], capsys=capsys, monkeypatch=monkeypatch)
+    assert code == EXIT_INPUT and out == ""
+    assert err == "input error: the presentation complex would have 100000 triangles, more than 5000\n"
+    assert time.perf_counter() - start < 1.0
 
 
 def test_bad_oracle_is_a_usage_error(tmp_path, monkeypatch, capsys):

@@ -3,12 +3,10 @@ import pytest
 from gpforge.combinators import (
     amalgamated_product,
     bac_hnn,
-    canonical_form,
     canonical_rename,
     direct_product,
     free_product,
     hnn_extension,
-    mitosis_tower,
     mu_stage,
     mu_staged,
     standard_mitosis,
@@ -25,6 +23,7 @@ from gpforge.presentations import (
     validate,
 )
 from gpforge.words import Word, parse_word, word
+from tests_util import canonical_form
 
 
 def roundtrips(expr):
@@ -177,11 +176,12 @@ def test_mu_stage_tietze_generator_count():
 
 
 def test_mitosis_tower_stages():
-    tower = mitosis_tower(presentation(["g"]))
-    assert tower.stage(0) == presentation(["g"])
-    assert len(tower.stage(1).alphabet) == 3
-    assert len(tower.stage(2).alphabet) == 5
-    assert is_stage_embedding(tower.stage(1), tower.stage(2))
+    stage0 = presentation(["g"])
+    stage1 = standard_mitosis(stage0).realized
+    stage2 = standard_mitosis(standard_mitosis(stage0)).realized
+    assert len(stage1.alphabet) == 3
+    assert len(stage2.alphabet) == 5
+    assert is_stage_embedding(stage1, stage2)
 
 
 def test_bac_hnn_identity_embedding_gives_product_with_z():

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gpforge.combinators import direct_product, mu_stage
 from gpforge.errors import InvalidComplexError
@@ -9,6 +10,7 @@ from gpforge.homology import (
     ChainComplexData,
     IntegerMatrix,
     SparseMatrix,
+    _merge_unit_pairs,
     abelianization,
     complex_homology,
     invariant_factors,
@@ -74,6 +76,46 @@ def test_sparse_invariant_factors_match_dense():
         sparse = tuple(invariant_factors(m.sparse_rows()))
         dense = smith_normal_form(m).invariant_factors
         assert sparse == dense
+
+
+@st.composite
+def pair_rich_matrices(draw):
+    """(columns, sparse rows), two thirds of the rows +-1 pairs.  With few
+    columns many pairs close a cycle of earlier ones, so the pair merge
+    sees rows that turn into 0 or +-2 as well as rows it merges."""
+    n_cols = draw(st.integers(1, 6))
+    col = st.integers(0, n_cols - 1)
+    unit = st.sampled_from((1, -1))
+    pair = st.tuples(col, col, unit, unit).filter(lambda t: t[0] != t[1]).map(lambda t: {t[0]: t[2], t[1]: t[3]})
+    other = st.dictionaries(col, st.integers(-3, 3).filter(bool), max_size=n_cols)
+    return n_cols, draw(st.lists(st.one_of(pair, pair, other), min_size=1, max_size=9))
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(pair_rich_matrices())
+def test_pair_merge_matches_dense_snf_on_matrix_and_transpose(matrix):
+    n_cols, rows = matrix
+    dense = IntegerMatrix(len(rows), n_cols)
+    for i, row in enumerate(rows):
+        for j, v in row.items():
+            dense.entries[i][j] = v
+    expected = list(smith_normal_form(dense).invariant_factors)
+    assert invariant_factors(rows) == expected
+    columns = SparseMatrix(len(rows), n_cols, rows).transpose().entries
+    assert invariant_factors(columns) == expected
+
+
+def test_pair_merge_cycles():
+    # A pair that closes a cycle reads a + b on one class: 0 or +-2.
+    assert invariant_factors([{0: 1, 1: 1}, {0: 1, 1: -1}]) == [1, 2]
+    assert invariant_factors([{0: 1, 1: -1}, {1: -1, 0: 1}]) == [1]
+    triangle = [{0: -1, 1: 1}, {1: -1, 2: 1}, {0: -1, 2: 1}]
+    assert invariant_factors(triangle) == [1, 1]
+    merges, residual = _merge_unit_pairs(triangle)
+    assert merges == 2 and residual == [{}]
+    # A kept row is read through the merges made after it.
+    merges, residual = _merge_unit_pairs([{0: 2, 1: 3}, {0: 1, 1: 1}])
+    assert merges == 1 and residual in ([{1: 1}], [{0: -1}])
 
 
 def test_abelianization_bs23_relation_matrix():

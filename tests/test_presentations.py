@@ -19,9 +19,9 @@ from gpforge.presentations import (
     tietze_simplify,
     validate,
 )
-from gpforge.reductions import bs_source, delta_w, f2_atom, free_source, gamma_w, lambda_w, pi_w, witness_w
+from gpforge.reductions import delta_w, f2_atom, free_source, gamma_w, lambda_w, pi_w, witness_w
 from gpforge.words import Alphabet, Word, parse_word, word
-from tests_util import rescan_tietze_simplify
+from tests_util import bs_source, rescan_tietze_simplify
 
 
 def test_parse_bs23_with_equals_sugar():

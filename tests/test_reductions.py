@@ -8,7 +8,6 @@ from gpforge.presentations import parse, serialize, tietze_simplify
 from gpforge.reductions import (
     MAX_DELTA_DIM,
     WordProblemSource,
-    bs_source,
     delta_w,
     f2_atom,
     free_source,
@@ -20,6 +19,7 @@ from gpforge.reductions import (
 )
 from gpforge.rewriting import bs_system, finite_quotient_search, free_triviality
 from gpforge.words import Word, commutator, parse_word, word
+from tests_util import bs_source
 
 
 def is_empty_presentation(p):

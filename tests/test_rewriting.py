@@ -9,6 +9,7 @@ from gpforge.combinators import standard_mitosis
 from gpforge.errors import AlphabetMismatchError, ParseError, SearchBudgetError, UnsupportedEdgeError
 from gpforge.presentations import EMPTY_PRESENTATION, parse, presentation, serialize
 from gpforge.rewriting import (
+    SEGMENT_BIT_BUDGET,
     HnnRewriteSystem,
     Homomorphism,
     TrivialityCertificate,
@@ -25,11 +26,11 @@ from gpforge.rewriting import (
     free_triviality,
     is_pinch_free,
     parse_bs,
-    parse_cycles,
     permutation_cycles,
 )
 from gpforge.words import GeneratorSymbol, Word, commutator, parse_word, word
 from tests_util import (
+    parse_cycles,
     random_presentation,
     random_word,
     stack_britton_normal_form,
@@ -194,6 +195,21 @@ def test_run_pinches_whole_when_edges_agree(m, n, segment, expected):
     system = bs_system(m, n)
     assert britton_normal_form(system, parse_word(f"t^-{k} {segment} t^{k}")) == parse_word(expected)
     assert britton_normal_form(system, parse_word(f"t^{k} {segment} t^-{k}")) == parse_word(expected)
+
+
+def test_segment_budget_boundary():
+    # In BS(1, 2), t^-k a t^k = a^(2^k), and 2^k has k + 1 bits.
+    k = SEGMENT_BIT_BUDGET - 1
+    assert bs_reduce(1, 2, Word(((T, -k), (A, 1), (T, k)))) == Word(((A, 2**k),))
+    with pytest.raises(SearchBudgetError, match=f"past {SEGMENT_BIT_BUDGET} bits"):
+        bs_reduce(1, 2, Word(((T, -(k + 1)), (A, 1), (T, k + 1))))
+    with pytest.raises(SearchBudgetError):
+        bs_reduce(2, 4, Word(((T, -10**11), (A, 2), (T, 10**11))))
+    # Only growth is refused: a segment past the budget may still shrink.
+    huge = 2 ** (SEGMENT_BIT_BUDGET + 2)
+    assert bs_reduce(2, 1, Word(((T, -2), (A, huge), (T, 2)))) == Word(((A, huge // 4),))
+    with pytest.raises(SearchBudgetError):
+        bs_reduce(1, 2, Word(((T, -1), (A, huge), (T, 1))))
 
 
 CANONICAL_PAIRS = [(2, 3), (3, 2), (1, -1), (-2, 3), (1, 2), (2, -4)]

@@ -1,9 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gpforge.combinators import mu_stage, standard_mitosis
-from gpforge.errors import InvalidComplexError, InvalidInputError, ParseError
+from gpforge import topology
+from gpforge.errors import InvalidComplexError, InvalidInputError, ParseError, SearchBudgetError
 from gpforge.homology import (
     AbelianGroup,
     ChainComplexData,
@@ -35,6 +37,7 @@ TORUS = parse("gens a b\nrel a^-1 b^-1 a b")
 BS23 = parse("gens a t\nrel t^-1 a^2 t = a^3")
 RP2 = parse("gens a\nrel a^2")
 GENUS2 = parse("gens a b c d\nrel a^-1 b^-1 a b c^-1 d^-1 c d")
+KLEIN = parse("gens a b\nrel a b a^-1 b")
 
 
 def test_circle_complex():
@@ -121,6 +124,32 @@ def test_triangulate_chi_formula_and_h1():
 
 def test_torus_h2_is_z():
     assert simplicial_homology(triangulate(TORUS))[2] == AbelianGroup(1)
+
+
+@pytest.mark.parametrize("p, h1", [(RP2, AbelianGroup(0, (2,))), (KLEIN, AbelianGroup(1, (2,)))])
+def test_nonorientable_surfaces(p, h1):
+    # The Z/2 comes from d2 rows whose pair closes a cycle as +-2.
+    assert simplicial_homology(triangulate(p)) == (AbelianGroup(1), h1, AbelianGroup(0))
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(st.randoms(use_true_random=False))
+def test_triangulated_homology_matches_cellular(rng):
+    from tests_util import random_presentation
+
+    p = random_presentation(rng, max_gens=3, max_rels=3, max_len=5)
+    assert simplicial_homology(triangulate(p)) == complex_homology(cw_chain_complex(p))
+
+
+def test_cell_budget_is_checked_before_building(monkeypatch):
+    monkeypatch.setattr(topology, "CELL_BUDGET", 6)
+    assert presentation_complex(parse("gens a b\nrel a^2 b^-1\nrel a^-1 b^-2")).cell_counts()[2] == 6
+    # Cyclic reduction comes first: b a^5 b^-1 bounds five triangles.
+    assert presentation_complex(parse("gens a b\nrel b a^5 b^-1\nrel a")).cell_counts()[2] == 6
+    with pytest.raises(SearchBudgetError, match="7 triangles, more than 6"):
+        presentation_complex(parse("gens a\nrel a^7"))
+    with pytest.raises(SearchBudgetError):
+        triangulate(parse("gens a b\nrel a^3 b^-4"))
 
 
 def test_facets_sorted_and_bit_identical_across_runs():

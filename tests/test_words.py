@@ -196,6 +196,18 @@ def test_parse_word_rejects_bad_atoms():
             parse_word(bad)
 
 
+def test_parse_word_exponent_digit_limit():
+    limit = words.EXPONENT_DIGIT_LIMIT
+    for sign in ("", "-"):
+        widest = f"b a^{sign}{'9' * limit}"
+        assert format_word(parse_word(widest)) == widest
+        with pytest.raises(ParseError, match=f"has {limit + 1} digits, more than {limit} .line 3, column 3"):
+            parse_word(f"b a^{sign}1{'0' * limit}", line=3)
+    # Sums of the widest literals still print.
+    twice = parse_word(f"a^{'9' * limit} a^{'9' * limit}")
+    assert format_word(twice) == f"a^{2 * int('9' * limit)}"
+
+
 def test_parse_word_against_alphabet():
     alphabet = Alphabet(["a", "t"])
     assert parse_word("t^-1 a^2 t a^-3", alphabet).exponent_sum(alphabet.symbol("a")) == -1

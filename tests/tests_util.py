@@ -4,6 +4,7 @@ from itertools import combinations, permutations
 from math import gcd
 from typing import Dict, Iterator, List, Optional, Tuple
 
+from gpforge.combinators import canonical_rename
 from gpforge.homology import IntegerMatrix
 from gpforge.errors import AlphabetMismatchError
 from gpforge.meier import (
@@ -19,9 +20,11 @@ from gpforge.meier import (
 )
 from gpforge import presentations
 from gpforge.presentations import Presentation, _isolated_symbol
+from gpforge.reductions import WordProblemSource
 from gpforge.rewriting import (
     HnnRewriteSystem,
     Homomorphism,
+    Perm,
     bs_canonical,
     bs_equal,
     bs_reduce,
@@ -392,3 +395,38 @@ def rescan_tietze_simplify(p: Presentation) -> Presentation:
         symbols.remove(sym)
         steps += 1
     return Presentation(Alphabet(symbols), tuple(relators), p.name)
+
+
+def canonical_form(p: Presentation) -> Presentation:
+    """Canonical renaming plus a deterministic relator order, for comparing
+    presentations that agree up to bookkeeping (e.g. associativity of the
+    product combinators)."""
+    renamed = canonical_rename(p)
+
+    def key(rel: Word):
+        return tuple((renamed.alphabet.index(s), e) for s, e in rel.letters)
+
+    return Presentation(renamed.alphabet, tuple(sorted(renamed.relators, key=key)), p.name)
+
+
+def parse_cycles(text: str, degree: int) -> Perm:
+    """Inverse of `permutation_cycles`."""
+    perm = list(range(degree))
+    text = text.strip()
+    if text == "()":
+        return tuple(perm)
+    for chunk in text.replace(")", ")|").split("|"):
+        chunk = chunk.strip()
+        if not chunk:
+            continue
+        pts = [int(x) - 1 for x in chunk.strip("()").split()]
+        for a, b in zip(pts, pts[1:] + pts[:1]):
+            perm[a] = b
+    return tuple(perm)
+
+
+def bs_source(m: int, n: int) -> WordProblemSource:
+    """The BS(m, n) word-problem source, as `--oracle bs:m,n` builds it
+    with a TorsionFree fact asserted."""
+    system = bs_system(m, n)
+    return WordProblemSource(system.presentation, system, (("TorsionFree", None),))

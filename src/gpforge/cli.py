@@ -25,7 +25,7 @@ from .presentations import Presentation, parse, presentation, read_text, seriali
 from .rewriting import britton_normal_form, finite_quotient_search, parse_bs, permutation_cycles
 from .sexpr import parse_expr, parse_query, serialize_expr
 from .topology import serialize_simplicial, triangulate
-from .words import Word, format_word, parse_word
+from .words import format_word, parse_word
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -200,21 +200,21 @@ def _cmd_corpus(args) -> int:
     family = args.family
     if family == "mu":
         base = presentation(["g"], name="F1")
-        for k in range(1, args.depth + 1):
-            stage = cb.mu_stage(base, k)
+        try:  # deepest first, so a depth past the bound is named at once
+            stages = [cb.mu_stage(base, k) for k in range(args.depth, 0, -1)]
+        except ValueError as exc:
+            raise UsageError(f"--depth: {exc}")
+        for k, stage in enumerate(reversed(stages), start=1):
             _corpus_emit(f"mu stage {k}", serialize(stage.realized))
             _corpus_emit(
                 f"mu stage {k} simplified", serialize(tietze_simplify(stage.realized))
             )
     elif family == "witness":
-        src = red.free_source()
-        alphabet = src.presentation.alphabet
-        letters = [(s, 1) for s in alphabet.symbols] + [(s, -1) for s in alphabet.symbols]
-        for i in range(args.count):
-            length = rng.randint(1, 12)
-            picks = [letters[rng.randrange(len(letters))] for _ in range(length)]
-            w = Word(picks)
-            out = red.gamma_w(src, w)
+        try:
+            witnesses = red.witness_corpus(args.count, rng)
+        except ValueError as exc:
+            raise UsageError(f"--count: {exc}")
+        for i, (w, out) in enumerate(witnesses):
             label = "trivial" if out.trivial_branch else "nontrivial"
             _corpus_emit(
                 f"witness {i} word={format_word(w) if w else '1'} branch={label}",

@@ -400,6 +400,12 @@ def _mu_stage_presentation(base: Presentation, k: int) -> Tuple[Presentation, di
     return realized, payload
 
 
+# mu_stage's largest stage.  Stage k has 2k + 2 generators and O(k^2)
+# mitosis relators; `corpus --family mu --depth 14`, which builds and
+# simplifies stages 1..14, takes about 7 s (depth 15: 9 s, 16: 12 s).
+MAX_MU_STAGE = 14
+
+
 def mu_stage(p: ExprLike, k: int) -> GroupExpr:
     """Stage-k truncation of the boundedly acyclic ascending-HNN hull.
 
@@ -409,8 +415,8 @@ def mu_stage(p: ExprLike, k: int) -> GroupExpr:
     t^-1 s_i t = s_{i+1}, t^-1 d_i t = d_{i+1} for i < k.  Stage-monotone
     in k.
     """
-    if k < 1:
-        raise ValueError("mu stage index must be >= 1")
+    if not 1 <= k <= MAX_MU_STAGE:
+        raise ValueError(f"mu stage index must be in 1..{MAX_MU_STAGE}, got {k}")
     pe = _as_expr(p)
     realized, payload = _mu_stage_presentation(pe.realized, k)
     return GroupExpr(MU_STAGE, (pe,), payload, realized)

@@ -17,8 +17,9 @@ does not decide.  The published contract is satisfied branch by branch:
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 from .combinators import (
     DELTA_W,
@@ -41,6 +42,10 @@ from .words import Word, word
 # Delta_w's largest dimension: its d - 1 nested direct products carry
 # commutator relators whose count grows quadratically in d.
 MAX_DELTA_DIM = 64
+
+# witness_corpus's largest count: about 0.1 ms and 60 bytes of output per
+# word, so the largest corpus takes about 1.5 s.
+MAX_CORPUS_COUNT = 10_000
 
 
 @dataclass(frozen=True)
@@ -141,6 +146,23 @@ def gamma_w(src: WordProblemSource, w: Word) -> WitnessOutput:
         return WitnessOutput(_z_atom("t"))
     expr = free_product(lw.expr, _z_atom("t"), nonelementary=True, _kind=GAMMA_W)
     return WitnessOutput(expr, wbar=lw.wbar)
+
+
+def witness_corpus(count: int, rng: random.Random) -> Iterator[Tuple[Word, WitnessOutput]]:
+    """`count` random words of length 1..12 over the free source, each with
+    its gamma_w witness, drawn from `rng`.  The count is checked before
+    any word is drawn."""
+    if count > MAX_CORPUS_COUNT:
+        raise ValueError(f"corpus count must be at most {MAX_CORPUS_COUNT}, got {count}")
+    src = free_source()
+    alphabet = src.presentation.alphabet
+    letters = [(s, 1) for s in alphabet.symbols] + [(s, -1) for s in alphabet.symbols]
+
+    def draw(length: int) -> Tuple[Word, WitnessOutput]:
+        w = Word([letters[rng.randrange(len(letters))] for _ in range(length)])
+        return w, gamma_w(src, w)
+
+    return (draw(rng.randint(1, 12)) for _ in range(count))
 
 
 def witness_w(gamma: GroupExpr, src: WordProblemSource, w: Word) -> WitnessOutput:

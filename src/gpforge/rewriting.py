@@ -99,9 +99,10 @@ def _push_base(state: BrittonState, e: int) -> BrittonState:
 
 
 SEGMENT_BIT_BUDGET = 14_000
-"""Bits a base segment may grow to by pinching.  A pinch with |m| != |n|
-scales a segment by n/m, so the form of t^-k a t^k in BS(1, 2) holds
-a^(2^k); a pinch that would grow a segment past the budget raises
+"""Bits a base segment may grow to by pinching or carrying.  A pinch with
+|m| != |n| scales a segment by n/m, so the form of t^-k a t^k in BS(1, 2)
+holds a^(2^k), and so does a carry of the canonical pass (a t^k); a pinch
+or carry that would grow a segment past the budget raises
 SearchBudgetError instead.  The budget is below the 4,300-digit
 (14,284-bit) limit of str(int), so every form returned can be printed."""
 
@@ -229,7 +230,8 @@ def bs_canonical_pass(m: int, n: int, nf: Word) -> Word:
     (Lyndon-Schupp, Combinatorial Group Theory, IV.2).  A t-run passes
     through whole once the carry is zero; until then it is rewritten
     letter by letter, and the form can be as long as the run (a^-2 t^N is
-    (a t)^N a^-2 in BS(3, 2)).
+    (a t)^N a^-2 in BS(3, 2)).  A carry that would grow past
+    SEGMENT_BIT_BUDGET raises SearchBudgetError.
     """
     a = bs_system(m, n).base.symbols[0]
     out: List[Tuple[GeneratorSymbol, int]] = []
@@ -245,6 +247,8 @@ def bs_canonical_pass(m: int, n: int, nf: Word) -> Word:
             r = e % abs(into)
             out += ((a, r), (sym, eps))
             e = (e - r) // into * across
+            if e.bit_length() > SEGMENT_BIT_BUDGET and abs(across) > abs(into):
+                raise SearchBudgetError(f"a carry would grow a base segment past {SEGMENT_BIT_BUDGET} bits")
             left -= 1
         out.append((sym, eps * left))
     out.append((a, e))
@@ -386,62 +390,60 @@ def _actions(rel: Word, index: Dict[GeneratorSymbol, int], period: int) -> List[
     return acts
 
 
-def _closes(steps: Tuple[List[int], ...], backs: Tuple[List[int], ...], first: int, end: int, start: int) -> bool:
-    """Whether the trace of the letters steps[first:end] from `start` can
-    still close on the partial permutations.  It runs forward while images
-    are defined and back from the end while preimages are; it fails only
-    when it is complete and ends off `start`, or when the two runs meet at
-    different points."""
-    x = start
-    for i in range(first, end):
-        y = steps[i][x]
-        if y < 0:
-            break
-        x = y
-    else:
-        return x == start
-    y = start
-    for j in range(end - 1, i - 1, -1):
-        z = backs[j][y]
-        if z < 0:
+def _moves(trace: List[List[int]], degree: int) -> bool:
+    """Whether the word whose letters, as complete arrays in acting order,
+    are `trace` moves some point: points 0, 1, ... are traced until one
+    does."""
+    for pt in range(degree):
+        y = pt
+        for step in trace:
+            y = step[y]
+        if y != pt:
             return True
-        y = z
-    return x == y
+    return False
 
 
-def _homomorphisms(p: Presentation, degree_max: int) -> Iterator[Homomorphism]:
+def _homomorphisms(p: Presentation, degree_max: int, target: Optional[Word] = None) -> Iterator[Homomorphism]:
     """Every homomorphism into S_degree, degree <= degree_max, in
-    enumeration order (see finite_quotient_search)."""
+    enumeration order (see finite_quotient_search); with `target`, only
+    those that move it."""
     gens = p.alphabet.symbols
     index = {g: k for k, g in enumerate(gens)}
     budget, nodes = QUOTIENT_SEARCH_BUDGET, 0
     for degree in range(1, degree_max + 1):
-        image = [[-1] * degree for _ in gens]
-        preimage = [[-1] * degree for _ in gens]
+        # Partial permutations, -1 where undefined.  Each array has one
+        # more slot, -1 for ever, so a trace that meets a gap stays at -1.
+        image = [[-1] * (degree + 1) for _ in gens]
+        preimage = [[-1] * (degree + 1) for _ in gens]
         arrays = {1: (image, preimage), -1: (preimage, image)}
-        # scans[k][sign]: the rotations of every relator that start with
-        # gens[k]^sign, as (steps, backs, first, end) over the relator's
-        # letters written twice; their traces start at the new point x, or
-        # at its image v.  A relator that is a proper power is scanned
-        # from each start in its root only.
-        scans = [{1: [], -1: []} for _ in gens]
+        # scans[k]: the rotations of every relator that start with
+        # gens[k]^+-1, as (steps, backs, from_v): the arrays of the
+        # rotation's letters after the first, in acting order, and their
+        # inverses.  The trace of a rotation starting with gens[k] runs
+        # from the new point x, whose first letter takes it to v; one
+        # starting with gens[k]^-1 runs from v to x.  A relator that is a
+        # proper power is scanned from each start in its root only.
+        scans: List[List[tuple]] = [[] for _ in gens]
         period = math.lcm(*range(1, degree + 1))
         for rel in p.relators:
             acts = _actions(rel, index, period)
             m = len(acts)
             root = next((d for d in range(1, m + 1) if m % d == 0 and acts[d:] + acts[:d] == acts), 0)
-            steps = tuple(arrays[sign][0][k] for k, sign in acts) * 2
-            backs = tuple(arrays[sign][1][k] for k, sign in acts) * 2
+            steps = [arrays[sign][0][k] for k, sign in acts] * 2
+            backs = [arrays[sign][1][k] for k, sign in acts] * 2
             for j in range(root):
                 k, sign = acts[j]
-                scans[k][sign].append((steps, backs, j, j + m))
+                scans[k].append((tuple(steps[j + 1 : j + m]), tuple(backs[j + 1 : j + m]), sign < 0))
+        # The target's letters in acting order, traced at each leaf, where
+        # every image is defined.
+        trace = None if target is None else [arrays[sign][0][k] for k, sign in _actions(target, index, period)]
         perms: Dict[Perm, Perm] = {}  # one tuple per image, shared by all homomorphisms
         slots = len(gens) * degree
         slot, v = 0, 0
         while slot >= 0:
             if slot < slots:
                 k, x = divmod(slot, degree)
-                fwd, back = image[k], preimage[k]
+                fwd, back, tries = image[k], preimage[k], scans[k]
                 for v in range(v, degree):
                     if back[v] >= 0:
                         continue
@@ -452,9 +454,31 @@ def _homomorphisms(p: Presentation, degree_max: int) -> Iterator[Homomorphism]:
                             f"image assignments at degree {degree}"
                         )
                     fwd[x], back[v] = v, x
-                    if all(_closes(*scan, x) for scan in scans[k][1]) and all(
-                        _closes(*scan, v) for scan in scans[k][-1]
-                    ):
+                    # A scan cuts the branch when its trace is complete and
+                    # ends off its start, or when it stops at a gap that the
+                    # trace back from its start also crosses: the letter at
+                    # the gap would have to send two points to one.
+                    for steps, backs, from_v in tries:
+                        if from_v:
+                            y, start = x, v
+                        else:
+                            y, start = v, x
+                        for step in steps:
+                            y = step[y]
+                        if y == start:
+                            continue
+                        if y >= 0:
+                            break
+                        y = x if from_v else v
+                        for gap, step in enumerate(steps):
+                            y = step[y]
+                            if y < 0:
+                                break
+                        for inv in reversed(backs[gap:]):
+                            start = inv[start]
+                        if start >= 0:
+                            break
+                    else:
                         break
                     fwd[x] = back[v] = -1
                 else:
@@ -462,10 +486,10 @@ def _homomorphisms(p: Presentation, degree_max: int) -> Iterator[Homomorphism]:
                 if v < degree:
                     slot, v = slot + 1, 0
                     continue
-            else:
+            elif trace is None or _moves(trace, degree):
                 images: Dict[GeneratorSymbol, Perm] = {}
                 for k, g in enumerate(gens):
-                    perm = tuple(image[k])
+                    perm = tuple(image[k][:degree])
                     images[g] = perms.setdefault(perm, perm)
                 yield Homomorphism(degree, images)
             slot -= 1
@@ -492,7 +516,9 @@ def finite_quotient_search(
     scans, as a coset-table scan does, every cyclic rotation of every
     relator that starts with g (from x) or with g^-1 (from v), forward and
     backward through the images defined so far, and cuts the branch when a
-    trace is defined all the way round and does not end where it started.
+    trace is defined all the way round and does not end where it started,
+    or when the backward trace crosses the gap that stopped the forward one
+    (the letter at the gap would have to send two points to one).
     A cut drops only assignments no completion satisfies, and every full
     trace is scanned when its last image is set, so the surviving set and
     its order are those of a search over whole permutations.  Relator
@@ -506,17 +532,23 @@ def finite_quotient_search(
     Without `target`: the list of all satisfying Homomorphisms, in
     enumeration order.  With `target`: a FiniteQuotient certificate for the
     first homomorphism sending the target word to a non-identity
-    permutation, or None if none exists within the bound.  A freely
-    trivial target is None at once: every homomorphism fixes it.
+    permutation, or None if none exists within the bound.  The target is
+    compiled once per degree, its exponents reduced like the relators', and
+    at each complete assignment points 0, 1, ... are traced through the
+    image arrays until one moves; no permutation is composed and only the
+    homomorphism returned is built.  The certificate is checked apart from
+    the search by `TrivialityCertificate.revalidate`, which evaluates each
+    relator and the target with whole permutations (`evaluate_word`);
+    `certify-nontrivial` runs it on every certificate it prints.
+    A freely trivial target is None at once: every homomorphism fixes it.
     """
     if not 1 <= degree_max <= 6:
         raise ValueError(f"degree_max must be in 1..6, got {degree_max}")
-    homs = _homomorphisms(p, degree_max)
     if target is None:
-        return list(homs)
+        return list(_homomorphisms(p, degree_max))
     if not target:
         return None
-    for hom in homs:
-        if hom.evaluate(target) != _identity(hom.degree):
-            return TrivialityCertificate(kind="FiniteQuotient", presentation=p, target=target, hom=hom)
-    return None
+    hom = next(_homomorphisms(p, degree_max, target), None)
+    if hom is None:
+        return None
+    return TrivialityCertificate(kind="FiniteQuotient", presentation=p, target=target, hom=hom)

@@ -311,7 +311,10 @@ def serialize_simplicial(x: SimplicialComplex) -> str:
 def _parse_nonnegative(token: str, lineno: int) -> int:
     if not token.isdecimal():
         raise ParseError(f"expected a nonnegative integer, got {token!r}", line=lineno)
-    return int(token)
+    try:
+        return int(token)
+    except ValueError:  # past int()'s 4,300-digit limit
+        raise ParseError(f"integer of {len(token)} digits is too long", line=lineno) from None
 
 
 def parse_simplicial(text: str) -> SimplicialComplex:

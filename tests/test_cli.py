@@ -288,6 +288,10 @@ def test_usage_error_exit_code(tmp_path, monkeypatch, capsys):
         ["certify-nontrivial", str(bs), "--word", "a", "--degree", "-1"],
         ["meier-probe", "--max-len", "0", "--budget", "10"],
         ["meier-probe", "--max-len", "3", "--budget", "0"],
+        # Past combinators.MAX_MU_STAGE and reductions.MAX_CORPUS_COUNT.
+        ["corpus", "--family", "mu", "--depth", "15"],
+        ["corpus", "--family", "mu", "--depth", "100000000000"],
+        ["corpus", "--family", "witness", "--count", "10001"],
     ]
     # Queries: unknown names, missing, surplus or mistyped arguments.
     for query in ("large-hb x", "large-hb", "boundedly-acyclic 3", "no-such", "", "large-hb 2 3", "large-hb -2", "large-hb 100000"):

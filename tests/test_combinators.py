@@ -1,6 +1,7 @@
 import pytest
 
 from gpforge.combinators import (
+    MAX_MU_STAGE,
     amalgamated_product,
     bac_hnn,
     canonical_rename,
@@ -146,6 +147,14 @@ def test_mitosis_fresh_letter_renaming():
     p = presentation(["s", "d"])
     e = standard_mitosis(p)
     assert e.realized.alphabet.names == ("s", "d", "s_2", "d_2")
+
+
+def test_mu_stage_bounds():
+    base = presentation(["g"])
+    assert len(mu_stage(base, MAX_MU_STAGE).realized.alphabet) == 2 * MAX_MU_STAGE + 2
+    for k in (0, MAX_MU_STAGE + 1, 10**11):
+        with pytest.raises(ValueError, match=f"1..{MAX_MU_STAGE}, got {k}"):
+            mu_stage(base, k)
 
 
 def test_mu_stage_counts_and_abelianization():

@@ -6,6 +6,7 @@ from gpforge.errors import InvalidInputError
 from gpforge.homology import AbelianGroup, abelianization
 from gpforge.presentations import parse, serialize, tietze_simplify
 from gpforge.reductions import (
+    MAX_CORPUS_COUNT,
     MAX_DELTA_DIM,
     WordProblemSource,
     delta_w,
@@ -15,6 +16,7 @@ from gpforge.reductions import (
     hyperbolic_manifold_atom,
     lambda_w,
     pi_w,
+    witness_corpus,
     witness_w,
 )
 from gpforge.rewriting import bs_system, finite_quotient_search, free_triviality
@@ -140,6 +142,18 @@ def test_delta_w_shapes():
     non3 = delta_w(src, parse_word("b"), 3)
     assert non3.expr.kind == "delta-w"
     assert len(non3.expr.children) == 2  # folded binary product chain
+
+
+def test_witness_corpus_count_bound():
+    rng = random.Random(3)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match=f"at most {MAX_CORPUS_COUNT}"):
+        witness_corpus(MAX_CORPUS_COUNT + 1, rng)
+    assert rng.getstate() == state  # refused before any word is drawn
+    corpus = list(witness_corpus(20, rng))
+    assert len(corpus) == 20
+    for w, out in corpus:
+        assert len(w.letters) <= 12 and out.trivial_branch == free_triviality(w)
 
 
 def test_hyperbolic_manifold_atom_dimensions():

@@ -8,11 +8,13 @@ from hypothesis import given, settings, strategies as st
 from gpforge.combinators import standard_mitosis
 from gpforge.errors import AlphabetMismatchError, ParseError, SearchBudgetError, UnsupportedEdgeError
 from gpforge.presentations import EMPTY_PRESENTATION, parse, presentation, serialize
+from gpforge import rewriting
 from gpforge.rewriting import (
     SEGMENT_BIT_BUDGET,
     HnnRewriteSystem,
     Homomorphism,
     TrivialityCertificate,
+    _homomorphisms,
     britton_is_stable_power,
     britton_normal_form,
     britton_push,
@@ -22,17 +24,20 @@ from gpforge.rewriting import (
     bs_equal,
     bs_reduce,
     bs_system,
+    evaluate_word,
     finite_quotient_search,
     free_triviality,
     is_pinch_free,
     parse_bs,
     permutation_cycles,
 )
-from gpforge.words import GeneratorSymbol, Word, commutator, parse_word, word
+from gpforge.words import GeneratorSymbol, Word, commutator, format_word, parse_word, word
 from tests_util import (
     parse_cycles,
     random_presentation,
     random_word,
+    scan_certificate,
+    scan_homomorphisms,
     stack_britton_normal_form,
     whole_permutation_homomorphisms,
 )
@@ -210,6 +215,21 @@ def test_segment_budget_boundary():
     assert bs_reduce(2, 1, Word(((T, -2), (A, huge), (T, 2)))) == Word(((A, huge // 4),))
     with pytest.raises(SearchBudgetError):
         bs_reduce(1, 2, Word(((T, -1), (A, huge), (T, 1))))
+
+
+def test_canonical_pass_segment_budget():
+    # In BS(1, 2), a t^k = t^k a^(2^k): each carry doubles the segment.
+    k = SEGMENT_BIT_BUDGET - 1
+    form = bs_canonical(1, 2, Word(((A, 1), (T, k))))
+    assert form == Word(((T, k), (A, 2**k)))
+    assert format_word(form).endswith(f"a^{2**k}")
+    with pytest.raises(SearchBudgetError, match=f"past {SEGMENT_BIT_BUDGET} bits"):
+        bs_canonical(1, 2, parse_word("a t^40000"))
+    with pytest.raises(SearchBudgetError):
+        bs_canonical_pass(1, 2, Word(((A, 1), (T, k + 1))))
+    # Only growth is refused: a carry past the budget may still shrink.
+    huge = 2 ** (SEGMENT_BIT_BUDGET + 2)
+    assert bs_canonical_pass(4, 1, Word(((A, huge), (T, 1)))) == Word(((T, 1), (A, huge // 4)))
 
 
 CANONICAL_PAIRS = [(2, 3), (3, 2), (1, -1), (-2, 3), (1, 2), (2, -4)]
@@ -457,6 +477,98 @@ def test_quotient_search_budget(monkeypatch):
     assert finite_quotient_search(p, 3, target=target) is None
     with pytest.raises(SearchBudgetError, match="budget of 1000 image assignments at degree 4"):
         finite_quotient_search(p, 4, target=target)
+
+
+def _run_to_budget(homs):
+    """The (degree, images) pairs a search yields, and the message of the
+    budget error it ends in, if any."""
+    out = []
+    try:
+        for h in homs:
+            out.append((h.degree, h.images))
+    except SearchBudgetError as exc:
+        return out, str(exc)
+    return out, None
+
+
+def _assert_kernel_matches_scan_oracle(p, target):
+    listed, error = _run_to_budget(_homomorphisms(p, 5))
+    assert (listed, error) == _run_to_budget(scan_homomorphisms(p, 5))
+    moving, moving_error = _run_to_budget(_homomorphisms(p, 5, target))
+    assert moving_error == error
+    assert moving == [(d, images) for d, images in listed if evaluate_word(target, images, d) != tuple(range(d))]
+    if not target:
+        assert finite_quotient_search(p, 5, target=target) is None
+        return
+    try:
+        expected = scan_certificate(p, 5, target)
+    except SearchBudgetError as exc:
+        with pytest.raises(SearchBudgetError, match=str(exc)):
+            finite_quotient_search(p, 5, target=target)
+        return
+    cert = finite_quotient_search(p, 5, target=target)
+    if expected is None:
+        assert cert is None
+    else:
+        assert (cert.hom.degree, cert.hom.images) == (expected.degree, expected.images)
+        assert cert.revalidate()
+
+
+# Exponents far past lcm(1..5) = 60, and multiples of it, which every
+# permutation of degree <= 5 kills.
+_KERNEL_EXPONENTS = (1, -1, 2, -3, 60, -120, 10**11, -(10**11), 10**11 + 1)
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(st.integers(0, 2**32))
+def test_quotient_kernel_matches_scan_oracle_at_degree_5(seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, 3)
+    gens = [f"g{i}" for i in range(1, n + 1)]
+    # Sometimes the last generator occurs in no relator.
+    used = gens[:-1] if n > 1 and rng.random() < 0.5 else gens
+    relators = [f"{g}^{rng.choice((2, 3, 4, 5))}" for g in used if rng.random() < 0.7]
+    for _ in range(rng.randint(0, 2)):
+        relators.append(" ".join(f"{rng.choice(used)}^{rng.choice((-2, -1, 1, 2))}" for _ in range(rng.randint(2, 6))))
+    p = presentation(gens, relators)
+    target = parse_word(
+        " ".join(f"{rng.choice(gens)}^{rng.choice(_KERNEL_EXPONENTS)}" for _ in range(rng.randint(0, 4))) or "1",
+        p.alphabet,
+    )
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("gpforge.rewriting.QUOTIENT_SEARCH_BUDGET", 5_000)
+        _assert_kernel_matches_scan_oracle(p, target)
+
+
+# In A5 = <a, b | a^2, b^3, (a b)^5>, which acts on no fewer than 5
+# points, the first certificate for `a` sends it to (2 3)(4 5): it fixes
+# point 0 and moves point 1.  c occurs in no relator.
+_A5 = presentation(["a", "b", "c"], ["a^2", "b^3", "a b a b a b a b a b"])
+
+
+@pytest.mark.parametrize("target", ["a", "b c^60", "c^-100000000000 a c^100000000000", "b^3 c^120"])
+def test_quotient_kernel_matches_scan_oracle_on_a5(target):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("gpforge.rewriting.QUOTIENT_SEARCH_BUDGET", 20_000)
+        _assert_kernel_matches_scan_oracle(_A5, parse_word(target, _A5.alphabet))
+
+
+def test_first_a5_certificate_fixes_point_0():
+    target = parse_word("a", _A5.alphabet)
+    cert = finite_quotient_search(_A5, 5, target=target)
+    assert cert.hom.degree == 5 and cert.hom.evaluate(target) == (0, 2, 1, 4, 3)
+
+
+def test_target_mode_composes_no_permutations(monkeypatch):
+    # The target is traced through the image arrays at each leaf; only the
+    # independent check, revalidate, evaluates words.
+    calls = []
+    real = rewriting.evaluate_word
+    monkeypatch.setattr(rewriting, "evaluate_word", lambda *args: calls.append(args) or real(*args))
+    bs = parse("gens a t\nrel t^-1 a^2 t = a^3")
+    cert = finite_quotient_search(bs, 5, target=parse_word("a", bs.alphabet))
+    assert cert is not None and calls == []
+    assert cert.revalidate() and calls
 
 
 def test_quotient_separation_is_consistent_with_britton():

@@ -124,6 +124,7 @@ def test_parse_errors():
         f'(lambda-w {src} "a" :oracle "bs:2")',
         f'(lambda-w {src} "a" :oracle "bs:0,3")',
         f"(mu {src} :k 0)",
+        f"(mu {src} :k 15)",
         f'(mu {src} :k "x")',
         '(atom "G" :pres "gens a" :facts ((fin-gen x)))',
         # Fact arity: every name and argument is checked at read time.

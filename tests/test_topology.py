@@ -171,7 +171,14 @@ def test_serialize_parse_round_trip():
 
 @pytest.mark.parametrize(
     "text, line",
-    [("vertices x\n", 1), ("vertices 3\nsimplex 0 z\n", 2), ("# header\nvertices\n", 2)],
+    [
+        ("vertices x\n", 1),
+        ("vertices 3\nsimplex 0 z\n", 2),
+        ("# header\nvertices\n", 2),
+        # Past int()'s 4,300-digit limit.
+        pytest.param("vertices 1" + "0" * 5000 + "\n", 1, id="5001-digit-count"),
+        pytest.param("vertices 3\nsimplex 0 1 " + "2" * 5000 + "\n", 2, id="5000-digit-vertex"),
+    ],
 )
 def test_parse_simplicial_malformed_lines_raise_parse_error(text, line):
     with pytest.raises(ParseError) as info:

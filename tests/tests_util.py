@@ -1,12 +1,13 @@
 """Shared helpers for the test suite."""
 
+import math
 from itertools import combinations, permutations
 from math import gcd
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from gpforge.combinators import canonical_rename
 from gpforge.homology import IntegerMatrix
-from gpforge.errors import AlphabetMismatchError
+from gpforge.errors import AlphabetMismatchError, SearchBudgetError
 from gpforge.meier import (
     _B,
     _A_SYM,
@@ -21,7 +22,9 @@ from gpforge.meier import (
 from gpforge import presentations
 from gpforge.presentations import Presentation, _isolated_symbol
 from gpforge.reductions import WordProblemSource
+from gpforge import rewriting
 from gpforge.rewriting import (
+    _actions,
     HnnRewriteSystem,
     Homomorphism,
     Perm,
@@ -358,6 +361,105 @@ def whole_permutation_homomorphisms(p: Presentation, degree_max: int) -> Iterato
             images.pop(gens[k], None)
 
         yield from assign(0)
+
+
+def closes(steps: Tuple[List[int], ...], backs: Tuple[List[int], ...], first: int, end: int, start: int) -> bool:
+    """Whether the trace of the letters steps[first:end] from `start` can
+    still close on the partial permutations.  It runs forward while images
+    are defined and back from the end while preimages are; it fails only
+    when it is complete and ends off `start`, or when the two runs meet at
+    different points."""
+    x = start
+    for i in range(first, end):
+        y = steps[i][x]
+        if y < 0:
+            break
+        x = y
+    else:
+        return x == start
+    y = start
+    for j in range(end - 1, i - 1, -1):
+        z = backs[j][y]
+        if z < 0:
+            return True
+        y = z
+    return x == y
+
+
+def scan_homomorphisms(p: Presentation, degree_max: int) -> Iterator[Homomorphism]:
+    """Oracle for rewriting._homomorphisms: the same search over unpadded
+    arrays, with one `closes` call per relator rotation and try."""
+    gens = p.alphabet.symbols
+    index = {g: k for k, g in enumerate(gens)}
+    budget, nodes = rewriting.QUOTIENT_SEARCH_BUDGET, 0
+    for degree in range(1, degree_max + 1):
+        image = [[-1] * degree for _ in gens]
+        preimage = [[-1] * degree for _ in gens]
+        arrays = {1: (image, preimage), -1: (preimage, image)}
+        # scans[k][sign]: the rotations of every relator that start with
+        # gens[k]^sign, as (steps, backs, first, end) over the relator's
+        # letters written twice; their traces start at the new point x, or
+        # at its image v.  A relator that is a proper power is scanned
+        # from each start in its root only.
+        scans = [{1: [], -1: []} for _ in gens]
+        period = math.lcm(*range(1, degree + 1))
+        for rel in p.relators:
+            acts = _actions(rel, index, period)
+            m = len(acts)
+            root = next((d for d in range(1, m + 1) if m % d == 0 and acts[d:] + acts[:d] == acts), 0)
+            steps = tuple(arrays[sign][0][k] for k, sign in acts) * 2
+            backs = tuple(arrays[sign][1][k] for k, sign in acts) * 2
+            for j in range(root):
+                k, sign = acts[j]
+                scans[k][sign].append((steps, backs, j, j + m))
+        perms: Dict[Perm, Perm] = {}  # one tuple per image, shared by all homomorphisms
+        slots = len(gens) * degree
+        slot, v = 0, 0
+        while slot >= 0:
+            if slot < slots:
+                k, x = divmod(slot, degree)
+                fwd, back = image[k], preimage[k]
+                for v in range(v, degree):
+                    if back[v] >= 0:
+                        continue
+                    nodes += 1
+                    if nodes > budget:
+                        raise SearchBudgetError(
+                            f"finite-quotient search passed its budget of {budget} "
+                            f"image assignments at degree {degree}"
+                        )
+                    fwd[x], back[v] = v, x
+                    if all(closes(*scan, x) for scan in scans[k][1]) and all(
+                        closes(*scan, v) for scan in scans[k][-1]
+                    ):
+                        break
+                    fwd[x] = back[v] = -1
+                else:
+                    v = degree
+                if v < degree:
+                    slot, v = slot + 1, 0
+                    continue
+            else:
+                images: Dict[GeneratorSymbol, Perm] = {}
+                for k, g in enumerate(gens):
+                    perm = tuple(image[k])
+                    images[g] = perms.setdefault(perm, perm)
+                yield Homomorphism(degree, images)
+            slot -= 1
+            if slot >= 0:
+                k, x = divmod(slot, degree)
+                v = image[k][x]
+                image[k][x] = preimage[k][v] = -1
+                v += 1
+
+
+def scan_certificate(p: Presentation, degree_max: int, target: Word) -> Optional[Homomorphism]:
+    """Oracle for finite_quotient_search's target mode: the first
+    homomorphism of `scan_homomorphisms` whose `evaluate` moves the target."""
+    for hom in scan_homomorphisms(p, degree_max):
+        if hom.evaluate(target) != tuple(range(hom.degree)):
+            return hom
+    return None
 
 
 def rescan_tietze_simplify(p: Presentation) -> Presentation:

@@ -13,7 +13,6 @@ Run with: python demos/02_mitosis_and_mu.py
 from gpforge import (
     abelianization,
     mu_stage,
-    mu_staged,
     presentation,
     serialize,
     standard_mitosis,
@@ -33,18 +32,17 @@ for rel in m.realized.relators:
     print(f"  relator -> {quotient.apply(rel)!s:>2}")
 
 print("\n== stage truncations of the hull ==")
-for k in (1, 2, 3):
-    stage = mu_stage(base, k)
-    simplified = tietze_simplify(stage.realized)
+stages = {k: mu_stage(base, k).realized for k in (1, 2, 3)}
+for k, stage in stages.items():
+    simplified = tietze_simplify(stage)
     print(
-        f"stage {k}: {len(stage.realized.alphabet)} generators,"
-        f" {len(stage.realized.relators)} relators;"
+        f"stage {k}: {len(stage.alphabet)} generators,"
+        f" {len(stage.relators)} relators;"
         f" Tietze leaves {len(simplified.alphabet)} generators"
-        f" {simplified.alphabet.names}; abelianization {abelianization(stage.realized)}"
+        f" {simplified.alphabet.names}; abelianization {abelianization(stage)}"
     )
 
-staged = mu_staged(base)
 print("\nstages embed monotonically:",
-      all(is_stage_embedding(staged.stage(k), staged.stage(k + 1)) for k in (1, 2)))
+      all(is_stage_embedding(stages[k], stages[k + 1]) for k in (1, 2)))
 print("(the abelianization stabilises at Z from stage 2 on: everything but the")
 print(" stable letter dies, which is the homological fingerprint of the hull)")

@@ -25,7 +25,6 @@ from .presentations import (
     EMPTY_PRESENTATION,
     Presentation,
     PresentationMorphism,
-    StagedPresentation,
     parse,
     presentation,
     serialize,
@@ -37,13 +36,10 @@ from .combinators import (
     amalgamated_product,
     atom,
     bac_hnn,
-    canonical_rename,
     direct_product,
     free_product,
     hnn_extension,
-    mitosis_morphism,
     mu_stage,
-    mu_staged,
     standard_mitosis,
 )
 from .rewriting import (

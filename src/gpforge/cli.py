@@ -2,8 +2,7 @@
 
 Exit codes: 0 success, 1 usage error, 2 input error, 3 internal invariant
 violation.  `-` means stdin/stdout for every FILE position.  Randomised
-corpus commands are fully determined by --seed (overridden by the
-GPFORGE_SEED environment variable).
+corpus commands are fully determined by --seed.
 """
 
 from __future__ import annotations
@@ -18,19 +17,23 @@ from typing import List, Optional
 from . import combinators as cb
 from . import meier as meier_mod
 from . import reductions as red
-from .errors import GpforgeError, InternalError, InvalidComplexError, ParseError
+from .errors import GpforgeError, InternalError, InvalidComplexError, ParseError, SearchBudgetError
 from .homology import abelianization
 from .inference import MAX_DEGREE, check_consistency, derive, query
 from .presentations import Presentation, parse, presentation, read_text, serialize, tietze_simplify
 from .rewriting import britton_normal_form, finite_quotient_search, parse_bs, permutation_cycles
 from .sexpr import parse_expr, parse_query, serialize_expr
 from .topology import serialize_simplicial, triangulate
-from .words import format_word, parse_word
+from .words import EXPONENT_DIGIT_LIMIT, format_word, parse_word
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
+
+# The least integer abelianize will not print: str() refuses more than
+# 4,300 digits.
+_UNPRINTABLE = 10 ** EXPONENT_DIGIT_LIMIT
 
 
 class UsageError(Exception):
@@ -75,6 +78,11 @@ def _load_expr(path: str):
 
 def _cmd_abelianize(args) -> int:
     group = abelianization(_load_presentation(args.file))
+    for t in group.torsion:
+        if t >= _UNPRINTABLE:
+            raise SearchBudgetError(
+                f"a torsion coefficient has more than {EXPONENT_DIGIT_LIMIT} digits, the most abelianize prints"
+            )
     torsion = ",".join(str(t) for t in group.torsion)
     print(f"rank={group.rank} torsion=[{torsion}]")
     return EXIT_OK
@@ -192,11 +200,7 @@ def _corpus_emit(label: str, body: str) -> None:
 
 
 def _cmd_corpus(args) -> int:
-    try:
-        seed = int(os.environ.get("GPFORGE_SEED", args.seed))
-    except ValueError:
-        raise UsageError(f"GPFORGE_SEED must be an integer, got {os.environ['GPFORGE_SEED']!r}")
-    rng = random.Random(seed)
+    rng = random.Random(args.seed)
     family = args.family
     if family == "mu":
         base = presentation(["g"], name="F1")
@@ -237,6 +241,17 @@ def _cmd_corpus(args) -> int:
         product = cb.direct_product(thompson, hyp)
         _corpus_emit("thompson-times-hyperbolic expression", serialize_expr(product))
     return EXIT_OK
+
+
+def _nonnegative(text: str) -> int:
+    """The type of --depth and --count; their upper bounds are the library's."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return value
 
 
 @lru_cache(maxsize=1)
@@ -296,8 +311,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("corpus", help="emit labeled example families")
     p.add_argument("--family", required=True, choices=["mu", "witness", "meier", "large"])
-    p.add_argument("--depth", type=int, default=3)
-    p.add_argument("--count", type=int, default=10)
+    p.add_argument("--depth", type=_nonnegative, default=3)
+    p.add_argument("--count", type=_nonnegative, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_corpus)
 

@@ -16,11 +16,7 @@ from __future__ import annotations
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import DegenerateEdgeError, StableLetterError
-from .presentations import (
-    Presentation,
-    PresentationMorphism,
-    StagedPresentation,
-)
+from .presentations import Presentation, PresentationMorphism
 from .words import Alphabet, GeneratorSymbol, Word, commutator, substitute, word
 
 ATOM = "atom"
@@ -255,9 +251,9 @@ def amalgamated_product(
     """Free product with identification relators u_i * v_i^-1.
 
     Edge-subgroup legitimacy (that the pairs generate isomorphic
-    subgroups) is NOT checked; the node records it as an unverified
-    obligation unless the caller certifies `edges_legitimate`.  The
-    keyword tags are caller assertions consumed by the inference engine.
+    subgroups) is NOT checked; the caller certifies it with
+    `edges_legitimate`.  The keyword tags are caller assertions consumed
+    by the inference engine.
     """
     for u, v in pairs:
         if not u or not v:
@@ -268,7 +264,6 @@ def amalgamated_product(
         "doublecoset_at_least_3": doublecoset_at_least_3,
         "proper_edge": proper_edge,
         "edges_legitimate": edges_legitimate,
-        "obligations": () if edges_legitimate else ("edge-subgroups-isomorphic",),
     }
     return _product(_kind, p, q, lambda pp, renaming: [u * ~substitute(v, renaming) for u, v in pairs], payload)
 
@@ -362,11 +357,28 @@ def standard_mitosis(p: ExprLike) -> GroupExpr:
     images[s] = word(s)
     images[d] = word(d)
     quotient = PresentationMorphism(realized, f2, images)
-    payload = {"s": s, "d": d, "quotient_to_f2": quotient}
-    return GroupExpr(MITOSIS, (pe,), payload, realized)
+    return GroupExpr(MITOSIS, (pe,), {"quotient_to_f2": quotient}, realized)
 
 
-def _mu_stage_presentation(base: Presentation, k: int) -> Tuple[Presentation, dict]:
+# mu_stage's largest stage.  Stage k has 2k + 2 generators and O(k^2)
+# mitosis relators; `corpus --family mu --depth 14`, which builds and
+# simplifies stages 1..14, takes about 7 s (depth 15: 9 s, 16: 12 s).
+MAX_MU_STAGE = 14
+
+
+def mu_stage(p: ExprLike, k: int) -> GroupExpr:
+    """Stage-k truncation of the boundedly acyclic ascending-HNN hull.
+
+    Generators are S plus s_1, d_1, ..., s_k, d_k, t; relators are the
+    mitosis relators of levels 1..k (level i+1 quantified over the whole
+    level-i alphabet) plus the HNN relators t^-1 g t = g for g in S and
+    t^-1 s_i t = s_{i+1}, t^-1 d_i t = d_{i+1} for i < k.  Stage-monotone
+    in k.
+    """
+    if not 1 <= k <= MAX_MU_STAGE:
+        raise ValueError(f"mu stage index must be in 1..{MAX_MU_STAGE}, got {k}")
+    pe = _as_expr(p)
+    base = pe.realized
     taken = set(base.alphabet.names)
     s_syms: List[GeneratorSymbol] = []
     d_syms: List[GeneratorSymbol] = []
@@ -395,59 +407,7 @@ def _mu_stage_presentation(base: Presentation, k: int) -> Tuple[Presentation, di
     for i in range(k - 1):
         rels.append((~tw) * word(s_syms[i]) * tw * ~word(s_syms[i + 1]))
         rels.append((~tw) * word(d_syms[i]) * tw * ~word(d_syms[i + 1]))
-    realized = Presentation(alphabet, tuple(rels))
-    payload = {"k": k, "s": tuple(s_syms), "d": tuple(d_syms), "t": t}
-    return realized, payload
-
-
-# mu_stage's largest stage.  Stage k has 2k + 2 generators and O(k^2)
-# mitosis relators; `corpus --family mu --depth 14`, which builds and
-# simplifies stages 1..14, takes about 7 s (depth 15: 9 s, 16: 12 s).
-MAX_MU_STAGE = 14
-
-
-def mu_stage(p: ExprLike, k: int) -> GroupExpr:
-    """Stage-k truncation of the boundedly acyclic ascending-HNN hull.
-
-    Generators are S plus s_1, d_1, ..., s_k, d_k, t; relators are the
-    mitosis relators of levels 1..k (level i+1 quantified over the whole
-    level-i alphabet) plus the HNN relators t^-1 g t = g for g in S and
-    t^-1 s_i t = s_{i+1}, t^-1 d_i t = d_{i+1} for i < k.  Stage-monotone
-    in k.
-    """
-    if not 1 <= k <= MAX_MU_STAGE:
-        raise ValueError(f"mu stage index must be in 1..{MAX_MU_STAGE}, got {k}")
-    pe = _as_expr(p)
-    realized, payload = _mu_stage_presentation(pe.realized, k)
-    return GroupExpr(MU_STAGE, (pe,), payload, realized)
-
-
-def mu_staged(p: ExprLike) -> StagedPresentation:
-    """Lazy stage -> presentation view of the mu construction."""
-    pe = _as_expr(p)
-    return StagedPresentation(
-        lambda k: _mu_stage_presentation(pe.realized, k)[0], first_stage=1, name="mu-stages"
-    )
-
-
-def mitosis_morphism(phi: PresentationMorphism, m_source: GroupExpr, m_target: GroupExpr) -> PresentationMorphism:
-    """Functor action on morphisms: a map of base presentations induces a
-    map of their standard mitoses sending the base through phi and the
-    fresh letters to the fresh letters.
-
-    Realised for morphisms between finite presentations only; the induced
-    morphism starts pending and verifies against any base-relator checker.
-    """
-    if m_source.kind != MITOSIS or m_target.kind != MITOSIS:
-        raise ValueError("mitosis_morphism expects mitosis nodes")
-    if m_source.children[0].realized.alphabet != phi.source.alphabet:
-        raise ValueError("morphism source does not match the mitosis base")
-    if m_target.children[0].realized.alphabet != phi.target.alphabet:
-        raise ValueError("morphism target does not match the mitosis base")
-    images: Dict[GeneratorSymbol, Word] = dict(phi.images)
-    images[m_source.payload["s"]] = word(m_target.payload["s"])
-    images[m_source.payload["d"]] = word(m_target.payload["d"])
-    return PresentationMorphism(m_source.realized, m_target.realized, images)
+    return GroupExpr(MU_STAGE, (pe,), {"k": k}, Presentation(alphabet, tuple(rels)))
 
 
 def bac_hnn(p: ExprLike, embed: PresentationMorphism) -> GroupExpr:
@@ -456,16 +416,3 @@ def bac_hnn(p: ExprLike, embed: PresentationMorphism) -> GroupExpr:
     pe = _as_expr(p)
     stable = _fresh_name("t", set(pe.realized.alphabet.names))
     return hnn_extension(pe, stable, ascending_domain=embed, bac_hnn_chain=True)
-
-
-def canonical_rename(p: Presentation) -> Presentation:
-    """Rename generators to g1, g2, ... preserving order."""
-    mapping: Dict[GeneratorSymbol, Word] = {}
-    new_syms = []
-    for i, sym in enumerate(p.alphabet, start=1):
-        new_sym = GeneratorSymbol(f"g{i}")
-        new_syms.append(new_sym)
-        mapping[sym] = Word(((new_sym, 1),))
-    return Presentation(
-        Alphabet(new_syms), tuple(substitute(r, mapping) for r in p.relators), p.name
-    )

@@ -43,7 +43,8 @@ class InvalidInputError(GpforgeError):
 
 class SearchBudgetError(GpforgeError):
     """A computation would pass one of its fixed budgets: candidates a
-    search tries, bits of a Britton segment, cells of a complex."""
+    search tries, bits of a Britton segment, cells of a complex, digits of
+    a printed integer."""
 
 
 class InvalidComplexError(GpforgeError):

@@ -87,10 +87,6 @@ class IntegerMatrix:
                             orow[j] += aik * brow[j]
         return out
 
-    def sparse_rows(self) -> List[Dict[int, int]]:
-        """The rows as {column: nonzero entry} dicts."""
-        return [{j: v for j, v in enumerate(row) if v} for row in self.entries]
-
     def __repr__(self):
         return f"IntegerMatrix({self.rows}x{self.cols})"
 

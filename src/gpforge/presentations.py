@@ -1,4 +1,4 @@
-"""Finite and staged group presentations.
+"""Finite group presentations.
 
 File grammar (UTF-8, LF on output):
 
@@ -14,7 +14,6 @@ gpforge.words.
 
 from __future__ import annotations
 
-import threading
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -43,9 +42,6 @@ class Presentation:
 
     def __post_init__(self):
         object.__setattr__(self, "relators", tuple(self.relators))
-
-    def relator_count(self) -> int:
-        return len(self.relators)
 
     def __repr__(self):
         nm = f" name={self.name!r}" if self.name else ""
@@ -274,33 +270,6 @@ class PresentationMorphism:
                     f"morphism does not kill relator {format_word(rel)!r}"
                 )
         return PresentationMorphism(self.source, self.target, self.images, verified=True)
-
-
-class StagedPresentation:
-    """A monotone stage -> Presentation family, materialised lazily.
-
-    Stages are memoised behind a lock so concurrent callers may request
-    stages freely.
-    """
-
-    def __init__(self, builder: Callable[[int], Presentation], *, first_stage: int = 0, name: Optional[str] = None):
-        self._builder = builder
-        self._cache: Dict[int, Presentation] = {}
-        self._lock = threading.Lock()
-        self.first_stage = first_stage
-        self.name = name
-
-    def stage(self, k: int) -> Presentation:
-        if k < self.first_stage:
-            raise ValueError(f"stage must be >= {self.first_stage}")
-        with self._lock:
-            if k not in self._cache:
-                self._cache[k] = self._builder(k)
-            return self._cache[k]
-
-    def materialized(self) -> Dict[int, Presentation]:
-        with self._lock:
-            return dict(self._cache)
 
 
 def is_stage_embedding(p: Presentation, q: Presentation) -> bool:

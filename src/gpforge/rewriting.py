@@ -541,11 +541,13 @@ def finite_quotient_search(
     relator and the target with whole permutations (`evaluate_word`);
     `certify-nontrivial` runs it on every certificate it prints.
     A freely trivial target is None at once: every homomorphism fixes it.
+    A target with a letter outside p's alphabet raises AlphabetMismatchError.
     """
     if not 1 <= degree_max <= 6:
         raise ValueError(f"degree_max must be in 1..6, got {degree_max}")
     if target is None:
         return list(_homomorphisms(p, degree_max))
+    p.alphabet.check_word(target)
     if not target:
         return None
     hom = next(_homomorphisms(p, degree_max, target), None)

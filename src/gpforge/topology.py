@@ -69,9 +69,6 @@ class DeltaComplex:
     def euler_characteristic(self) -> int:
         return self.n_vertices - len(self.edges) + len(self.triangles)
 
-    def cell_counts(self) -> Tuple[int, int, int]:
-        return self.n_vertices, len(self.edges), len(self.triangles)
-
 
 def presentation_complex(p: Presentation) -> DeltaComplex:
     """One basepoint, a loop per generator, a coned polygon per relator.
@@ -94,8 +91,6 @@ def presentation_complex(p: Presentation) -> DeltaComplex:
     n_vertices = 1
     for core in cores:
         boundary = list(core.single_letters())
-        if not boundary:
-            raise InvalidInputError("empty relator cannot bound a 2-cell")
         center = n_vertices
         n_vertices += 1
         length = len(boundary)

@@ -242,9 +242,6 @@ class Word:
         """The set of symbols occurring in the word."""
         return {s for s, _ in self._letters}
 
-    def exponent_sum(self, symbol: GeneratorSymbol) -> int:
-        return sum(e for s, e in self._letters if s == symbol)
-
     def single_letters(self) -> Iterator[Tuple[GeneratorSymbol, int]]:
         """Flatten to +-1 letters (avoid on words with huge exponents)."""
         for sym, exp in self._letters:

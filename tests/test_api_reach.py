@@ -1,0 +1,66 @@
+"""Every public top-level function and class in the package is reached by
+program code: by another module of the package, a demo or a bench job.
+A name that only tests call is surface nothing runs; it should go, or
+move into the tests, unless it is kept on purpose (ALLOWED, with why).
+
+A reference is a Name or Attribute of that name, an `import from` of it,
+or a dotted-identifier string constant ending in it (the `FORMS`
+constructor strings such as "meier.meier_t_expr", the span targets of
+`bench/spans.py`).  `__init__.py` only re-exports, so it is not scanned,
+and a definition's own body does not count for it."""
+
+import ast
+import glob
+import os
+import re
+from collections import Counter
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src", "gpforge")
+
+_DOTTED = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(\.[A-Za-z_][A-Za-z0-9_]*)*\Z")
+
+ALLOWED = {
+    "is_pinch_free": "the pinch-freeness checker the Britton certificates will be checked with",
+    "bs_canonical": "the unique normal form of BS(m, n) the README documents",
+    "cw_chain_complex": "the CW-homology reference the triangulation is compared against",
+}
+
+
+def _parse(path):
+    with open(path, encoding="utf-8") as fh:
+        return ast.parse(fh.read(), filename=path)
+
+
+def _references(tree):
+    """How often `tree` refers to each name."""
+    counts = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            counts[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            counts[node.attr] += 1
+        elif isinstance(node, ast.ImportFrom):
+            counts.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and _DOTTED.match(node.value):
+            counts[node.value.rpartition(".")[2]] += 1
+    return counts
+
+
+def test_every_public_definition_is_reached_by_program_code():
+    modules = [p for p in sorted(glob.glob(os.path.join(SRC, "*.py"))) if os.path.basename(p) != "__init__.py"]
+    others = sorted(glob.glob(os.path.join(ROOT, "demos", "*.py")) + glob.glob(os.path.join(ROOT, "bench", "*.py")))
+    trees = {path: _parse(path) for path in modules + others}
+    total = Counter()
+    for tree in trees.values():
+        total.update(_references(tree))
+    defined, unreached = set(), []
+    for path in modules:
+        for node in trees[path].body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            defined.add(node.name)
+            if node.name not in ALLOWED and total[node.name] == _references(node)[node.name]:
+                unreached.append(f"{os.path.basename(path)}:{node.name}")
+    assert not unreached, f"only tests reach: {', '.join(unreached)}"
+    assert set(ALLOWED) <= defined, f"allowed but gone: {sorted(set(ALLOWED) - defined)}"

@@ -39,6 +39,20 @@ def test_abelianize_torsion_format(tmp_path, monkeypatch, capsys):
     assert code == EXIT_OK and out == "rank=0 torsion=[2,6]\n"
 
 
+def test_abelianize_torsion_past_the_printing_bound_is_an_input_error(tmp_path, monkeypatch, capsys):
+    # Coprime 4,000-digit exponents: Z/X + Z/Y = Z/(XY), of about 8,000 digits.
+    x, y = 10**3999 + 1, 10**3999 + 3
+    path = tmp_path / "p.grp"
+    path.write_text(f"gens a b\nrel a^{x}\nrel b^{y}\n", encoding="utf-8")
+    code, out, err = run_cli(["abelianize", str(path)], capsys=capsys, monkeypatch=monkeypatch)
+    assert code == EXIT_INPUT and out == ""
+    assert err == "input error: a torsion coefficient has more than 4000 digits, the most abelianize prints\n"
+    # A 4,000-digit coefficient is still printed.
+    path.write_text(f"gens a\nrel a^{x}\n", encoding="utf-8")
+    code, out, _ = run_cli(["abelianize", str(path)], capsys=capsys, monkeypatch=monkeypatch)
+    assert code == EXIT_OK and out == f"rank=0 torsion=[{x}]\n"
+
+
 def test_normalize(monkeypatch, capsys):
     code, out, _ = run_cli(
         ["normalize", "--bs", "2,3", "t^-1 a^4 t a^-6"], capsys=capsys, monkeypatch=monkeypatch
@@ -252,14 +266,16 @@ def test_corpus_deterministic_and_seeded(tmp_path, monkeypatch, capsys):
         monkeypatch=monkeypatch,
     )
     assert first == second
-    monkeypatch.setenv("GPFORGE_SEED", "6")
     code, third, _ = run_cli(
-        ["corpus", "--family", "witness", "--count", "3", "--seed", "5"],
+        ["corpus", "--family", "witness", "--count", "3", "--seed", "6"],
         capsys=capsys,
         monkeypatch=monkeypatch,
     )
     assert third != first
-    monkeypatch.delenv("GPFORGE_SEED")
+    code, empty, _ = run_cli(
+        ["corpus", "--family", "mu", "--depth", "0"], capsys=capsys, monkeypatch=monkeypatch
+    )
+    assert code == EXIT_OK and empty == ""
     code, mu_out, _ = run_cli(
         ["corpus", "--family", "mu", "--depth", "2"], capsys=capsys, monkeypatch=monkeypatch
     )
@@ -292,6 +308,9 @@ def test_usage_error_exit_code(tmp_path, monkeypatch, capsys):
         ["corpus", "--family", "mu", "--depth", "15"],
         ["corpus", "--family", "mu", "--depth", "100000000000"],
         ["corpus", "--family", "witness", "--count", "10001"],
+        # Negative sizes; 0 is an empty corpus.
+        ["corpus", "--family", "mu", "--depth", "-2"],
+        ["corpus", "--family", "witness", "--count", "-3"],
     ]
     # Queries: unknown names, missing, surplus or mistyped arguments.
     for query in ("large-hb x", "large-hb", "boundedly-acyclic 3", "no-such", "", "large-hb 2 3", "large-hb -2", "large-hb 100000"):
@@ -299,10 +318,6 @@ def test_usage_error_exit_code(tmp_path, monkeypatch, capsys):
     for argv in bad:
         code, out, err = run_cli(argv, capsys=capsys, monkeypatch=monkeypatch)
         assert code == EXIT_USAGE and out == "" and err.startswith("usage error:"), argv
-    # The seed's environment override is checked like a flag.
-    monkeypatch.setenv("GPFORGE_SEED", "x")
-    code, out, err = run_cli(["corpus", "--family", "witness"], capsys=capsys, monkeypatch=monkeypatch)
-    assert code == EXIT_USAGE and out == "" and err.startswith("usage error: GPFORGE_SEED")
 
 
 @pytest.fixture(scope="module")

@@ -4,12 +4,10 @@ from gpforge.combinators import (
     MAX_MU_STAGE,
     amalgamated_product,
     bac_hnn,
-    canonical_rename,
     direct_product,
     free_product,
     hnn_extension,
     mu_stage,
-    mu_staged,
     standard_mitosis,
 )
 from gpforge.errors import DegenerateEdgeError, StableLetterError
@@ -24,7 +22,7 @@ from gpforge.presentations import (
     validate,
 )
 from gpforge.words import Word, parse_word, word
-from tests_util import canonical_form
+from tests_util import canonical_form, canonical_rename
 
 
 def roundtrips(expr):
@@ -83,7 +81,6 @@ def test_amalgam_identifications_and_degenerate_error():
     q = presentation(["b"], ["b^6"])
     e = amalgamated_product(p, q, [(parse_word("a^2"), parse_word("b^3"))])
     assert serialize(e.realized) == "gens a b\nrel a^4\nrel b^6\nrel a^2 b^-3"
-    assert e.payload["obligations"] == ("edge-subgroups-isomorphic",)
     with pytest.raises(DegenerateEdgeError):
         amalgamated_product(p, q, [(Word(), parse_word("b"))])
 
@@ -168,12 +165,11 @@ def test_mu_stage_counts_and_abelianization():
         mu_stage(presentation(["g"]), 0)
 
 
-def test_mu_stage_monotone_and_staged_view():
+def test_mu_stage_monotone():
     p = presentation(["g"])
-    staged = mu_staged(p)
+    stages = {k: mu_stage(p, k).realized for k in (1, 2, 3, 4)}
     for k in (1, 2, 3):
-        assert is_stage_embedding(staged.stage(k), staged.stage(k + 1))
-    assert staged.stage(2) == mu_stage(p, 2).realized
+        assert is_stage_embedding(stages[k], stages[k + 1])
 
 
 def test_mu_stage_tietze_generator_count():
@@ -218,23 +214,3 @@ def test_every_combinator_realization_validates():
     ]
     for e in exprs:
         roundtrips(e)
-
-
-def test_mitosis_functor_action_on_morphisms():
-    from gpforge.combinators import mitosis_morphism
-    from gpforge.words import Word
-
-    source = presentation(["g"])
-    target = presentation(["h"], ["h^2"])
-    g = source.alphabet.symbol("g")
-    h = target.alphabet.symbol("h")
-    phi = PresentationMorphism(source, target, {g: word(h)})
-    m_src, m_tgt = standard_mitosis(source), standard_mitosis(target)
-    induced = mitosis_morphism(phi, m_src, m_tgt)
-    assert induced.pending
-    # Mitosis relators map to mitosis relators, so images die in the target
-    # modulo the target's own relators; freely checkable after rewriting by
-    # the target relator set is not needed for the mitosis block itself:
-    for rel in m_src.realized.relators:
-        image = induced.apply(rel)
-        assert image in m_tgt.realized.relators or image == Word()

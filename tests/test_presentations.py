@@ -11,7 +11,6 @@ from gpforge.presentations import (
     EMPTY_PRESENTATION,
     Presentation,
     PresentationMorphism,
-    StagedPresentation,
     is_stage_embedding,
     parse,
     presentation,
@@ -39,7 +38,7 @@ def test_parse_free_group_and_z2():
 
 def test_parse_comments_and_blank_lines():
     p = parse("# header\n\ngens a b\n# middle\nrel a b\n")
-    assert p.relator_count() == 1
+    assert len(p.relators) == 1
 
 
 def test_serialize_canonical_forms():
@@ -150,22 +149,6 @@ def test_morphism_requires_total_map_and_verifies():
     bad = PresentationMorphism(p, p, {a: word(a), t: Word()})
     with pytest.raises(ParseError):
         bad.verify(lambda img: not bs_reduce(2, 3, img))
-
-
-def test_staged_presentation_memoizes_and_checks_bounds():
-    calls = []
-
-    def build(k):
-        calls.append(k)
-        return presentation([f"x{i}" for i in range(1, k + 2)])
-
-    staged = StagedPresentation(build, first_stage=0)
-    staged.stage(2)
-    staged.stage(2)
-    assert calls == [2]
-    with pytest.raises(ValueError):
-        staged.stage(-1)
-    assert set(staged.materialized()) == {2}
 
 
 def test_stage_embedding_check():

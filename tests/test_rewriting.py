@@ -413,6 +413,11 @@ def test_freely_trivial_target_has_no_certificate():
     assert finite_quotient_search(abc, 6, target=parse_word("a a^-1", abc.alphabet)) is None
 
 
+def test_target_outside_the_alphabet_is_refused():
+    with pytest.raises(AlphabetMismatchError, match="'b' not in alphabet"):
+        finite_quotient_search(presentation(["a"], ["a^2"]), 3, target=parse_word("b"))
+
+
 def test_finite_quotient_degree_cap():
     for degree in (7, 0, -1):
         with pytest.raises(ValueError):

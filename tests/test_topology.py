@@ -42,14 +42,14 @@ KLEIN = parse("gens a b\nrel a b a^-1 b")
 
 def test_circle_complex():
     dc = presentation_complex(presentation(["a"]))
-    assert dc.cell_counts() == (1, 1, 0)
+    assert (dc.n_vertices, len(dc.edges), len(dc.triangles)) == (1, 1, 0)
     assert dc.euler_characteristic() == 0
 
 
 def test_torus_complex_counts():
     dc = presentation_complex(TORUS)
     # 1 basepoint + 1 polygon center; 2 loops + 4 spokes; 4 triangles.
-    assert dc.cell_counts() == (2, 6, 4)
+    assert (dc.n_vertices, len(dc.edges), len(dc.triangles)) == (2, 6, 4)
     assert dc.euler_characteristic() == 1 - 2 + 1
 
 
@@ -74,7 +74,7 @@ def test_subdivision_of_one_triangle():
         (((0, 1, 2), ((0, 1), (1, 1), (2, 1))),),
     )
     sub = barycentric_subdivide(disk)
-    assert sub.cell_counts() == (7, 12, 6)
+    assert (sub.n_vertices, len(sub.edges), len(sub.triangles)) == (7, 12, 6)
     assert sub.euler_characteristic() == 1
 
 
@@ -143,9 +143,9 @@ def test_triangulated_homology_matches_cellular(rng):
 
 def test_cell_budget_is_checked_before_building(monkeypatch):
     monkeypatch.setattr(topology, "CELL_BUDGET", 6)
-    assert presentation_complex(parse("gens a b\nrel a^2 b^-1\nrel a^-1 b^-2")).cell_counts()[2] == 6
+    assert len(presentation_complex(parse("gens a b\nrel a^2 b^-1\nrel a^-1 b^-2")).triangles) == 6
     # Cyclic reduction comes first: b a^5 b^-1 bounds five triangles.
-    assert presentation_complex(parse("gens a b\nrel b a^5 b^-1\nrel a")).cell_counts()[2] == 6
+    assert len(presentation_complex(parse("gens a b\nrel b a^5 b^-1\nrel a")).triangles) == 6
     with pytest.raises(SearchBudgetError, match="7 triangles, more than 6"):
         presentation_complex(parse("gens a\nrel a^7"))
     with pytest.raises(SearchBudgetError):

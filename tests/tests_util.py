@@ -5,7 +5,6 @@ from itertools import combinations, permutations
 from math import gcd
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from gpforge.combinators import canonical_rename
 from gpforge.homology import IntegerMatrix
 from gpforge.errors import AlphabetMismatchError, SearchBudgetError
 from gpforge.meier import (
@@ -497,6 +496,19 @@ def rescan_tietze_simplify(p: Presentation) -> Presentation:
         symbols.remove(sym)
         steps += 1
     return Presentation(Alphabet(symbols), tuple(relators), p.name)
+
+
+def canonical_rename(p: Presentation) -> Presentation:
+    """Rename generators to g1, g2, ... preserving order."""
+    mapping: Dict[GeneratorSymbol, Word] = {}
+    new_syms = []
+    for i, sym in enumerate(p.alphabet, start=1):
+        new_sym = GeneratorSymbol(f"g{i}")
+        new_syms.append(new_sym)
+        mapping[sym] = Word(((new_sym, 1),))
+    return Presentation(
+        Alphabet(new_syms), tuple(substitute(r, mapping) for r in p.relators), p.name
+    )
 
 
 def canonical_form(p: Presentation) -> Presentation:

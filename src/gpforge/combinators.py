@@ -170,8 +170,9 @@ def atom(p: Presentation, facts: Iterable = (), name: Optional[str] = None) -> G
     """Leaf node: a presentation plus externally asserted base facts.
 
     Facts are (predicate, arg) pairs, arg None for a predicate without
-    one; they are the only place deep external theorems enter the
-    inference engine.
+    one, each predicate one with a `.gx` name (derive refuses the rest);
+    they are the only place deep external theorems enter the inference
+    engine.
     """
     facts = tuple((pred, arg) for pred, arg in facts)
     return GroupExpr(ATOM, (), {"facts": facts, "name": name or p.name}, p)

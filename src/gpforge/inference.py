@@ -169,32 +169,35 @@ class Certificate:
 
 
 class _Context:
-    """Indexed view of a GroupExpr tree: one pre-order position per node
-    occurrence, so a subtree object that occurs twice gets two positions
-    and every position's children are its own."""
+    """Indexed view of a GroupExpr tree, built in one pre-order walk: one
+    position per node occurrence, so a subtree object that occurs twice
+    gets two positions and every position's children are its own.
+    `embeds_into[i]` is the parent that position i embeds into by a factor
+    or base inclusion, or None."""
 
     def __init__(self, expr: GroupExpr, max_degree: int):
-        self.expr = expr
         self.max_degree = max_degree
         self.nodes: List[GroupExpr] = []
         self.kids: List[List[int]] = []
+        self.family: List[str] = []
+        self.embeds_into: List[Optional[int]] = []
         self.by_family: Dict[str, List[int]] = {family: [] for family in FAMILY.values()}
-        stack = [(expr, None)]
+        stack = [(expr, None, None)]
         while stack:
-            node, parent = stack.pop()
+            node, parent, host = stack.pop()
             i = len(self.nodes)
             if parent is not None:
                 self.kids[parent].append(i)
+            family = FAMILY[node.kind]
             self.nodes.append(node)
             self.kids.append([])
-            self.by_family[FAMILY[node.kind]].append(i)
-            stack.extend((child, i) for child in reversed(node.children))
-
-    def children(self, i: int) -> List[int]:
-        return self.kids[i]
-
-    def family(self, i: int) -> str:
-        return FAMILY[self.nodes[i].kind]
+            self.family.append(family)
+            self.embeds_into.append(host)
+            self.by_family[family].append(i)
+            embeds = family in (FREE_PRODUCT, DIRECT_PRODUCT, MITOSIS, MU_STAGE, HNN) or (
+                family == AMALGAM and node.payload.get("edges_legitimate")
+            )
+            stack.extend((child, i, i if embeds else None) for child in reversed(node.children))
 
     def of(self, *families: str) -> List[int]:
         """Ascending positions of the nodes in these families (each family's
@@ -202,18 +205,6 @@ class _Context:
         if len(families) == 1:
             return list(self.by_family[families[0]])
         return sorted(i for family in families for i in self.by_family[family])
-
-    def payload(self, i: int) -> dict:
-        return self.nodes[i].payload
-
-    def embedding_children(self, i: int) -> List[int]:
-        """Children known to embed into node i (factor/base inclusions)."""
-        family = self.family(i)
-        if family in (FREE_PRODUCT, DIRECT_PRODUCT, MITOSIS, MU_STAGE, HNN):
-            return self.children(i)
-        if family == AMALGAM and self.payload(i).get("edges_legitimate"):
-            return self.children(i)
-        return []
 
 
 class _Facts:
@@ -273,9 +264,9 @@ def _r2(ctx, facts):
 
 def _r3(ctx, facts):
     for i in ctx.of(HNN):
-        if not ctx.payload(i).get("ascending"):
+        if not ctx.nodes[i].payload.get("ascending"):
             continue
-        (base,) = ctx.children(i)
+        (base,) = ctx.kids[i]
         bac = Fact(base, "BoundedlyAcyclic")
         if bac in facts:
             yield Fact(i, "BoundedlyAcyclic"), (bac,)
@@ -294,10 +285,7 @@ def _r4(ctx, facts):
 
 def _r5(ctx, facts):
     for i in ctx.of(DIRECT_PRODUCT):
-        kids = ctx.children(i)
-        if len(kids) != 2:
-            continue
-        p, q = kids
+        p, q = ctx.kids[i]
         for kernel, quotient in ((p, q), (q, p)):
             kb = Fact(kernel, "BoundedlyAcyclic")
             qb = Fact(quotient, "BoundedlyAcyclic")
@@ -311,10 +299,10 @@ def _r5(ctx, facts):
 def _r6(ctx, facts):
     for i in ctx.of(MITOSIS, MU_STAGE):
         yield Fact(i, "ContainsF2"), ()
-        if ctx.family(i) == MU_STAGE:
+        if ctx.family[i] == MU_STAGE:
             yield Fact(i, "BoundedlyAcyclic"), ()
             yield Fact(i, "NotFinPres"), ()
-            (base,) = ctx.children(i)
+            (base,) = ctx.kids[i]
             for f in facts.of("FinGen", "RecPres", nodes=(base,)):
                 if f.predicate == "FinGen":
                     yield Fact(i, "FinGen", f.arg + 3), (f,)
@@ -323,11 +311,10 @@ def _r6(ctx, facts):
 
 
 def _r8(ctx, facts):
-    for i in ctx.of(AMALGAM):
-        dc = Fact(i, "EdgeDoubleCosetsAtLeast3")
-        proper = Fact(i, "EdgeProperContainment")
-        if dc in facts and proper in facts:
-            yield Fact(i, "LargeHb", 2), (dc, proper)
+    for dc in facts.of("EdgeDoubleCosetsAtLeast3"):
+        proper = Fact(dc.node, "EdgeProperContainment")
+        if proper in facts:
+            yield Fact(dc.node, "LargeHb", 2), (dc, proper)
 
 
 def _r9(ctx, facts):
@@ -359,9 +346,7 @@ def _r12(ctx, facts):
 
 def _r13(ctx, facts):
     for i in ctx.of(DIRECT_PRODUCT):
-        kids = ctx.children(i)
-        if len(kids) != 2:
-            continue
+        kids = ctx.kids[i]
         pos = [facts.of("LonebPositive", nodes=(k,)) for k in kids]
         large = [facts.of("LonebLarge", nodes=(k,)) for k in kids]
         for lefts, rights, predicate in (
@@ -402,9 +387,7 @@ def _r16(ctx, facts):
 
 def _r17(ctx, facts):
     for i in ctx.of(DIRECT_PRODUCT):
-        kids = ctx.children(i)
-        if len(kids) != 2:
-            continue
+        kids = ctx.kids[i]
         for g_side, l_side in (kids, kids[::-1]):
             hyp3 = Fact(l_side, "HypManifoldGroup", 3)
             if hyp3 not in facts:
@@ -416,11 +399,9 @@ def _r17(ctx, facts):
 
 
 def _r18(ctx, facts):
-    for i in ctx.of(AMALGAM):
-        edge = Fact(i, "EdgeAmenable")
-        if edge in facts:
-            for f in facts.of("LargeHb", "LonebPositive", "LonebLarge", nodes=ctx.children(i)):
-                yield Fact(i, f.predicate, f.arg), (edge, f)
+    for edge in facts.of("EdgeAmenable"):
+        for f in facts.of("LargeHb", "LonebPositive", "LonebLarge", nodes=ctx.kids[edge.node]):
+            yield Fact(edge.node, f.predicate, f.arg), (edge, f)
 
 
 def _r19(ctx, facts):
@@ -441,11 +422,13 @@ def _r20(ctx, facts):
             yield Fact(f.node, "Amenable"), (f,)
         elif f.predicate == "NonvanishingHb":
             yield Fact(f.node, "CdbAtLeast", f.arg), (f,)
-    # Subgroup monotonicity along embedding edges.
-    for i in range(len(ctx.nodes)):
-        for child in ctx.embedding_children(i):
-            for f in facts.of("CdbAtLeast", nodes=(child,)):
-                yield Fact(i, "CdbAtLeast", f.arg), (f,)
+    # Subgroup monotonicity along embedding edges, in the order of a scan
+    # over parents ascending, then their children.  The facts yielded here
+    # are about parents, which precede their children in pre-order, so that
+    # scan would not meet them: the list taken here is all it would read.
+    up = [f for f in facts.of("CdbAtLeast") if ctx.embeds_into[f.node] is not None]
+    for f in sorted(up, key=lambda f: (ctx.embeds_into[f.node], f.node)):
+        yield Fact(ctx.embeds_into[f.node], "CdbAtLeast", f.arg), (f,)
 
 
 def _r21(ctx, facts):
@@ -511,23 +494,23 @@ _STRUCTURAL_CITATIONS = {
 
 def _structural_facts(ctx: _Context):
     """Yield (rule_id, fact) for structure-derived seed facts."""
-    for i in range(len(ctx.nodes)):
-        family = ctx.family(i)
-        payload = ctx.payload(i)
+    for i, node in enumerate(ctx.nodes):
+        family = ctx.family[i]
+        payload = node.payload
         if family == ATOM:
-            pres = ctx.nodes[i].realized
+            pres = node.realized
             yield "S1", Fact(i, "FinPres")
             yield "S1", Fact(i, "FinGen", len(pres.alphabet))
             yield "S1", Fact(i, "RecPres")
         if family == HNN and payload.get("ascending"):
-            (base,) = ctx.children(i)
+            (base,) = ctx.kids[i]
             yield "S2", Fact(base, "CoAmenableIn", i)
         if family == DIRECT_PRODUCT:
-            for child in ctx.children(i):
+            for child in ctx.kids[i]:
                 yield "S3", Fact(child, "RetractOf", i)
         for tag in FORMS[family].tags:
             if tag.predicate and payload.get(tag.key) and (tag.needs is None or payload.get(tag.needs)):
-                arg = ctx.children(i)[0] if PREDICATES[tag.predicate].arg == NODE else None
+                arg = ctx.kids[i][0] if PREDICATES[tag.predicate].arg == NODE else None
                 yield tag.rule, Fact(i, tag.predicate, arg)
 
 
@@ -545,8 +528,11 @@ class Derivation:
 
     def _seed(self, facts: _Facts):
         for i in self.ctx.of(ATOM):
-            for pred, arg in self.ctx.payload(i).get("facts", ()):
+            for pred, arg in self.ctx.nodes[i].payload.get("facts", ()):
                 fact = Fact(i, pred, arg)
+                # Structural predicates, node-argument ones among them, are S-rule seeds only.
+                if PREDICATES[pred].name is None:
+                    raise AssertionError_(f"{pred} is structural and cannot be asserted")
                 facts.add(fact, Certificate(fact, "A0", A0_CITATION))
         for rule_id, fact in _structural_facts(self.ctx):
             facts.add(fact, Certificate(fact, rule_id, _STRUCTURAL_CITATIONS[rule_id]))
@@ -666,10 +652,11 @@ def replay_certificate(derivation: Derivation, cert: Certificate) -> bool:
 
 
 def _replays(derivation: Derivation, cert: Certificate) -> bool:
-    """One certificate's own step, its premises taken as given."""
+    """One certificate's own step, its premises taken as given; a rule
+    certificate must carry its rule's citation."""
     if cert.rule == "A0" or cert.rule.startswith("S"):
         return derivation.certificates.get(cert.fact) == cert
-    rule = next((r for r in RULES if r.id == cert.rule), None)
+    rule = next((r for r in RULES if r.id == cert.rule and r.citation == cert.citation), None)
     if rule is None:
         return False
     premises = _Facts({})

@@ -14,7 +14,7 @@ import hashlib
 import os
 
 from gpforge.combinators import amalgamated_product, atom, bac_hnn, direct_product, mu_stage
-from gpforge.inference import check_consistency, derive
+from gpforge.inference import check_consistency, derive, replay_certificate
 from gpforge.meier import meier_gamma_expr, meier_t_expr
 from gpforge.presentations import PresentationMorphism, presentation
 from gpforge.reductions import (
@@ -113,6 +113,14 @@ def test_certificate_digests_match_the_recorded_ones():
     with open(DIGESTS, encoding="utf-8") as fh:
         recorded = fh.read().splitlines()
     assert _lines() == recorded
+
+
+def test_every_corpus_certificate_replays():
+    for label, expr in corpus():
+        for degree in DEGREES:
+            derivation = derive(expr, max_degree=degree)
+            for cert in derivation.certificates.values():
+                assert replay_certificate(derivation, cert), (label, degree, cert.fact.render())
 
 
 if __name__ == "__main__":

@@ -1,8 +1,11 @@
+import random
 import time
 
 import pytest
 
+from gpforge import inference
 from gpforge.combinators import (
+    amalgamated_product,
     atom,
     bac_hnn,
     direct_product,
@@ -32,6 +35,7 @@ from gpforge.presentations import PresentationMorphism, presentation
 from gpforge.reductions import WordProblemSource, free_source, gamma_w, hyperbolic_manifold_atom, pi_w, witness_w
 from gpforge.sexpr import parse_expr, serialize_expr
 from gpforge.words import parse_word, word
+from tests_util import scan_rules
 
 
 def thompson_atom():
@@ -249,6 +253,15 @@ def test_forged_leaf_does_not_replay():
     assert not replay_certificate(d, Certificate(seed.fact, "S1", seed.citation))
 
 
+def test_forged_citation_does_not_replay():
+    expr = _nested_free_products(3)
+    d = derive(expr)
+    cert = query(d, expr, "CdbAtLeast", 3)
+    assert cert.rule == "R20" and replay_certificate(d, cert)
+    forged = Certificate(cert.fact, cert.rule, "Gromov 1982: a theorem nobody proved", cert.premises)
+    assert not replay_certificate(d, forged)
+
+
 def test_forged_premise_beside_a_valid_one_does_not_replay():
     # Two certificates for one fact in one tree are both checked.
     expr = direct_product(thompson_atom(), hyperbolic_manifold_atom(3))
@@ -274,6 +287,16 @@ def test_replay_deeper_than_the_stack():
     cert = query(d, expr, "CdbAtLeast", 3)
     assert cert.render().count("\n") > 400  # one premise per level
     assert replay_certificate(d, cert)
+
+
+def test_replay_of_a_deep_chain_costs_its_premises_not_the_tree():
+    # R20 reads its premises, so one certificate's replay does not walk the tree.
+    expr = _nested_free_products(1100)
+    d = derive(expr)
+    cert = query(d, expr, "CdbAtLeast", 3)
+    started = time.perf_counter()
+    assert replay_certificate(d, cert)
+    assert time.perf_counter() - started < 1.0
 
 
 def test_render_deeper_than_the_stack():
@@ -364,7 +387,7 @@ def test_shared_subtrees_certify_the_tree_as_written(build):
 def test_repeated_factor_is_a_retract_at_each_position():
     x = atom(presentation(["x"]))
     d = derive(direct_product(x, x))
-    assert d.ctx.children(0) == [1, 2]
+    assert d.ctx.kids[0] == [1, 2]
     assert Fact(1, "RetractOf", 0) in d.facts and Fact(2, "RetractOf", 0) in d.facts
     assert d.node_id(x) == 1
 
@@ -378,3 +401,71 @@ def test_derive_is_fast_on_a_wide_witness_tree():
     d = derive(out.expr)
     assert time.perf_counter() - started < 1.5
     assert sum(f.predicate == "EdgeAmenable" for f in d.certificates) == 800
+
+
+_ASSERTABLE = [(predicate, spec.arg) for predicate, spec in PREDICATES.items() if spec.name]
+
+
+def _random_tree(rng, depth, leaf=0.0):
+    """A small tree over atoms with random assertable facts, the three
+    products with random tags, HNN extensions, mitosis and mu stages.
+    Below the root, a node is an atom with probability 0.3."""
+    if depth == 0 or rng.random() < leaf:
+        facts = [
+            (predicate, rng.randint(0, 5) if arg else None)
+            for predicate, arg in rng.sample(_ASSERTABLE, rng.randint(0, 4))
+        ]
+        return atom(presentation(rng.sample(["x", "y", "z"], rng.randint(1, 2))), facts=facts)
+    kind = rng.choice(["free", "direct", "amalgam", "hnn", "mitosis", "mu"])
+    p = _random_tree(rng, depth - 1, 0.3)
+    if kind == "mitosis":
+        return standard_mitosis(p)
+    if kind == "mu":
+        return mu_stage(p, rng.randint(1, 2))
+    if kind == "hnn":
+        # Fresh: a generator t<k> comes from a base of k generators, and
+        # alphabets only grow up the tree.
+        stable = f"t{len(p.realized.alphabet)}"
+        return hnn_extension(p, stable, ascending=rng.random() < 0.7, bac_hnn_chain=rng.random() < 0.5)
+    q = _random_tree(rng, depth - 1, 0.3)
+    if kind == "free":
+        return free_product(p, q, nonelementary=rng.random() < 0.5)
+    if kind == "direct":
+        return direct_product(p, q)
+    pairs = ((word(p.realized.alphabet.symbols[0]), word(q.realized.alphabet.symbols[0])),)
+    tags = ("edge_amenable", "doublecoset_at_least_3", "proper_edge", "edges_legitimate")
+    return amalgamated_product(p, q, pairs, **{tag: rng.random() < 0.6 for tag in tags})
+
+
+def _differential_trees():
+    z = presentation(["x", "y"])
+    # Derivation order puts the atom's asserted ContainsF2 (n3) before the
+    # mitosis node's derived one (n1); a scan of n0's children cites n1.
+    tie = free_product(standard_mitosis(atom(presentation(["g"]))), atom(z, facts=(("ContainsF2", None),)))
+    # Two edge-amenable amalgams, each lifting only its own factors' facts
+    # though the other's factors carry facts R18 reads.
+    pairs = ((word(z.alphabet.symbols[0]), word(z.alphabet.symbols[0])),)
+    tags = {"edge_amenable": True, "doublecoset_at_least_3": True, "proper_edge": True}
+    left = amalgamated_product(atom(z, facts=(("LargeHb", 2),)), atom(z, facts=(("LonebLarge", 1),)), pairs, **tags)
+    right = amalgamated_product(atom(z, facts=(("LonebPositive", 3),)), atom(z), pairs, edge_amenable=True)
+    rng = random.Random(19)
+    return [tie, free_product(left, right)] + [_random_tree(rng, 4) for _ in range(120)]
+
+
+@pytest.mark.parametrize("max_degree", [4, 12])
+def test_premise_driven_rules_match_the_node_scans(monkeypatch, max_degree):
+    for expr in _differential_trees():
+        d = derive(expr, max_degree)
+        with monkeypatch.context() as m:
+            m.setattr(inference, "RULES", scan_rules())
+            scanned = derive(expr, max_degree)
+        assert [c.render() for c in d.certificates.values()] == [c.render() for c in scanned.certificates.values()]
+        assert check_consistency(d) == check_consistency(scanned)
+        assert all(replay_certificate(d, c) for c in d.certificates.values())
+
+
+def test_an_atom_cannot_assert_a_structural_predicate():
+    x, y = presentation(["x"]), presentation(["y"])
+    for facts in ((("EdgeAmenable", None),), (("EdgeDoubleCosetsAtLeast3", None),), (("CoAmenableIn", 5),)):
+        with pytest.raises(AssertionError_, match="structural"):
+            derive(free_product(atom(x, facts=facts), atom(y, facts=(("LargeHb", 2), ("Amenable", None)))))

@@ -5,8 +5,11 @@ from itertools import combinations, permutations
 from math import gcd
 from typing import Dict, Iterator, List, Optional, Tuple
 
+from gpforge import inference
+from gpforge.combinators import AMALGAM, DIRECT_PRODUCT, FREE_PRODUCT, HNN, MITOSIS, MU_STAGE
 from gpforge.homology import IntegerMatrix
 from gpforge.errors import AlphabetMismatchError, SearchBudgetError
+from gpforge.inference import Fact, Rule
 from gpforge.meier import (
     _B,
     _A_SYM,
@@ -544,3 +547,59 @@ def bs_source(m: int, n: int) -> WordProblemSource:
     with a TorsionFree fact asserted."""
     system = bs_system(m, n)
     return WordProblemSource(system.presentation, system, (("TorsionFree", None),))
+
+
+def _embedding_children(ctx, i: int) -> List[int]:
+    """Children known to embed into node i (factor/base inclusions)."""
+    family = ctx.family[i]
+    if family in (FREE_PRODUCT, DIRECT_PRODUCT, MITOSIS, MU_STAGE, HNN):
+        return ctx.kids[i]
+    if family == AMALGAM and ctx.nodes[i].payload.get("edges_legitimate"):
+        return ctx.kids[i]
+    return []
+
+
+def scan_r8(ctx, facts):
+    """Oracle for inference R8: every amalgam node in turn."""
+    for i in ctx.of(AMALGAM):
+        dc = Fact(i, "EdgeDoubleCosetsAtLeast3")
+        proper = Fact(i, "EdgeProperContainment")
+        if dc in facts and proper in facts:
+            yield Fact(i, "LargeHb", 2), (dc, proper)
+
+
+def scan_r18(ctx, facts):
+    """Oracle for inference R18: every amalgam node in turn."""
+    for i in ctx.of(AMALGAM):
+        edge = Fact(i, "EdgeAmenable")
+        if edge in facts:
+            for f in facts.of("LargeHb", "LonebPositive", "LonebLarge", nodes=ctx.kids[i]):
+                yield Fact(i, f.predicate, f.arg), (edge, f)
+
+
+def scan_r20(ctx, facts):
+    """Oracle for inference R20: subgroup monotonicity scans every node and
+    its embedding children."""
+    for f in facts.of("Finite", "CdbEquals0", "Amenable", "HdbEquals0", "NonvanishingHb"):
+        if f.predicate == "Finite":
+            yield Fact(f.node, "CdbEquals0"), (f,)
+        elif f.predicate == "CdbEquals0":
+            yield Fact(f.node, "Finite"), (f,)
+            yield Fact(f.node, "HdbEquals0"), (f,)
+        elif f.predicate == "Amenable":
+            yield Fact(f.node, "HdbEquals0"), (f,)
+        elif f.predicate == "HdbEquals0":
+            yield Fact(f.node, "Amenable"), (f,)
+        elif f.predicate == "NonvanishingHb":
+            yield Fact(f.node, "CdbAtLeast", f.arg), (f,)
+    for i in range(len(ctx.nodes)):
+        for child in _embedding_children(ctx, i):
+            for f in facts.of("CdbAtLeast", nodes=(child,)):
+                yield Fact(i, "CdbAtLeast", f.arg), (f,)
+
+
+def scan_rules() -> Tuple[Rule, ...]:
+    """inference.RULES with R8, R18 and R20 scanning the tree's nodes
+    instead of reading their premises from the fact index."""
+    scans = {"R8": scan_r8, "R18": scan_r18, "R20": scan_r20}
+    return tuple(Rule(r.id, r.citation, scans.get(r.id, r.step)) for r in inference.RULES)

@@ -13,7 +13,9 @@ the transform-free path over sparse rows, in three phases:
   1. pair merge: a row of two +-1 entries is a unit pivot whose whole
      elimination is one column operation, so its two columns are merged in
      a signed union-find (Kaczynski-Mischaikow-Mrozek, Computational
-     Homology, Ch. 4); simplicial d1 and most rows of d2 are such pairs;
+     Homology, Ch. 4); simplicial d1 and most rows of d2 are such pairs.
+     A pair inside one class that sums to 0 is dropped; one that sums to
+     +-2 is kept (RP^2's Z/2);
   2. unit pivots: the remaining +-1 pivots are eliminated by sparse row
      operations, shortest rows first (Dumas-Saunders-Villard, JSC 2001);
   3. the small leftover block goes to the dense SNF.
@@ -284,8 +286,11 @@ def _merge_unit_pairs(rows: Sequence[Mapping[int, int]]) -> Tuple[int, List[Dict
     column-j entry v moved to column k as -a*b*v.  So column classes merge
     in a signed union-find (union by size, path compression) and each
     merge is one invariant factor 1.  A pair inside one class reads a+b,
-    0 or +-2, and is kept like every other row.  Kept rows are mapped
-    through the final find only: later merges move the class roots.
+    0 or +-2.  A 0 is dropped: a later merge multiplies both entries by
+    the same root sign, so the row stays zero (every cycle edge of a
+    connected simplicial d1 is one).  A +-2 is kept like every other row.
+    Kept rows are mapped through the final find only: later merges move
+    the class roots.
     """
     link: Dict[int, Tuple[int, int]] = {}  # column -> (parent, sign)
     size: Dict[int, int] = {}
@@ -314,6 +319,8 @@ def _merge_unit_pairs(rows: Sequence[Mapping[int, int]]) -> Tuple[int, List[Dict
                         j, k = k, j
                     link[j] = (k, -a * b)
                     size[k] = size.get(k, 1) + size.pop(j, 1)
+                    continue
+                if a + b == 0:
                     continue
         kept.append(row)
     residual = []

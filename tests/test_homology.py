@@ -112,10 +112,32 @@ def test_pair_merge_cycles():
     triangle = [{0: -1, 1: 1}, {1: -1, 2: 1}, {0: -1, 2: 1}]
     assert invariant_factors(triangle) == [1, 1]
     merges, residual = _merge_unit_pairs(triangle)
-    assert merges == 2 and residual == [{}]
+    assert merges == 2 and residual == []
     # A kept row is read through the merges made after it.
     merges, residual = _merge_unit_pairs([{0: 2, 1: 3}, {0: 1, 1: 1}])
     assert merges == 1 and residual in ([{1: 1}], [{0: -1}])
+
+
+@pytest.mark.parametrize(
+    "closing, kept",
+    [
+        ({0: 1, 1: 1}, 0),  # reads 0 on the class of column 1: dropped
+        ({0: 1, 1: -1}, 2),  # reads +-2 (RP^2's Z/2): kept
+    ],
+)
+def test_pair_merge_in_class_pair_before_its_root_moves(closing, kept):
+    # Row 0 links column 0 under 1, row 1 column 2 under 3; row 2 closes
+    # a cycle in {0, 1}, and row 3 then links root 1 under root 3.
+    rows = [{0: 1, 1: 1}, {2: 1, 3: 1}, closing, {0: 1, 2: 1}]
+    merges, residual = _merge_unit_pairs(rows)
+    assert merges == 3
+    assert [sorted(map(abs, row.values())) for row in residual] == ([[kept]] if kept else [])
+    dense = IntegerMatrix(len(rows), 4)
+    for i, row in enumerate(rows):
+        for j, v in row.items():
+            dense.entries[i][j] = v
+    assert invariant_factors(rows) == list(smith_normal_form(dense).invariant_factors)
+    assert invariant_factors(rows) == [1, 1, 1] + ([kept] if kept else [])
 
 
 def test_abelianization_bs23_relation_matrix():

@@ -1,7 +1,9 @@
 import random
+import sys
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from gpforge.combinators import mu_stage, standard_mitosis
 from gpforge import topology
@@ -18,6 +20,7 @@ from gpforge.homology import (
 )
 from gpforge.presentations import Presentation, parse, presentation
 from gpforge.topology import (
+    DeltaComplex,
     SimplicialComplex,
     barycentric_subdivide,
     cw_chain_complex,
@@ -178,12 +181,27 @@ def test_serialize_parse_round_trip():
         # Past int()'s 4,300-digit limit.
         pytest.param("vertices 1" + "0" * 5000 + "\n", 1, id="5001-digit-count"),
         pytest.param("vertices 3\nsimplex 0 1 " + "2" * 5000 + "\n", 2, id="5000-digit-vertex"),
+        ("vertices 3\nsimplex 0\n", 2),
+        ("vertices 4\n# four\nsimplex 0 1 2 3\n", 3),
     ],
 )
 def test_parse_simplicial_malformed_lines_raise_parse_error(text, line):
     with pytest.raises(ParseError) as info:
         parse_simplicial(text)
     assert info.value.line == line
+
+
+def test_parse_simplicial_names_a_vertex_past_a_lowered_digit_limit():
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("int() has no digit limit on this Python")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        with pytest.raises(ParseError, match="integer of 1000 digits is too long") as info:
+            parse_simplicial("vertices 3\nsimplex 0 1 " + "2" * 1000 + "\n")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert info.value.line == 2
 
 
 def test_edge_path_circle():
@@ -228,14 +246,87 @@ def test_cw_chain_complex_matches_presentation_homology():
 
 
 def test_simplicial_complex_invariants():
-    with pytest.raises(InvalidComplexError):
-        SimplicialComplex(3, ((0, 0, 1),))
-    with pytest.raises(InvalidComplexError):
-        SimplicialComplex(2, ((0, 1), (0, 1)))
-    with pytest.raises(InvalidComplexError):
-        SimplicialComplex(2, ((0, 1, 5),))
-    with pytest.raises(InvalidComplexError):
-        SimplicialComplex(3, ((2, 0, 1),))
+    arity, order = "facets must be edges or triangles", "facet indices must be ascending and distinct"
+    out_of_range, duplicate = "facet vertex out of range", "duplicate facet"
+    cases = [
+        (3, ((0,),), arity),
+        (4, ((0, 1, 2, 3),), arity),
+        (3, ((0, 1), (0, 1, 2, 3)), arity),
+        (3, ((2, 0, 1),), order),
+        (3, ((1, 0),), order),
+        (3, ((0, 0, 1),), order),
+        (3, ((1, 1),), order),
+        (2, ((9, 5),), order),  # order is judged before range
+        (2, ((-1, 0),), out_of_range),
+        (2, ((0, 1, 5),), out_of_range),
+        (2, ((0, 2),), out_of_range),
+        (2, ((0, 1), (0, 1)), duplicate),
+        (3, ((0, 1, 2), (1, 2), (0, 1, 2)), duplicate),
+    ]
+    for n_vertices, facets, message in cases:
+        with pytest.raises(InvalidComplexError, match=f"^{message}$"):
+            SimplicialComplex(n_vertices, facets)
+
+
+def test_delta_to_simplicial_rejects_non_simplicial_complexes():
+    with pytest.raises(InvalidComplexError, match="^parallel edges: complex is not simplicial$"):
+        delta_to_simplicial(DeltaComplex(2, ((0, 1), (1, 0)), ()))
+    triangle = ((0, 1, 2), ((0, 1), (1, 1), (2, 1)))
+    turned = ((1, 0, 2), ((0, -1), (2, 1), (1, 1)))  # the same vertex set, corners unsorted
+    for second in (triangle, turned):
+        with pytest.raises(InvalidComplexError, match="^repeated 2-simplex vertex set$"):
+            delta_to_simplicial(DeltaComplex(3, ((0, 1), (1, 2), (0, 2)), (triangle, second)))
+    # A repeated corner needs a loop side, refused first, so only an
+    # unchecked triangle list reaches this check.
+    pinched = SimpleNamespace(n_vertices=2, edges=(), triangles=(((0, 0, 1), ()),))
+    with pytest.raises(InvalidComplexError, match="^degenerate triangle: complex is not simplicial$"):
+        delta_to_simplicial(pinched)
+
+
+@st.composite
+def signed_presentations(draw):
+    """Presentations with inverse letters (sides of orientation -1), proper
+    powers and up to three relators, none of them freely trivial."""
+    alphabet = Alphabet([f"g{i}" for i in range(draw(st.integers(1, 3)))])
+    letter = st.tuples(st.sampled_from(alphabet.symbols), st.sampled_from((-2, -1, 1, 2)))
+    relators = []
+    for _ in range(draw(st.integers(1, 3))):
+        rel = Word(draw(st.lists(letter, min_size=1, max_size=3))) ** draw(st.integers(1, 3))
+        assume(rel)
+        relators.append(rel)
+    return Presentation(alphabet, tuple(relators))
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except InvalidComplexError as exc:
+        return str(exc)
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(signed_presentations())
+def test_triangulation_matches_the_per_flag_oracle(p):
+    from tests_util import (
+        per_flag_barycentric_subdivide,
+        rebuilding_edge_path_presentation,
+        resorting_delta_to_simplicial,
+        resorting_spanning_tree,
+        update_edges,
+    )
+
+    dc = presentation_complex(p)
+    for _ in range(2):
+        sub = barycentric_subdivide(dc)
+        assert sub == per_flag_barycentric_subdivide(dc)
+        # Once not simplicial (parallel halves of the loops), twice simplicial.
+        assert _outcome(delta_to_simplicial, sub) == _outcome(resorting_delta_to_simplicial, sub)
+        dc = sub
+    sc = triangulate(p)
+    assert serialize_simplicial(sc) == serialize_simplicial(resorting_delta_to_simplicial(dc))
+    assert sc.edges() == update_edges(sc)
+    assert sc.spanning_tree() == resorting_spanning_tree(sc)
+    assert edge_path_presentation(sc) == rebuilding_edge_path_presentation(sc)
 
 
 def test_cw_hurewicz_h1_on_all_fixtures():

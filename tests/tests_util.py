@@ -1,14 +1,15 @@
 """Shared helpers for the test suite."""
 
 import math
+from collections import deque
 from itertools import combinations, permutations
 from math import gcd
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from gpforge import inference
 from gpforge.combinators import AMALGAM, DIRECT_PRODUCT, FREE_PRODUCT, HNN, MITOSIS, MU_STAGE
 from gpforge.homology import IntegerMatrix
-from gpforge.errors import AlphabetMismatchError, SearchBudgetError
+from gpforge.errors import AlphabetMismatchError, InvalidComplexError, SearchBudgetError
 from gpforge.inference import Fact, Rule
 from gpforge.meier import (
     _B,
@@ -24,6 +25,7 @@ from gpforge.meier import (
 from gpforge import presentations
 from gpforge.presentations import Presentation, _isolated_symbol
 from gpforge.reductions import WordProblemSource
+from gpforge.topology import DeltaComplex, Side, SimplicialComplex, Triangle
 from gpforge import rewriting
 from gpforge.rewriting import (
     _actions,
@@ -603,3 +605,161 @@ def scan_rules() -> Tuple[Rule, ...]:
     instead of reading their premises from the fact index."""
     scans = {"R8": scan_r8, "R18": scan_r18, "R20": scan_r20}
     return tuple(Rule(r.id, r.citation, scans.get(r.id, r.step)) for r in inference.RULES)
+
+
+def per_flag_barycentric_subdivide(c: DeltaComplex) -> DeltaComplex:
+    """Oracle for topology.barycentric_subdivide: the version that builds
+    two dicts per triangle and recomputes each flag's midpoint, kept
+    verbatim.
+
+    Vertices of the output are the cells of the input; triangles are the
+    flags vertex-slot < side-slot < triangle.  Each triangle yields six,
+    each edge two; the Euler characteristic is preserved exactly."""
+    nv = c.n_vertices
+    ne = len(c.edges)
+    edge_bary = lambda e: nv + e
+    tri_bary = lambda f: nv + ne + f
+    new_vertices = nv + ne + len(c.triangles)
+
+    new_edges: List[Tuple[int, int]] = []
+    # Halves of old edges: ids 2e (tail half) and 2e+1 (head half).
+    for e, (tail, head) in enumerate(c.edges):
+        new_edges.append((tail, edge_bary(e)))
+        new_edges.append((head, edge_bary(e)))
+    # Per-triangle spokes: corner slots then side slots, 6 per triangle.
+    tri_edge_base = 2 * ne
+    for f, (corners, sides) in enumerate(c.triangles):
+        for v in corners:
+            new_edges.append((v, tri_bary(f)))
+        for eidx, _ in sides:
+            new_edges.append((edge_bary(eidx), tri_bary(f)))
+
+    def half_at_start(side: Side) -> int:
+        eidx, orient = side
+        return 2 * eidx if orient == 1 else 2 * eidx + 1
+
+    def half_at_end(side: Side) -> int:
+        eidx, orient = side
+        return 2 * eidx + 1 if orient == 1 else 2 * eidx
+
+    new_triangles: List[Triangle] = []
+    for f, (corners, sides) in enumerate(c.triangles):
+        base = tri_edge_base + 6 * f
+        corner_spoke = {k: base + k for k in range(3)}
+        side_spoke = {s: base + 3 + s for s in range(3)}
+        side01, side12, side02 = sides
+        b = tri_bary(f)
+        # (corner slot, side slot, the half edge touching that corner).
+        flags = (
+            (0, 0, half_at_start(side01)),
+            (0, 2, half_at_start(side02)),
+            (1, 0, half_at_end(side01)),
+            (1, 1, half_at_start(side12)),
+            (2, 2, half_at_end(side02)),
+            (2, 1, half_at_end(side12)),
+        )
+        for corner_slot, side_slot, half in flags:
+            v = corners[corner_slot]
+            m = edge_bary(sides[side_slot][0])
+            new_triangles.append(
+                (
+                    (v, m, b),
+                    ((half, 1), (side_spoke[side_slot], 1), (corner_spoke[corner_slot], 1)),
+                )
+            )
+    return DeltaComplex(new_vertices, tuple(new_edges), tuple(new_triangles))
+
+
+def resorting_delta_to_simplicial(c: DeltaComplex) -> SimplicialComplex:
+    """Oracle for topology.delta_to_simplicial: the version that sorts
+    every triangle's corners and the facets twice, kept verbatim.
+
+    Convert, asserting simpliciality (no loops, no parallel edges,
+    distinct triangle vertex sets)."""
+    edge_sets: Dict[Tuple[int, int], int] = {}
+    for tail, head in c.edges:
+        if tail == head:
+            raise InvalidComplexError("loop edge: complex is not simplicial")
+        key = (min(tail, head), max(tail, head))
+        if key in edge_sets:
+            raise InvalidComplexError("parallel edges: complex is not simplicial")
+        edge_sets[key] = 1
+    tri_sets: Set[Tuple[int, ...]] = set()
+    covered_edges: Set[Tuple[int, int]] = set()
+    for corners, _ in c.triangles:
+        key = tuple(sorted(corners))
+        if len(set(corners)) != 3:
+            raise InvalidComplexError("degenerate triangle: complex is not simplicial")
+        if key in tri_sets:
+            raise InvalidComplexError("repeated 2-simplex vertex set")
+        tri_sets.add(key)
+        i, j, k = key
+        covered_edges.update(((i, j), (j, k), (i, k)))
+    facets: List[Tuple[int, ...]] = sorted(tri_sets)
+    for key in sorted(edge_sets):
+        if key not in covered_edges:
+            facets.append(key)
+    return SimplicialComplex(c.n_vertices, tuple(sorted(facets, key=lambda t: (t, len(t)))))
+
+
+def update_edges(x: SimplicialComplex) -> List[Tuple[int, int]]:
+    """Oracle for SimplicialComplex.edges, kept verbatim."""
+    out: Set[Tuple[int, int]] = set()
+    for facet in x.facets:
+        if len(facet) == 2:
+            out.add(facet)
+        else:
+            i, j, k = facet
+            out.update(((i, j), (j, k), (i, k)))
+    return sorted(out)
+
+
+def resorting_spanning_tree(x: SimplicialComplex) -> List[Tuple[int, int]]:
+    """Oracle for SimplicialComplex.spanning_tree: the version that sorts
+    each vertex's neighbours, kept verbatim.
+
+    Edges (i < j) of the BFS tree from vertex 0, neighbours taken in
+    ascending order; it spans exactly when the complex is connected."""
+    adjacency: Dict[int, List[int]] = {i: [] for i in range(x.n_vertices)}
+    for i, j in update_edges(x):
+        adjacency[i].append(j)
+        adjacency[j].append(i)
+    tree: List[Tuple[int, int]] = []
+    seen = {0}
+    queue = deque([0] if x.n_vertices else [])
+    while queue:
+        u = queue.popleft()
+        for v in sorted(adjacency[u]):
+            if v not in seen:
+                seen.add(v)
+                tree.append((min(u, v), max(u, v)))
+                queue.append(v)
+    return tree
+
+
+def rebuilding_edge_path_presentation(x: SimplicialComplex) -> Presentation:
+    """Oracle for topology.edge_path_presentation: the version that builds
+    the edge list twice, kept verbatim but for the oracle edge list and
+    spanning tree."""
+    tree = set(resorting_spanning_tree(x))
+    if x.n_vertices > 1 and len(tree) != x.n_vertices - 1:
+        raise InvalidComplexError("edge-path presentation needs a connected complex")
+    edges = update_edges(x)
+    non_tree = [e for e in edges if e not in tree]
+    names = [f"e{i+1}" for i in range(len(non_tree))]
+    alphabet = Alphabet(names)
+    gen_of = {edge: alphabet.symbol(names[i]) for i, edge in enumerate(non_tree)}
+
+    def edge_word(u: int, v: int) -> Word:
+        key = (min(u, v), max(u, v))
+        if key in tree:
+            return Word()
+        sym = gen_of[key]
+        return word(sym) if (u, v) == key else ~word(sym)
+
+    relators = []
+    for i, j, k in x.two_simplices():
+        rel = edge_word(i, j) * edge_word(j, k) * edge_word(k, i)
+        if rel:
+            relators.append(rel)
+    return Presentation(alphabet, tuple(relators), name="edge-path")

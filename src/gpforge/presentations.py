@@ -14,7 +14,6 @@ gpforge.words.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -23,10 +22,10 @@ from .words import (
     Alphabet,
     GeneratorSymbol,
     Word,
+    _peel,
+    _push_runs,
     _reduced,
-    cyclically_reduce,
     format_word,
-    identity_map,
     parse_word,
     substitute,
 )
@@ -134,22 +133,41 @@ def validate(p: Presentation) -> List[str]:
     return out
 
 
-def _isolated_symbol(rel: Word, sym: GeneratorSymbol) -> Optional[Word]:
-    """If `rel` isolates `sym` (one occurrence, exponent +-1), return the
-    word u with sym = u implied by rel; otherwise None."""
-    occ = [e for s, e in rel.letters if s == sym]
-    if len(occ) != 1 or abs(occ[0]) != 1:
-        return None
-    r = rel if occ[0] == 1 else ~rel
-    j = next(k for k, (s, _) in enumerate(r.letters) if s == sym)
-    # r rotated at j reads sym * tail, so sym = tail^-1; the two slices are
-    # reduced and can merge only at their seam.
-    tail = _reduced(r.letters[j + 1 :]) * _reduced(r.letters[:j])
-    return ~tail
-
-
 TIETZE_BUDGET = 10_000
 """Moves one tietze_simplify call may make before it stops."""
+
+
+def _rewrite(runs: tuple, x: int, image: tuple, inverse: tuple) -> tuple:
+    """The reduced run tuple of `runs` with each run (x, e) replaced by
+    image^e, where `inverse` is image^-1; the other runs are kept.
+
+    A one-run image t^f gives the one run t^(f * e), so a huge exponent
+    is never expanded; any other image is pushed |e| times.
+    """
+    out: list = []
+    one_run = len(image) == 1
+    for run in runs:
+        s, e = run
+        if s == x:
+            if not one_run:
+                piece = image if e > 0 else inverse
+                if e == 1 or e == -1:  # the common case, without a range()
+                    _push_runs(out, piece)
+                elif piece:  # an empty image adds nothing, whatever e is
+                    for _ in range(abs(e)):
+                        _push_runs(out, piece)
+                continue
+            (s, f), = image
+            run = (s, f * e)
+        if out and out[-1][0] == s:
+            e = out[-1][1] + run[1]
+            if e:
+                out[-1] = (s, e)
+            else:
+                out.pop()
+        else:
+            out.append(run)
+    return tuple(out)
 
 
 def tietze_simplify(p: Presentation) -> Presentation:
@@ -166,70 +184,114 @@ def tietze_simplify(p: Presentation) -> Presentation:
     stored order.  Otherwise generators are scanned in reverse alphabet
     order, so eliminations keep the earliest-declared generators alive;
     within one generator, relators are scanned in stored order.  Stops at
-    a fixpoint or after TIETZE_BUDGET moves, whichever comes first.
+    a fixpoint or after TIETZE_BUDGET moves, whichever comes first.  A
+    relator that uses a generator outside p's alphabet raises
+    AlphabetMismatchError.
+
+    The moves run on integer-coded relators.  Each relator is encoded
+    once as a tuple of (alphabet position, exponent) runs, equal runs
+    shared through one dict, so runs compare and hash in C rather than
+    through GeneratorSymbol methods.  The word kernel's `_push_runs` and
+    `_peel` reduce these tuples as they reduce a Word's runs, and
+    `_rewrite` replaces the eliminated generator's runs by its image.  At
+    the end each surviving relator is decoded to a Word in place, decoded
+    runs shared too, so no second list of relators is built.
 
     Relators keep their input positions; a deleted one becomes None.  An
     occurrence index (Havas, Kenne, Richardson and Robertson, "A Tietze
-    transformation program", 1984) holds, for each symbol, two bitsets
+    transformation program", 1984) holds, for each generator, two bitsets
     over those positions: the live relators that contain it, and those
     that isolate it; a third bitset holds the empty ones.  The lowest set
     bit is the first relator in stored order, so the index picks the same
     move as a rescan of every relator would.  A move rewrites and
-    re-indexes only the relators that contain the eliminated symbol: the
-    others are cyclically reduced already and would come out unchanged.
+    re-indexes only the relators that contain the eliminated generator:
+    the others are cyclically reduced already and would come out
+    unchanged.
     """
-    symbols = list(p.alphabet.symbols)
-    relators: List[Optional[Word]] = [cyclically_reduce(r)[0] for r in p.relators]
-    letter = identity_map(p.alphabet)
-    # Keyed by name: a str hashes in C, a GeneratorSymbol through a method.
-    contains: Dict[str, int] = defaultdict(int)
-    isolates: Dict[str, int] = defaultdict(int)
+    symbols = p.alphabet.symbols
+    n = len(symbols)
+    position = {s.name: k for k, s in enumerate(symbols)}
+    shared: Dict[Tuple[int, int], Tuple[int, int]] = {}
+    relators: List[Optional[tuple]] = []
+    for rel in p.relators:
+        runs = []
+        for s, e in rel.letters:
+            k = position.get(s.name)
+            if k is None:
+                raise AlphabetMismatchError(f"relator uses {s.name!r}, which is not in the alphabet")
+            runs.append(shared.setdefault((k, e), (k, e)))
+        relators.append(_peel(tuple(runs))[0])
+    contains = [0] * n
+    isolates = [0] * n
     empty = 0
+    # The (contained, isolated) generators of each indexed relator, so
+    # that removing it from the index reads no runs.
+    entries: List[Optional[Tuple[tuple, tuple]]] = [None] * len(relators)
 
     def toggle(i: int) -> None:
-        # Adds relator i's entries to the index, or removes them again.
-        runs: Dict[str, int] = {}
-        for s, e in relators[i].letters:
-            runs[s.name] = 0 if s.name in runs else e
+        # Adds relator i to the index, or removes it again.
+        entry = entries[i]
+        if entry is None:
+            exps: Dict[int, int] = {}
+            for s, e in relators[i]:
+                exps[s] = 0 if s in exps else e
+            entry = entries[i] = (tuple(exps), tuple([s for s, e in exps.items() if e == 1 or e == -1]))
+        else:
+            entries[i] = None
         bit = 1 << i
-        for s, e in runs.items():
+        for s in entry[0]:
             contains[s] ^= bit
-            if e == 1 or e == -1:
-                isolates[s] ^= bit
+        for s in entry[1]:
+            isolates[s] ^= bit
 
     for i, rel in enumerate(relators):
         toggle(i)
         if not rel:
             empty |= 1 << i
+    eliminated = set()
     for _ in range(TIETZE_BUDGET):
         if empty:
             low = empty & -empty
             relators[low.bit_length() - 1] = None
             empty ^= low
             continue
-        sym = next((s for s in reversed(symbols) if isolates[s.name]), None)
-        if sym is None:
+        x = next((k for k in range(n - 1, -1, -1) if isolates[k]), None)
+        if x is None:
             break
-        bits = isolates[sym.name]
+        bits = isolates[x]
         i = (bits & -bits).bit_length() - 1
-        mapping = dict(letter)
-        mapping[sym] = _isolated_symbol(relators[i], sym)
+        rel = relators[i]
+        j = next(k for k, (s, _) in enumerate(rel) if s == x)
+        # rel rotated at j reads x^e * tail, so x = tail^-e; the two
+        # slices are reduced and can merge only at their seam.
+        tail = list(rel[j + 1 :])
+        _push_runs(tail, rel[:j])
+        tail = tuple(tail)
+        inverse = tuple((s, -e) for s, e in reversed(tail))
+        image, inverse = (tail, inverse) if rel[j][1] == -1 else (inverse, tail)
         toggle(i)
         relators[i] = None
-        rest = contains[sym.name]
+        rest = contains[x]
         while rest:
             low = rest & -rest
             j = low.bit_length() - 1
             toggle(j)
-            relators[j] = cyclically_reduce(substitute(relators[j], mapping))[0]
+            relators[j] = _peel(_rewrite(relators[j], x, image, inverse))[0]
             toggle(j)
             if not relators[j]:
                 empty |= low
             rest ^= low
-        symbols.remove(sym)
-        del letter[sym]
+        eliminated.add(x)
+    decoded: Dict[Tuple[int, int], Tuple[GeneratorSymbol, int]] = {}
+    for i, runs in enumerate(relators):
+        if runs is not None:
+            relators[i] = _reduced(
+                tuple([decoded.get(r) or decoded.setdefault(r, (symbols[r[0]], r[1])) for r in runs])
+            )
     return Presentation(
-        Alphabet(symbols), tuple(r for r in relators if r is not None), p.name
+        Alphabet(s for k, s in enumerate(symbols) if k not in eliminated),
+        tuple(r for r in relators if r is not None),
+        p.name,
     )
 
 

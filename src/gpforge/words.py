@@ -7,12 +7,14 @@ constructors (`Word(letters)`, `word`, `parse_word`) normalise every run
 and every operation returns reduced words.
 
 The operations trust that their operands are reduced already: products,
-powers, inverses, `substitute`, `cyclically_reduce` and `identity_map`
-build their results from the operands' runs, and two reduced run lists
-can cancel only where they meet (Lyndon-Schupp, Combinatorial Group
-Theory, I.1).  They join them with `_push_runs`, which merges or cancels
-at that seam, cascades included, and wrap the result with `_reduced`,
-which normalises nothing.
+powers, inverses, `substitute` and `cyclically_reduce` build their
+results from the operands' runs, and two reduced run lists can cancel
+only where they meet (Lyndon-Schupp, Combinatorial Group Theory, I.1).
+They join them with `_push_runs`, which merges or cancels at that seam,
+cascades included, and wrap the result with `_reduced`, which normalises
+nothing.  `_push_runs` and `_peel` only compare and add the runs' two
+entries, so they serve any run tuple, the integer-coded relators of
+`presentations.tietze_simplify` too.
 
 Text syntax (used by every file format and by the CLI):
 
@@ -272,14 +274,9 @@ def word(*letters) -> Word:
     return Word(out)
 
 
-def cyclically_reduce(w: Word) -> Tuple[Word, Word]:
-    """Return (core, conjugator) with w = conjugator * core * conjugator^-1.
-
-    The core is cyclically reduced; peeling works on run-length entries so
-    huge exponents never get flattened.  Core and conjugator are slices of
-    w's runs, with at most one end run shortened, so both are reduced.
-    """
-    runs = w.letters
+def _peel(runs: tuple) -> Tuple[tuple, tuple]:
+    """Split the reduced run tuple `runs` as (core, conjugator), the
+    run tuples of `cyclically_reduce`."""
     lo, hi = 0, len(runs)
     while hi - lo >= 2:
         (s0, e0), (s1, e1) = runs[lo], runs[hi - 1]
@@ -292,9 +289,20 @@ def cyclically_reduce(w: Word) -> Tuple[Word, Word]:
         # The shorter run of the pair is peeled whole and the longer keeps
         # the rest; the runs next to it have other symbols, so peeling stops.
         if abs(e0) > abs(e1):
-            return _reduced(((s0, e0 + e1),) + runs[lo + 1 : hi - 1]), _reduced(runs[:lo] + ((s0, -e1),))
-        return _reduced(runs[lo + 1 : hi - 1] + ((s1, e0 + e1),)), _reduced(runs[: lo + 1])
-    return _reduced(runs[lo:hi]), _reduced(runs[:lo])
+            return ((s0, e0 + e1),) + runs[lo + 1 : hi - 1], runs[:lo] + ((s0, -e1),)
+        return runs[lo + 1 : hi - 1] + ((s1, e0 + e1),), runs[: lo + 1]
+    return runs[lo:hi], runs[:lo]
+
+
+def cyclically_reduce(w: Word) -> Tuple[Word, Word]:
+    """Return (core, conjugator) with w = conjugator * core * conjugator^-1.
+
+    The core is cyclically reduced; peeling works on run-length entries so
+    huge exponents never get flattened.  Core and conjugator are slices of
+    w's runs, with at most one end run shortened, so both are reduced.
+    """
+    core, conjugator = _peel(w.letters)
+    return _reduced(core), _reduced(conjugator)
 
 
 def substitute(w: Word, mapping: Dict[GeneratorSymbol, Word]) -> Word:
@@ -331,10 +339,6 @@ def substitute(w: Word, mapping: Dict[GeneratorSymbol, Word]) -> Word:
             for _ in range(exp):
                 _push_runs(out, runs)
     return _reduced(tuple(out))
-
-
-def identity_map(alphabet: Alphabet) -> Dict[GeneratorSymbol, Word]:
-    return {s: _reduced(((s, 1),)) for s in alphabet}
 
 
 def commutator(u: Word, v: Word) -> Word:

@@ -1,5 +1,6 @@
 import pytest
 
+from gpforge import combinators
 from gpforge.combinators import (
     MAX_MU_STAGE,
     amalgamated_product,
@@ -22,7 +23,8 @@ from gpforge.presentations import (
     validate,
 )
 from gpforge.words import Word, parse_word, word
-from tests_util import canonical_form, canonical_rename
+from gpforge.reductions import delta_w, free_source, pi_w
+from tests_util import bs_source, canonical_form, canonical_rename, word_commutators, word_mitosis_relators
 
 
 def roundtrips(expr):
@@ -214,3 +216,29 @@ def test_every_combinator_realization_validates():
     ]
     for e in exprs:
         roundtrips(e)
+
+
+def _assert_same_relators(build, monkeypatch):
+    # The run-built relators, then the Word-arithmetic oracle's, one by one.
+    new = build().relators
+    with monkeypatch.context() as m:
+        m.setattr(combinators, "_commutators", word_commutators)
+        m.setattr(combinators, "_mitosis_relators", word_mitosis_relators)
+        old = build().relators
+    assert len(new) == len(old)
+    for i, (r, o) in enumerate(zip(new, old)):
+        assert r == o, f"relator {i}: {r} != {o}"
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_mu_stage_relators_match_the_word_builders(k, monkeypatch):
+    _assert_same_relators(lambda: mu_stage(presentation(["g"]), k).realized, monkeypatch)
+
+
+def test_mitosis_and_witness_product_relators_match_the_word_builders(monkeypatch):
+    base = presentation(["a", "b", "s"], ["a b a^-1 b^-1", "s^3"])
+    _assert_same_relators(lambda: standard_mitosis(base).realized, monkeypatch)
+    for src, text in ((free_source(), "a b"), (bs_source(2, 3), "a^-1 t^-1 a^-1 t a t^-1 a t")):
+        w = parse_word(text, src.presentation.alphabet)
+        _assert_same_relators(lambda: pi_w(src, w, 4).presentation, monkeypatch)
+        _assert_same_relators(lambda: delta_w(src, w, 3).presentation, monkeypatch)

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from gpforge import presentations
 from gpforge.combinators import mu_stage
-from gpforge.errors import ParseError
+from gpforge.errors import AlphabetMismatchError, ParseError
 from gpforge.homology import abelianization
 from gpforge.presentations import (
     EMPTY_PRESENTATION,
@@ -158,6 +158,12 @@ def test_stage_embedding_check():
     assert not is_stage_embedding(big, small)
 
 
+def test_tietze_refuses_a_relator_outside_the_alphabet():
+    p = Presentation(Alphabet(["a"]), (word("a", "b"),))
+    with pytest.raises(AlphabetMismatchError, match="'b'"):
+        tietze_simplify(p)
+
+
 def test_tietze_elimination_with_wraparound_seam():
     # Relator a^2 b a isolates b as (a * a^2)^-1 = a^-3; the rotation seam
     # merges the two a-runs.
@@ -171,20 +177,47 @@ def _assert_tietze_matches_oracle(p):
     assert serialize(tietze_simplify(p)) == serialize(rescan_tietze_simplify(p))
 
 
+# A 30-digit exponent.  Only the generator z carries it, so every z run
+# is a multiple of it, z is never isolated, and no image of z is ever
+# raised to a huge power; the other generators' images carry z's runs.
+HUGE = 123_456_789_012_345_678_901_234_567_890
+
+
 @st.composite
 def _presentations(draw):
     n = draw(st.integers(1, 8))
-    alphabet = Alphabet([f"g{i}" for i in range(1, n + 1)])
-    letters = st.tuples(st.sampled_from(alphabet.symbols), st.sampled_from([-2, -1, 1, 2]))
+    alphabet = Alphabet([f"g{i}" for i in range(1, n + 1)] + ["z"])
+    gens = alphabet.symbols[:-1]
+    z = alphabet.symbols[-1]
+    small = st.tuples(st.sampled_from(gens), st.sampled_from([-7, -3, -2, -1, 1, 2, 3, 7]))
+    letters = st.one_of(small, st.tuples(st.just(z), st.sampled_from([-HUGE, HUGE])))
     rels = []
     for _ in range(draw(st.integers(0, 10))):
         body = draw(st.lists(letters, min_size=1, max_size=6))
-        shape = draw(st.sampled_from(["word", "freely trivial", "conjugate"]))
+        x = draw(st.sampled_from(gens))
+        shape = draw(
+            st.sampled_from(["word", "freely trivial", "conjugate", "one letter", "isolator", "seams"])
+        )
         if shape == "freely trivial":
             body = body + [(s, -e) for s, e in reversed(body)]
         elif shape == "conjugate":
-            x, e = draw(letters)
-            body = [(x, e)] + body + [(x, -e)]
+            y, e = draw(letters)
+            body = [(y, e)] + body + [(y, -e)]
+        elif shape == "one letter":
+            # Isolates x, whose image is the empty word.
+            body = [(x, draw(st.sampled_from([-1, 1])))]
+        elif shape == "isolator":
+            # Isolates x through an exponent -1.
+            body = [(s, e) for s, e in body if s != x]
+            body.insert(draw(st.integers(0, len(body))), (x, -1))
+        elif shape == "seams":
+            # x^-1 u isolates x with image u, so x u^-1 m u x^-1 becomes m
+            # once x is eliminated: the image cancels at both seams.
+            u = [(s, e) for s, e in body if s != x] or [(z, HUGE)]
+            m = draw(st.lists(letters, min_size=1, max_size=4))
+            inv_u = [(s, -e) for s, e in reversed(u)]
+            rels.append(Word([(x, -1)] + u))
+            body = [(x, 1)] + inv_u + m + u + [(x, -1)]
         rels.append(Word(body))
     return Presentation(alphabet, tuple(rels))
 
@@ -246,16 +279,32 @@ def test_tietze_matches_oracle_on_witness_constructions(source, words):
             _assert_tietze_matches_oracle(out.presentation)
 
 
+def _spy_on_rewrites(monkeypatch):
+    # The relator run tuples tietze_simplify hands to its rewrite step.
+    calls = []
+    real = presentations._rewrite
+    monkeypatch.setattr(presentations, "_rewrite", lambda runs, *rest: calls.append(runs) or real(runs, *rest))
+    return calls
+
+
 def test_tietze_rewrites_only_relators_holding_the_eliminated_symbol(monkeypatch):
     # c = a; c occurs in three more relators, and fifty relators lack it
     # and isolate nothing.
     texts = ["c a^-1", "c^2 b^2", "b^2 c^-2 a^2", "a^2 c^3"]
     texts += [f"a^2 b^{k} a^-2 b^-{k}" for k in range(2, 52)]
     p = presentation(["a", "b", "c"], texts)
-    calls = []
-    real = presentations.substitute
-    monkeypatch.setattr(presentations, "substitute", lambda w, m: calls.append(w) or real(w, m))
+    calls = _spy_on_rewrites(monkeypatch)
     q = tietze_simplify(p)
     assert q.alphabet.names == ("a", "b")
-    assert calls == [parse_word(t, p.alphabet) for t in texts[1:4]]
+    assert calls == [
+        tuple((p.alphabet.index(s), e) for s, e in parse_word(t, p.alphabet).letters) for t in texts[1:4]
+    ]
     assert serialize(q) == serialize(rescan_tietze_simplify(p))
+
+
+def test_tietze_rewrite_count_on_mu_stage_8(monkeypatch):
+    # One rewrite per (eliminated generator, relator holding it) pair.
+    p = mu_stage(presentation(["g"]), 8).realized
+    calls = _spy_on_rewrites(monkeypatch)
+    tietze_simplify(p)
+    assert len(calls) == 5_544

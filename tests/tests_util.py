@@ -23,7 +23,7 @@ from gpforge.meier import (
     phi_apply,
 )
 from gpforge import presentations
-from gpforge.presentations import Presentation, _isolated_symbol
+from gpforge.presentations import Presentation
 from gpforge.reductions import WordProblemSource
 from gpforge.topology import DeltaComplex, Side, SimplicialComplex, Triangle
 from gpforge import rewriting
@@ -38,7 +38,7 @@ from gpforge.rewriting import (
     bs_system,
     evaluate_word,
 )
-from gpforge.words import Alphabet, GeneratorSymbol, Word, cyclically_reduce, substitute, word
+from gpforge.words import Alphabet, GeneratorSymbol, Word, _reduced, commutator, cyclically_reduce, substitute, word
 
 
 def random_presentation(rng, max_gens=4, max_rels=4, max_len=6):
@@ -466,6 +466,20 @@ def scan_certificate(p: Presentation, degree_max: int, target: Word) -> Optional
     return None
 
 
+def _isolated_symbol(rel: Word, sym: GeneratorSymbol) -> Optional[Word]:
+    """If `rel` isolates `sym` (one occurrence, exponent +-1), return the
+    word u with sym = u implied by rel; otherwise None."""
+    occ = [e for s, e in rel.letters if s == sym]
+    if len(occ) != 1 or abs(occ[0]) != 1:
+        return None
+    r = rel if occ[0] == 1 else ~rel
+    j = next(k for k, (s, _) in enumerate(r.letters) if s == sym)
+    # r rotated at j reads sym * tail, so sym = tail^-1; the two slices are
+    # reduced and can merge only at their seam.
+    tail = _reduced(r.letters[j + 1 :]) * _reduced(r.letters[:j])
+    return ~tail
+
+
 def rescan_tietze_simplify(p: Presentation) -> Presentation:
     """Oracle for presentations.tietze_simplify: each move rescans every
     relator for an empty one, then every (symbol, relator) pair for an
@@ -501,6 +515,26 @@ def rescan_tietze_simplify(p: Presentation) -> Presentation:
         symbols.remove(sym)
         steps += 1
     return Presentation(Alphabet(symbols), tuple(relators), p.name)
+
+
+def word_commutators(pp: Presentation, renaming: Dict[GeneratorSymbol, Word]) -> List[Word]:
+    """Oracle for combinators._commutators, built by Word arithmetic."""
+    return [commutator(word(x), y) for x in pp.alphabet for y in renaming.values()]
+
+
+def word_mitosis_relators(gens, s: GeneratorSymbol, d: GeneratorSymbol) -> List[Word]:
+    """Oracle for combinators._mitosis_relators, built by Word arithmetic."""
+    sw, dw = word(s), word(d)
+    rels: List[Word] = []
+    for g in gens:
+        gw = word(g)
+        rels.append((~dw) * gw * dw * ~(gw * (~sw) * gw * sw))
+    for g in gens:
+        gw = word(g)
+        for h in gens:
+            hw = word(h)
+            rels.append(commutator(gw, (~sw) * hw * sw))
+    return rels
 
 
 def canonical_rename(p: Presentation) -> Presentation:

@@ -18,7 +18,9 @@ the transform-free path over sparse rows, in three phases:
      +-2 is kept (RP^2's Z/2);
   2. unit pivots: the remaining +-1 pivots are eliminated by sparse row
      operations, shortest rows first (Dumas-Saunders-Villard, JSC 2001);
-  3. the small leftover block goes to the dense SNF.
+  3. the small leftover block is diagonalised in place by `_diagonalize`,
+     the one elimination behind `smith_normal_form` too, here with no
+     transforms carried.
 """
 
 from __future__ import annotations
@@ -51,20 +53,6 @@ class IntegerMatrix:
         r = len(rows)
         c = len(rows[0]) if r else 0
         return cls(r, c, rows)
-
-    @classmethod
-    def identity(cls, n: int) -> "IntegerMatrix":
-        m = cls(n, n)
-        for i in range(n):
-            m.entries[i][i] = 1
-        return m
-
-    def copy(self) -> "IntegerMatrix":
-        return IntegerMatrix(self.rows, self.cols, self.entries)
-
-    def __getitem__(self, key):
-        i, j = key
-        return self.entries[i][j]
 
     def __eq__(self, other):
         return (
@@ -157,58 +145,47 @@ class AbelianGroup:
         return " + ".join(parts) if parts else "0"
 
 
-def smith_normal_form(a: IntegerMatrix) -> SnfResult:
-    """Diagonalise by unimodular row/column operations.
+def _diagonalize(rows: List[List[int]], m: int, n: int) -> int:
+    """Bring the leading m x n block of `rows` to Smith form in place and
+    return its rank r: the block's diagonal then reads d1 | d2 | ... | dr,
+    all positive, and is zero elsewhere.
 
     Pivot policy: smallest nonzero absolute value in the remaining block,
-    ties broken row-major.  The returned D has nonnegative diagonal with
-    d1 | d2 | ...; U*A*V = D holds exactly.
+    ties broken row-major; pivots are read from the block only.  A row
+    operation acts on the whole of one of the first m rows, a column
+    operation on columns < n of every row, so columns past n and rows past
+    m carry along whatever transforms the caller seeded them with.
     """
-    d = a.copy()
-    u = IntegerMatrix.identity(a.rows)
-    v = IntegerMatrix.identity(a.cols)
-    m, n = a.rows, a.cols
 
     def row_swap(i, j):
-        d.entries[i], d.entries[j] = d.entries[j], d.entries[i]
-        u.entries[i], u.entries[j] = u.entries[j], u.entries[i]
+        rows[i], rows[j] = rows[j], rows[i]
 
     def col_swap(i, j):
-        for row in d.entries:
-            row[i], row[j] = row[j], row[i]
-        for row in v.entries:
+        for row in rows:
             row[i], row[j] = row[j], row[i]
 
     def row_add(src, dst, c):
         # dst += c * src
-        ds, dd = d.entries[src], d.entries[dst]
-        for k in range(n):
-            dd[k] += c * ds[k]
-        us, ud = u.entries[src], u.entries[dst]
-        for k in range(m):
-            ud[k] += c * us[k]
+        rows[dst] = [x + c * y for x, y in zip(rows[dst], rows[src])]
 
     def col_add(src, dst, c):
-        for row in d.entries:
-            row[dst] += c * row[src]
-        for row in v.entries:
+        for row in rows:
             row[dst] += c * row[src]
 
     def negate_row(i):
-        d.entries[i] = [-x for x in d.entries[i]]
-        u.entries[i] = [-x for x in u.entries[i]]
+        rows[i] = [-x for x in rows[i]]
 
     def find_pivot(t):
         best = None
         for i in range(t, m):
             for j in range(t, n):
-                val = abs(d.entries[i][j])
+                val = abs(rows[i][j])
                 if val and (best is None or val < best[0]):
                     best = (val, i, j)
         return best
 
     t = 0
-    while True:
+    while t < min(m, n):
         found = find_pivot(t)
         if found is None:
             break
@@ -221,39 +198,39 @@ def smith_normal_form(a: IntegerMatrix) -> SnfResult:
         while True:
             # Clear column t below/above the pivot.
             dirty = False
-            piv = d.entries[t][t]
+            piv = rows[t][t]
             for i in range(t, m):
-                if i == t or d.entries[i][t] == 0:
+                if i == t or rows[i][t] == 0:
                     continue
-                q = d.entries[i][t] // piv
+                q = rows[i][t] // piv
                 if q:
                     row_add(t, i, -q)
-                if d.entries[i][t]:
+                if rows[i][t]:
                     # Remainder smaller than the pivot: promote it.
                     row_swap(t, i)
                     dirty = True
                     break
             if dirty:
                 continue
-            piv = d.entries[t][t]
+            piv = rows[t][t]
             for j in range(t, n):
-                if j == t or d.entries[t][j] == 0:
+                if j == t or rows[t][j] == 0:
                     continue
-                q = d.entries[t][j] // piv
+                q = rows[t][j] // piv
                 if q:
                     col_add(t, j, -q)
-                if d.entries[t][j]:
+                if rows[t][j]:
                     col_swap(t, j)
                     dirty = True
                     break
             if dirty:
                 continue
             # Row and column are clear; force divisibility of the rest.
-            piv = d.entries[t][t]
+            piv = rows[t][t]
             offender = None
             for i in range(t + 1, m):
                 for j in range(t + 1, n):
-                    if d.entries[i][j] % piv != 0:
+                    if rows[i][j] % piv != 0:
                         offender = i
                         break
                 if offender is not None:
@@ -261,20 +238,31 @@ def smith_normal_form(a: IntegerMatrix) -> SnfResult:
             if offender is None:
                 break
             row_add(offender, t, 1)
-        if d.entries[t][t] < 0:
+        if rows[t][t] < 0:
             negate_row(t)
         t += 1
-        if t == min(m, n):
-            break
-
-    return SnfResult(D=d, U=u, V=v)
+    return t
 
 
-def _dense_invariant_factors(rows: List[List[int]]) -> List[int]:
-    if not rows or not rows[0]:
-        return []
-    res = smith_normal_form(IntegerMatrix.from_rows(rows))
-    return list(res.invariant_factors)
+def smith_normal_form(a: IntegerMatrix) -> SnfResult:
+    """Diagonalise by unimodular row/column operations: U*A*V = D exactly,
+    with D's nonnegative diagonal d1 | d2 | ....
+
+    One elimination, `_diagonalize`, serves this and `invariant_factors`:
+    here it runs on A with I_m appended to each row and the n rows of I_n
+    below, so its row operations build U beside D and its column
+    operations build V under it; `invariant_factors` passes its leftover
+    block bare and carries no transforms.
+    """
+    m, n = a.rows, a.cols
+    rows = [row + [int(i == k) for k in range(m)] for i, row in enumerate(a.entries)]
+    rows += [[int(i == k) for k in range(n)] for i in range(n)]
+    _diagonalize(rows, m, n)
+    return SnfResult(
+        D=IntegerMatrix(m, n, [row[:n] for row in rows[:m]]),
+        U=IntegerMatrix(m, m, [row[n:] for row in rows[:m]]),
+        V=IntegerMatrix(n, n, rows[m:]),
+    )
 
 
 def _merge_unit_pairs(rows: Sequence[Mapping[int, int]]) -> Tuple[int, List[Dict[int, int]]]:
@@ -344,8 +332,9 @@ def invariant_factors(rows: Sequence[Mapping[int, int]]) -> List[int]:
     column fill) with exact integer row operations.  Each merge and each
     unit pivot contributes a leading invariant factor 1.  Rows without
     unit entries are parked and revisited when touched; whatever survives
-    goes to the dense SNF.  All operations are unimodular, so the
-    concatenation is the true invariant-factor chain.
+    is diagonalised densely by `_diagonalize`, with no transforms.  All
+    operations are unimodular, so the concatenation is the true
+    invariant-factor chain.
     """
     units, residual = _merge_unit_pairs(rows)
     rowmap: dict = {}
@@ -403,8 +392,8 @@ def invariant_factors(rows: Sequence[Mapping[int, int]]) -> List[int]:
         for j, v in rowmap[i].items():
             row[colidx[j]] = v
         dense.append(row)
-    rest = _dense_invariant_factors(dense)
-    return [1] * units + rest
+    rank = _diagonalize(dense, len(dense), len(leftover_cols))
+    return [1] * units + [dense[k][k] for k in range(rank)]
 
 
 def relation_matrix(p: Presentation) -> SparseMatrix:

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import os
+import random
 import subprocess
 import sys
 import time
@@ -37,6 +38,24 @@ def test_abelianize_torsion_format(tmp_path, monkeypatch, capsys):
     path.write_text("gens a b\nrel a^2\nrel b^6\nrel a^-1 b^-1 a b\n", encoding="utf-8")
     code, out, _ = run_cli(["abelianize", str(path)], capsys=capsys, monkeypatch=monkeypatch)
     assert code == EXIT_OK and out == "rank=0 torsion=[2,6]\n"
+
+
+def test_abelianize_random_presentation_with_a_large_dense_block(tmp_path, monkeypatch, capsys):
+    # 60 generators and 60 relators of 8 runs leave a 30x30 block of the
+    # dense phase, whose entries grow far past the input's on the way.
+    rng = random.Random(5)
+    symbols = [f"x{i}" for i in range(60)]
+    lines = ["gens " + " ".join(symbols)]
+    for _ in range(60):
+        runs = []
+        for _ in range(8):
+            sym = rng.choice(symbols)
+            runs.append(f"{sym}^{rng.choice([-3, -2, -1, 1, 2, 3])}")
+        lines.append("rel " + " ".join(runs))
+    path = tmp_path / "random60.grp"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, out, _ = run_cli(["abelianize", str(path)], capsys=capsys, monkeypatch=monkeypatch)
+    assert code == EXIT_OK and out == "rank=0 torsion=[304514662949256539071444995954096]\n"
 
 
 def test_abelianize_torsion_past_the_printing_bound_is_an_input_error(tmp_path, monkeypatch, capsys):

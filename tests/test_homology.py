@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gpforge import homology
 from gpforge.combinators import direct_product, mu_stage
 from gpforge.errors import InvalidComplexError
 from gpforge.homology import (
@@ -18,8 +19,9 @@ from gpforge.homology import (
     smith_normal_form,
 )
 from gpforge.presentations import parse, presentation
+from gpforge.topology import cw_chain_complex
 from gpforge.words import Alphabet
-from tests_util import det, gcd_of_minors_factors
+from tests_util import det, gcd_of_minors_factors, separate_uv_smith_normal_form
 
 
 def check_snf(matrix):
@@ -220,3 +222,55 @@ def test_snf_stress_larger_matrices():
         assert res.invariant_factors == gcd_of_minors_factors(m)
         rows = [{j: v for j, v in enumerate(row) if v} for row in m.entries]
         assert list(res.invariant_factors) == invariant_factors(rows)
+
+
+@st.composite
+def snf_matrices(draw):
+    """(m, n, entries) up to 7x7 with entries up to +-50, 0xn and mx0
+    included: plain, rank-deficient (rows from at most two basis rows),
+    with zero rows, or with a common factor of all entries."""
+    m, n = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    kind = draw(st.sampled_from(("plain", "rank_deficient", "zero_rows", "common_factor")))
+
+    def rows_of(entry, count):
+        return draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=count, max_size=count))
+
+    if kind == "rank_deficient":
+        basis = rows_of(st.integers(-7, 7), draw(st.integers(1, 2)))
+        coeffs = st.lists(st.integers(-3, 3), min_size=len(basis), max_size=len(basis))
+        entries = [
+            [sum(c * b[j] for c, b in zip(cs, basis)) for j in range(n)]
+            for cs in draw(st.lists(coeffs, min_size=m, max_size=m))
+        ]
+    elif kind == "common_factor":
+        g = draw(st.integers(2, 7))
+        entries = [[g * x for x in row] for row in rows_of(st.integers(-7, 7), m)]
+    else:
+        entries = rows_of(st.integers(-50, 50), m)
+        if kind == "zero_rows" and m:
+            for i in draw(st.sets(st.integers(0, m - 1), min_size=1)):
+                entries[i] = [0] * n
+    return m, n, entries
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@given(snf_matrices())
+def test_snf_and_invariant_factors_match_the_separate_uv_oracle(matrix):
+    m, n, entries = matrix
+    a = IntegerMatrix(m, n, entries)
+    got, want = smith_normal_form(a), separate_uv_smith_normal_form(a)
+    assert a.entries == entries
+    assert (got.D, got.U, got.V) == (want.D, want.U, want.V)
+    rows = [{j: v for j, v in enumerate(row) if v} for row in entries]
+    assert invariant_factors(rows) == list(want.invariant_factors)
+
+
+def test_invariant_factors_never_call_smith_normal_form(monkeypatch):
+    # Both inputs leave a block without unit entries for the dense phase.
+    def refuse(a):
+        raise AssertionError("the invariant-factor path called smith_normal_form")
+
+    monkeypatch.setattr(homology, "smith_normal_form", refuse)
+    assert abelianization(parse("gens a b\nrel a^2 b^4\nrel a^4 b^2")) == AbelianGroup(0, (2, 6))
+    _, h1, _ = complex_homology(cw_chain_complex(presentation(["a"], ["a^2"])))
+    assert h1 == AbelianGroup(0, (2,))

@@ -8,7 +8,7 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from gpforge import inference
 from gpforge.combinators import AMALGAM, DIRECT_PRODUCT, FREE_PRODUCT, HNN, MITOSIS, MU_STAGE
-from gpforge.homology import IntegerMatrix
+from gpforge.homology import IntegerMatrix, SnfResult
 from gpforge.errors import AlphabetMismatchError, InvalidComplexError, SearchBudgetError
 from gpforge.inference import Fact, Rule
 from gpforge.meier import (
@@ -113,6 +113,131 @@ def gcd_of_minors_factors(a: IntegerMatrix) -> Tuple[int, ...]:
         factors.append(g // prev)
         prev = g
     return tuple(factors)
+
+
+def _identity(n: int) -> IntegerMatrix:
+    m = IntegerMatrix(n, n)
+    for i in range(n):
+        m.entries[i][i] = 1
+    return m
+
+
+def separate_uv_smith_normal_form(a: IntegerMatrix) -> SnfResult:
+    """Oracle for homology.smith_normal_form: the dense SNF it replaced,
+    which carries U and V as separate matrices; kept verbatim but for the
+    copy of A and the identities, built here (IntegerMatrix no longer has
+    `copy` and `identity`).
+
+    Diagonalise by unimodular row/column operations.
+
+    Pivot policy: smallest nonzero absolute value in the remaining block,
+    ties broken row-major.  The returned D has nonnegative diagonal with
+    d1 | d2 | ...; U*A*V = D holds exactly.
+    """
+    d = IntegerMatrix(a.rows, a.cols, a.entries)
+    u = _identity(a.rows)
+    v = _identity(a.cols)
+    m, n = a.rows, a.cols
+
+    def row_swap(i, j):
+        d.entries[i], d.entries[j] = d.entries[j], d.entries[i]
+        u.entries[i], u.entries[j] = u.entries[j], u.entries[i]
+
+    def col_swap(i, j):
+        for row in d.entries:
+            row[i], row[j] = row[j], row[i]
+        for row in v.entries:
+            row[i], row[j] = row[j], row[i]
+
+    def row_add(src, dst, c):
+        # dst += c * src
+        ds, dd = d.entries[src], d.entries[dst]
+        for k in range(n):
+            dd[k] += c * ds[k]
+        us, ud = u.entries[src], u.entries[dst]
+        for k in range(m):
+            ud[k] += c * us[k]
+
+    def col_add(src, dst, c):
+        for row in d.entries:
+            row[dst] += c * row[src]
+        for row in v.entries:
+            row[dst] += c * row[src]
+
+    def negate_row(i):
+        d.entries[i] = [-x for x in d.entries[i]]
+        u.entries[i] = [-x for x in u.entries[i]]
+
+    def find_pivot(t):
+        best = None
+        for i in range(t, m):
+            for j in range(t, n):
+                val = abs(d.entries[i][j])
+                if val and (best is None or val < best[0]):
+                    best = (val, i, j)
+        return best
+
+    t = 0
+    while True:
+        found = find_pivot(t)
+        if found is None:
+            break
+        _, pi, pj = found
+        if pi != t:
+            row_swap(t, pi)
+        if pj != t:
+            col_swap(t, pj)
+
+        while True:
+            # Clear column t below/above the pivot.
+            dirty = False
+            piv = d.entries[t][t]
+            for i in range(t, m):
+                if i == t or d.entries[i][t] == 0:
+                    continue
+                q = d.entries[i][t] // piv
+                if q:
+                    row_add(t, i, -q)
+                if d.entries[i][t]:
+                    # Remainder smaller than the pivot: promote it.
+                    row_swap(t, i)
+                    dirty = True
+                    break
+            if dirty:
+                continue
+            piv = d.entries[t][t]
+            for j in range(t, n):
+                if j == t or d.entries[t][j] == 0:
+                    continue
+                q = d.entries[t][j] // piv
+                if q:
+                    col_add(t, j, -q)
+                if d.entries[t][j]:
+                    col_swap(t, j)
+                    dirty = True
+                    break
+            if dirty:
+                continue
+            # Row and column are clear; force divisibility of the rest.
+            piv = d.entries[t][t]
+            offender = None
+            for i in range(t + 1, m):
+                for j in range(t + 1, n):
+                    if d.entries[i][j] % piv != 0:
+                        offender = i
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            row_add(offender, t, 1)
+        if d.entries[t][t] < 0:
+            negate_row(t)
+        t += 1
+        if t == min(m, n):
+            break
+
+    return SnfResult(D=d, U=u, V=v)
 
 
 def _reduced_words(symbols: List[Tuple[GeneratorSymbol, int]], max_len: int) -> Iterator[Word]:

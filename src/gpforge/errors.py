@@ -17,6 +17,7 @@ class ParseError(GpforgeError):
     """Syntax error in a textual format; carries line/column when known."""
 
     def __init__(self, message, line=None, column=None):
+        self.message = message
         self.line = line
         self.column = column
         loc = ""

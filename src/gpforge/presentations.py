@@ -69,6 +69,17 @@ def read_text(path: str) -> str:
         raise ParseError(f"cannot read {path}: not UTF-8 text")
 
 
+def _parse_word_at(text: str, alphabet: Alphabet, line: int, col: int) -> Word:
+    """parse_word on the word text that starts at column `col` of `line`;
+    error columns count from the start of the line."""
+    try:
+        return parse_word(text, alphabet, line=line)
+    except ParseError as exc:
+        if exc.column is None:
+            raise
+        raise ParseError(exc.message, line=line, column=exc.column + col - 1) from None
+
+
 def parse(text: str, name: Optional[str] = None) -> Presentation:
     """Parse the presentation file grammar; errors carry line numbers."""
     alphabet: Optional[Alphabet] = None
@@ -88,21 +99,22 @@ def parse(text: str, name: Optional[str] = None) -> Presentation:
         elif keyword == "rel":
             if not rest.strip():
                 raise ParseError("empty 'rel' line", line=lineno)
-            pending_rels.append((lineno, rest.strip()))
+            rel_text = rest.strip()
+            pending_rels.append((lineno, rel_text, len(raw.rstrip()) - len(rel_text) + 1))
         else:
             raise ParseError(f"unknown directive {keyword!r}", line=lineno)
     if alphabet is None:
         alphabet = Alphabet(())
     relators = []
-    for lineno, rel_text in pending_rels:
+    for lineno, rel_text, col in pending_rels:
         try:
             if " = " in rel_text:
                 left_text, right_text = rel_text.split(" = ", 1)
-                left = parse_word(left_text, alphabet, line=lineno)
-                right = parse_word(right_text, alphabet, line=lineno)
+                left = _parse_word_at(left_text, alphabet, lineno, col)
+                right = _parse_word_at(right_text, alphabet, lineno, col + len(left_text) + 3)
                 relators.append(left * ~right)
             else:
-                relators.append(parse_word(rel_text, alphabet, line=lineno))
+                relators.append(_parse_word_at(rel_text, alphabet, lineno, col))
         except AlphabetMismatchError as exc:
             raise ParseError(f"relator uses undeclared generator: {exc}", line=lineno) from None
     return Presentation(alphabet, tuple(relators), name)

@@ -35,7 +35,7 @@ from typing import ClassVar, Dict, Iterator, List, Optional, Tuple
 
 from .errors import AlphabetMismatchError, ParseError, SearchBudgetError, UnsupportedEdgeError
 from .presentations import Presentation
-from .words import Alphabet, GeneratorSymbol, Word, _reduced
+from .words import Alphabet, GeneratorSymbol, Word, _push_runs, _reduced
 
 _A = GeneratorSymbol("a")
 _T = GeneratorSymbol("t")
@@ -230,7 +230,9 @@ def bs_canonical_pass(m: int, n: int, nf: Word) -> Word:
     (Lyndon-Schupp, Combinatorial Group Theory, IV.2).  A t-run passes
     through whole once the carry is zero; until then it is rewritten
     letter by letter, and the form can be as long as the run (a^-2 t^N is
-    (a t)^N a^-2 in BS(3, 2)).  A carry that would grow past
+    (a t)^N a^-2 in BS(3, 2)).  The runs are pushed with `_push_runs`,
+    which merges a t-run's letters and drops zero segments, so the form is
+    reduced as it is built.  A carry that would grow past
     SEGMENT_BIT_BUDGET raises SearchBudgetError.
     """
     a = bs_system(m, n).base.symbols[0]
@@ -245,14 +247,16 @@ def bs_canonical_pass(m: int, n: int, nf: Word) -> Word:
         left = abs(k)
         while left and e:
             r = e % abs(into)
-            out += ((a, r), (sym, eps))
+            _push_runs(out, ((a, r), (sym, eps)) if r else ((sym, eps),))
             e = (e - r) // into * across
             if e.bit_length() > SEGMENT_BIT_BUDGET and abs(across) > abs(into):
                 raise SearchBudgetError(f"a carry would grow a base segment past {SEGMENT_BIT_BUDGET} bits")
             left -= 1
-        out.append((sym, eps * left))
-    out.append((a, e))
-    return Word(out)
+        if left:
+            _push_runs(out, ((sym, eps * left),))
+    if e:
+        _push_runs(out, ((a, e),))
+    return _reduced(tuple(out))
 
 
 def free_triviality(w: Word) -> bool:

@@ -3,8 +3,10 @@
 Words are stored in run-length form: a sequence of (symbol, exponent) pairs
 with nonzero arbitrary-precision exponents and distinct adjacent symbols.
 A word in this form is automatically freely reduced, so the public
-constructors (`Word(letters)`, `word`, `parse_word`) normalise every run
-and every operation returns reduced words.
+constructors `Word(letters)` and `word` normalise every run, `parse_word`
+reduces the runs as it reads them, and every operation returns reduced
+words.  A symbol is the 1-tuple ``(name,)``, so run comparisons and word
+hashes run in C.
 
 The operations trust that their operands are reduced already: products,
 powers, inverses, `substitute` and `cyclically_reduce` build their
@@ -29,7 +31,7 @@ Text syntax (used by every file format and by the CLI):
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from operator import itemgetter
 from typing import Dict, Iterable, Iterator, Optional, Tuple
 
 from .errors import AlphabetMismatchError, ParseError, PartialMapError
@@ -43,30 +45,29 @@ int(str) and str(int), so every parsed word, and a sum of its exponents,
 can be printed again."""
 
 
-@dataclass(frozen=True, order=True)
-class GeneratorSymbol:
-    """A named generator; symbols compare and hash by name."""
+class GeneratorSymbol(tuple):
+    """A named generator: the 1-tuple ``(name,)``.
 
-    name: str
+    Being a tuple, a symbol compares, orders and hashes by name in C: two
+    symbols with one name are equal and hash to ``hash((name,))``, and a
+    symbol never equals its name string.  It does equal the plain tuple
+    ``(name,)``; no container of the package mixes the two.
+    """
 
-    def __post_init__(self):
-        if not _IDENT_RE.match(self.name):
-            raise ParseError(f"invalid generator name {self.name!r}")
-        # The dataclass hash, hash((name,)), computed once.
-        object.__setattr__(self, "_hash", hash((self.name,)))
+    __slots__ = ()
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.name == other.name
+    def __new__(cls, name: str):
+        if not _IDENT_RE.match(name):
+            raise ParseError(f"invalid generator name {name!r}")
+        return tuple.__new__(cls, (name,))
 
-    def __hash__(self):
-        return self._hash
+    name = property(itemgetter(0), doc="The generator's name.")
+
+    def __getnewargs__(self):
+        return (self[0],)
 
     def __repr__(self):
-        return f"GeneratorSymbol({self.name!r})"
+        return f"GeneratorSymbol({self[0]!r})"
 
 
 class Alphabet:
@@ -197,6 +198,10 @@ class Word:
 
     def __setattr__(self, name, value):
         raise AttributeError("Word is immutable")
+
+    def __reduce__(self):
+        # copy and pickle rebuild the word from its runs, which are reduced.
+        return _reduced, (self._letters,)
 
     def __len__(self):
         """Word length: sum of |exponent| over all runs."""
@@ -350,43 +355,75 @@ def parse_word(text: str, alphabet: Optional[Alphabet] = None, *, line: Optional
     """Parse the word text syntax; `1` is the empty word.
 
     When an alphabet is supplied, identifiers must name its generators;
-    without one, each distinct name makes one new symbol per call.
+    without one, each distinct name makes one new symbol per call.  Each
+    distinct atom text is checked and resolved once per call, and the runs
+    are reduced as they are read: within a call a name is one symbol
+    object, so runs merge by identity.  An error's column counts from the
+    start of `text`.
     """
-    text = text.strip()
-    if text == "1":
-        return Word()
-    if not text:
+    stripped = text.strip()
+    if stripped == "1":
+        return _reduced(())
+    if not stripped:
         raise ParseError("empty word text (use '1' for the identity)", line=line)
-    letters = []
+    out: list = []
+    atoms: Dict[str, Tuple[GeneratorSymbol, int]] = {}
     made: Dict[str, GeneratorSymbol] = {}
-    col = 1
-    for token in text.split():
-        ident, caret, expstr = token.partition("^")
-        if not _IDENT_RE.match(ident):
-            raise ParseError(f"bad word atom {token!r}", line=line, column=col)
-        if caret:
-            if not _INTEGER_RE.match(expstr):
-                raise ParseError(f"bad exponent in atom {token!r}", line=line, column=col)
-            digits = len(expstr.lstrip("-"))
-            if digits > EXPONENT_DIGIT_LIMIT:
-                raise ParseError(
-                    f"exponent in atom {token[:len(ident) + 12]!r}... has {digits} digits,"
-                    f" more than {EXPONENT_DIGIT_LIMIT}",
-                    line=line,
-                    column=col,
-                )
-            exp = int(expstr)
+    for token in stripped.split():
+        atom = atoms.get(token)
+        if atom is None:
+            try:
+                atom = atoms[token] = _parse_atom(token, alphabet, made)
+            except ParseError as exc:
+                raise ParseError(exc.message, line=line, column=_column(text, token)) from None
+        sym, exp = atom
+        if out and out[-1][0] is sym:
+            exp += out[-1][1]
+            if exp:
+                out[-1] = (sym, exp)
+            else:
+                out.pop()
         else:
-            exp = 1
-        if alphabet is not None:
-            sym = alphabet.symbol(ident)
-        elif ident in made:
-            sym = made[ident]
-        else:
+            # Exponent literals are nonzero, so the atom is a run.
+            out.append(atom)
+    return _reduced(tuple(out))
+
+
+def _parse_atom(token: str, alphabet: Optional[Alphabet], made: Dict[str, GeneratorSymbol]):
+    """The (symbol, exponent) run of one word atom."""
+    ident, caret, expstr = token.partition("^")
+    if not _IDENT_RE.match(ident):
+        raise ParseError(f"bad word atom {token!r}")
+    if caret:
+        if not _INTEGER_RE.match(expstr):
+            raise ParseError(f"bad exponent in atom {token!r}")
+        digits = len(expstr.lstrip("-"))
+        if digits > EXPONENT_DIGIT_LIMIT:
+            raise ParseError(
+                f"exponent in atom {token[:len(ident) + 12]!r}... has {digits} digits,"
+                f" more than {EXPONENT_DIGIT_LIMIT}"
+            )
+        exp = int(expstr)
+    else:
+        exp = 1
+    if alphabet is not None:
+        sym = alphabet.symbol(ident)
+    else:
+        sym = made.get(ident)
+        if sym is None:
             sym = made[ident] = GeneratorSymbol(ident)
-        letters.append((sym, exp))
-        col += len(token) + 1
-    return Word(letters)
+    return sym, exp
+
+
+def _column(text: str, token: str) -> int:
+    """1-based column of the first atom `token` in `text`: atoms are checked
+    at their first occurrence, so that is where the error is."""
+    pos = 0
+    for atom in text.split():
+        pos = text.index(atom, pos)
+        if atom == token:
+            return pos + 1
+        pos += len(atom)
 
 
 def format_word(w: Word) -> str:

@@ -81,6 +81,19 @@ def test_parse_errors_carry_line_numbers():
         parse("gens a\nrel")
 
 
+def test_parse_error_columns_count_from_line_start():
+    # The column of a bad atom counts from the start of its line, on both
+    # sides of `rel u = v`.
+    cases = [
+        ("gens a b\nrel a  b^0", 2, 8),
+        ("gens a b\n  rel a b = a  b^x", 2, 16),
+        ("gens a b\n\nrel  b^-1 =  a 1", 3, 16),
+    ]
+    for text, line, column in cases:
+        with pytest.raises(ParseError, match=f"\\(line {line}, column {column}\\)"):
+            parse(text)
+
+
 def test_validate_diagnostics():
     assert validate(parse("gens a t\nrel t^-1 a^2 t = a^3")) == []
     foreign = Presentation(Alphabet(["a"]), (word("b"),))

@@ -3,7 +3,7 @@ import time
 from collections import deque
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gpforge.combinators import standard_mitosis
 from gpforge.errors import AlphabetMismatchError, ParseError, SearchBudgetError, UnsupportedEdgeError
@@ -33,6 +33,7 @@ from gpforge.rewriting import (
 )
 from gpforge.words import GeneratorSymbol, Word, commutator, format_word, parse_word, word
 from tests_util import (
+    normalising_bs_canonical_pass,
     parse_cycles,
     random_presentation,
     random_word,
@@ -356,6 +357,41 @@ def test_canonical_pass_accepts_any_pinch_free_form(m, n):
         nf = britton_word(system, state)
         assert is_pinch_free(system, nf)
         assert bs_canonical_pass(m, n, nf) == bs_canonical(m, n, Word(letters))
+
+
+# The (m, n) of the benchmark's normalize jobs; the strategy flips signs.
+_BENCH_PAIRS = [(1, 2), (2, 3), (3, 2), (2, 4), (3, 5), (1, -1)]
+
+
+@st.composite
+def _canonical_pass_inputs(draw):
+    m, n = draw(st.sampled_from(_BENCH_PAIRS))
+    sm, sn = draw(st.sampled_from([(1, 1), (-1, 1), (1, -1), (-1, -1)]))
+    runs = st.tuples(st.sampled_from([A, T]), st.integers(-4, 4).filter(bool))
+    return m * sm, n * sn, Word(draw(st.lists(runs, max_size=10)))
+
+
+# A carry doubles per t in BS(1, 2) and BS(2, 4), so the first two t-runs
+# reach the carry budget; in BS(-3, 5) a^5 is carried unchanged through a
+# run of the same length.  Drawn words stay short: a t-run that long costs
+# about 0.1 s a pass.
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@given(_canonical_pass_inputs())
+@example((1, 2, Word(((A, 1), (T, SEGMENT_BIT_BUDGET)))))
+@example((2, -4, Word(((A, 3), (T, SEGMENT_BIT_BUDGET + 1)))))
+@example((-3, 5, Word(((A, 5), (T, SEGMENT_BIT_BUDGET)))))
+def test_canonical_pass_matches_normalising_oracle(case):
+    # Any word, pinch-free or not, and its Britton form.
+    m, n, w = case
+    for nf in (w, bs_reduce(m, n, w)):
+        try:
+            expected = normalising_bs_canonical_pass(m, n, nf)
+        except SearchBudgetError as exc:
+            with pytest.raises(SearchBudgetError) as err:
+                bs_canonical_pass(m, n, nf)
+            assert str(err.value) == str(exc)
+            continue
+        assert bs_canonical_pass(m, n, nf).letters == expected.letters
 
 
 def test_free_triviality():

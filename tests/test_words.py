@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -18,6 +20,7 @@ from gpforge.words import (
     substitute,
     word,
 )
+from tests_util import normalising_parse_word
 
 A = GeneratorSymbol("a")
 B = GeneratorSymbol("b")
@@ -224,6 +227,60 @@ def test_parse_word_makes_one_symbol_per_name():
     assert parse_word("a").letters[0][0] is not a1 and parse_word("a").letters[0][0] == a1
 
 
+def test_parse_word_error_columns_count_from_text_start():
+    # Columns are 1-based offsets into the text as given, whitespace and
+    # repeated atoms included; the first bad atom is reported.
+    cases = [("a  b^0", 4), ("  a b 1x", 7), ("a a a\tb^-", 7), ("b^x a b^x", 1)]
+    for text, column in cases:
+        with pytest.raises(ParseError, match=f"line 5, column {column}\\)"):
+            parse_word(text, line=5)
+
+
+_PARSE_ALPHABET = Alphabet(["a", "b", "t"])
+_PARSE_ATOMS = ["a", "a^-1", "a^2", "a^-2", "b", "b^-1", "b^3", "t", "t^-1", "a^-" + "9" * words.EXPONENT_DIGIT_LIMIT]
+_BAD_ATOMS = [
+    "c", "x_1^-2",                       # names outside the alphabet
+    "1", "a^0", "a^01", "a^", "a^+2", "2a", "_x", "a^b", "$",
+    "b^1" + "0" * words.EXPONENT_DIGIT_LIMIT,
+]
+
+
+def _inverse_atom(atom):
+    ident, _, exp = atom.partition("^")
+    return f"{ident}^{exp[1:]}" if exp.startswith("-") else f"{ident}^-{exp or 1}"
+
+
+@st.composite
+def _word_texts(draw):
+    atoms = draw(st.lists(st.sampled_from(_PARSE_ATOMS), max_size=12))
+    # Put a drawn prefix and its inverse in front, so neighbours cancel.
+    if atoms and draw(st.booleans()):
+        i = draw(st.integers(1, len(atoms)))
+        atoms = atoms[:i] + [_inverse_atom(t) for t in reversed(atoms[:i])] + atoms
+    # Up to two bad atoms, each possibly repeated, anywhere in the text.
+    for bad in draw(st.lists(st.sampled_from(_BAD_ATOMS), max_size=2)):
+        for _ in range(draw(st.integers(1, 2))):
+            atoms.insert(draw(st.integers(0, len(atoms))), bad)
+    if not atoms:
+        return draw(st.sampled_from(["", " ", "1", " 1 "]))
+    seps = draw(st.lists(st.sampled_from([" ", "  ", "\t", " \n "]), min_size=len(atoms) + 1, max_size=len(atoms) + 1))
+    return seps[0] + "".join(atom + sep for atom, sep in zip(atoms, seps[1:]))
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@given(_word_texts(), st.booleans())
+def test_parse_word_matches_normalising_oracle(text, with_alphabet):
+    alphabet = _PARSE_ALPHABET if with_alphabet else None
+    try:
+        expected = normalising_parse_word(text, alphabet, line=2)
+    except (ParseError, AlphabetMismatchError) as exc:
+        with pytest.raises(type(exc)) as err:
+            parse_word(text, alphabet, line=2)
+        assert str(err.value) == str(exc)
+        return
+    assert parse_word(text, alphabet, line=2).letters == expected.letters
+
+
 def test_word_power_and_exponent_sums():
     w = word("a", "b")
     assert w ** 3 == parse_word("a b a b a b")
@@ -256,6 +313,14 @@ def test_generator_symbol_semantics():
     assert a1 != b and {a1: 1}[a2] == 1
     assert GeneratorSymbol("a") != "a" and "a" != GeneratorSymbol("a")
     assert a1.__eq__("a") is NotImplemented
+    # A symbol is the 1-tuple (name,), so it equals that plain tuple; no
+    # container in the package holds both.
+    assert GeneratorSymbol("a") == ("a",) and hash(GeneratorSymbol("a")) == hash(("a",))
+    assert a1.name == "a"
+    with pytest.raises(AttributeError):
+        a1.name = "b"
+    with pytest.raises(AttributeError):
+        a1.other = 1
     names = ["b", "A_9z", "a", "B", "a1"]
     assert [s.name for s in sorted(GeneratorSymbol(n) for n in names)] == sorted(names)
     assert a1 < b and not b < a1 and a1 <= a2
@@ -265,6 +330,13 @@ def test_generator_symbol_semantics():
     for bad in ("", "1a", "a b", "a^2"):
         with pytest.raises(ParseError):
             GeneratorSymbol(bad)
+
+
+def test_copy_and_pickle_round_trip():
+    p = presentation(["a", "b"], ["a b^2 a^-1 b^-3", "a^5"])
+    for value in (GeneratorSymbol("a"), parse_word("a b^2"), Word(), p):
+        for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert twin == value and type(twin) is type(value) and hash(twin) == hash(value)
 
 
 def test_public_constructors_reject_non_int_exponents():

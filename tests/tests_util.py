@@ -9,7 +9,7 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 from gpforge import inference
 from gpforge.combinators import AMALGAM, DIRECT_PRODUCT, FREE_PRODUCT, HNN, MITOSIS, MU_STAGE
 from gpforge.homology import IntegerMatrix, SnfResult
-from gpforge.errors import AlphabetMismatchError, InvalidComplexError, SearchBudgetError
+from gpforge.errors import AlphabetMismatchError, InvalidComplexError, ParseError, SearchBudgetError
 from gpforge.inference import Fact, Rule
 from gpforge.meier import (
     _B,
@@ -29,6 +29,7 @@ from gpforge.topology import DeltaComplex, Side, SimplicialComplex, Triangle
 from gpforge import rewriting
 from gpforge.rewriting import (
     _actions,
+    SEGMENT_BIT_BUDGET,
     HnnRewriteSystem,
     Homomorphism,
     Perm,
@@ -38,7 +39,19 @@ from gpforge.rewriting import (
     bs_system,
     evaluate_word,
 )
-from gpforge.words import Alphabet, GeneratorSymbol, Word, _reduced, commutator, cyclically_reduce, substitute, word
+from gpforge.words import (
+    _IDENT_RE,
+    _INTEGER_RE,
+    EXPONENT_DIGIT_LIMIT,
+    Alphabet,
+    GeneratorSymbol,
+    Word,
+    _reduced,
+    commutator,
+    cyclically_reduce,
+    substitute,
+    word,
+)
 
 
 def random_presentation(rng, max_gens=4, max_rels=4, max_len=6):
@@ -922,3 +935,72 @@ def rebuilding_edge_path_presentation(x: SimplicialComplex) -> Presentation:
         if rel:
             relators.append(rel)
     return Presentation(alphabet, tuple(relators), name="edge-path")
+
+
+def normalising_parse_word(text: str, alphabet: Optional[Alphabet] = None, *, line: Optional[int] = None) -> Word:
+    """Oracle for words.parse_word: the version that checks every token,
+    collects the letters and normalises them with Word(...), kept verbatim
+    but for the column, which counts from the start of `text`."""
+    stripped = text.strip()
+    if stripped == "1":
+        return Word()
+    if not stripped:
+        raise ParseError("empty word text (use '1' for the identity)", line=line)
+    letters = []
+    made: Dict[str, GeneratorSymbol] = {}
+    pos = 0
+    for token in stripped.split():
+        pos = text.index(token, pos)
+        col = pos + 1
+        pos += len(token)
+        ident, caret, expstr = token.partition("^")
+        if not _IDENT_RE.match(ident):
+            raise ParseError(f"bad word atom {token!r}", line=line, column=col)
+        if caret:
+            if not _INTEGER_RE.match(expstr):
+                raise ParseError(f"bad exponent in atom {token!r}", line=line, column=col)
+            digits = len(expstr.lstrip("-"))
+            if digits > EXPONENT_DIGIT_LIMIT:
+                raise ParseError(
+                    f"exponent in atom {token[:len(ident) + 12]!r}... has {digits} digits,"
+                    f" more than {EXPONENT_DIGIT_LIMIT}",
+                    line=line,
+                    column=col,
+                )
+            exp = int(expstr)
+        else:
+            exp = 1
+        if alphabet is not None:
+            sym = alphabet.symbol(ident)
+        elif ident in made:
+            sym = made[ident]
+        else:
+            sym = made[ident] = GeneratorSymbol(ident)
+        letters.append((sym, exp))
+    return Word(letters)
+
+
+def normalising_bs_canonical_pass(m: int, n: int, nf: Word) -> Word:
+    """Oracle for rewriting.bs_canonical_pass: the version that appends
+    every run, zero segments included, and normalises them with
+    Word(...), kept verbatim."""
+    a = bs_system(m, n).base.symbols[0]
+    out: List[Tuple[GeneratorSymbol, int]] = []
+    e = 0
+    for sym, k in nf.letters:
+        if sym == a:
+            e += k
+            continue
+        eps = 1 if k > 0 else -1
+        into, across = (m, n) if eps == 1 else (n, m)
+        left = abs(k)
+        while left and e:
+            r = e % abs(into)
+            out += ((a, r), (sym, eps))
+            e = (e - r) // into * across
+            if e.bit_length() > SEGMENT_BIT_BUDGET and abs(across) > abs(into):
+                raise SearchBudgetError(f"a carry would grow a base segment past {SEGMENT_BIT_BUDGET} bits")
+            left -= 1
+        out.append((sym, eps * left))
+    out.append((a, e))
+    return Word(out)

@@ -69,7 +69,6 @@ from .topology import (
     DeltaComplex,
     SimplicialComplex,
     barycentric_subdivide,
-    cw_chain_complex,
     edge_path_presentation,
     presentation_complex,
     serialize_simplicial,

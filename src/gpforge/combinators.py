@@ -297,14 +297,12 @@ def hnn_extension(
     if stable in base.alphabet:
         raise StableLetterError(f"stable letter {stable!r} clashes with a base generator")
     t = GeneratorSymbol(stable)
-    pending = False
     if ascending_domain is not None:
         phi = ascending_domain
         if phi.source.alphabet != base.alphabet or phi.target.alphabet != base.alphabet:
             raise StableLetterError("ascending domain must be a self-map of the base presentation")
         assoc = tuple((word(x), phi.apply(word(x))) for x in base.alphabet)
         ascending = True
-        pending = phi.pending
     for u, v in assoc:
         base.alphabet.check_word(u)
         base.alphabet.check_word(v)
@@ -316,7 +314,6 @@ def hnn_extension(
         "stable": t,
         "assoc": tuple(assoc),
         "ascending": ascending,
-        "pending": pending,
         "bac_hnn_chain": bac_hnn_chain,
     }
     return GroupExpr(HNN, (pe,), payload, realized)

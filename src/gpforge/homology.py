@@ -48,12 +48,6 @@ class IntegerMatrix:
                 raise ValueError("entry grid does not match declared dimensions")
             self.entries = [list(r) for r in entries]
 
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntegerMatrix":
-        r = len(rows)
-        c = len(rows[0]) if r else 0
-        return cls(r, c, rows)
-
     def __eq__(self, other):
         return (
             isinstance(other, IntegerMatrix)

@@ -35,7 +35,6 @@ _PHI = {_A_SYM: word((_A_SYM, 2)), _T_SYM: word(_T_SYM)}
 # Statuses reported by the double-coset probe.
 STATUS_IN_F = "in-F"
 STATUS_UNKNOWN = "confirmed-in-preimage-unknown-membership"
-STATUS_WITNESS = "confirmed-witness"
 STATUS_EXHAUSTED = "exhausted"
 # The probe compares candidates with the elements of F of free length <= this.
 F_WORD_MAX_LEN = 6
@@ -174,12 +173,12 @@ def meier_eval(e: MeierElement, index: int) -> Word:
 # ---------------------------------------------------------------------------
 
 
-def _walk(letter_order, max_len: int, root, push, visit) -> None:
+def _walk(letter_order, max_len: int, push, visit) -> None:
     """Depth-first over the prefix trie of the freely reduced words of
     length 1..max_len in the +-1 letters `letter_order`: each node's state
-    is push(parent's state, letter), and visit(prefix, state) sees the
-    nodes of each length in lexicographic order.  Recursion is
-    max_len deep."""
+    is push(parent's state, letter), the root's state is None, and
+    visit(prefix, state) sees the nodes of each length in lexicographic
+    order.  Recursion is max_len deep."""
     prefix: List[Tuple[GeneratorSymbol, int]] = []
 
     def descend(state) -> None:
@@ -193,7 +192,7 @@ def _walk(letter_order, max_len: int, root, push, visit) -> None:
                 descend(child)
             prefix.pop()
 
-    descend(root)
+    descend(None)
 
 
 def _length_lex(buckets: List[list]) -> list:
@@ -221,7 +220,6 @@ def _f_table(budget: int) -> Tuple[set, bool]:
     _walk(
         f_letters,
         F_WORD_MAX_LEN,
-        None,
         lambda state, letter: _push_all(sys, state, image_letters[letter]),
         lambda prefix, state: buckets[len(prefix)].append(state),
     )
@@ -256,9 +254,8 @@ def double_coset_probe(max_len: int, budget: int) -> List[Tuple[Word, str]]:
       * not found, all of them looked up      -> "confirmed-in-preimage-unknown-membership"
       * not found, more than `budget` of them -> "exhausted"
 
-    "confirmed-witness" is reserved for a certified non-membership
-    backend; no such certificate is available here, so the status is never
-    emitted by this probe.
+    No status says "not in F": that answer needs a certificate of
+    non-membership, which this probe cannot give.
     """
     if max_len <= 0 or budget <= 0:
         raise ValueError("bounds must be positive")
@@ -290,7 +287,7 @@ def double_coset_probe(max_len: int, budget: int) -> List[Tuple[Word, str]]:
             status = miss
         buckets[len(prefix)].append((Word(prefix), status))
 
-    _walk(letter_order, max_len, None, push, visit)
+    _walk(letter_order, max_len, push, visit)
     return _length_lex(buckets)
 
 

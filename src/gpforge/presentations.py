@@ -8,12 +8,13 @@ File grammar (UTF-8, LF on output):
     gens      := 'gens' (WS ident)* EOL        # at most one per file
     rel       := 'rel' WS word (WS '=' WS word)? EOL
 
-`rel u = v` is sugar for the relator u * v^-1.  Words use the syntax from
-gpforge.words.
+WS is any run of whitespace.  `rel u = v` is sugar for the relator
+u * v^-1.  Words use the syntax from gpforge.words.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -56,6 +57,8 @@ def presentation(gens: Sequence[str], relator_texts: Sequence[str] = (), name: O
 
 EMPTY_PRESENTATION = Presentation(Alphabet(()), ())
 
+_EQUALS = re.compile(r"\s=\s")
+
 
 def read_text(path: str) -> str:
     """The text of a UTF-8 file; a ParseError naming `path` if it cannot be
@@ -83,12 +86,13 @@ def _parse_word_at(text: str, alphabet: Alphabet, line: int, col: int) -> Word:
 def parse(text: str, name: Optional[str] = None) -> Presentation:
     """Parse the presentation file grammar; errors carry line numbers."""
     alphabet: Optional[Alphabet] = None
-    pending_rels: List[Tuple[int, str]] = []
+    pending_rels: List[Tuple[int, str, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        keyword, _, rest = line.partition(" ")
+        parts = line.split(None, 1)
+        keyword, rest = parts if len(parts) == 2 else (line, "")
         if keyword == "gens":
             if alphabet is not None:
                 raise ParseError("more than one 'gens' line", line=lineno)
@@ -97,10 +101,9 @@ def parse(text: str, name: Optional[str] = None) -> Presentation:
             except ParseError as exc:
                 raise ParseError(str(exc), line=lineno) from None
         elif keyword == "rel":
-            if not rest.strip():
+            if not rest:
                 raise ParseError("empty 'rel' line", line=lineno)
-            rel_text = rest.strip()
-            pending_rels.append((lineno, rel_text, len(raw.rstrip()) - len(rel_text) + 1))
+            pending_rels.append((lineno, rest, len(raw.rstrip()) - len(rest) + 1))
         else:
             raise ParseError(f"unknown directive {keyword!r}", line=lineno)
     if alphabet is None:
@@ -108,10 +111,10 @@ def parse(text: str, name: Optional[str] = None) -> Presentation:
     relators = []
     for lineno, rel_text, col in pending_rels:
         try:
-            if " = " in rel_text:
-                left_text, right_text = rel_text.split(" = ", 1)
-                left = _parse_word_at(left_text, alphabet, lineno, col)
-                right = _parse_word_at(right_text, alphabet, lineno, col + len(left_text) + 3)
+            equals = "=" in rel_text and _EQUALS.search(rel_text)
+            if equals:
+                left = _parse_word_at(rel_text[: equals.start()], alphabet, lineno, col)
+                right = _parse_word_at(rel_text[equals.end() :], alphabet, lineno, col + equals.end())
                 relators.append(left * ~right)
             else:
                 relators.append(_parse_word_at(rel_text, alphabet, lineno, col))
@@ -311,9 +314,10 @@ def tietze_simplify(p: Presentation) -> Presentation:
 class PresentationMorphism:
     """A map of presentations given by images of the source generators.
 
-    A morphism starts out pending; `verify` certifies it by checking that
-    every source relator's image is trivial in the target, using a caller
-    supplied triviality decision (free reduction, Britton rewriting, ...).
+    A morphism starts out unverified; `verify` returns a copy with
+    `verified` set once every source relator's image is certified trivial
+    in the target by a caller supplied triviality decision (free
+    reduction, Britton rewriting, ...).
     """
 
     source: Presentation
@@ -327,10 +331,6 @@ class PresentationMorphism:
                 raise ParseError(f"morphism missing image for generator {sym.name!r}")
         for img in self.images.values():
             self.target.alphabet.check_word(img)
-
-    @property
-    def pending(self) -> bool:
-        return not self.verified
 
     def apply(self, w: Word) -> Word:
         self.source.alphabet.check_word(w)

@@ -192,8 +192,23 @@ def britton_normal_form(sys: HnnRewriteSystem, w: Word) -> Word:
 
 
 def is_pinch_free(sys: HnnRewriteSystem, w: Word) -> bool:
-    """Single-scan check that no pinch remains (verification for tests)."""
-    return britton_normal_form(sys, w) == w
+    """Whether w holds no pinch, checked without the Britton rewriter: one
+    scan of the runs for t^e1 a^k t^e2 with e1 < 0 < e2 and m | k
+    (t^-1 a^m t -> a^n) or e1 > 0 > e2 and n | k (t a^n t^-1 -> a^m)."""
+    free = True
+    # Runs of a reduced word alternate a and t, so at a t-run `inner` is the
+    # a-run since the t-run `before` (0 before the first t-run).
+    before = inner = 0
+    for sym, exp in w.letters:
+        if sym == _A:
+            inner = exp
+        elif sym == _T:
+            if before < 0 < exp and inner % sys.m == 0 or before > 0 > exp and inner % sys.n == 0:
+                free = False
+            before = exp
+        else:
+            raise AlphabetMismatchError(f"symbol {sym.name!r} is neither base nor stable letter")
+    return free
 
 
 def bs_reduce(m: int, n: int, w: Word) -> Word:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import List, Set, Tuple
 
 from .errors import InvalidComplexError, InvalidInputError, ParseError, SearchBudgetError
-from .homology import AbelianGroup, ChainComplexData, SparseMatrix, complex_homology, relation_matrix
+from .homology import AbelianGroup, ChainComplexData, SparseMatrix, complex_homology
 from .presentations import Presentation, validate
 from .words import Alphabet, Word, cyclically_reduce, word
 
@@ -193,15 +193,11 @@ class SimplicialComplex:
     def euler_characteristic(self) -> int:
         return self.n_vertices - len(self.edges()) + len(self.two_simplices())
 
-    def spanning_tree(self) -> List[Tuple[int, int]]:
-        """Edges (i < j) of the BFS tree from vertex 0, neighbours taken in
-        ascending order; it spans exactly when the complex is connected."""
-        return _bfs_tree(self.n_vertices, self.edges())
-
 
 def _bfs_tree(n_vertices: int, edges: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
-    """`SimplicialComplex.spanning_tree` over its sorted edge list, which
-    lists each vertex's neighbours in ascending order."""
+    """Edges (i < j) of the BFS tree from vertex 0 over a sorted edge list,
+    which lists each vertex's neighbours in ascending order; it spans
+    exactly when the complex is connected."""
     adjacency: List[List[int]] = [[] for _ in range(n_vertices)]
     for i, j in edges:
         adjacency[i].append(j)
@@ -283,13 +279,6 @@ def simplicial_chain_complex(x: SimplicialComplex) -> ChainComplexData:
 
 def simplicial_homology(x: SimplicialComplex) -> Tuple[AbelianGroup, AbelianGroup, AbelianGroup]:
     return complex_homology(simplicial_chain_complex(x))
-
-
-def cw_chain_complex(p: Presentation) -> ChainComplexData:
-    """Cellular chain complex of the one-vertex presentation 2-complex:
-    d1 = 0 (loops), d2 = transposed exponent-sum matrix."""
-    d2 = relation_matrix(p).transpose()
-    return ChainComplexData(SparseMatrix(1, d2.rows), d2)
 
 
 def serialize_simplicial(x: SimplicialComplex) -> str:

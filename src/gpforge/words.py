@@ -245,10 +245,6 @@ class Word:
             _push_runs(out, self._letters)
         return _reduced(tuple(out))
 
-    def symbols(self):
-        """The set of symbols occurring in the word."""
-        return {s for s, _ in self._letters}
-
     def single_letters(self) -> Iterator[Tuple[GeneratorSymbol, int]]:
         """Flatten to +-1 letters (avoid on words with huge exponents)."""
         for sym, exp in self._letters:

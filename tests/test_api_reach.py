@@ -1,13 +1,16 @@
-"""Every public top-level function and class in the package is reached by
-program code: by another module of the package, a demo or a bench job.
-A name that only tests call is surface nothing runs; it should go, or
-move into the tests, unless it is kept on purpose (ALLOWED, with why).
+"""Every public top-level function and class in the package, and every
+public method and property of a public class, is reached by program code:
+by another module of the package, a demo or a bench job.  A name that
+only tests call is surface nothing runs; it should go, or move into the
+tests, unless it is kept on purpose (ALLOWED, with why).
 
 A reference is a Name or Attribute of that name, an `import from` of it,
 or a dotted-identifier string constant ending in it (the `FORMS`
 constructor strings such as "meier.meier_t_expr", the span targets of
 `bench/spans.py`).  `__init__.py` only re-exports, so it is not scanned,
-and a definition's own body does not count for it."""
+and a definition's own body does not count for it.  Methods are matched
+by name alone, so a method shares its references with every attribute of
+that name; dunder and `_`-prefixed names are skipped."""
 
 import ast
 import glob
@@ -21,9 +24,8 @@ SRC = os.path.join(ROOT, "src", "gpforge")
 _DOTTED = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(\.[A-Za-z_][A-Za-z0-9_]*)*\Z")
 
 ALLOWED = {
-    "is_pinch_free": "the pinch-freeness checker the Britton certificates will be checked with",
+    "is_pinch_free": "the independent pinch scan the Britton normal forms are checked with",
     "bs_canonical": "the unique normal form of BS(m, n) the README documents",
-    "cw_chain_complex": "the CW-homology reference the triangulation is compared against",
 }
 
 
@@ -47,6 +49,19 @@ def _references(tree):
     return counts
 
 
+def _public_definitions(tree):
+    """(qualified name, definition node) for the public top-level functions
+    and classes of a module and the public methods of its public classes."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+            continue
+        yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
+                    yield f"{node.name}.{member.name}", member
+
+
 def test_every_public_definition_is_reached_by_program_code():
     modules = [p for p in sorted(glob.glob(os.path.join(SRC, "*.py"))) if os.path.basename(p) != "__init__.py"]
     others = sorted(glob.glob(os.path.join(ROOT, "demos", "*.py")) + glob.glob(os.path.join(ROOT, "bench", "*.py")))
@@ -56,11 +71,9 @@ def test_every_public_definition_is_reached_by_program_code():
         total.update(_references(tree))
     defined, unreached = set(), []
     for path in modules:
-        for node in trees[path].body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
-                continue
-            defined.add(node.name)
-            if node.name not in ALLOWED and total[node.name] == _references(node)[node.name]:
-                unreached.append(f"{os.path.basename(path)}:{node.name}")
+        for qualname, node in _public_definitions(trees[path]):
+            defined.add(qualname)
+            if qualname not in ALLOWED and total[node.name] == _references(node)[node.name]:
+                unreached.append(f"{os.path.basename(path)}:{qualname}")
     assert not unreached, f"only tests reach: {', '.join(unreached)}"
     assert set(ALLOWED) <= defined, f"allowed but gone: {sorted(set(ALLOWED) - defined)}"

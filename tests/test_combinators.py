@@ -110,7 +110,8 @@ def test_hnn_ascending_from_morphism():
     a = base.alphabet.symbol("a")
     phi = PresentationMorphism(base, base, {a: word((a, 2))})
     e = hnn_extension(base, "t", ascending_domain=phi)
-    assert e.payload["ascending"] and e.payload["pending"]
+    assert e.payload["ascending"]
+    assert set(e.payload) == {"stable", "assoc", "ascending", "bac_hnn_chain"}
     assert serialize(e.realized) == "gens a t\nrel t^-1 a t a^-2"
 
 
@@ -197,10 +198,9 @@ def test_bac_hnn_identity_embedding_gives_product_with_z():
     ident = PresentationMorphism(p, p, {x: word(x), y: word(y)}).verify(lambda w: not w)
     e = bac_hnn(p, ident)
     assert e.payload["ascending"] and e.payload["bac_hnn_chain"]
-    assert not e.payload["pending"]
     assert serialize(e.realized) == "gens x y t\nrel t^-1 x t x^-1\nrel t^-1 y t y^-1"
-    pending = PresentationMorphism(p, p, {x: word(x), y: word(y)})
-    assert bac_hnn(p, pending).payload["pending"]
+    unverified = PresentationMorphism(p, p, {x: word(x), y: word(y)})
+    assert bac_hnn(p, unverified).payload == e.payload
 
 
 def test_every_combinator_realization_validates():

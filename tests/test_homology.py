@@ -19,9 +19,8 @@ from gpforge.homology import (
     smith_normal_form,
 )
 from gpforge.presentations import parse, presentation
-from gpforge.topology import cw_chain_complex
 from gpforge.words import Alphabet
-from tests_util import det, gcd_of_minors_factors, separate_uv_smith_normal_form
+from tests_util import cw_chain_complex, det, gcd_of_minors_factors, separate_uv_smith_normal_form
 
 
 def check_snf(matrix):
@@ -36,10 +35,10 @@ def check_snf(matrix):
 
 
 def test_snf_diag_2_3():
-    res = check_snf(IntegerMatrix.from_rows([[2, 0], [0, 3]]))
+    res = check_snf(IntegerMatrix(2, 2, [[2, 0], [0, 3]]))
     assert res.invariant_factors == (1, 6)
     # gcd-of-minors oracle: d1 = gcd of entries = 1, d1*d2 = |det| = 6.
-    assert gcd_of_minors_factors(IntegerMatrix.from_rows([[2, 0], [0, 3]])) == (1, 6)
+    assert gcd_of_minors_factors(IntegerMatrix(2, 2, [[2, 0], [0, 3]])) == (1, 6)
 
 
 def test_snf_zero_matrix():
@@ -49,7 +48,7 @@ def test_snf_zero_matrix():
 
 
 def test_snf_negative_column():
-    m = IntegerMatrix.from_rows([[-1], [0]])
+    m = IntegerMatrix(2, 1, [[-1], [0]])
     res = check_snf(m)
     assert res.invariant_factors == (1,)
     assert gcd_of_minors_factors(m) == (1,)

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from gpforge import presentations
 from gpforge.combinators import mu_stage
-from gpforge.errors import AlphabetMismatchError, ParseError
+from gpforge.errors import AlphabetMismatchError, GpforgeError, ParseError
 from gpforge.homology import abelianization
 from gpforge.presentations import (
     EMPTY_PRESENTATION,
@@ -20,7 +20,7 @@ from gpforge.presentations import (
 )
 from gpforge.reductions import delta_w, f2_atom, free_source, gamma_w, lambda_w, pi_w, witness_w
 from gpforge.words import Alphabet, Word, parse_word, word
-from tests_util import bs_source, rescan_tietze_simplify
+from tests_util import bs_source, near_grammar_texts, rescan_tietze_simplify
 
 
 def test_parse_bs23_with_equals_sugar():
@@ -94,6 +94,51 @@ def test_parse_error_columns_count_from_line_start():
             parse(text)
 
 
+def test_directives_and_equals_split_on_any_whitespace():
+    # The grammar's WS is any whitespace, as between the atoms of a word.
+    for tabbed, spaced in [
+        ("gens\ta b\nrel a b\n", "gens a b\nrel a b\n"),
+        ("gens a b\nrel\ta^2 b\n", "gens a b\nrel a^2 b\n"),
+        ("gens a b\nrel a^2\t=\tb\n", "gens a b\nrel a^2 = b\n"),
+    ]:
+        assert parse(tabbed) == parse(spaced)
+    with pytest.raises(ParseError, match=r"bad word atom '=b' \(line 2, column 9\)"):
+        parse("gens a b\nrel a^2 =b")
+    with pytest.raises(ParseError, match=r"bad exponent in atom 'b\^x' \(line 2, column 11\)"):
+        parse("gens a b\nrel a^2\t=\tb^x")
+
+
+_ATOM = st.sampled_from(["a", "b", "t", "a^2", "b^-3", "t^-1", "a^-0", "1", "="])
+_WORD_TOKEN = st.one_of(
+    _ATOM,
+    st.sampled_from(["=b", "a=", "^", "a^", "^2", "a^x", "a^-", "a^+2", "a^1_0", "a^\u0662", "c", "#"]),
+    st.sampled_from(["a^" + "7" * 4000, "b^-" + "7" * 4001, "a^" + "7" * 4301]),
+    st.text(max_size=3),
+)
+_WORD_TOKENS = st.lists(_WORD_TOKEN, min_size=1, max_size=6)
+# Directives, words, `=`, comments, exponents around the digit limits;
+# well-formed lines are listed twice, so that many texts are read.
+_GRP_LINES = [
+    (st.just("gens"), st.lists(st.sampled_from(["a", "b", "t"]), unique=True)),
+    (st.just("gens"), st.lists(st.sampled_from(["a", "b", "t", "x", "1a", "\xe9"]), max_size=4)),
+    (st.just("rel"), st.lists(_ATOM, min_size=1, max_size=6)),
+    (st.just("rel"), st.lists(_ATOM, min_size=1, max_size=6)),
+    (st.just("rel"), st.lists(_WORD_TOKEN, max_size=6)),
+    (st.sampled_from(["#", "#x", ""]), _WORD_TOKENS),
+    (st.sampled_from(["generators", "rel=", "Rel"]) | st.text(max_size=3), _WORD_TOKENS),
+]
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@given(near_grammar_texts(_GRP_LINES))
+def test_any_grp_text_is_read_or_refused(text):
+    try:
+        p = parse(text)
+    except GpforgeError:
+        return
+    assert parse(serialize(p)) == p
+
+
 def test_validate_diagnostics():
     assert validate(parse("gens a t\nrel t^-1 a^2 t = a^3")) == []
     foreign = Presentation(Alphabet(["a"]), (word("b"),))
@@ -154,11 +199,11 @@ def test_morphism_requires_total_map_and_verifies():
     with pytest.raises(ParseError):
         PresentationMorphism(p, p, {a: word(a)})
     phi = PresentationMorphism(p, p, {a: word((a, 2)), t: word(t)})
-    assert phi.pending
+    assert not phi.verified
     from gpforge.rewriting import bs_reduce
 
     verified = phi.verify(lambda img: not bs_reduce(2, 3, img))
-    assert verified.verified and not verified.pending
+    assert verified.verified and not phi.verified
     bad = PresentationMorphism(p, p, {a: word(a), t: Word()})
     with pytest.raises(ParseError):
         bad.verify(lambda img: not bs_reduce(2, 3, img))

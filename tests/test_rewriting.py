@@ -37,6 +37,7 @@ from tests_util import (
     parse_cycles,
     random_presentation,
     random_word,
+    rewriting_is_pinch_free,
     scan_certificate,
     scan_homomorphisms,
     stack_britton_normal_form,
@@ -320,6 +321,37 @@ def test_britton_fold_matches_stack_rewriter(index, pieces):
         state = britton_push(system, state, sym, exp)
     stable_power = len(nf.letters) <= 1 and all(sym == system.stable for sym, _ in nf.letters)
     assert britton_is_stable_power(state) == stable_power
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except (AlphabetMismatchError, SearchBudgetError) as exc:
+        return type(exc), str(exc)
+
+
+# DIFFERENTIAL_SYSTEMS and three more, with negative parameters.
+_PINCH_SYSTEMS = DIFFERENTIAL_SYSTEMS + [bs_system(-2, 3), bs_system(1, 2), bs_system(-3, -5)]
+
+
+@settings(max_examples=600, deadline=None, database=None, derandomize=True)
+@given(st.sampled_from(range(len(_PINCH_SYSTEMS))), _PIECES, st.sampled_from(["word", "britton", "foreign"]))
+def test_pinch_scan_matches_rewriting_oracle(index, pieces, form):
+    system = _PINCH_SYSTEMS[index]
+    w = _pinchy_word(system, pieces)
+    if form == "britton":
+        w = britton_normal_form(system, w)
+    elif form == "foreign":
+        w = w * word("b") * w
+    assert _outcome(is_pinch_free, system, w) == _outcome(rewriting_is_pinch_free, system, w)
+
+
+def test_pinch_scan_answers_past_the_segment_budget():
+    w = parse_word("t^-20000 a t^20000")
+    with pytest.raises(SearchBudgetError):
+        rewriting_is_pinch_free(bs_system(1, 2), w)
+    assert not is_pinch_free(bs_system(1, 2), w)
+    assert is_pinch_free(bs_system(2, 3), w)
 
 
 def test_pushes_leave_the_shared_state_unchanged():

@@ -23,7 +23,7 @@ from gpforge.inference import PREDICATES, derive
 from gpforge.meier import meier_gamma_expr, meier_t_expr
 from gpforge.presentations import presentation, serialize
 from gpforge.reductions import free_source, gamma_w, pi_w
-from gpforge.sexpr import parse_expr, serialize_expr
+from gpforge.sexpr import _tokenize, parse_expr, serialize_expr
 from gpforge.words import parse_word
 
 
@@ -285,7 +285,7 @@ def test_round_trip_corpus_large(capsys):
 def test_ascending_restored_by_the_constructor():
     text = '(hnn (atom "Z" :pres "gens a") :stable "t" :assoc (("a" "a^2")) :ascending)'
     expr = parse_expr(text)
-    assert expr.payload["ascending"] is True and expr.payload["pending"] is False
+    assert expr.payload["ascending"] is True
     assert derive(expr).has(expr, "AscendingHnn")
     assert serialize_expr(expr) == text
 
@@ -362,3 +362,38 @@ def test_any_gx_text_is_read_or_refused(text):
     except GpforgeError:
         return
     assert isinstance(expr, GroupExpr)
+
+
+def _lexed(text):
+    return [(type(tok).__name__, tok) for tok in _tokenize(text)]
+
+
+@pytest.mark.parametrize(
+    "text, tokens",
+    [
+        # The four escapes; any other escaped character stands for itself.
+        (r'"a\nb\tc\"d\\e"', [("str", 'a\nb\tc"d\\e')]),
+        (r'"\q"', [("str", "q")]),
+        ('"a\\\nb"', [("str", "a\nb")]),
+        # `;` starts a comment outside a string only.
+        ('"a;b" c; d "e\n f', [("str", "a;b"), ("Symbol", "c"), ("Symbol", "f")]),
+        # Tab, CR and LF are blanks.
+        ("(\tatom\r\nx)", [("Symbol", "("), ("Symbol", "atom"), ("Symbol", "x"), ("Symbol", ")")]),
+        ('x"y"(z', [("Symbol", "x"), ("str", "y"), ("Symbol", "("), ("Symbol", "z")]),
+        ("7 -2 :k", [("int", 7), ("int", -2), ("Symbol", ":k")]),
+    ],
+)
+def test_gx_lexer(text, tokens):
+    assert _lexed(text) == tokens
+
+
+@pytest.mark.parametrize("text", ['"abc', '(atom "G', r'"ends in an escaped quote\"', '"ends in a backslash\\'])
+def test_gx_lexer_refuses_an_unterminated_string(text):
+    with pytest.raises(ParseError, match=r"^unterminated string in expression file$"):
+        _tokenize(text)
+
+
+def test_gx_string_escapes_reach_the_presentation():
+    expr = parse_expr('(atom "G" :pres "gens\\ta b\\n# x ; y\\nrel\\ta^2 = b")')
+    assert serialize(expr.realized) == "gens a b\nrel a^2 b^-1"
+

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from gpforge.combinators import mu_stage, standard_mitosis
 from gpforge import topology
-from gpforge.errors import InvalidComplexError, InvalidInputError, ParseError, SearchBudgetError
+from gpforge.errors import GpforgeError, InvalidComplexError, InvalidInputError, ParseError, SearchBudgetError
 from gpforge.homology import (
     AbelianGroup,
     ChainComplexData,
@@ -22,8 +22,8 @@ from gpforge.presentations import Presentation, parse, presentation
 from gpforge.topology import (
     DeltaComplex,
     SimplicialComplex,
+    _bfs_tree,
     barycentric_subdivide,
-    cw_chain_complex,
     delta_to_simplicial,
     edge_path_presentation,
     parse_simplicial,
@@ -34,6 +34,7 @@ from gpforge.topology import (
     triangulate,
 )
 from gpforge.words import Alphabet, Word
+from tests_util import cw_chain_complex, near_grammar_texts
 
 
 TORUS = parse("gens a b\nrel a^-1 b^-1 a b")
@@ -204,6 +205,36 @@ def test_parse_simplicial_names_a_vertex_past_a_lowered_digit_limit():
     assert info.value.line == 2
 
 
+_VERTEX = st.one_of(
+    st.sampled_from(["0", "1", "2", "3", "4", "10"]),
+    st.sampled_from(["-1", "+2", "1_0", "\u0663", "2.0", "x", "#"]),
+    st.sampled_from(["9" * 4300, "9" * 4301, "1" + "0" * 5000]),
+    st.text(max_size=3),
+)
+# Directives; small, negative, signed, non-ASCII and huge vertex numbers;
+# well-formed lines are listed twice, so that some texts are read.
+_SC_LINES = [
+    (st.just("vertices"), st.lists(st.sampled_from(["5", "11"]), min_size=1, max_size=1)),
+    (st.just("vertices"), st.lists(_VERTEX, min_size=1, max_size=2)),
+    (st.just("simplex"), st.lists(st.integers(0, 10).map(str), min_size=2, max_size=3)),
+    (st.just("simplex"), st.lists(st.integers(0, 10).map(str), min_size=2, max_size=3)),
+    (st.just("simplex"), st.lists(_VERTEX, min_size=2, max_size=3)),
+    (st.just("simplex"), st.lists(_VERTEX, max_size=4)),
+    (st.sampled_from(["#", "#x", ""]), st.lists(_VERTEX, max_size=3)),
+    (st.sampled_from(["simplices", "vertex"]) | st.text(max_size=3), st.lists(_VERTEX, max_size=3)),
+]
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@given(near_grammar_texts(_SC_LINES))
+def test_any_sc_text_is_read_or_refused(text):
+    try:
+        sc = parse_simplicial(text)
+    except GpforgeError:
+        return
+    assert parse_simplicial(serialize_simplicial(sc)) == sc
+
+
 def test_edge_path_circle():
     circle = triangulate(presentation(["a"]))
     ep = edge_path_presentation(circle)
@@ -325,7 +356,7 @@ def test_triangulation_matches_the_per_flag_oracle(p):
     sc = triangulate(p)
     assert serialize_simplicial(sc) == serialize_simplicial(resorting_delta_to_simplicial(dc))
     assert sc.edges() == update_edges(sc)
-    assert sc.spanning_tree() == resorting_spanning_tree(sc)
+    assert _bfs_tree(sc.n_vertices, sc.edges()) == resorting_spanning_tree(sc)
     assert edge_path_presentation(sc) == rebuilding_edge_path_presentation(sc)
 
 

@@ -6,9 +6,11 @@ from itertools import combinations, permutations
 from math import gcd
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
+from hypothesis import strategies as st
+
 from gpforge import inference
 from gpforge.combinators import AMALGAM, DIRECT_PRODUCT, FREE_PRODUCT, HNN, MITOSIS, MU_STAGE
-from gpforge.homology import IntegerMatrix, SnfResult
+from gpforge.homology import ChainComplexData, IntegerMatrix, SnfResult, SparseMatrix, relation_matrix
 from gpforge.errors import AlphabetMismatchError, InvalidComplexError, ParseError, SearchBudgetError
 from gpforge.inference import Fact, Rule
 from gpforge.meier import (
@@ -33,6 +35,7 @@ from gpforge.rewriting import (
     HnnRewriteSystem,
     Homomorphism,
     Perm,
+    britton_normal_form,
     bs_canonical,
     bs_equal,
     bs_reduce,
@@ -382,6 +385,12 @@ def _edge_power(edge: Word, w: Word) -> Optional[int]:
     return None
 
 
+def rewriting_is_pinch_free(sys: HnnRewriteSystem, w: Word) -> bool:
+    """Oracle for rewriting.is_pinch_free: the version that rewrites w to
+    its Britton form and compares, kept verbatim."""
+    return britton_normal_form(sys, w) == w
+
+
 def stack_britton_normal_form(sys: HnnRewriteSystem, w: Word) -> Word:
     """Oracle for rewriting.britton_normal_form: the list-stack rewriter
     over Word segments that the persistent integer state replaced, kept
@@ -480,7 +489,7 @@ def whole_permutation_homomorphisms(p: Presentation, degree_max: int) -> Iterato
     # Relator checkable at depth k once its symbols lie in gens[:k].
     checkable_at: List[List[Word]] = [[] for _ in range(len(gens) + 1)]
     for rel in p.relators:
-        syms = rel.symbols()
+        syms = {s for s, _ in rel.letters}
         depth = 0
         for k, g in enumerate(gens, start=1):
             if g in syms:
@@ -887,8 +896,8 @@ def update_edges(x: SimplicialComplex) -> List[Tuple[int, int]]:
 
 
 def resorting_spanning_tree(x: SimplicialComplex) -> List[Tuple[int, int]]:
-    """Oracle for SimplicialComplex.spanning_tree: the version that sorts
-    each vertex's neighbours, kept verbatim.
+    """Oracle for topology._bfs_tree over `x.edges()`: the version that
+    sorts each vertex's neighbours, kept verbatim.
 
     Edges (i < j) of the BFS tree from vertex 0, neighbours taken in
     ascending order; it spans exactly when the complex is connected."""
@@ -907,6 +916,14 @@ def resorting_spanning_tree(x: SimplicialComplex) -> List[Tuple[int, int]]:
                 tree.append((min(u, v), max(u, v)))
                 queue.append(v)
     return tree
+
+
+def cw_chain_complex(p: Presentation) -> ChainComplexData:
+    """Cellular chain complex of the one-vertex presentation 2-complex:
+    d1 = 0 (loops), d2 = transposed exponent-sum matrix.  The CW-homology
+    reference the triangulation is compared against."""
+    d2 = relation_matrix(p).transpose()
+    return ChainComplexData(SparseMatrix(1, d2.rows), d2)
 
 
 def rebuilding_edge_path_presentation(x: SimplicialComplex) -> Presentation:
@@ -1004,3 +1021,19 @@ def normalising_bs_canonical_pass(m: int, n: int, nf: Word) -> Word:
         out.append((sym, eps * left))
     out.append((a, e))
     return Word(out)
+
+
+@st.composite
+def near_grammar_texts(draw, lines):
+    """Texts of up to six lines, each from one of `lines`, pairs of a
+    directive strategy and a token-list strategy: the directive, then its
+    tokens, each after any blank (spaces, tab, form feed, no-break
+    space).  A line may be indented; lines end in LF, CRLF or CR."""
+    out = []
+    for directive, tokens in draw(st.lists(st.sampled_from(lines), max_size=6)):
+        parts = [draw(directive)]
+        for token in draw(tokens):
+            parts += [draw(st.sampled_from([" ", "  ", "\t", " \t", "\f", "\xa0"])), token]
+        out.append(draw(st.sampled_from(["", " ", "\t"])) + "".join(parts))
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return eol.join(out) + draw(st.sampled_from(["", eol]))

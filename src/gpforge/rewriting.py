@@ -14,7 +14,11 @@ toolkit comes from this module.
   after each new image, like a coset-table scan in low-index subgroup
   search (Sims, Computation with Finitely Presented Groups, Ch. 5), with
   relator exponents reduced modulo lcm(1..degree) and a fixed budget of
-  image assignments per call (QUOTIENT_SEARCH_BUDGET).
+  image assignments per call (QUOTIENT_SEARCH_BUDGET).  Where the
+  complete images make every relator that mentions the remaining
+  generators vanish, those generators are free: their permutations are
+  emitted whole, in lex order, and the budget still counts every
+  assignment the point search would have made there.
 
 The edge subgroups are <a^m> and <a^n>, so Britton rewriting is integer
 arithmetic: a segment a^e lies in <a^m> iff m divides e.  Pinch
@@ -28,10 +32,11 @@ level).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import ClassVar, Dict, Iterator, List, Optional, Tuple
+from typing import ClassVar, Dict, Generator, Iterator, List, Optional, Tuple
 
 from .errors import AlphabetMismatchError, ParseError, SearchBudgetError, UnsupportedEdgeError
 from .presentations import Presentation
@@ -409,6 +414,109 @@ def _actions(rel: Word, index: Dict[GeneratorSymbol, int], period: int) -> List[
     return acts
 
 
+def _vanish(
+    relators: List[List[Tuple[int, int]]], k: int, image: List[List[int]], preimage: List[List[int]], ident: List[int]
+) -> bool:
+    """Whether each relator, given by its letters in acting order, is the
+    empty cyclic word once each generator below k is replaced by its
+    complete image array: adjacent replaced letters compose to one
+    permutation, identities drop, and letters x^e x^-e of the other
+    generators cancel, also cyclically.  Such relators hold whatever the
+    generators from k on are sent to."""
+    for acts in relators:
+        out: list = []  # composed arrays (lists) and open letters (tuples)
+        for g, sign in acts:
+            if g < k:
+                step = image[g] if sign > 0 else preimage[g]
+                if out and type(out[-1]) is list:
+                    step = [step[y] for y in out.pop()]
+                if step != ident:
+                    out.append(step)
+            elif out and out[-1] == (g, -sign):
+                out.pop()
+            else:
+                out.append((g, sign))
+        i, j = 0, len(out) - 1
+        while i < j:
+            first, last = out[i], out[j]
+            if type(first) is list and type(last) is list:
+                if [first[y] for y in last] != ident:
+                    return False
+            elif type(first) is list or type(last) is list or first != (last[0], -last[1]):
+                return False
+            i, j = i + 1, j - 1
+        if i == j:
+            return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def _lex_permutations(degree: int) -> Tuple[Tuple[Perm, ...], Tuple[Perm, ...], Tuple[int, ...]]:
+    """S_degree in lex order, the inverse of each, and for each the image
+    assignments the point search makes to reach it from the one before:
+    one per point from the first whose image changes, and `degree` for the
+    first permutation."""
+    perms = tuple(itertools.permutations(range(degree)))
+    costs = [degree] + [degree - next(i for i in range(degree) if p[i] != q[i]) for p, q in zip(perms, perms[1:])]
+    return perms, tuple(map(_inverse, perms)), tuple(costs)
+
+
+def _budget_error(budget: int, degree: int) -> SearchBudgetError:
+    return SearchBudgetError(
+        f"finite-quotient search passed its budget of {budget} image assignments at degree {degree}"
+    )
+
+
+def _free_tail(
+    gens: Tuple[GeneratorSymbol, ...],
+    k: int,
+    degree: int,
+    image: List[List[int]],
+    preimage: List[List[int]],
+    perms: Dict[Perm, Perm],
+    trace: Optional[List[List[int]]],
+    nodes: int,
+    budget: int,
+) -> Generator[Homomorphism, None, int]:
+    """The leaves below a node where generators 0..k-1 are complete and
+    gens[k:] are free: every homomorphism sending them anywhere, the tail
+    images in lex order, as the point search would yield them; it cuts
+    nothing there, since its pruning is exact.  Each leaf adds to `nodes`
+    the assignments the point search makes to reach it, and the budget is
+    checked at every leaf, moving the target or not.  In target mode the
+    tail images are written into the arrays the target's trace reads, and
+    cleared at the end.  Returns the new node count."""
+    lex, inverses, costs = _lex_permutations(degree)
+    last, r = len(lex) - 1, len(gens) - k
+    images: Dict[GeneratorSymbol, Perm] = {}
+    for g in range(k):
+        perm = tuple(image[g][:degree])
+        images[gens[g]] = perms.setdefault(perm, perm)
+    at = [0] * r  # lex index of each tail generator's image
+    moved = 0  # the first tail generator whose image changed
+    nodes += degree * r
+    while True:
+        if nodes > budget:
+            raise _budget_error(budget, degree)
+        for j in range(moved, r):
+            images[gens[k + j]] = lex[at[j]]
+            if trace is not None:
+                image[k + j][:degree], preimage[k + j][:degree] = lex[at[j]], inverses[at[j]]
+        if trace is None or _moves(trace, degree):
+            yield Homomorphism(degree, dict(images))
+        moved = r - 1
+        while at[moved] == last:
+            at[moved] = 0
+            moved -= 1
+            if moved < 0:
+                if trace is not None:
+                    for g in range(k, len(gens)):
+                        image[g][:degree] = preimage[g][:degree] = [-1] * degree
+                return nodes
+        at[moved] += 1
+        nodes += costs[at[moved]] + degree * (r - 1 - moved)
+
+
 def _moves(trace: List[List[int]], degree: int) -> bool:
     """Whether the word whose letters, as complete arrays in acting order,
     are `trace` moves some point: points 0, 1, ... are traced until one
@@ -429,6 +537,17 @@ def _homomorphisms(p: Presentation, degree_max: int, target: Optional[Word] = No
     gens = p.alphabet.symbols
     index = {g: k for k, g in enumerate(gens)}
     budget, nodes = QUOTIENT_SEARCH_BUDGET, 0
+    # A relator cannot vanish (see _vanish) while a generator with a
+    # nonzero exponent sum in it is open, so only the generators from
+    # free_from on can ever be free.
+    free_from = 0
+    for rel in p.relators:
+        sums: Dict[GeneratorSymbol, int] = {}
+        for sym, exp in rel.letters:
+            sums[sym] = sums.get(sym, 0) + exp
+        for sym, e in sums.items():
+            if e and index[sym] >= free_from:
+                free_from = index[sym] + 1
     for degree in range(1, degree_max + 1):
         # Partial permutations, -1 where undefined.  Each array has one
         # more slot, -1 for ever, so a trace that meets a gap stays at -1.
@@ -444,8 +563,10 @@ def _homomorphisms(p: Presentation, degree_max: int, target: Optional[Word] = No
         # proper power is scanned from each start in its root only.
         scans: List[List[tuple]] = [[] for _ in gens]
         period = math.lcm(*range(1, degree + 1))
+        relator_acts = []
         for rel in p.relators:
             acts = _actions(rel, index, period)
+            relator_acts.append(acts)
             m = len(acts)
             root = next((d for d in range(1, m + 1) if m % d == 0 and acts[d:] + acts[:d] == acts), 0)
             steps = [arrays[sign][0][k] for k, sign in acts] * 2
@@ -456,9 +577,20 @@ def _homomorphisms(p: Presentation, degree_max: int, target: Optional[Word] = No
         # The target's letters in acting order, traced at each leaf, where
         # every image is defined.
         trace = None if target is None else [arrays[sign][0][k] for k, sign in _actions(target, index, period)]
+        # tails[k]: the relators that mention a generator from k on, which
+        # decide whether the generators from k on are free when the search
+        # enters generator k moving forward; None where they never are.
+        tails: List[Optional[list]] = [None] * (len(gens) + 1)
+        for k in range(free_from, len(gens)):
+            tails[k] = [acts for acts in relator_acts if acts and max(acts)[0] >= k]
+        ident = list(range(degree)) + [-1]
         perms: Dict[Perm, Perm] = {}  # one tuple per image, shared by all homomorphisms
-        slots = len(gens) * degree
+        slots, last = len(gens) * degree, degree - 1
         slot, v = 0, 0
+        # The degree's start is its first forward crossing, into generator 0.
+        if tails[0] is not None and _vanish(tails[0], 0, image, preimage, ident):
+            nodes = yield from _free_tail(gens, 0, degree, image, preimage, perms, trace, nodes, budget)
+            slot = -1
         while slot >= 0:
             if slot < slots:
                 k, x = divmod(slot, degree)
@@ -468,10 +600,7 @@ def _homomorphisms(p: Presentation, degree_max: int, target: Optional[Word] = No
                         continue
                     nodes += 1
                     if nodes > budget:
-                        raise SearchBudgetError(
-                            f"finite-quotient search passed its budget of {budget} "
-                            f"image assignments at degree {degree}"
-                        )
+                        raise _budget_error(budget, degree)
                     fwd[x], back[v] = v, x
                     # A scan cuts the branch when its trace is complete and
                     # ends off its start, or when it stops at a gap that the
@@ -504,7 +633,11 @@ def _homomorphisms(p: Presentation, degree_max: int, target: Optional[Word] = No
                     v = degree
                 if v < degree:
                     slot, v = slot + 1, 0
-                    continue
+                    # Entering generator k + 1 with 0..k complete: emit its
+                    # subtree whole if the generators from k + 1 are free.
+                    if x < last or tails[k + 1] is None or not _vanish(tails[k + 1], k + 1, image, preimage, ident):
+                        continue
+                    nodes = yield from _free_tail(gens, k + 1, degree, image, preimage, perms, trace, nodes, budget)
             elif trace is None or _moves(trace, degree):
                 images: Dict[GeneratorSymbol, Perm] = {}
                 for k, g in enumerate(gens):
@@ -544,9 +677,26 @@ def finite_quotient_search(
     exponents are reduced modulo lcm(1..degree) first: at degree 5,
     `g^100000000000` is scanned as `g^-20`.
 
+    Free tails.  When the search enters generator k moving forward, with
+    generators 0..k-1 complete, it asks whether every relator that
+    mentions a generator from k on becomes the empty cyclic word once each
+    complete generator is replaced by its image (adjacent images composed,
+    identities dropped, x^e x^-e of the other generators cancelled, also
+    cyclically).  Then those relators hold however the generators from k
+    on are sent, no scan can cut below, and the subtree's homomorphisms
+    are exactly S_degree^(n-k) on those generators in lex order, which
+    are emitted directly.  In m(<g|g^3>), s and d are free wherever g is
+    the identity.  A relator with a nonzero exponent sum in a generator
+    never vanishes while that generator is open, so the test is made only
+    past the last such generator, once per forward crossing.
+
     The search tries at most QUOTIENT_SEARCH_BUDGET image assignments over
     all degrees of one call and then raises SearchBudgetError (exit 2 on
-    the command line).  `m(<g|g^2>)` at degree 5 tries about 79,000.
+    the command line).  A free tail counts the assignments the point
+    search would make to reach each of its leaves and raises before
+    yielding the first leaf past the budget, so what is yielded, the
+    message and the inputs that exit 2 are those of the point search.
+    `m(<g|g^2>)` at degree 5 counts about 79,000.
 
     Without `target`: the list of all satisfying Homomorphisms, in
     enumeration order.  With `target`: a FiniteQuotient certificate for the

@@ -86,9 +86,12 @@ def _tokenize(text: str) -> List[object]:
             while j < n and text[j] not in ' \t\r\n();"':
                 j += 1
             tok = text[i:j]
+            # Integers are ASCII -?[0-9]+; int() alone would also read 1_0,
+            # +2 and other scripts' digits.
+            digits = tok[1:] if tok[:1] == "-" else tok
             try:
-                tokens.append(int(tok))
-            except ValueError:
+                tokens.append(int(tok) if digits.isascii() and digits.isdecimal() else Symbol(tok))
+            except ValueError:  # past int()'s digit limit
                 tokens.append(Symbol(tok))
             i = j
     return tokens

@@ -289,7 +289,7 @@ def serialize_simplicial(x: SimplicialComplex) -> str:
 
 
 def _parse_nonnegative(token: str, lineno: int) -> int:
-    if not token.isdecimal():
+    if not (token.isdecimal() and token.isascii()):
         raise ParseError(f"expected a nonnegative integer, got {token!r}", line=lineno)
     try:
         return int(token)
@@ -314,7 +314,7 @@ def parse_simplicial(text: str) -> SimplicialComplex:
         elif directive == "simplex":
             if len(args) not in (2, 3):
                 raise ParseError("a simplex line needs 2 or 3 vertices", line=lineno)
-            if all(map(str.isdecimal, args)):
+            if line.isascii() and all(map(str.isdecimal, args)):
                 try:
                     facets.append(tuple(map(int, args)))
                     continue

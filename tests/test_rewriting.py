@@ -603,6 +603,12 @@ def test_quotient_kernel_matches_scan_oracle_at_degree_5(seed):
     relators = [f"{g}^{rng.choice((2, 3, 4, 5))}" for g in used if rng.random() < 0.7]
     for _ in range(rng.randint(0, 2)):
         relators.append(" ".join(f"{rng.choice(used)}^{rng.choice((-2, -1, 1, 2))}" for _ in range(rng.randint(2, 6))))
+    # Relators that vanish once a prefix of the generators is complete,
+    # such as [x, y] once x is the identity: the kernel emits the free
+    # generators after such a prefix whole.
+    for _ in range(rng.randint(0, 2)):
+        x, y = rng.choice(used), rng.choice(gens)
+        relators.append(rng.choice((f"{x} {y} {x}^-1 {y}^-1", f"{x}^-1 {y} {x} {y}^-{rng.randint(1, 3)}")))
     p = presentation(gens, relators)
     target = parse_word(
         " ".join(f"{rng.choice(gens)}^{rng.choice(_KERNEL_EXPONENTS)}" for _ in range(rng.randint(0, 4))) or "1",
@@ -611,6 +617,17 @@ def test_quotient_kernel_matches_scan_oracle_at_degree_5(seed):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("gpforge.rewriting.QUOTIENT_SEARCH_BUDGET", 5_000)
         _assert_kernel_matches_scan_oracle(p, target)
+
+
+@pytest.mark.parametrize("budget", [40_000, 52_000, 52_732, 52_733, 52_734])
+def test_quotient_budget_counts_assignments_inside_a_free_tail(budget, monkeypatch):
+    # In m(<g|g^3>) both relators that mention s and d vanish once g is the
+    # identity, so s and d are free there: at degree 5 the kernel emits
+    # those 120 x 120 homomorphisms whole.  The search makes 52,733 image
+    # assignments in all, and the 40,000th falls inside that tail.
+    p = standard_mitosis(presentation(["g"], ["g^3"])).realized
+    monkeypatch.setattr("gpforge.rewriting.QUOTIENT_SEARCH_BUDGET", budget)
+    _assert_kernel_matches_scan_oracle(p, parse_word("s", p.alphabet))
 
 
 # In A5 = <a, b | a^2, b^3, (a b)^5>, which acts on no fewer than 5

@@ -126,6 +126,9 @@ def test_parse_errors():
         f"(mu {src} :k 0)",
         f"(mu {src} :k 15)",
         f'(mu {src} :k "x")',
+        f"(mu {src} :k 1_0)",
+        f"(mu {src} :k +2)",
+        f"(mu {src} :k \u0662)",
         '(atom "G" :pres "gens a" :facts ((fin-gen x)))',
         # Fact arity: every name and argument is checked at read time.
         '(atom "x" :pres "gens a" :facts ((amenable 3)))',
@@ -381,6 +384,8 @@ def _lexed(text):
         ("(\tatom\r\nx)", [("Symbol", "("), ("Symbol", "atom"), ("Symbol", "x"), ("Symbol", ")")]),
         ('x"y"(z', [("Symbol", "x"), ("str", "y"), ("Symbol", "("), ("Symbol", "z")]),
         ("7 -2 :k", [("int", 7), ("int", -2), ("Symbol", ":k")]),
+        # Integers are ASCII -?[0-9]+ only.
+        ("1_0 +2 \u0662 - --2", [("Symbol", "1_0"), ("Symbol", "+2"), ("Symbol", "\u0662"), ("Symbol", "-"), ("Symbol", "--2")]),
     ],
 )
 def test_gx_lexer(text, tokens):

@@ -183,6 +183,9 @@ def test_serialize_parse_round_trip():
         pytest.param("vertices 1" + "0" * 5000 + "\n", 1, id="5001-digit-count"),
         pytest.param("vertices 3\nsimplex 0 1 " + "2" * 5000 + "\n", 2, id="5000-digit-vertex"),
         ("vertices 3\nsimplex 0\n", 2),
+        # Vertex counts and numbers are ASCII digits only.
+        ("vertices \u0663\n", 1),
+        ("vertices 3\nsimplex 0 \u0662\n", 2),
         ("vertices 4\n# four\nsimplex 0 1 2 3\n", 3),
     ],
 )

@@ -61,7 +61,6 @@ from .homology import (
     SnfResult,
     SparseMatrix,
     abelianization,
-    complex_homology,
     invariant_factors,
     smith_normal_form,
 )

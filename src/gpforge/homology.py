@@ -1,5 +1,6 @@
-"""Exact integer linear algebra: Smith normal form, abelianizations, and
-cellular homology of two-dimensional chain complexes.
+"""Exact integer linear algebra: Smith normal form, invariant factors,
+abelianizations, and the boundary matrices of two-dimensional chain
+complexes.
 
 All entries are Python ints (arbitrary precision); SNF intermediate growth
 is real even for small relator matrices, so fixed-width arithmetic is never
@@ -12,10 +13,13 @@ the transform-free path over sparse rows, in three phases:
 
   1. pair merge: a row of two +-1 entries is a unit pivot whose whole
      elimination is one column operation, so its two columns are merged in
-     a signed union-find (Kaczynski-Mischaikow-Mrozek, Computational
-     Homology, Ch. 4); simplicial d1 and most rows of d2 are such pairs.
-     A pair inside one class that sums to 0 is dropped; one that sums to
-     +-2 is kept (RP^2's Z/2);
+     a signed union-find kept in slot-indexed lists (Kaczynski-Mischaikow-
+     Mrozek, Computational Homology, Ch. 4); most rows of a simplicial d2
+     are such pairs.  A pair inside one class that sums to 0 is dropped;
+     one that sums to +-2 is kept (RP^2's Z/2).  A simplicial d1 never
+     comes here: it is a graph's incidence matrix, whose nonzero invariant
+     factors are n0 - c ones for c connected components, so
+     `topology.simplicial_homology` reads H0 off a component count;
   2. unit pivots: the remaining +-1 pivots are eliminated by sparse row
      operations, shortest rows first (Dumas-Saunders-Villard, JSC 2001);
   3. the small leftover block is diagonalised in place by `_diagonalize`,
@@ -92,13 +96,6 @@ class SparseMatrix:
             ):
                 raise ValueError("sparse rows do not match declared dimensions")
             self.entries = [dict(row) for row in entries]
-
-    def transpose(self) -> "SparseMatrix":
-        t = SparseMatrix(self.cols, self.rows)
-        for i, row in enumerate(self.entries):
-            for j, v in row.items():
-                t.entries[j][i] = v
-        return t
 
     def __repr__(self):
         return f"SparseMatrix({self.rows}x{self.cols})"
@@ -266,55 +263,93 @@ def _merge_unit_pairs(rows: Sequence[Mapping[int, int]]) -> Tuple[int, List[Dict
     pivot: the column operation col_k -= a*b*col_j empties it but for
     a*e_j, and dropping row and column j leaves every other row with its
     column-j entry v moved to column k as -a*b*v.  So column classes merge
-    in a signed union-find (union by size, path compression) and each
-    merge is one invariant factor 1.  A pair inside one class reads a+b,
-    0 or +-2.  A 0 is dropped: a later merge multiplies both entries by
-    the same root sign, so the row stays zero (every cycle edge of a
-    connected simplicial d1 is one).  A +-2 is kept like every other row.
-    Kept rows are mapped through the final find only: later merges move
-    the class roots.
+    in a signed union-find (union by size, path halving) and each merge is
+    one invariant factor 1.  A pair inside one class reads a+b, 0 or +-2.
+    A 0 is dropped: a later merge multiplies both entries by the same root
+    sign, so the row stays zero.  A +-2 is kept like every other row.  Kept
+    rows are mapped through the final find only: later merges move the
+    class roots.
+
+    The union-find is kept in lists indexed by slot, one slot per column in
+    the order the pair rows first name them (at most two per row), so
+    nothing is sized by a column key.  A slot's sign is that of its column
+    relative to its parent's column; a root's sign is 1.  A pair's entries
+    are tracked by their product a*b only, which is all the merge sign and
+    the in-class test read.
     """
-    link: Dict[int, Tuple[int, int]] = {}  # column -> (parent, sign)
-    size: Dict[int, int] = {}
+    slot: Dict[int, int] = {}  # column -> slot
+    claim = slot.setdefault
+    n = 2 * len(rows)
+    parent = list(range(n))
+    sign = [1] * n
+    size = [1] * n
 
-    def find(j: int) -> Tuple[int, int]:  # j in link; depth <= log2(size)
-        up = link[j]
-        if up[0] not in link:
-            return up
-        root, sign = find(up[0])
-        link[j] = found = (root, sign * up[1])
-        return found
+    def find(s: int) -> Tuple[int, int]:
+        """(root slot, sign of slot s relative to the root)."""
+        acc = 1
+        p = parent[s]
+        while p != s:
+            g = parent[p]
+            up = sign[s] * sign[p]  # s relative to its grandparent
+            parent[s] = g
+            sign[s] = up
+            acc *= up
+            s = g
+            p = parent[s]
+        return s, acc
 
+    merges = 0
     kept = []
     for row in rows:
         if len(row) == 2:
             (j, a), (k, b) = row.items()
-            if a in (1, -1) and b in (1, -1):
-                if j in link:
-                    j, sign = find(j)
-                    a *= sign
-                if k in link:
-                    k, sign = find(k)
-                    b *= sign
-                if j != k:
-                    if size.get(j, 1) > size.get(k, 1):
-                        j, k = k, j
-                    link[j] = (k, -a * b)
-                    size[k] = size.get(k, 1) + size.pop(j, 1)
+            ab = a * b
+            if ab == 1 or ab == -1:
+                # A slot one step below its root, the common case, is
+                # read inline, as a call costs more than the read; deeper
+                # ones go through find.
+                sj = claim(j, len(slot))
+                p = parent[sj]
+                if p != sj:
+                    if parent[p] == p:
+                        ab *= sign[sj]
+                        sj = p
+                    else:
+                        sj, up = find(sj)
+                        ab *= up
+                sk = claim(k, len(slot))
+                p = parent[sk]
+                if p != sk:
+                    if parent[p] == p:
+                        ab *= sign[sk]
+                        sk = p
+                    else:
+                        sk, up = find(sk)
+                        ab *= up
+                if sj != sk:
+                    if size[sj] > size[sk]:
+                        sj, sk = sk, sj
+                    parent[sj] = sk
+                    sign[sj] = -ab
+                    size[sk] += size[sj]
+                    merges += 1
                     continue
-                if a + b == 0:
+                if ab == -1:  # a + b == 0
                     continue
         kept.append(row)
+    column = list(slot)  # slot -> column
     residual = []
     for row in kept:
         mapped: Dict[int, int] = {}
         for j, v in row.items():
-            if j in link:
-                j, sign = find(j)
-                v *= sign
+            s = slot.get(j)
+            if s is not None:
+                s, up = find(s)
+                j = column[s]
+                v *= up
             mapped[j] = mapped.get(j, 0) + v
         residual.append({j: v for j, v in mapped.items() if v})
-    return len(link), residual
+    return merges, residual
 
 
 def invariant_factors(rows: Sequence[Mapping[int, int]]) -> List[int]:
@@ -444,21 +479,3 @@ class ChainComplexData:
                     acc[j] = acc.get(j, 0) + a * b
             if any(acc.values()):
                 raise InvalidComplexError("d1 * d2 != 0")
-
-
-def complex_homology(c: ChainComplexData) -> Tuple[AbelianGroup, AbelianGroup, AbelianGroup]:
-    """(H0, H1, H2) of a 2-dimensional chain complex over Z.
-
-    H_i = ker d_i / im d_{i+1}; ranks from matrix ranks, torsion of H_i
-    from the invariant factors of d_{i+1}.  d1 goes in by columns (the
-    transpose has the same invariant factors): each column of a simplicial
-    d1 is a +-1 pair, so its pair merge is a connectivity pass.
-    """
-    c.check_composition()
-    f1 = [f for f in invariant_factors(c.d1.transpose().entries) if f]
-    f2 = [f for f in invariant_factors(c.d2.entries) if f]
-    r1, r2 = len(f1), len(f2)
-    h0 = AbelianGroup(c.n0 - r1, tuple(f for f in f1 if f > 1))
-    h1 = AbelianGroup(c.n1 - r1 - r2, tuple(f for f in f2 if f > 1))
-    h2 = AbelianGroup(c.n2 - r2, tuple())
-    return h0, h1, h2

@@ -8,8 +8,10 @@ File grammar (UTF-8, LF on output):
     gens      := 'gens' (WS ident)* EOL        # at most one per file
     rel       := 'rel' WS word (WS '=' WS word)? EOL
 
-WS is any run of whitespace.  `rel u = v` is sugar for the relator
-u * v^-1.  Words use the syntax from gpforge.words.
+WS is a run of spaces and tabs, and EOL is LF, CRLF or CR; any other
+whitespace character outside a comment is a ParseError at its line.
+`rel u = v` is sugar for the relator u * v^-1.  Words use the syntax from
+gpforge.words.
 """
 
 from __future__ import annotations
@@ -60,6 +62,34 @@ EMPTY_PRESENTATION = Presentation(Alphabet(()), ())
 _EQUALS = re.compile(r"\s=\s")
 
 
+def _text_lines(text: str) -> List[str]:
+    """The lines of a `.grp` or `.sc` text.  Lines end in LF, CRLF or CR,
+    and a blank is a space or a tab: any other whitespace character
+    outside a comment is a ParseError at its line and column.
+
+    Text without such a character is split by `str.splitlines`, and its
+    tokens by `str.split()`, which then read the same line ends and
+    blanks.  ASCII text (a flag CPython keeps) is checked for the six C0
+    separators only."""
+    foreign = r"[^\S \t\n\r]"  # whitespace but blanks and line ends
+    if text.isascii():
+        clean = not any(c in text for c in "\x0b\x0c\x1c\x1d\x1e\x1f")
+    else:
+        clean = re.search(foreign, text) is None
+    if clean:
+        return text.splitlines()
+    lines = re.split(r"\r\n|\r|\n", text)
+    for lineno, line in enumerate(lines, start=1):
+        found = re.search(foreign, line)
+        if found and not line.lstrip(" \t").startswith("#"):
+            raise ParseError(
+                f"separator {found.group()!r} is not a space, a tab or a line end",
+                line=lineno,
+                column=found.start() + 1,
+            )
+    return lines
+
+
 def read_text(path: str) -> str:
     """The text of a UTF-8 file; a ParseError naming `path` if it cannot be
     read or decoded."""
@@ -87,7 +117,7 @@ def parse(text: str, name: Optional[str] = None) -> Presentation:
     """Parse the presentation file grammar; errors carry line numbers."""
     alphabet: Optional[Alphabet] = None
     pending_rels: List[Tuple[int, str, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_text_lines(text), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

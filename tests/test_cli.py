@@ -368,6 +368,14 @@ def test_any_query_ends_in_exit_0_or_1(gx_mu, query):
         assert code == EXIT_USAGE and err.getvalue().startswith("usage error:")
 
 
+def test_separator_outside_the_grammar_exits_2_with_its_line(tmp_path, monkeypatch, capsys):
+    grp = tmp_path / "emspace.grp"
+    grp.write_text("gens a b\nrel a\u2003b\n", encoding="utf-8")
+    for command in ("abelianize", "triangulate"):
+        code, out, err = run_cli([command, str(grp)], capsys=capsys, monkeypatch=monkeypatch)
+        assert code == EXIT_INPUT and out == "" and "(line 2, column 6)" in err, command
+
+
 def test_input_error_exit_code(tmp_path, monkeypatch, capsys):
     code, _, err = run_cli(["abelianize", str(tmp_path / "missing.grp")], capsys=capsys, monkeypatch=monkeypatch)
     assert code == EXIT_INPUT

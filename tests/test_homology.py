@@ -1,4 +1,6 @@
 import random
+import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,14 +15,21 @@ from gpforge.homology import (
     SparseMatrix,
     _merge_unit_pairs,
     abelianization,
-    complex_homology,
     invariant_factors,
     relation_matrix,
     smith_normal_form,
 )
 from gpforge.presentations import parse, presentation
 from gpforge.words import Alphabet
-from tests_util import cw_chain_complex, det, gcd_of_minors_factors, separate_uv_smith_normal_form
+from tests_util import (
+    complex_homology,
+    cw_chain_complex,
+    det,
+    dict_merge_unit_pairs,
+    gcd_of_minors_factors,
+    separate_uv_smith_normal_form,
+    transpose,
+)
 
 
 def check_snf(matrix):
@@ -102,8 +111,49 @@ def test_pair_merge_matches_dense_snf_on_matrix_and_transpose(matrix):
             dense.entries[i][j] = v
     expected = list(smith_normal_form(dense).invariant_factors)
     assert invariant_factors(rows) == expected
-    columns = SparseMatrix(len(rows), n_cols, rows).transpose().entries
+    columns = transpose(SparseMatrix(len(rows), n_cols, rows)).entries
     assert invariant_factors(columns) == expected
+
+
+@st.composite
+def pair_heavy_rows(draw):
+    """Up to 80 rows over up to 40 columns, mostly +-1 pairs, so that
+    classes grow deep and many pairs close a cycle, reading 0 or +-2;
+    the columns carry arbitrary labels up to 10**15."""
+    n_cols = draw(st.integers(2, 40))
+    labels = draw(st.lists(st.integers(0, 10**15), min_size=n_cols, max_size=n_cols, unique=True))
+    col = st.sampled_from(labels)
+    unit = st.sampled_from((1, -1))
+    pair = st.tuples(col, col, unit, unit).filter(lambda t: t[0] != t[1]).map(lambda t: {t[0]: t[2], t[1]: t[3]})
+    other = st.dictionaries(col, st.integers(-3, 3).filter(bool), max_size=4)
+    return draw(st.lists(st.one_of(pair, pair, pair, pair, other), max_size=80))
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(pair_heavy_rows())
+def test_list_pair_merge_matches_the_dict_oracle(rows):
+    assert _merge_unit_pairs(rows) == dict_merge_unit_pairs(rows)
+
+
+def test_pair_merge_allocates_nothing_sized_by_a_column_key():
+    big = 10**12
+    rows = [{big: 1, 3: -1}, {big: 1, 7: 1}, {3: 2, 7: 3, big: 5}, {big + 1: 1, big: -1}, {3: 1, 7: 1}]
+    columns = {big: 0, 3: 1, 7: 2, big + 1: 3}
+    dense = IntegerMatrix(len(rows), len(columns))
+    for i, row in enumerate(rows):
+        for j, v in row.items():
+            dense.entries[i][columns[j]] = v
+    expected = list(smith_normal_form(dense).invariant_factors)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        got = invariant_factors(rows)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == expected
+    assert peak < 64 * 1024 and elapsed < 0.5
 
 
 def test_pair_merge_cycles():

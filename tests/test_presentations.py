@@ -95,7 +95,8 @@ def test_parse_error_columns_count_from_line_start():
 
 
 def test_directives_and_equals_split_on_any_whitespace():
-    # The grammar's WS is any whitespace, as between the atoms of a word.
+    # The grammar's WS is any run of spaces and tabs, as between the atoms
+    # of a word.
     for tabbed, spaced in [
         ("gens\ta b\nrel a b\n", "gens a b\nrel a b\n"),
         ("gens a b\nrel\ta^2 b\n", "gens a b\nrel a^2 b\n"),
@@ -106,6 +107,30 @@ def test_directives_and_equals_split_on_any_whitespace():
         parse("gens a b\nrel a^2 =b")
     with pytest.raises(ParseError, match=r"bad exponent in atom 'b\^x' \(line 2, column 11\)"):
         parse("gens a b\nrel a^2\t=\tb^x")
+
+
+@pytest.mark.parametrize(
+    "text, line, column",
+    [
+        pytest.param("gens a\x1crel b", 1, 7, id="file-separator"),  # splitlines ended line 1 here
+        pytest.param("gens a\u2003b", 1, 7, id="em-space"),  # str.split() read two generators
+        pytest.param("gens a b\nrel a\xa0b\n", 2, 6, id="no-break-space"),
+        pytest.param("gens a\r\n\x0crel a", 2, 1, id="form-feed"),
+        pytest.param("gens a\rrel a\u2028\n", 2, 6, id="line-separator"),
+        pytest.param("gens a\nrel a = a\x85", 2, 10, id="next-line"),
+    ],
+)
+def test_grp_reader_refuses_separators_outside_its_grammar(text, line, column):
+    with pytest.raises(ParseError, match="is not a space, a tab or a line end") as info:
+        parse(text)
+    assert (info.value.line, info.value.column) == (line, column)
+
+
+def test_grp_line_ends_and_comments():
+    # LF, CRLF and CR end lines; a comment may hold any character.
+    expected = parse("gens a b\nrel a b\n")
+    for text in ("gens a b\r\nrel a b\r\n", "gens a b\rrel a b", "# a\u2003b\x1c\ngens a b\n \t# \xa0\nrel a b"):
+        assert parse(text) == expected
 
 
 _ATOM = st.sampled_from(["a", "b", "t", "a^2", "b^-3", "t^-1", "a^-0", "1", "="])

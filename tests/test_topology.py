@@ -1,5 +1,6 @@
 import random
 import sys
+from itertools import combinations
 from types import SimpleNamespace
 
 import pytest
@@ -14,7 +15,6 @@ from gpforge.homology import (
     IntegerMatrix,
     SparseMatrix,
     abelianization,
-    complex_homology,
     invariant_factors,
     smith_normal_form,
 )
@@ -34,7 +34,7 @@ from gpforge.topology import (
     triangulate,
 )
 from gpforge.words import Alphabet, Word
-from tests_util import cw_chain_complex, near_grammar_texts
+from tests_util import complex_homology, cw_chain_complex, near_grammar_texts, sorted_simplicial_chain_complex
 
 
 TORUS = parse("gens a b\nrel a^-1 b^-1 a b")
@@ -193,6 +193,21 @@ def test_parse_simplicial_malformed_lines_raise_parse_error(text, line):
     with pytest.raises(ParseError) as info:
         parse_simplicial(text)
     assert info.value.line == line
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        pytest.param("vertices 3\nsimplex 0\u20031 2\n", 2, id="em-space"),  # str.split() read a triangle
+        pytest.param("vertices 3\x1esimplex 0 1\n", 1, id="record-separator"),
+        pytest.param("vertices 3\r\nsimplex 0 1\x0b\n", 2, id="vertical-tab"),
+    ],
+)
+def test_sc_reader_refuses_separators_outside_its_grammar(text, line):
+    with pytest.raises(ParseError, match="is not a space, a tab or a line end") as info:
+        parse_simplicial(text)
+    assert info.value.line == line
+    assert parse_simplicial("# \u2003\rvertices 3\r\nsimplex 0\t1 2\r") == SimplicialComplex(3, ((0, 1, 2),))
 
 
 def test_parse_simplicial_names_a_vertex_past_a_lowered_digit_limit():
@@ -400,6 +415,92 @@ def test_check_composition_sums_terms_before_judging():
     cancelling = ChainComplexData(d1, SparseMatrix(2, 1, [{0: 1}, {0: -1}]))
     cancelling.check_composition()
     assert complex_homology(cancelling) == (AbelianGroup(0), AbelianGroup(0), AbelianGroup(0))
+
+
+@st.composite
+def simplicial_complexes(draw):
+    """Complexes built directly, facets in any order: up to 9 vertices, so
+    isolated vertices and several components are common; bare edge facets,
+    some of them also sides of a triangle; and edges in three or more
+    triangles."""
+    n = draw(st.integers(1, 9))
+    triangles = list(combinations(range(n), 3))
+    edges = list(combinations(range(n), 2))
+    facets = draw(st.lists(st.sampled_from(triangles), unique=True, max_size=14)) if triangles else []
+    facets += draw(st.lists(st.sampled_from(edges), unique=True, max_size=6)) if edges else []
+    return SimplicialComplex(n, tuple(draw(st.permutations(facets))))
+
+
+def _homology_oracle(x):
+    return complex_homology(sorted_simplicial_chain_complex(x))
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(simplicial_complexes())
+def test_simplicial_homology_matches_the_sorted_oracle(x):
+    assert simplicial_homology(x) == _homology_oracle(x)
+
+
+# The six-vertex RP^2 (the hemi-icosahedron).
+RP2_6 = SimplicialComplex(
+    6,
+    ((0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5), (1, 2, 4), (2, 3, 5), (1, 3, 5), (1, 3, 4), (2, 4, 5)),
+)
+
+
+Z = AbelianGroup(1)
+
+
+@pytest.mark.parametrize(
+    "x, expected",
+    [
+        pytest.param(
+            SimplicialComplex(7, ((0, 1, 2), (0, 1, 3), (0, 1, 4), (1, 2, 3), (5, 6))),
+            (AbelianGroup(2), AbelianGroup(0), AbelianGroup(0)),
+            id="book-and-edge",
+        ),
+        pytest.param(
+            SimplicialComplex(8, ((0, 1), (1, 2), (0, 2), (3, 4, 5), (3, 4, 6), (3, 5, 6), (4, 5, 6))),
+            (AbelianGroup(3), Z, Z),
+            id="circle-sphere-point",
+        ),
+        pytest.param(SimplicialComplex(4, ()), (AbelianGroup(4), AbelianGroup(0), AbelianGroup(0)), id="four-points"),
+        pytest.param(RP2_6, (Z, AbelianGroup(0, (2,)), AbelianGroup(0)), id="rp2-6"),
+        pytest.param(triangulate(RP2), (Z, AbelianGroup(0, (2,)), AbelianGroup(0)), id="rp2"),
+        pytest.param(triangulate(KLEIN), (Z, AbelianGroup(1, (2,)), AbelianGroup(0)), id="klein"),
+        pytest.param(triangulate(mu_stage(presentation(["g"]), 2).realized), (Z, Z, AbelianGroup(12)), id="mu2"),
+    ],
+)
+def test_simplicial_homology_of_built_complexes(x, expected):
+    assert simplicial_homology(x) == _homology_oracle(x) == expected
+
+
+def test_check_composition_runs_on_the_matrices_read(monkeypatch):
+    calls = []
+    check, columns, factors = ChainComplexData.check_composition, topology._incidence_columns, topology.invariant_factors
+
+    def spy_check(self):
+        calls.append(("check", self))
+        return check(self)
+
+    def spy_columns(d1):
+        calls.append(("d1", d1))
+        return columns(d1)
+
+    def spy_factors(rows):
+        calls.append(("factors", rows))
+        return factors(rows)
+
+    monkeypatch.setattr(ChainComplexData, "check_composition", spy_check)
+    monkeypatch.setattr(topology, "_incidence_columns", spy_columns)
+    monkeypatch.setattr(topology, "invariant_factors", spy_factors)
+    for x in (triangulate(TORUS), triangulate(RP2), RP2_6, SimplicialComplex(3, ((0, 1),))):
+        del calls[:]
+        simplicial_homology(x)
+        assert [kind for kind, _ in calls] == ["check", "d1", "factors"]
+        c = calls[0][1]
+        assert calls[1][1] is c.d1 and calls[2][1] is c.d2.entries
+        assert (c.n0, c.n1, c.n2) == (x.n_vertices, len(x.edges()), len(x.two_simplices()))
 
 
 def test_mu3_triangulated_homology():

@@ -4,13 +4,21 @@ import math
 from collections import deque
 from itertools import combinations, permutations
 from math import gcd
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from hypothesis import strategies as st
 
 from gpforge import inference
 from gpforge.combinators import AMALGAM, DIRECT_PRODUCT, FREE_PRODUCT, HNN, MITOSIS, MU_STAGE
-from gpforge.homology import ChainComplexData, IntegerMatrix, SnfResult, SparseMatrix, relation_matrix
+from gpforge.homology import (
+    AbelianGroup,
+    ChainComplexData,
+    IntegerMatrix,
+    SnfResult,
+    SparseMatrix,
+    invariant_factors,
+    relation_matrix,
+)
 from gpforge.errors import AlphabetMismatchError, InvalidComplexError, ParseError, SearchBudgetError
 from gpforge.inference import Fact, Rule
 from gpforge.meier import (
@@ -918,12 +926,111 @@ def resorting_spanning_tree(x: SimplicialComplex) -> List[Tuple[int, int]]:
     return tree
 
 
+def transpose(m: SparseMatrix) -> SparseMatrix:
+    """The transpose of a sparse matrix (formerly SparseMatrix.transpose,
+    kept verbatim)."""
+    t = SparseMatrix(m.cols, m.rows)
+    for i, row in enumerate(m.entries):
+        for j, v in row.items():
+            t.entries[j][i] = v
+    return t
+
+
 def cw_chain_complex(p: Presentation) -> ChainComplexData:
     """Cellular chain complex of the one-vertex presentation 2-complex:
     d1 = 0 (loops), d2 = transposed exponent-sum matrix.  The CW-homology
     reference the triangulation is compared against."""
-    d2 = relation_matrix(p).transpose()
+    d2 = transpose(relation_matrix(p))
     return ChainComplexData(SparseMatrix(1, d2.rows), d2)
+
+
+def complex_homology(c: ChainComplexData) -> Tuple[AbelianGroup, AbelianGroup, AbelianGroup]:
+    """Oracle for topology.simplicial_homology, and the homology of any
+    2-dimensional chain complex: the former homology.complex_homology,
+    kept verbatim but for the transpose.
+
+    (H0, H1, H2) of a 2-dimensional chain complex over Z.
+
+    H_i = ker d_i / im d_{i+1}; ranks from matrix ranks, torsion of H_i
+    from the invariant factors of d_{i+1}.  d1 goes in by columns (the
+    transpose has the same invariant factors): each column of a simplicial
+    d1 is a +-1 pair, so its pair merge is a connectivity pass.
+    """
+    c.check_composition()
+    f1 = [f for f in invariant_factors(transpose(c.d1).entries) if f]
+    f2 = [f for f in invariant_factors(c.d2.entries) if f]
+    r1, r2 = len(f1), len(f2)
+    h0 = AbelianGroup(c.n0 - r1, tuple(f for f in f1 if f > 1))
+    h1 = AbelianGroup(c.n1 - r1 - r2, tuple(f for f in f2 if f > 1))
+    h2 = AbelianGroup(c.n2 - r2, tuple())
+    return h0, h1, h2
+
+
+def sorted_simplicial_chain_complex(x: SimplicialComplex) -> ChainComplexData:
+    """Oracle for topology.simplicial_chain_complex: the version that
+    numbers the edges and triangles in sorted order, kept verbatim.
+
+    Sparse boundary matrices with ascending-orientation conventions."""
+    edges = x.edges()
+    tris = x.two_simplices()
+    edge_index = {e: i for i, e in enumerate(edges)}
+    d1 = SparseMatrix(x.n_vertices, len(edges))
+    for col, (i, j) in enumerate(edges):
+        d1.entries[i][col] = -1
+        d1.entries[j][col] = 1
+    d2 = SparseMatrix(len(edges), len(tris))
+    for col, (i, j, k) in enumerate(tris):
+        d2.entries[edge_index[(j, k)]][col] = 1
+        d2.entries[edge_index[(i, k)]][col] = -1
+        d2.entries[edge_index[(i, j)]][col] = 1
+    return ChainComplexData(d1, d2)
+
+
+def dict_merge_unit_pairs(rows: Sequence[Mapping[int, int]]) -> Tuple[int, List[Dict[int, int]]]:
+    """Oracle for homology._merge_unit_pairs: the version whose signed
+    union-find is a dict of (parent, sign) tuples with a recursive find,
+    kept verbatim."""
+    link: Dict[int, Tuple[int, int]] = {}  # column -> (parent, sign)
+    size: Dict[int, int] = {}
+
+    def find(j: int) -> Tuple[int, int]:  # j in link; depth <= log2(size)
+        up = link[j]
+        if up[0] not in link:
+            return up
+        root, sign = find(up[0])
+        link[j] = found = (root, sign * up[1])
+        return found
+
+    kept = []
+    for row in rows:
+        if len(row) == 2:
+            (j, a), (k, b) = row.items()
+            if a in (1, -1) and b in (1, -1):
+                if j in link:
+                    j, sign = find(j)
+                    a *= sign
+                if k in link:
+                    k, sign = find(k)
+                    b *= sign
+                if j != k:
+                    if size.get(j, 1) > size.get(k, 1):
+                        j, k = k, j
+                    link[j] = (k, -a * b)
+                    size[k] = size.get(k, 1) + size.pop(j, 1)
+                    continue
+                if a + b == 0:
+                    continue
+        kept.append(row)
+    residual = []
+    for row in kept:
+        mapped: Dict[int, int] = {}
+        for j, v in row.items():
+            if j in link:
+                j, sign = find(j)
+                v *= sign
+            mapped[j] = mapped.get(j, 0) + v
+        residual.append({j: v for j, v in mapped.items() if v})
+    return len(link), residual
 
 
 def rebuilding_edge_path_presentation(x: SimplicialComplex) -> Presentation:
@@ -1027,8 +1134,8 @@ def normalising_bs_canonical_pass(m: int, n: int, nf: Word) -> Word:
 def near_grammar_texts(draw, lines):
     """Texts of up to six lines, each from one of `lines`, pairs of a
     directive strategy and a token-list strategy: the directive, then its
-    tokens, each after any blank (spaces, tab, form feed, no-break
-    space).  A line may be indented; lines end in LF, CRLF or CR."""
+    tokens, each after any blank (spaces, tab; form feed and no-break
+    space, which the grammars refuse).  A line may be indented; lines end in LF, CRLF or CR."""
     out = []
     for directive, tokens in draw(st.lists(st.sampled_from(lines), max_size=6)):
         parts = [draw(directive)]

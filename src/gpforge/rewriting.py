@@ -40,7 +40,7 @@ from typing import ClassVar, Dict, Generator, Iterator, List, Optional, Tuple
 
 from .errors import AlphabetMismatchError, ParseError, SearchBudgetError, UnsupportedEdgeError
 from .presentations import Presentation
-from .words import Alphabet, GeneratorSymbol, Word, _push_runs, _reduced
+from .words import _INTEGER_RE, Alphabet, GeneratorSymbol, Word, _push_runs, _reduced
 
 _A = GeneratorSymbol("a")
 _T = GeneratorSymbol("t")
@@ -79,12 +79,13 @@ def bs_system(m: int, n: int) -> HnnRewriteSystem:
 
 def parse_bs(text: str) -> HnnRewriteSystem:
     """The BS(m, n) system for the text `m,n`; ParseError unless m and n
-    are nonzero integers."""
+    are nonzero integers written as in `.grp` exponents (ASCII
+    `-?[1-9][0-9]*`, no blanks)."""
     try:
-        m, n = (int(x) for x in text.split(","))
-        if m and n:
-            return bs_system(m, n)
-    except ValueError:
+        m, n = text.split(",")
+        if _INTEGER_RE.match(m) and _INTEGER_RE.match(n):
+            return bs_system(int(m), int(n))
+    except ValueError:  # not two fields, or past int()'s digit limit
         pass
     raise ParseError(f"expected m,n with nonzero integers m and n, got {text!r}")
 

@@ -20,7 +20,7 @@ from gpforge.presentations import (
 )
 from gpforge.reductions import delta_w, f2_atom, free_source, gamma_w, lambda_w, pi_w, witness_w
 from gpforge.words import Alphabet, Word, parse_word, word
-from tests_util import bs_source, near_grammar_texts, rescan_tietze_simplify
+from tests_util import bs_source, grammatical_texts, near_grammar_texts, rescan_tietze_simplify
 
 
 def test_parse_bs23_with_equals_sugar():
@@ -154,8 +154,24 @@ _GRP_LINES = [
 ]
 
 
+@st.composite
+def _grp_lines(draw):
+    """The lines of a readable `.grp` text: at most one gens line, then
+    relators over its generators, some of them equations, and comments."""
+    gens = draw(st.lists(st.sampled_from(["a", "b", "t"]), unique=True))
+    atom = st.sampled_from([g + e for g in gens for e in ("", "^2", "^-1", "^-3")])
+    side = st.just(["1"]) | st.lists(atom, min_size=1, max_size=3) if gens else st.just(["1"])
+    lines = [("gens", gens)] if gens or draw(st.booleans()) else []
+    for _ in range(draw(st.integers(0, 4))):
+        tokens = draw(side)
+        if draw(st.booleans()):
+            tokens = tokens + ["="] + draw(side)
+        lines.append(("rel", tokens))
+    return lines + draw(st.lists(st.sampled_from([("#", ["rel", "="]), ("", [])]), max_size=2))
+
+
 @settings(max_examples=400, deadline=None, database=None, derandomize=True)
-@given(near_grammar_texts(_GRP_LINES))
+@given(near_grammar_texts(_GRP_LINES) | grammatical_texts(_grp_lines()))
 def test_any_grp_text_is_read_or_refused(text):
     try:
         p = parse(text)

@@ -130,7 +130,9 @@ def test_bs_system_owns_its_presentation_and_text():
     assert serialize(bs_system(-2, 3).presentation) == "gens a t\nrel t^-1 a^-2 t a^-3"
     assert serialize(bs_system(3, -2).presentation) == "gens a t\nrel t^-1 a^3 t a^2"
     assert bs_system(-2, 3).presentation.name == "BS(-2,3)" == bs_system(-2, 3).name
-    for text in ("0,3", "2,0", "2", "x,3", "2,3,4", "", "2.5,3"):
+    assert parse_bs("1,-1") is bs_system(1, -1)
+    # Only the grammar's integers: no other digits, separators, signs or blanks.
+    for text in ("0,3", "2,0", "2", "x,3", "2,3,4", "", "2.5,3", "\u0662,3", "1_0,3", "+2,3", " 2 , 3 ", "02,3"):
         with pytest.raises(ParseError):
             parse_bs(text)
 

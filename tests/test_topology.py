@@ -1,7 +1,9 @@
+import json
+import os
 import random
+import subprocess
 import sys
 from itertools import combinations
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -34,7 +36,13 @@ from gpforge.topology import (
     triangulate,
 )
 from gpforge.words import Alphabet, Word
-from tests_util import complex_homology, cw_chain_complex, near_grammar_texts, sorted_simplicial_chain_complex
+from tests_util import (
+    complex_homology,
+    cw_chain_complex,
+    grammatical_texts,
+    near_grammar_texts,
+    sorted_simplicial_chain_complex,
+)
 
 
 TORUS = parse("gens a b\nrel a^-1 b^-1 a b")
@@ -124,6 +132,31 @@ def test_triangulate_chi_formula_and_h1():
         assert h0 == AbelianGroup(1)
         assert h1 == expected
         assert h1 == abelianization(p)
+
+
+def test_triangulate_refuses_a_subdivision_that_loses_a_triangle(monkeypatch):
+    # Converting a complex keeps its cells, so only the presentation
+    # complex's Euler characteristic can catch a lossy subdivision.
+    subdivide = topology.barycentric_subdivide
+
+    def lossy(c):
+        out = subdivide(c)
+        return DeltaComplex(out.n_vertices, out.edges, out.triangles[:-1])
+
+    monkeypatch.setattr(topology, "barycentric_subdivide", lossy)
+    with pytest.raises(InvalidComplexError, match="^subdivision changed the Euler characteristic$"):
+        triangulate(TORUS)
+
+
+def test_homology_workload_reproduces_the_committed_digests():
+    # The benchmark's homology pass triangulates 101 presentations and
+    # checks each output digest against bench/expected/homology.json.
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    argv = [sys.executable, "bench/one_pass.py", "--workload", "homology", "--seed", "1", "--trace", "0"]
+    proc = subprocess.run(argv, cwd=root, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["attempted"] > 0 and result["failures"] == []
 
 
 def test_torus_h2_is_z():
@@ -243,8 +276,19 @@ _SC_LINES = [
 ]
 
 
+@st.composite
+def _sc_lines(draw):
+    """The lines of a readable `.sc` text: one vertices line, distinct
+    simplices of ascending vertices below its count, and comments."""
+    n = draw(st.integers(2, 11))
+    facet = st.lists(st.integers(0, n - 1), min_size=2, max_size=3, unique=True).map(sorted)
+    lines = [("simplex", list(map(str, f))) for f in draw(st.lists(facet, unique_by=tuple, max_size=5))]
+    lines += draw(st.lists(st.sampled_from([("#", []), ("#x", ["simplex", "9"]), ("", [])]), max_size=2))
+    return lines + [("vertices", [str(n)])]
+
+
 @settings(max_examples=400, deadline=None, database=None, derandomize=True)
-@given(near_grammar_texts(_SC_LINES))
+@given(near_grammar_texts(_SC_LINES) | grammatical_texts(_sc_lines()))
 def test_any_sc_text_is_read_or_refused(text):
     try:
         sc = parse_simplicial(text)
@@ -325,11 +369,6 @@ def test_delta_to_simplicial_rejects_non_simplicial_complexes():
     for second in (triangle, turned):
         with pytest.raises(InvalidComplexError, match="^repeated 2-simplex vertex set$"):
             delta_to_simplicial(DeltaComplex(3, ((0, 1), (1, 2), (0, 2)), (triangle, second)))
-    # A repeated corner needs a loop side, refused first, so only an
-    # unchecked triangle list reaches this check.
-    pinched = SimpleNamespace(n_vertices=2, edges=(), triangles=(((0, 0, 1), ()),))
-    with pytest.raises(InvalidComplexError, match="^degenerate triangle: complex is not simplicial$"):
-        delta_to_simplicial(pinched)
 
 
 @st.composite

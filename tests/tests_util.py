@@ -1130,17 +1130,38 @@ def normalising_bs_canonical_pass(m: int, n: int, nf: Word) -> Word:
     return Word(out)
 
 
-@st.composite
-def near_grammar_texts(draw, lines):
-    """Texts of up to six lines, each from one of `lines`, pairs of a
-    directive strategy and a token-list strategy: the directive, then its
-    tokens, each after any blank (spaces, tab; form feed and no-break
-    space, which the grammars refuse).  A line may be indented; lines end in LF, CRLF or CR."""
+_BLANKS = [" ", "  ", "\t", " \t"]
+
+
+def _lay_out(draw, lines, blanks):
+    """One text of the (directive, tokens) `lines`: the directive, then its
+    tokens, each after a blank from `blanks`.  A line may be indented;
+    lines end in LF, CRLF or CR."""
     out = []
-    for directive, tokens in draw(st.lists(st.sampled_from(lines), max_size=6)):
-        parts = [draw(directive)]
-        for token in draw(tokens):
-            parts += [draw(st.sampled_from([" ", "  ", "\t", " \t", "\f", "\xa0"])), token]
+    for directive, tokens in lines:
+        parts = [directive]
+        for token in tokens:
+            parts += [draw(st.sampled_from(blanks)), token]
         out.append(draw(st.sampled_from(["", " ", "\t"])) + "".join(parts))
     eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     return eol.join(out) + draw(st.sampled_from(["", eol]))
+
+
+@st.composite
+def near_grammar_texts(draw, lines):
+    """Texts of up to six lines, each from one of `lines`, pairs of a
+    directive strategy and a token-list strategy, laid out with spaces and
+    tabs as blanks, and form feed and no-break space, which the grammars
+    refuse."""
+    chosen = draw(st.lists(st.sampled_from(lines), max_size=6))
+    drawn = [(draw(directive), draw(tokens)) for directive, tokens in chosen]
+    return _lay_out(draw, drawn, _BLANKS + ["\f", "\xa0"])
+
+
+@st.composite
+def grammatical_texts(draw, lines):
+    """Texts a grammar's reader reads: the (directive, tokens) lines that
+    the strategy `lines` draws, in any order, laid out as in
+    `near_grammar_texts` with spaces and tabs only as blanks."""
+    drawn = draw(lines)
+    return _lay_out(draw, draw(st.permutations(drawn)), _BLANKS)

@@ -24,6 +24,7 @@ clashes, reported by check_consistency.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
@@ -228,20 +229,36 @@ class _Facts:
             self.by_predicate[fact.predicate].append(fact)
             self.by_node[fact.node, fact.predicate].append(fact)
 
-    def of(self, *predicates: str, nodes: Sequence[int] = ()) -> List[Fact]:
+    def of(self, *predicates: str, nodes: Sequence[int] = (), since: int = 0) -> List[Fact]:
         """A new list of the facts with these predicates (about these nodes,
-        if given): those a scan of all facts, in order, would find now."""
+        if given) at positions `since` and later: those a scan of all
+        facts, in order, would find now."""
         index = self.by_node if nodes else self.by_predicate
         keys = [(n, p) for n in nodes for p in predicates] if nodes else predicates
         if len(keys) == 1:
-            return list(index.get(keys[0], ()))
-        found = (f for key in keys for f in index.get(key, ()))
+            return self._tail(index.get(keys[0], ()), since)
+        found = (f for key in keys for f in self._tail(index.get(key, ()), since))
         return sorted(found, key=self.position.__getitem__)
+
+    def _tail(self, facts: Sequence[Fact], since: int) -> List[Fact]:
+        """A new list of a position-ordered list's facts from position `since` on."""
+        if not since or not facts:
+            return list(facts)
+        if self.position[facts[-1]] < since:
+            return []
+        return facts[bisect_left(facts, since, key=self.position.__getitem__) :]
+
+    def new(self, since: int, *premises: Fact) -> bool:
+        """Whether one of these known facts sits at position `since` or later."""
+        return not since or any(self.position[p] >= since for p in premises)
 
 
 # ---------------------------------------------------------------------------
 # Rules.  Each step function yields (fact, premise_facts) pairs derivable in
-# one application from the current facts; the fixpoint loop adds new ones.
+# one application from the current facts, in the order of a scan of them
+# all, but skips every pair whose premises all sit before position `since`:
+# the rule's previous run met those pairs already.  The fixpoint loop adds
+# the new conclusions.
 # ---------------------------------------------------------------------------
 
 
@@ -249,102 +266,108 @@ class _Facts:
 class Rule:
     id: str
     citation: str
-    step: object  # callable(ctx, facts: _Facts) -> iterable[(Fact, tuple[Fact, ...])]
+    premises: Tuple[str, ...]  # the predicates of the premise facts its step yields
+    step: object  # callable(ctx, facts: _Facts, since: int) -> iterable[(Fact, tuple[Fact, ...])]
+    premise_free: bool = False  # whether its step also yields conclusions without premises
 
 
-def _r1(ctx, facts):
-    for f in facts.of("Amenable"):
+def _r1(ctx, facts, since):
+    for f in facts.of("Amenable", since=since):
         yield Fact(f.node, "BoundedlyAcyclic"), (f,)
 
 
-def _r2(ctx, facts):
-    for f in facts.of("Mitotic"):
+def _r2(ctx, facts, since):
+    for f in facts.of("Mitotic", since=since):
         yield Fact(f.node, "BoundedlyAcyclic"), (f,)
 
 
-def _r3(ctx, facts):
+def _r3(ctx, facts, since):
     for i in ctx.of(HNN):
         if not ctx.nodes[i].payload.get("ascending"):
             continue
         (base,) = ctx.kids[i]
         bac = Fact(base, "BoundedlyAcyclic")
-        if bac in facts:
+        if bac in facts and facts.new(since, bac):
             yield Fact(i, "BoundedlyAcyclic"), (bac,)
         chain_tag = Fact(i, "SelfEmbeddingHnn")
         back = Fact(base, "MuEmbedsBack")
-        if chain_tag in facts and back in facts:
+        if chain_tag in facts and back in facts and facts.new(since, chain_tag, back):
             yield Fact(i, "BoundedlyAcyclic"), (chain_tag, back)
 
 
-def _r4(ctx, facts):
+def _r4(ctx, facts, since):
     for f in facts.of("CoAmenableIn"):
         bac = Fact(f.node, "BoundedlyAcyclic")
-        if bac in facts:
+        if bac in facts and facts.new(since, f, bac):
             yield Fact(f.arg, "BoundedlyAcyclic"), (f, bac)
 
 
-def _r5(ctx, facts):
+def _r5(ctx, facts, since):
     for i in ctx.of(DIRECT_PRODUCT):
         p, q = ctx.kids[i]
         for kernel, quotient in ((p, q), (q, p)):
             kb = Fact(kernel, "BoundedlyAcyclic")
             qb = Fact(quotient, "BoundedlyAcyclic")
             tb = Fact(i, "BoundedlyAcyclic")
-            if kb in facts and qb in facts:
+            if kb in facts and qb in facts and facts.new(since, kb, qb):
                 yield tb, (kb, qb)
-            if kb in facts and tb in facts:
+            if kb in facts and tb in facts and facts.new(since, kb, tb):
                 yield Fact(quotient, "BoundedlyAcyclic"), (kb, tb)
 
 
-def _r6(ctx, facts):
+def _r6(ctx, facts, since):
     for i in ctx.of(MITOSIS, MU_STAGE):
-        yield Fact(i, "ContainsF2"), ()
+        # Premise-free conclusions: `since` is 0 on the rule's first run
+        # (every tree's atoms seed facts before it) and in replay.
+        if not since:
+            yield Fact(i, "ContainsF2"), ()
         if ctx.family[i] == MU_STAGE:
-            yield Fact(i, "BoundedlyAcyclic"), ()
-            yield Fact(i, "NotFinPres"), ()
+            if not since:
+                yield Fact(i, "BoundedlyAcyclic"), ()
+                yield Fact(i, "NotFinPres"), ()
             (base,) = ctx.kids[i]
-            for f in facts.of("FinGen", "RecPres", nodes=(base,)):
+            for f in facts.of("FinGen", "RecPres", nodes=(base,), since=since):
                 if f.predicate == "FinGen":
                     yield Fact(i, "FinGen", f.arg + 3), (f,)
                 else:
                     yield Fact(i, "RecPres"), (f,)
 
 
-def _r8(ctx, facts):
+def _r8(ctx, facts, since):
     for dc in facts.of("EdgeDoubleCosetsAtLeast3"):
         proper = Fact(dc.node, "EdgeProperContainment")
-        if proper in facts:
+        if proper in facts and facts.new(since, dc, proper):
             yield Fact(dc.node, "LargeHb", 2), (dc, proper)
 
 
-def _r9(ctx, facts):
+def _r9(ctx, facts, since):
     for f in facts.of("SurjectsOnto"):
         large = Fact(f.arg, "LargeHb", 2)
-        if large in facts:
+        if large in facts and facts.new(since, f, large):
             yield Fact(f.node, "LargeHb", 2), (f, large)
 
 
-def _r10(ctx, facts):
+def _r10(ctx, facts, since):
     for f in facts.of("RetractOf"):
-        for g in facts.of("LargeHb", nodes=(f.node,)):
+        for g in facts.of("LargeHb", nodes=(f.node,), since=0 if facts.new(since, f) else since):
             yield Fact(f.arg, "LargeHb", g.arg), (f, g)
 
 
-def _r11(ctx, facts):
-    for f in facts.of("AcylHyp"):
+def _r11(ctx, facts, since):
+    for f in facts.of("AcylHyp", since=since):
         yield Fact(f.node, "LargeHb", 2), (f,)
         yield Fact(f.node, "LargeHb", 3), (f,)
 
 
-def _r12(ctx, facts):
+def _r12(ctx, facts, since):
     for f in facts.of("IsoToSelfTimesSelf"):
         large2 = Fact(f.node, "LargeHb", 2)
-        if large2 in facts:
+        if large2 in facts and facts.new(since, f, large2):
             for n in range(2, ctx.max_degree + 1, 2):
                 yield Fact(f.node, "LargeHb", n), (f, large2)
 
 
-def _r13(ctx, facts):
+def _r13(ctx, facts, since):
     for i in ctx.of(DIRECT_PRODUCT):
         kids = ctx.kids[i]
         pos = [facts.of("LonebPositive", nodes=(k,)) for k in kids]
@@ -355,13 +378,16 @@ def _r13(ctx, facts):
             (pos[0], pos[1], "LonebPositive"),
         ):
             for fk in lefts:
+                old = not facts.new(since, fk)
                 for fm in rights:
+                    if old and not facts.new(since, fm):
+                        continue
                     if fk.arg >= 1 and fm.arg >= 1 and fk.arg + fm.arg <= ctx.max_degree:
                         yield Fact(i, predicate, fk.arg + fm.arg), (fk, fm)
 
 
-def _r14(ctx, facts):
-    for f in facts.of("LonebLarge", "LonebPositive", "LargeHb", "NonvanishingHb"):
+def _r14(ctx, facts, since):
+    for f in facts.of("LonebLarge", "LonebPositive", "LargeHb", "NonvanishingHb", since=since):
         if f.predicate == "LonebLarge" and f.arg >= 2:
             yield Fact(f.node, "LargeHb", f.arg), (f,)
         elif f.predicate == "LonebPositive" and f.arg >= 1:
@@ -372,20 +398,20 @@ def _r14(ctx, facts):
             yield Fact(f.node, "LonebPositive", 2), (f,)
 
 
-def _r15(ctx, facts):
-    for f in facts.of("HypManifoldGroup"):
+def _r15(ctx, facts, since):
+    for f in facts.of("HypManifoldGroup", since=since):
         yield Fact(f.node, "LonebPositive", f.arg), (f,)
         if f.arg >= 2:
             yield Fact(f.node, "AcylHyp"), (f,)
 
 
-def _r16(ctx, facts):
-    for f in facts.of("ThompsonT"):
+def _r16(ctx, facts, since):
+    for f in facts.of("ThompsonT", since=since):
         for n in range(2, ctx.max_degree + 1, 2):
             yield Fact(f.node, "NonvanishingHb", n), (f,)
 
 
-def _r17(ctx, facts):
+def _r17(ctx, facts, since):
     for i in ctx.of(DIRECT_PRODUCT):
         kids = ctx.kids[i]
         for g_side, l_side in (kids, kids[::-1]):
@@ -394,23 +420,34 @@ def _r17(ctx, facts):
                 continue
             for n in range(2, ctx.max_degree + 1):
                 evens = [Fact(g_side, "NonvanishingHb", k) for k in range(2, max(2, n) + 1, 2)]
-                if all(e in facts for e in evens):
+                if all(e in facts for e in evens) and facts.new(since, hyp3, *evens):
                     yield Fact(i, "LargeHb", n), tuple(evens) + (hyp3,)
 
 
-def _r18(ctx, facts):
-    for edge in facts.of("EdgeAmenable"):
-        for f in facts.of("LargeHb", "LonebPositive", "LonebLarge", nodes=ctx.kids[edge.node]):
+def _r18(ctx, facts, since):
+    # Edge facts are structural seeds, so a combination is new when its
+    # lifted fact is.  Seeds are laid down in pre-order, so a parent's
+    # edge precedes its children's: this run's conclusions, about an
+    # edge's node, are read only by its parent's edge, already passed, and
+    # the lifted facts listed here are all that the edges can read.
+    edges = facts.of("EdgeAmenable")
+    owner = {kid: edge.node for edge in edges for kid in ctx.kids[edge.node]}
+    lifted = defaultdict(list)
+    for f in facts.of("LargeHb", "LonebPositive", "LonebLarge", since=since):
+        if f.node in owner:
+            lifted[owner[f.node]].append(f)
+    for edge in edges:
+        for f in lifted[edge.node]:
             yield Fact(edge.node, f.predicate, f.arg), (edge, f)
 
 
-def _r19(ctx, facts):
-    for f in facts.of("NonelemFreeProduct"):
+def _r19(ctx, facts, since):
+    for f in facts.of("NonelemFreeProduct", since=since):
         yield Fact(f.node, "AcylHyp"), (f,)
 
 
-def _r20(ctx, facts):
-    for f in facts.of("Finite", "CdbEquals0", "Amenable", "HdbEquals0", "NonvanishingHb"):
+def _r20(ctx, facts, since):
+    for f in facts.of("Finite", "CdbEquals0", "Amenable", "HdbEquals0", "NonvanishingHb", since=since):
         if f.predicate == "Finite":
             yield Fact(f.node, "CdbEquals0"), (f,)
         elif f.predicate == "CdbEquals0":
@@ -426,60 +463,65 @@ def _r20(ctx, facts):
     # over parents ascending, then their children.  The facts yielded here
     # are about parents, which precede their children in pre-order, so that
     # scan would not meet them: the list taken here is all it would read.
-    up = [f for f in facts.of("CdbAtLeast") if ctx.embeds_into[f.node] is not None]
+    up = [f for f in facts.of("CdbAtLeast", since=since) if ctx.embeds_into[f.node] is not None]
     for f in sorted(up, key=lambda f: (ctx.embeds_into[f.node], f.node)):
         yield Fact(ctx.embeds_into[f.node], "CdbAtLeast", f.arg), (f,)
 
 
-def _r21(ctx, facts):
-    for f in facts.of("ContainsF2"):
+def _r21(ctx, facts, since):
+    for f in facts.of("ContainsF2", since=since):
         yield Fact(f.node, "CdbAtLeast", 3), (f,)
 
 
 RULES: Tuple[Rule, ...] = (
-    Rule("R1", "Johnson: amenable groups are boundedly acyclic", _r1),
-    Rule("R2", "Loeh: mitotic groups are boundedly acyclic", _r2),
+    Rule("R1", "Johnson: amenable groups are boundedly acyclic", ("Amenable",), _r1),
+    Rule("R2", "Loeh: mitotic groups are boundedly acyclic", ("Mitotic",), _r2),
     Rule(
         "R3",
         "Monod-Popa co-amenability: ascending HNN-extensions of boundedly "
         "acyclic groups are boundedly acyclic; a base containing its own "
         "boundedly acyclic hull certifies the same for the tagged extension",
+        ("BoundedlyAcyclic", "SelfEmbeddingHnn", "MuEmbedsBack"),
         _r3,
     ),
-    Rule("R4", "co-amenable subgroups inject in bounded cohomology (Monod-Popa)", _r4),
-    Rule("R5", "extensions with boundedly acyclic kernel: total is boundedly acyclic iff the quotient is", _r5),
+    Rule("R4", "co-amenable subgroups inject in bounded cohomology (Monod-Popa)", ("CoAmenableIn", "BoundedlyAcyclic"), _r4),
+    Rule("R5", "extensions with boundedly acyclic kernel: total is boundedly acyclic iff the quotient is", ("BoundedlyAcyclic",), _r5),
     Rule(
         "R6",
         "the two fresh mitosis letters generate a free group of rank 2; the "
         "mu hull of an n-generated group is a boundedly acyclic, "
         "(n+3)-generated, never finitely presented ascending HNN-extension "
         "of a mitotic group, recursively presented when the input is",
+        ("FinGen", "RecPres"),
         _r6,
+        premise_free=True,
     ),
-    Rule("R8", "amalgams with >= 3 double cosets of a proper edge subgroup have large second bounded cohomology (Grigorchuk, Fujiwara)", _r8),
-    Rule("R9", "epimorphisms induce injections on second bounded cohomology (Bouarich)", _r9),
-    Rule("R10", "a retraction induces an injection of the retract's bounded cohomology", _r10),
-    Rule("R11", "acylindrically hyperbolic groups have large second (Hull-Osin) and third (Frigerio-Pozzetti-Sisto) bounded cohomology", _r11),
-    Rule("R12", "a group isomorphic to its direct square with large second bounded cohomology is large in all even degrees", _r12),
-    Rule("R13", "l1-Betti numbers are supermultiplicative under direct products", _r13),
+    Rule("R8", "amalgams with >= 3 double cosets of a proper edge subgroup have large second bounded cohomology (Grigorchuk, Fujiwara)", ("EdgeDoubleCosetsAtLeast3", "EdgeProperContainment"), _r8),
+    Rule("R9", "epimorphisms induce injections on second bounded cohomology (Bouarich)", ("SurjectsOnto", "LargeHb"), _r9),
+    Rule("R10", "a retraction induces an injection of the retract's bounded cohomology", ("RetractOf", "LargeHb"), _r10),
+    Rule("R11", "acylindrically hyperbolic groups have large second (Hull-Osin) and third (Frigerio-Pozzetti-Sisto) bounded cohomology", ("AcylHyp",), _r11),
+    Rule("R12", "a group isomorphic to its direct square with large second bounded cohomology is large in all even degrees", ("IsoToSelfTimesSelf", "LargeHb"), _r12),
+    Rule("R13", "l1-Betti numbers are supermultiplicative under direct products", ("LonebPositive", "LonebLarge"), _r13),
     Rule(
         "R14",
         "duality: dim H^k_b >= b_k (all k), with the degree-2 converse "
         "b_2 >= dim H^2_b (Matsumoto-Morita)",
+        ("LonebLarge", "LonebPositive", "LargeHb", "NonvanishingHb"),
         _r14,
     ),
-    Rule("R15", "closed hyperbolic n-manifolds have nonzero simplicial volume (Gromov, Thurston), hence b_n > 0; their groups are acylindrically hyperbolic for n >= 2", _r15),
-    Rule("R16", "cup powers of the bounded Euler class of the circle-homeomorphism Thompson group are nonzero in all even degrees (Ghys-Sergiescu, Burger-Monod)", _r16),
-    Rule("R17", "even-degree nonvanishing times a hyperbolic 3-manifold group has large bounded cohomology in every degree >= 2", _r17),
-    Rule("R18", "amalgams over amenable edges admit isometric embeddings from their factors in bounded cohomology and injections in reduced l1-homology", _r18),
-    Rule("R19", "nonelementary free products are acylindrically hyperbolic (Minasyan-Osin)", _r19),
+    Rule("R15", "closed hyperbolic n-manifolds have nonzero simplicial volume (Gromov, Thurston), hence b_n > 0; their groups are acylindrically hyperbolic for n >= 2", ("HypManifoldGroup",), _r15),
+    Rule("R16", "cup powers of the bounded Euler class of the circle-homeomorphism Thompson group are nonzero in all even degrees (Ghys-Sergiescu, Burger-Monod)", ("ThompsonT",), _r16),
+    Rule("R17", "even-degree nonvanishing times a hyperbolic 3-manifold group has large bounded cohomology in every degree >= 2", ("NonvanishingHb", "HypManifoldGroup"), _r17),
+    Rule("R18", "amalgams over amenable edges admit isometric embeddings from their factors in bounded cohomology and injections in reduced l1-homology", ("EdgeAmenable", "LargeHb", "LonebPositive", "LonebLarge"), _r18),
+    Rule("R19", "nonelementary free products are acylindrically hyperbolic (Minasyan-Osin)", ("NonelemFreeProduct",), _r19),
     Rule(
         "R20",
         "cd_b = 0 iff finite; hd_b = 0 iff amenable; hd_b <= cd_b; both "
         "dimensions are monotone under subgroups",
+        ("Finite", "CdbEquals0", "Amenable", "HdbEquals0", "NonvanishingHb", "CdbAtLeast"),
         _r20,
     ),
-    Rule("R21", "groups containing F_2 are non-amenable and have cd_b >= 3 (random F_2 subgroups, Monod)", _r21),
+    Rule("R21", "groups containing F_2 are non-amenable and have cd_b >= 3 (random F_2 subgroups, Monod)", ("ContainsF2",), _r21),
 )
 
 A0_CITATION = "asserted base fact"
@@ -538,18 +580,40 @@ class Derivation:
             facts.add(fact, Certificate(fact, rule_id, _STRUCTURAL_CITATIONS[rule_id]))
 
     def _run(self):
+        """Semi-naive evaluation.  Each rule keeps a watermark, the fact
+        count when its previous run started.  It runs only when one of its
+        premise predicates gained a fact since then (its bit in `pending`),
+        and reads only the premise combinations that hold such a fact; a
+        rule with premise-free conclusions also runs in the first round.
+        Each skipped combination was met by an earlier run, so every fact
+        keeps the first certificate, and `certificates` the order, that
+        rerunning every rule on every fact until a round derives nothing
+        would give."""
         # The index lives only as long as the fixpoint; the certificates stay.
         facts = _Facts(self.certificates)
         self._seed(facts)
-        changed = True
-        while changed:
-            changed = False
-            for rule in RULES:
-                for fact, premises in rule.step(self.ctx, facts):
-                    if fact not in self.certificates:
-                        premise_certs = tuple(self.certificates[p] for p in premises)
+        readers: Dict[str, int] = defaultdict(int)  # predicate -> bitmask of the rules reading it
+        pending = 0
+        for k, rule in enumerate(RULES):
+            for predicate in rule.premises:
+                readers[predicate] |= 1 << k
+            if rule.premise_free:
+                pending |= 1 << k
+        for predicate in facts.by_predicate:
+            pending |= readers[predicate]
+        marks = [0] * len(RULES)
+        certificates = self.certificates
+        while pending:
+            for k, rule in enumerate(RULES):
+                if not pending >> k & 1:
+                    continue
+                pending ^= 1 << k
+                since, marks[k] = marks[k], len(facts.position)
+                for fact, premises in rule.step(self.ctx, facts, since):
+                    if fact not in certificates:
+                        premise_certs = tuple(map(certificates.__getitem__, premises))
                         facts.add(fact, Certificate(fact, rule.id, rule.citation, premise_certs))
-                        changed = True
+                        pending |= readers[fact.predicate]
 
     # -- queries ----------------------------------------------------------
 
@@ -662,4 +726,4 @@ def _replays(derivation: Derivation, cert: Certificate) -> bool:
     premises = _Facts({})
     for p in cert.premises:
         premises.add(p.fact, p)
-    return cert.fact in {f for f, _ in rule.step(derivation.ctx, premises)}
+    return cert.fact in {f for f, _ in rule.step(derivation.ctx, premises, 0)}

@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .errors import AlphabetMismatchError, ParseError
+from .errors import AlphabetMismatchError, ParseError, SearchBudgetError
 from .words import (
     Alphabet,
     GeneratorSymbol,
@@ -181,13 +181,19 @@ def validate(p: Presentation) -> List[str]:
 TIETZE_BUDGET = 10_000
 """Moves one tietze_simplify call may make before it stops."""
 
+TIETZE_RUN_BUDGET = 4_000_000
+"""Runs one tietze_simplify call may write into rewritten relators, about
+five times the 847,938 that mu stage 14, the largest built-in input,
+writes in 0.7 s; past it the call raises SearchBudgetError."""
 
-def _rewrite(runs: tuple, x: int, image: tuple, inverse: tuple) -> tuple:
+
+def _rewrite(runs: tuple, x: int, image: tuple, inverse: tuple, budget: int) -> tuple:
     """The reduced run tuple of `runs` with each run (x, e) replaced by
     image^e, where `inverse` is image^-1; the other runs are kept.
 
     A one-run image t^f gives the one run t^(f * e), so a huge exponent
-    is never expanded; any other image is pushed |e| times.
+    is never expanded; any other image is pushed |e| times, after a check
+    that those |e| * len(image) runs stay within `budget`.
     """
     out: list = []
     one_run = len(image) == 1
@@ -199,6 +205,8 @@ def _rewrite(runs: tuple, x: int, image: tuple, inverse: tuple) -> tuple:
                 if e == 1 or e == -1:  # the common case, without a range()
                     _push_runs(out, piece)
                 elif piece:  # an empty image adds nothing, whatever e is
+                    if abs(e) * len(piece) > budget - len(out):
+                        raise SearchBudgetError(f"a Tietze move would write more than {TIETZE_RUN_BUDGET} runs")
                     for _ in range(abs(e)):
                         _push_runs(out, piece)
                 continue
@@ -231,7 +239,9 @@ def tietze_simplify(p: Presentation) -> Presentation:
     within one generator, relators are scanned in stored order.  Stops at
     a fixpoint or after TIETZE_BUDGET moves, whichever comes first.  A
     relator that uses a generator outside p's alphabet raises
-    AlphabetMismatchError.
+    AlphabetMismatchError; moves that would write more than
+    TIETZE_RUN_BUDGET runs into rewritten relators raise
+    SearchBudgetError, before an |e|-fold push that would pass it.
 
     The moves run on integer-coded relators.  Each relator is encoded
     once as a tuple of (alphabet position, exponent) runs, equal runs
@@ -294,6 +304,7 @@ def tietze_simplify(p: Presentation) -> Presentation:
         if not rel:
             empty |= 1 << i
     eliminated = set()
+    runs_left = TIETZE_RUN_BUDGET
     for _ in range(TIETZE_BUDGET):
         if empty:
             low = empty & -empty
@@ -321,7 +332,11 @@ def tietze_simplify(p: Presentation) -> Presentation:
             low = rest & -rest
             j = low.bit_length() - 1
             toggle(j)
-            relators[j] = _peel(_rewrite(relators[j], x, image, inverse))[0]
+            runs = _rewrite(relators[j], x, image, inverse, runs_left)
+            runs_left -= len(runs)
+            if runs_left < 0:
+                raise SearchBudgetError(f"Tietze moves would write more than {TIETZE_RUN_BUDGET} runs")
+            relators[j] = _peel(runs)[0]
             toggle(j)
             if not relators[j]:
                 empty |= low

@@ -1,5 +1,7 @@
+import functools
 import random
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -18,6 +20,7 @@ from gpforge.errors import ParseError
 from gpforge.inference import (
     A0_CITATION,
     DEGREE,
+    MAX_DEGREE,
     MAX_QUERY_DEGREE,
     NODE,
     PREDICATES,
@@ -32,10 +35,18 @@ from gpforge.inference import (
 )
 from gpforge.meier import meier_gamma_expr
 from gpforge.presentations import PresentationMorphism, presentation
-from gpforge.reductions import WordProblemSource, free_source, gamma_w, hyperbolic_manifold_atom, pi_w, witness_w
+from gpforge.reductions import (
+    WordProblemSource,
+    delta_w,
+    free_source,
+    gamma_w,
+    hyperbolic_manifold_atom,
+    pi_w,
+    witness_w,
+)
 from gpforge.sexpr import parse_expr, serialize_expr
 from gpforge.words import parse_word, word
-from tests_util import scan_rules
+from tests_util import NaiveDerivation, scan_rules
 
 
 def thompson_atom():
@@ -406,18 +417,21 @@ def test_derive_is_fast_on_a_wide_witness_tree():
 _ASSERTABLE = [(predicate, spec.arg) for predicate, spec in PREDICATES.items() if spec.name]
 
 
-def _random_tree(rng, depth, leaf=0.0):
+def _random_tree(rng, depth, leaf=0.0, extra=()):
     """A small tree over atoms with random assertable facts, the three
     products with random tags, HNN extensions, mitosis and mu stages.
-    Below the root, a node is an atom with probability 0.3."""
+    Below the root, a node is a leaf with probability 0.3; with `extra`,
+    half the leaves are drawn from it."""
     if depth == 0 or rng.random() < leaf:
+        if extra and rng.random() < 0.5:
+            return rng.choice(extra)
         facts = [
             (predicate, rng.randint(0, 5) if arg else None)
             for predicate, arg in rng.sample(_ASSERTABLE, rng.randint(0, 4))
         ]
         return atom(presentation(rng.sample(["x", "y", "z"], rng.randint(1, 2))), facts=facts)
     kind = rng.choice(["free", "direct", "amalgam", "hnn", "mitosis", "mu"])
-    p = _random_tree(rng, depth - 1, 0.3)
+    p = _random_tree(rng, depth - 1, 0.3, extra)
     if kind == "mitosis":
         return standard_mitosis(p)
     if kind == "mu":
@@ -427,7 +441,7 @@ def _random_tree(rng, depth, leaf=0.0):
         # alphabets only grow up the tree.
         stable = f"t{len(p.realized.alphabet)}"
         return hnn_extension(p, stable, ascending=rng.random() < 0.7, bac_hnn_chain=rng.random() < 0.5)
-    q = _random_tree(rng, depth - 1, 0.3)
+    q = _random_tree(rng, depth - 1, 0.3, extra)
     if kind == "free":
         return free_product(p, q, nonelementary=rng.random() < 0.5)
     if kind == "direct":
@@ -462,6 +476,83 @@ def test_premise_driven_rules_match_the_node_scans(monkeypatch, max_degree):
         assert [c.render() for c in d.certificates.values()] == [c.render() for c in scanned.certificates.values()]
         assert check_consistency(d) == check_consistency(scanned)
         assert all(replay_certificate(d, c) for c in d.certificates.values())
+
+
+def _witness_leaves():
+    """Subtrees on which R9, R12, R16 and R17 fire: Meier's Gamma, the
+    witness constructions of a nontrivial word, and hyperbolic-manifold and
+    Thompson atoms."""
+    src = free_source()
+    w = parse_word("a", src.presentation.alphabet)
+    return (
+        meier_gamma_expr(),
+        witness_w(atom(presentation(["x", "y"])), src, w).expr,
+        pi_w(src, w, 4).expr,
+        pi_w(src, w, 5).expr,
+        delta_w(src, w, 3).expr,
+        hyperbolic_manifold_atom(2),
+        hyperbolic_manifold_atom(3),
+        thompson_atom(),
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_trees():
+    extra = _witness_leaves()
+    rng = random.Random(28)
+    return _differential_trees() + list(extra) + [_random_tree(rng, 4, extra=extra) for _ in range(200)]
+
+
+@pytest.mark.parametrize("max_degree", [4, 12])
+def test_semi_naive_fixpoint_matches_the_naive_one(max_degree):
+    fired = set()
+    for expr in _oracle_trees():
+        d = derive(expr, max_degree)
+        naive = NaiveDerivation(expr, max_degree)
+        assert [c.render() for c in d.certificates.values()] == [c.render() for c in naive.certificates.values()]
+        assert check_consistency(d) == check_consistency(naive)
+        fired.update(c.rule for c in d.certificates.values())
+    assert {"R9", "R12", "R16", "R17"} <= fired
+
+
+def test_rules_declare_the_predicates_of_their_premises(monkeypatch):
+    # A rule is skipped while its declared predicates gain no fact, so an
+    # undeclared premise predicate would silently lose conclusions.
+    def guarded(rule):
+        def step(ctx, facts, since):
+            for fact, premises in rule.step(ctx, facts, since):
+                assert {p.predicate for p in premises} <= set(rule.premises), (rule.id, premises)
+                yield fact, premises
+
+        return replace(rule, step=step)
+
+    monkeypatch.setattr(inference, "RULES", tuple(guarded(r) for r in inference.RULES))
+    for expr in _oracle_trees():
+        NaiveDerivation(expr, MAX_DEGREE)
+
+
+def test_derive_on_a_deep_chain_yields_linearly_many_conclusions(monkeypatch):
+    yields = 0
+
+    def counted(rule):
+        def step(ctx, facts, since):
+            nonlocal yields
+            for pair in rule.step(ctx, facts, since):
+                yields += 1
+                yield pair
+
+        return replace(rule, step=step)
+
+    counts = []
+    with monkeypatch.context() as m:
+        m.setattr(inference, "RULES", tuple(counted(r) for r in inference.RULES))
+        for depth in (400, 800):
+            yields = 0
+            derive(_nested_free_products(depth))
+            counts.append(yields)
+    assert counts[1] <= 2.1 * counts[0], counts
+    expr = _nested_free_products(1600)
+    assert query(derive(expr), expr, "CdbAtLeast", 3) is not None
 
 
 def test_an_atom_cannot_assert_a_structural_predicate():

@@ -1,14 +1,16 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gpforge import presentations
-from gpforge.combinators import mu_stage
-from gpforge.errors import AlphabetMismatchError, GpforgeError, ParseError
+from gpforge.combinators import MAX_MU_STAGE, mu_stage
+from gpforge.errors import AlphabetMismatchError, GpforgeError, ParseError, SearchBudgetError
 from gpforge.homology import abelianization
 from gpforge.presentations import (
     EMPTY_PRESENTATION,
+    TIETZE_RUN_BUDGET,
     Presentation,
     PresentationMorphism,
     is_stage_embedding,
@@ -347,6 +349,32 @@ def test_tietze_matches_oracle_at_every_budget(p, monkeypatch):
     for budget in range(moves + 2):
         monkeypatch.setattr(presentations, "TIETZE_BUDGET", budget)
         _assert_tietze_matches_oracle(p)
+
+
+def test_tietze_refuses_a_huge_power_of_a_long_image_at_once():
+    # c a b isolates c with the two-run image b^-1 a^-1, which c^HUGE
+    # would push HUGE times.
+    p = parse(f"gens a b c\nrel c a b\nrel c^{HUGE}")
+    started = time.perf_counter()
+    with pytest.raises(SearchBudgetError, match=f"more than {TIETZE_RUN_BUDGET} runs"):
+        tietze_simplify(p)
+    assert time.perf_counter() - started < 0.5
+
+
+def test_tietze_run_budget_counts_the_runs_written(monkeypatch):
+    # c^1000 is rewritten to (b^-1 a^-1)^1000, 2,000 runs.
+    p = parse("gens a b c\nrel c a b\nrel c^1000")
+    monkeypatch.setattr(presentations, "TIETZE_RUN_BUDGET", 2000)
+    assert len(tietze_simplify(p).relators[0]) == 2000
+    monkeypatch.setattr(presentations, "TIETZE_RUN_BUDGET", 1999)
+    with pytest.raises(SearchBudgetError):
+        tietze_simplify(p)
+
+
+def test_tietze_run_budget_admits_the_largest_mu_stage():
+    # Stage 14 writes 847,938 runs.
+    simplified = tietze_simplify(mu_stage(presentation(["g"]), MAX_MU_STAGE).realized)
+    assert len(simplified.alphabet) == 4
 
 
 def test_tietze_matches_oracle_on_mu_stages():

@@ -2,6 +2,7 @@
 
 import math
 from collections import deque
+from dataclasses import replace
 from itertools import combinations, permutations
 from math import gcd
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
@@ -20,7 +21,7 @@ from gpforge.homology import (
     relation_matrix,
 )
 from gpforge.errors import AlphabetMismatchError, InvalidComplexError, ParseError, SearchBudgetError
-from gpforge.inference import Fact, Rule
+from gpforge.inference import Certificate, Fact, Rule
 from gpforge.meier import (
     _B,
     _A_SYM,
@@ -750,8 +751,8 @@ def _embedding_children(ctx, i: int) -> List[int]:
     return []
 
 
-def scan_r8(ctx, facts):
-    """Oracle for inference R8: every amalgam node in turn."""
+def scan_r8(ctx, facts, since):
+    """Oracle for inference R8: every amalgam node in turn, every run."""
     for i in ctx.of(AMALGAM):
         dc = Fact(i, "EdgeDoubleCosetsAtLeast3")
         proper = Fact(i, "EdgeProperContainment")
@@ -759,8 +760,8 @@ def scan_r8(ctx, facts):
             yield Fact(i, "LargeHb", 2), (dc, proper)
 
 
-def scan_r18(ctx, facts):
-    """Oracle for inference R18: every amalgam node in turn."""
+def scan_r18(ctx, facts, since):
+    """Oracle for inference R18: every amalgam node in turn, every run."""
     for i in ctx.of(AMALGAM):
         edge = Fact(i, "EdgeAmenable")
         if edge in facts:
@@ -768,9 +769,9 @@ def scan_r18(ctx, facts):
                 yield Fact(i, f.predicate, f.arg), (edge, f)
 
 
-def scan_r20(ctx, facts):
+def scan_r20(ctx, facts, since):
     """Oracle for inference R20: subgroup monotonicity scans every node and
-    its embedding children."""
+    its embedding children, every run."""
     for f in facts.of("Finite", "CdbEquals0", "Amenable", "HdbEquals0", "NonvanishingHb"):
         if f.predicate == "Finite":
             yield Fact(f.node, "CdbEquals0"), (f,)
@@ -791,9 +792,29 @@ def scan_r20(ctx, facts):
 
 def scan_rules() -> Tuple[Rule, ...]:
     """inference.RULES with R8, R18 and R20 scanning the tree's nodes
-    instead of reading their premises from the fact index."""
+    instead of reading their premises from the fact index, and ignoring
+    the watermark."""
     scans = {"R8": scan_r8, "R18": scan_r18, "R20": scan_r20}
-    return tuple(Rule(r.id, r.citation, scans.get(r.id, r.step)) for r in inference.RULES)
+    return tuple(replace(r, step=scans.get(r.id, r.step)) for r in inference.RULES)
+
+
+class NaiveDerivation(inference.Derivation):
+    """Oracle for inference.Derivation: the naive fixpoint, which reruns
+    every rule over every fact each round until a round derives nothing."""
+
+    def _run(self):
+        # The index lives only as long as the fixpoint; the certificates stay.
+        facts = inference._Facts(self.certificates)
+        self._seed(facts)
+        changed = True
+        while changed:
+            changed = False
+            for rule in inference.RULES:
+                for fact, premises in rule.step(self.ctx, facts, 0):
+                    if fact not in self.certificates:
+                        premise_certs = tuple(self.certificates[p] for p in premises)
+                        facts.add(fact, Certificate(fact, rule.id, rule.citation, premise_certs))
+                        changed = True
 
 
 def per_flag_barycentric_subdivide(c: DeltaComplex) -> DeltaComplex:

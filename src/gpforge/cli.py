@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import random
+import re
 import sys
 from functools import lru_cache
 from typing import List, Optional
@@ -243,12 +244,19 @@ def _cmd_corpus(args) -> int:
     return EXIT_OK
 
 
+def _integer(text: str) -> int:
+    """The type of the integer flags: ASCII `-?[0-9]+`, the `.gx` integer
+    token, so `+2`, ` 2`, `1_0` and other scripts' digits are refused; a
+    literal past int()'s digit limit raises ValueError, which argparse
+    reports as a usage error too."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    return int(text)
+
+
 def _nonnegative(text: str) -> int:
     """The type of --depth and --count; their upper bounds are the library's."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
+    value = _integer(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
     return value
@@ -274,7 +282,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("certify-nontrivial", help="finite-quotient nontriviality certificate")
     p.add_argument("file")
     p.add_argument("--word", required=True)
-    p.add_argument("--degree", type=int, default=5)
+    p.add_argument("--degree", type=_integer, default=5)
     p.set_defaults(func=_cmd_certify_nontrivial)
 
     p = sub.add_parser("triangulate", help="double barycentric subdivision of the presentation complex")
@@ -298,22 +306,22 @@ def build_parser() -> _Parser:
     p.add_argument("--lambda", dest="lam", required=True, metavar="FILE")
     p.add_argument("--oracle", default="free", metavar="{free|bs:m,n}")
     p.add_argument("--word", required=True)
-    p.add_argument("--dim", type=int, default=4)
+    p.add_argument("--dim", type=_integer, default=4)
     p.add_argument("--gamma", default=None, metavar="FILE")
     p.add_argument("-o", "--output", default=None)
     p.add_argument("--expr", dest="expr_output", default=None)
     p.set_defaults(func=_cmd_reduce)
 
     p = sub.add_parser("meier-probe", help="double-coset witness probe for Meier's amalgam")
-    p.add_argument("--max-len", type=int, required=True)
-    p.add_argument("--budget", type=int, required=True)
+    p.add_argument("--max-len", type=_integer, required=True)
+    p.add_argument("--budget", type=_integer, required=True)
     p.set_defaults(func=_cmd_meier_probe)
 
     p = sub.add_parser("corpus", help="emit labeled example families")
     p.add_argument("--family", required=True, choices=["mu", "witness", "meier", "large"])
     p.add_argument("--depth", type=_nonnegative, default=3)
     p.add_argument("--count", type=_nonnegative, default=10)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_integer, default=0)
     p.set_defaults(func=_cmd_corpus)
 
     return parser

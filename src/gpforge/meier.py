@@ -173,36 +173,30 @@ def meier_eval(e: MeierElement, index: int) -> Word:
 # ---------------------------------------------------------------------------
 
 
-def _walk(letter_order, max_len: int, push, visit) -> None:
-    """Depth-first over the prefix trie of the freely reduced words of
-    length 1..max_len in the +-1 letters `letter_order`: each node's state
-    is push(parent's state, letter), the root's state is None, and
-    visit(prefix, state) sees the nodes of each length in lexicographic
-    order.  Recursion is max_len deep."""
-    prefix: List[Tuple[GeneratorSymbol, int]] = []
-
-    def descend(state) -> None:
-        for letter in letter_order:
-            if prefix and prefix[-1] == (letter[0], -letter[1]):
-                continue
-            child = push(state, letter)
-            prefix.append(letter)
-            visit(prefix, child)
-            if len(prefix) < max_len:
-                descend(child)
-            prefix.pop()
-
-    descend(None)
-
-
-def _length_lex(buckets: List[list]) -> list:
-    return [item for bucket in buckets for item in bucket]
-
-
-def _push_all(sys, state, letters):
-    for sym, exp in letters:
-        state = britton_push(sys, state, sym, exp)
-    return state
+def _trie(images, max_len: int):
+    """Depth first, so in lexicographic order, over the prefix trie of the
+    freely reduced words of length 1..max_len in the +-1 letters that key
+    `images`, in their order: yields each node as (prefix, state), the
+    prefix a tuple of letters and the state the Britton state of its
+    image, which is its parent's state with images[letter] pushed (the
+    root's is None)."""
+    sys = bs_system(2, 3)
+    letters = list(images)
+    # The letters that may follow each last letter, pushed last first so
+    # that they pop in order.
+    follow = {last: [x for x in reversed(letters) if x != (last[0], -last[1])] for last in letters}
+    stack = [((), None)]
+    while stack:
+        prefix, state = stack.pop()
+        if prefix:
+            yield prefix, state
+        if len(prefix) == max_len:
+            continue
+        for letter in follow[prefix[-1]] if prefix else reversed(letters):
+            child = state
+            for sym, exp in images[letter]:
+                child = britton_push(sys, child, sym, exp)
+            stack.append((prefix + (letter,), child))
 
 
 def _f_table(budget: int) -> Tuple[set, bool]:
@@ -210,37 +204,25 @@ def _f_table(budget: int) -> Tuple[set, bool]:
     images of the freely reduced words in F's free generators {t, c} of
     length <= F_WORD_MAX_LEN in length-lexicographic order, and whether
     any such word was left out."""
-    t_w, c_w = f_generators(_B)
-    f_syms = (GeneratorSymbol("ft"), GeneratorSymbol("fc"))
-    f_letters = [(f_syms[0], 1), (f_syms[0], -1), (f_syms[1], 1), (f_syms[1], -1)]
-    images = {f_syms[0]: t_w, f_syms[1]: c_w}
-    image_letters = {(sym, eps): (images[sym] ** eps).letters for sym, eps in f_letters}
-    sys = bs_system(2, 3)
-    buckets: List[list] = [[] for _ in range(F_WORD_MAX_LEN + 1)]
-    _walk(
-        f_letters,
-        F_WORD_MAX_LEN,
-        lambda state, letter: _push_all(sys, state, image_letters[letter]),
-        lambda prefix, state: buckets[len(prefix)].append(state),
-    )
-    states = _length_lex(buckets)
-    known = {bs_canonical_pass(2, 3, britton_word(sys, state)) for state in states[:budget]}
-    return known, len(states) > budget
+    generators = zip((GeneratorSymbol("ft"), GeneratorSymbol("fc")), f_generators(_B))
+    images = {(sym, eps): (w ** eps).letters for sym, w in generators for eps in (1, -1)}
+    nodes = sorted(_trie(images, F_WORD_MAX_LEN), key=lambda node: len(node[0]))
+    known = {bs_canonical_pass(2, 3, britton_word(state)) for _, state in nodes[:budget]}
+    return known, len(nodes) > budget
 
 
 def double_coset_probe(max_len: int, budget: int) -> List[Tuple[Word, str]]:
     """Budgeted search for elements of phi^-1(F) and their F-membership.
 
     Walks the freely reduced words x over {a, t} with |x| <= max_len
-    depth-first in the prefix trie, carrying the Britton state
+    depth-first in the prefix trie (`_trie`), carrying the Britton state
     (`britton_push`) of phi(x): a child pushes the image of its last
     letter (a^+-1 -> a^+-2, t^+-1 -> t^+-1) onto its parent's state, so
     each trie node costs one letter, not a rewrite of the whole word.
-    Only the few kept words fold their own Britton form.  Kept words go
-    into one bucket per length, and the buckets are joined at the end, so
-    results come in length-lexicographic order.  The walk visits
-    2 (3^max_len - 1) nodes; above PROBE_NODE_BUDGET it raises
-    SearchBudgetError before it starts.
+    Only the few kept words fold their own Britton form.  The walk is
+    lexicographic, and a stable sort by length puts the results in
+    length-lexicographic order.  The walk visits 2 (3^max_len - 1) nodes;
+    above PROBE_NODE_BUDGET it raises SearchBudgetError before it starts.
 
     A word x is kept when the Britton form of phi(x) is t^k (certainly in
     <t> <= F).  A kept x whose own Britton form is a t-power is in F.
@@ -268,27 +250,18 @@ def double_coset_probe(max_len: int, budget: int) -> List[Tuple[Word, str]]:
     f_known, truncated = _f_table(budget)
     miss = STATUS_EXHAUSTED if truncated else STATUS_UNKNOWN
     sys = bs_system(2, 3)
-    letter_order = [(_A_SYM, 1), (_A_SYM, -1), (_T_SYM, 1), (_T_SYM, -1)]
-    phi_letters = {(sym, eps): (_PHI[sym] ** eps).letters for sym, eps in letter_order}
-
-    def push(phi_state, letter):
-        return _push_all(sys, phi_state, phi_letters[letter])
-
-    buckets: List[list] = [[] for _ in range(max_len + 1)]
-
-    def visit(prefix, phi_state) -> None:
+    images = {(sym, eps): (_PHI[sym] ** eps).letters for sym in (_A_SYM, _T_SYM) for eps in (1, -1)}
+    results = []
+    for x, phi_state in _trie(images, max_len):
         if not britton_is_stable_power(phi_state):
-            return
+            continue
+        state = None
+        for sym, exp in x:
+            state = britton_push(sys, state, sym, exp)
         # Elements equal to a t-power (k = 0 included) lie in <t> <= F.
-        x_state = _push_all(sys, None, prefix)
-        if britton_is_stable_power(x_state) or bs_canonical_pass(2, 3, britton_word(sys, x_state)) in f_known:
-            status = STATUS_IN_F
-        else:
-            status = miss
-        buckets[len(prefix)].append((Word(prefix), status))
-
-    _walk(letter_order, max_len, push, visit)
-    return _length_lex(buckets)
+        in_f = britton_is_stable_power(state) or bs_canonical_pass(2, 3, britton_word(state)) in f_known
+        results.append((Word(x), STATUS_IN_F if in_f else miss))
+    return sorted(results, key=lambda result: len(result[0]))
 
 
 def verified_phi_facts() -> Dict[str, bool]:

@@ -25,6 +25,7 @@ from .words import (
     Alphabet,
     GeneratorSymbol,
     Word,
+    _foreign_blank,
     _peel,
     _push_runs,
     _reduced,
@@ -67,20 +68,14 @@ def _text_lines(text: str) -> List[str]:
     and a blank is a space or a tab: any other whitespace character
     outside a comment is a ParseError at its line and column.
 
-    Text without such a character is split by `str.splitlines`, and its
-    tokens by `str.split()`, which then read the same line ends and
-    blanks.  ASCII text (a flag CPython keeps) is checked for the six C0
-    separators only."""
-    foreign = r"[^\S \t\n\r]"  # whitespace but blanks and line ends
-    if text.isascii():
-        clean = not any(c in text for c in "\x0b\x0c\x1c\x1d\x1e\x1f")
-    else:
-        clean = re.search(foreign, text) is None
-    if clean:
+    Text without such a character (`words._foreign_blank`) is split by
+    `str.splitlines`, and its tokens by `str.split()`, which then read the
+    same line ends and blanks."""
+    if _foreign_blank(text) is None:
         return text.splitlines()
     lines = re.split(r"\r\n|\r|\n", text)
     for lineno, line in enumerate(lines, start=1):
-        found = re.search(foreign, line)
+        found = _foreign_blank(line)
         if found and not line.lstrip(" \t").startswith("#"):
             raise ParseError(
                 f"separator {found.group()!r} is not a space, a tab or a line end",

@@ -36,7 +36,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import ClassVar, Dict, Generator, Iterator, List, Optional, Tuple
+from typing import Dict, Generator, Iterator, List, Optional, Tuple
 
 from .errors import AlphabetMismatchError, ParseError, SearchBudgetError, UnsupportedEdgeError
 from .presentations import Presentation
@@ -52,8 +52,6 @@ class HnnRewriteSystem:
 
     m: int
     n: int
-    base: ClassVar[Alphabet] = Alphabet((_A,))
-    stable: ClassVar[GeneratorSymbol] = _T
 
     def __post_init__(self):
         if self.m == 0 or self.n == 0:
@@ -162,7 +160,7 @@ def britton_push(sys: HnnRewriteSystem, state: BrittonState, sym: GeneratorSymbo
     return _push_base(state, exp)
 
 
-def britton_word(sys: HnnRewriteSystem, state: BrittonState) -> Word:
+def britton_word(state: BrittonState) -> Word:
     """The pinch-free word a state spells, bottom of the stack first: its
     nodes are the word's runs (a, e) and (t, k), reduced as they stand."""
     runs = []
@@ -194,7 +192,7 @@ def britton_normal_form(sys: HnnRewriteSystem, w: Word) -> Word:
     state: BrittonState = None
     for sym, exp in w.letters:
         state = britton_push(sys, state, sym, exp)
-    return britton_word(sys, state)
+    return britton_word(state)
 
 
 def is_pinch_free(sys: HnnRewriteSystem, w: Word) -> bool:
@@ -256,11 +254,10 @@ def bs_canonical_pass(m: int, n: int, nf: Word) -> Word:
     reduced as it is built.  A carry that would grow past
     SEGMENT_BIT_BUDGET raises SearchBudgetError.
     """
-    a = bs_system(m, n).base.symbols[0]
     out: List[Tuple[GeneratorSymbol, int]] = []
     e = 0  # exponent of the pending base segment, carry included
     for sym, k in nf.letters:
-        if sym == a:
+        if sym == _A:
             e += k
             continue
         eps = 1 if k > 0 else -1
@@ -268,7 +265,7 @@ def bs_canonical_pass(m: int, n: int, nf: Word) -> Word:
         left = abs(k)
         while left and e:
             r = e % abs(into)
-            _push_runs(out, ((a, r), (sym, eps)) if r else ((sym, eps),))
+            _push_runs(out, ((_A, r), (sym, eps)) if r else ((sym, eps),))
             e = (e - r) // into * across
             if e.bit_length() > SEGMENT_BIT_BUDGET and abs(across) > abs(into):
                 raise SearchBudgetError(f"a carry would grow a base segment past {SEGMENT_BIT_BUDGET} bits")
@@ -276,7 +273,7 @@ def bs_canonical_pass(m: int, n: int, nf: Word) -> Word:
         if left:
             _push_runs(out, ((sym, eps * left),))
     if e:
-        _push_runs(out, ((a, e),))
+        _push_runs(out, ((_A, e),))
     return _reduced(tuple(out))
 
 

@@ -36,6 +36,7 @@ re-derive identically.  Words are quoted in the word text syntax.
 from __future__ import annotations
 
 import os
+import re
 import reprlib
 from typing import Callable, List, Optional, Tuple
 
@@ -52,48 +53,36 @@ class Symbol(str):
     """A bare token, distinct from a quoted string."""
 
 
+# Blanks, then one alternative per token kind: a `;` comment (to LF
+# only), a paren, a string, an ASCII integer that ends at a delimiter
+# (int() alone would also read 1_0, +2 and other scripts' digits), a bare
+# token, a `"` that no closing quote follows, or the end of the text.
+_TOKEN_RE = re.compile(
+    r'[ \t\r\n]*(?:;[^\n]*|([()])|"((?:[^"\\]|\\.)*)"|(-?[0-9]+)(?![^ \t\r\n();"])|([^ \t\r\n();"]+)|(")|\Z)',
+    re.DOTALL,
+)
+
+
 def _tokenize(text: str) -> List[object]:
     tokens: List[object] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            i += 1
-        elif ch == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif ch in "()":
-            tokens.append(Symbol(ch))
-            i += 1
-        elif ch == '"':
-            i += 1
-            out = []
-            while i < n and text[i] != '"':
-                if text[i] == "\\" and i + 1 < n:
-                    nxt = text[i + 1]
-                    out.append({"n": "\n", "t": "\t", '"': '"', "\\": "\\"}.get(nxt, nxt))
-                    i += 2
-                else:
-                    out.append(text[i])
-                    i += 1
-            if i >= n:
-                raise ParseError("unterminated string in expression file")
-            tokens.append("".join(out))
-            i += 1
-        else:
-            j = i
-            while j < n and text[j] not in ' \t\r\n();"':
-                j += 1
-            tok = text[i:j]
-            # Integers are ASCII -?[0-9]+; int() alone would also read 1_0,
-            # +2 and other scripts' digits.
-            digits = tok[1:] if tok[:1] == "-" else tok
+    for match in _TOKEN_RE.finditer(text):
+        kind = match.lastindex
+        if kind == 1 or kind == 4:
+            tokens.append(Symbol(match[kind]))
+        elif kind == 2:
+            # \n and \t are LF and tab; any other escaped character stands
+            # for itself.
+            body = match[2]
+            if "\\" in body:
+                body = re.sub(r"\\(.)", lambda m: {"n": "\n", "t": "\t"}.get(m[1], m[1]), body, flags=re.DOTALL)
+            tokens.append(body)
+        elif kind == 3:
             try:
-                tokens.append(int(tok) if digits.isascii() and digits.isdecimal() else Symbol(tok))
+                tokens.append(int(match[3]))
             except ValueError:  # past int()'s digit limit
-                tokens.append(Symbol(tok))
-            i = j
+                tokens.append(Symbol(match[3]))
+        elif kind == 5:
+            raise ParseError("unterminated string in expression file")
     return tokens
 
 

@@ -155,7 +155,8 @@ def barycentric_subdivide(c: DeltaComplex) -> DeltaComplex:
 @dataclass(frozen=True)
 class SimplicialComplex:
     """Abstract simplicial complex given by vertex count and maximal
-    simplices (ascending index tuples of length 2 or 3; faces implied)."""
+    simplices (ascending index tuples of length 2 or 3; faces implied): an
+    edge facet that is a side of a triangle facet is refused."""
 
     n_vertices: int
     facets: Tuple[Tuple[int, ...], ...]
@@ -178,6 +179,10 @@ class SimplicialComplex:
             if facet in seen:
                 raise InvalidComplexError("duplicate facet")
             seen.add(facet)
+        if 2 in map(len, self.facets):
+            sides = {side for facet in self.facets if len(facet) == 3 for side in combinations(facet, 2)}
+            if not sides.isdisjoint(self.facets):
+                raise InvalidComplexError("an edge facet is a side of a triangle facet")
 
     def edges(self) -> List[Tuple[int, int]]:
         return sorted({e for facet in self.facets for e in combinations(facet, 2)})
@@ -287,12 +292,11 @@ def simplicial_chain_complex(x: SimplicialComplex) -> ChainComplexData:
     t = 0
     for facet in x.facets:
         if len(facet) == 2:
-            if facet not in index:
-                i, j = facet
-                e = index[facet] = len(d2_rows)
-                d2_rows.append({})
-                d1_rows[i][e] = -1
-                d1_rows[j][e] = 1
+            i, j = facet
+            e = index[facet] = len(d2_rows)
+            d2_rows.append({})
+            d1_rows[i][e] = -1
+            d1_rows[j][e] = 1
             continue
         i, j, k = facet
         e = get((j, k))

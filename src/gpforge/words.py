@@ -347,6 +347,17 @@ def commutator(u: Word, v: Word) -> Word:
     return (~u) * (~v) * u * v
 
 
+def _foreign_blank(text: str) -> Optional[re.Match]:
+    """The first whitespace character of `text` other than a space, a tab,
+    LF or CR, as a match, or None if there is none.  ASCII text (a flag
+    CPython keeps) is checked for the six C0 separators only, and
+    printable ASCII, whose one whitespace character is the space, not at
+    all."""
+    if text.isascii() and (text.isprintable() or not any(c in text for c in "\x0b\x0c\x1c\x1d\x1e\x1f")):
+        return None
+    return re.search(r"[^\S \t\n\r]", text)
+
+
 def parse_word(text: str, alphabet: Optional[Alphabet] = None, *, line: Optional[int] = None) -> Word:
     """Parse the word text syntax; `1` is the empty word.
 
@@ -355,8 +366,14 @@ def parse_word(text: str, alphabet: Optional[Alphabet] = None, *, line: Optional
     distinct atom text is checked and resolved once per call, and the runs
     are reduced as they are read: within a call a name is one symbol
     object, so runs merge by identity.  An error's column counts from the
-    start of `text`.
+    start of `text`.  Atoms are separated by spaces, tabs, LFs and CRs;
+    any other whitespace character is an error at its column.
     """
+    found = _foreign_blank(text)
+    if found:
+        raise ParseError(
+            f"separator {found.group()!r} is not a space, a tab or a line end", line=line, column=found.start() + 1
+        )
     stripped = text.strip()
     if stripped == "1":
         return _reduced(())

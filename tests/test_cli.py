@@ -376,6 +376,45 @@ def test_separator_outside_the_grammar_exits_2_with_its_line(tmp_path, monkeypat
         assert code == EXIT_INPUT and out == "" and "(line 2, column 6)" in err, command
 
 
+def test_word_separator_outside_the_grammar_exits_2(monkeypatch, capsys):
+    code, out, err = run_cli(["normalize", "--bs", "2,3", "t^-1\x0ca^2\x1ft"], capsys=capsys, monkeypatch=monkeypatch)
+    assert code == EXIT_INPUT and out == "" and "separator '\\x0c' is not a space" in err
+
+
+_INTEGER_FLAGS = [
+    ["certify-nontrivial", "{bs}", "--word", "a", "--degree"],
+    ["reduce", "--lambda", "{f2}", "--word", "a", "--construction", "pi", "--dim"],
+    ["meier-probe", "--budget", "10", "--max-len"],
+    ["meier-probe", "--max-len", "3", "--budget"],
+    ["corpus", "--family", "witness", "--count", "1", "--seed"],
+    ["corpus", "--family", "mu", "--depth"],
+    ["corpus", "--family", "witness", "--count"],
+]
+
+
+@pytest.mark.parametrize("value", ["\u0663", "+2", " 2", "1_0", "2 ", "", "9" * 5000])
+@pytest.mark.parametrize("flag", _INTEGER_FLAGS, ids=lambda argv: argv[-1])
+def test_integer_flags_take_ascii_decimals_only(flag, value, tmp_path, monkeypatch, capsys):
+    bs = tmp_path / "bs.grp"
+    bs.write_text(BS23, encoding="utf-8")
+    f2 = tmp_path / "f2.grp"
+    f2.write_text("gens a b\n", encoding="utf-8")
+    argv = [arg.format(bs=bs, f2=f2) for arg in flag] + [value]
+    code, out, err = run_cli(argv, capsys=capsys, monkeypatch=monkeypatch)
+    assert code == EXIT_USAGE and out == "" and err.startswith("usage error:"), argv
+
+
+def test_integer_flags_read_signed_decimals(tmp_path, monkeypatch, capsys):
+    bs = tmp_path / "bs.grp"
+    bs.write_text(BS23, encoding="utf-8")
+    code, out, _ = run_cli(
+        ["certify-nontrivial", str(bs), "--word", "t", "--degree", "03"], capsys=capsys, monkeypatch=monkeypatch
+    )
+    assert code == EXIT_OK and out.startswith("hom ")
+    code, out, _ = run_cli(["corpus", "--family", "meier", "--seed", "-7"], capsys=capsys, monkeypatch=monkeypatch)
+    assert code == EXIT_OK and "## BS(2,3)" in out
+
+
 def test_input_error_exit_code(tmp_path, monkeypatch, capsys):
     code, _, err = run_cli(["abelianize", str(tmp_path / "missing.grp")], capsys=capsys, monkeypatch=monkeypatch)
     assert code == EXIT_INPUT

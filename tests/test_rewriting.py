@@ -291,7 +291,7 @@ def _pinchy_word(system, pieces):
     power of either edge word a^m or a^n, or the defining relator r^+-1
     conjugated by the piece before it, so that pinches are common and
     segments left by a pinch often cancel."""
-    t = word(system.stable)
+    t = word(T)
     relator = system.presentation.relators[0]
     out = prev = Word()
     for kind, k in pieces:
@@ -321,7 +321,7 @@ def test_britton_fold_matches_stack_rewriter(index, pieces):
     state = None
     for sym, exp in w.letters:
         state = britton_push(system, state, sym, exp)
-    stable_power = len(nf.letters) <= 1 and all(sym == system.stable for sym, _ in nf.letters)
+    stable_power = len(nf.letters) <= 1 and all(sym == T for sym, _ in nf.letters)
     assert britton_is_stable_power(state) == stable_power
 
 
@@ -358,20 +358,20 @@ def test_pinch_scan_answers_past_the_segment_budget():
 
 def test_pushes_leave_the_shared_state_unchanged():
     for system in DIFFERENTIAL_SYSTEMS:
-        t = system.stable
+        t = T
         u = word((A, system.m))
         # t^-2 u: pushing t pinches through the top two nodes of the parent.
         prefix = ~word(t) * ~word(t) * u
         parent = None
         for sym, exp in prefix.letters:
             parent = britton_push(system, parent, sym, exp)
-        before = britton_word(system, parent)
+        before = britton_word(parent)
         snapshot = parent
         letters = [(t, 1), (t, -1), (t, 3), (A, 1), (A, -2)]
         for sym, exp in letters:
             child = britton_push(system, parent, sym, exp)
-            assert britton_word(system, child) == britton_normal_form(system, prefix * word((sym, exp)))
-            assert parent is snapshot and britton_word(system, parent) == before
+            assert britton_word(child) == britton_normal_form(system, prefix * word((sym, exp)))
+            assert parent is snapshot and britton_word(parent) == before
         assert before == britton_normal_form(system, prefix)
 
 
@@ -388,7 +388,7 @@ def test_canonical_pass_accepts_any_pinch_free_form(m, n):
         state = None
         for sym, exp in letters:
             state = britton_push(system, state, sym, exp)
-        nf = britton_word(system, state)
+        nf = britton_word(state)
         assert is_pinch_free(system, nf)
         assert bs_canonical_pass(m, n, nf) == bs_canonical(m, n, Word(letters))
 

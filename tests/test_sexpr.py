@@ -26,6 +26,8 @@ from gpforge.reductions import free_source, gamma_w, pi_w
 from gpforge.sexpr import _tokenize, parse_expr, serialize_expr
 from gpforge.words import parse_word
 
+from tests_util import loop_tokenize
+
 
 def test_atom_inline_presentation():
     expr = parse_expr('(atom "G" :pres "gens a b\\nrel a^2" :facts (amenable (fin-gen 2)))')
@@ -396,6 +398,39 @@ def test_gx_lexer(text, tokens):
 def test_gx_lexer_refuses_an_unterminated_string(text):
     with pytest.raises(ParseError, match=r"^unterminated string in expression file$"):
         _tokenize(text)
+
+
+def _lexed_or_refused(tokenize, text):
+    try:
+        return [(type(tok).__name__, tok) for tok in tokenize(text)]
+    except ParseError as exc:
+        return str(exc)
+
+
+# Delimiters, escapes, digits and signs, and characters that are none of
+# these: form feed, em space, an Arabic-Indic digit, `_` and `+`.
+_LEXER_CHARACTERS = list('\t\r\n ();"\\-0123456789abx:') + ["\x0c", "\u2003", "\u0662", "_", "+"]
+
+
+@settings(max_examples=3000, deadline=None, database=None, derandomize=True)
+@given(st.text(st.sampled_from(_LEXER_CHARACTERS), max_size=24))
+def test_gx_lexer_matches_the_character_loop(text):
+    assert _lexed_or_refused(_tokenize, text) == _lexed_or_refused(loop_tokenize, text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["9" * 5000, "-" + "9" * 5000, "(k " + "9" * 5000 + ")", "9" * 5000 + "x", '"abc\\', "; a\r b\n c", '"a\\\nb"'],
+    ids=["digits", "negative-digits", "digits-in-a-form", "digits-then-a-letter", "end-backslash", "cr-in-comment", "escaped-lf"],
+)
+def test_gx_lexer_matches_the_character_loop_at_the_edges(text):
+    assert _lexed_or_refused(_tokenize, text) == _lexed_or_refused(loop_tokenize, text)
+
+
+def test_gx_word_strings_take_only_the_grammars_blanks():
+    for separator in ("\x0c", "\u2003"):
+        with pytest.raises(ParseError, match="is not a space, a tab or a line end"):
+            parse_expr(f'(lambda-w (atom "F2" :pres "gens a b") "a{separator}b")')
 
 
 def test_gx_string_escapes_reach_the_presentation():

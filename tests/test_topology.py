@@ -310,6 +310,14 @@ def test_edge_path_tetrahedron_boundary_is_simply_connected():
     assert abelianization(ep) == AbelianGroup(0)
 
 
+def test_an_edge_facet_on_a_triangle_is_refused():
+    with pytest.raises(InvalidComplexError, match="^an edge facet is a side of a triangle facet$"):
+        parse_simplicial("vertices 3\nsimplex 0 1\nsimplex 0 1 2")
+    with pytest.raises(InvalidComplexError, match="^an edge facet is a side of a triangle facet$"):
+        SimplicialComplex(4, ((1, 2, 3), (0, 1), (2, 3)))
+    assert SimplicialComplex(4, ((1, 2, 3), (0, 1))).edges() == [(0, 1), (1, 2), (1, 3), (2, 3)]
+
+
 def test_edge_path_disconnected_rejected():
     two_points = SimplicialComplex(3, ((0, 1),))
     with pytest.raises(InvalidComplexError):
@@ -459,14 +467,16 @@ def test_check_composition_sums_terms_before_judging():
 @st.composite
 def simplicial_complexes(draw):
     """Complexes built directly, facets in any order: up to 9 vertices, so
-    isolated vertices and several components are common; bare edge facets,
-    some of them also sides of a triangle; and edges in three or more
-    triangles."""
+    isolated vertices and several components are common; bare edge
+    facets, each dropped if it is a side of a drawn triangle, as facets are
+    maximal; and edges in three or more triangles."""
     n = draw(st.integers(1, 9))
     triangles = list(combinations(range(n), 3))
     edges = list(combinations(range(n), 2))
     facets = draw(st.lists(st.sampled_from(triangles), unique=True, max_size=14)) if triangles else []
-    facets += draw(st.lists(st.sampled_from(edges), unique=True, max_size=6)) if edges else []
+    sides = {side for facet in facets for side in combinations(facet, 2)}
+    bare = draw(st.lists(st.sampled_from(edges), unique=True, max_size=6)) if edges else []
+    facets += [edge for edge in bare if edge not in sides]
     return SimplicialComplex(n, tuple(draw(st.permutations(facets))))
 
 

@@ -236,6 +236,23 @@ def test_parse_word_error_columns_count_from_text_start():
             parse_word(text, line=5)
 
 
+@pytest.mark.parametrize(
+    "text, column",
+    [("t^-1\x0ca^2\x1ft", 5), ("a\u2003b", 2), ("  a b\x0b", 6), ("\x1c", 1), ("a\x85", 2), ("1\u2028", 2)],
+)
+def test_parse_word_refuses_whitespace_outside_the_grammar(text, column):
+    # Checked before the text is stripped, so a lone or trailing separator
+    # is refused too, at its column in the text as given.
+    with pytest.raises(ParseError) as err:
+        parse_word(text, line=3)
+    separator = text[column - 1]
+    assert str(err.value) == f"separator {separator!r} is not a space, a tab or a line end (line 3, column {column})"
+
+
+def test_parse_word_reads_lf_and_cr_as_blanks():
+    assert parse_word("a\nb \r\n a^2\r") == parse_word("a b a^2")
+
+
 _PARSE_ALPHABET = Alphabet(["a", "b", "t"])
 _PARSE_ATOMS = ["a", "a^-1", "a^2", "a^-2", "b", "b^-1", "b^3", "t", "t^-1", "a^-" + "9" * words.EXPONENT_DIGIT_LIMIT]
 _BAD_ATOMS = [
@@ -452,16 +469,16 @@ def test_britton_word_after_pushes_is_reduced(index, pieces):
     # Pieces: a stable run t^k, or a base segment a^k or an edge power
     # a^(km) or a^(kn), so that pinches are common.
     system = _BRITTON_SYSTEMS[index]
-    a = system.base.symbols[0]
+    a, t = system.presentation.alphabet.symbols
     state = None
     for kind, k in pieces:
         if kind == 0:
-            letters = [(system.stable, k)]
+            letters = [(t, k)]
         else:
             letters = [(a, k * (1, system.m, system.n)[kind - 1])]
         for sym, exp in letters:
             state = britton_push(system, state, sym, exp)
-            spelled = britton_word(system, state)
+            spelled = britton_word(state)
             assert_reduced(spelled)
             assert spelled.letters == Word(spelled.letters).letters
 

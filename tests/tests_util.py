@@ -36,6 +36,7 @@ from gpforge.meier import (
 from gpforge import presentations
 from gpforge.presentations import Presentation
 from gpforge.reductions import WordProblemSource
+from gpforge.sexpr import Symbol
 from gpforge.topology import DeltaComplex, Side, SimplicialComplex, Triangle
 from gpforge import rewriting
 from gpforge.rewriting import (
@@ -341,7 +342,7 @@ def linear_scan_probe(max_len: int, budget: int) -> List[Tuple[Word, str]]:
     """Oracle for meier.double_coset_probe: each candidate is compared
     with the elements of F one `bs_equal` rewrite at a time, spending at
     most `budget` comparisons."""
-    a_sym, t_sym = bs_system(2, 3).base.symbols[0], bs_system(2, 3).stable
+    a_sym, t_sym = bs_system(2, 3).presentation.alphabet.symbols
     t_w, c_w = f_generators(bs_system(2, 3).presentation)
     f_syms = (GeneratorSymbol("ft"), GeneratorSymbol("fc"))
     f_images = {f_syms[0]: t_w, f_syms[1]: c_w}
@@ -412,11 +413,10 @@ def stack_britton_normal_form(sys: HnnRewriteSystem, w: Word) -> Word:
     and a nonempty pinch-free word containing the stable letter is
     certified nontrivial (Britton's lemma).
     """
-    t = sys.stable
+    a, t = sys.presentation.alphabet.symbols
     for sym, _ in w.letters:
-        if sym != t and sym not in sys.base:
+        if sym != t and sym != a:
             raise AlphabetMismatchError(f"symbol {sym.name!r} is neither base nor stable letter")
-    a = sys.base.symbols[0]
     left_edge, right_edge = word((a, sys.m)), word((a, sys.n))
     edge_ratio = _edge_power(left_edge, right_edge)
 
@@ -1129,7 +1129,7 @@ def normalising_bs_canonical_pass(m: int, n: int, nf: Word) -> Word:
     """Oracle for rewriting.bs_canonical_pass: the version that appends
     every run, zero segments included, and normalises them with
     Word(...), kept verbatim."""
-    a = bs_system(m, n).base.symbols[0]
+    a = bs_system(m, n).presentation.alphabet.symbols[0]
     out: List[Tuple[GeneratorSymbol, int]] = []
     e = 0
     for sym, k in nf.letters:
@@ -1186,3 +1186,50 @@ def grammatical_texts(draw, lines):
     `near_grammar_texts` with spaces and tabs only as blanks."""
     drawn = draw(lines)
     return _lay_out(draw, draw(st.permutations(drawn)), _BLANKS)
+
+
+def loop_tokenize(text: str) -> List[object]:
+    """Oracle for sexpr._tokenize: the character loop it replaced, kept
+    verbatim."""
+    tokens: List[object] = []
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch in " \t\r\n":
+            i += 1
+        elif ch == ";":
+            while i < n and text[i] != "\n":
+                i += 1
+        elif ch in "()":
+            tokens.append(Symbol(ch))
+            i += 1
+        elif ch == '"':
+            i += 1
+            out = []
+            while i < n and text[i] != '"':
+                if text[i] == "\\" and i + 1 < n:
+                    nxt = text[i + 1]
+                    out.append({"n": "\n", "t": "\t", '"': '"', "\\": "\\"}.get(nxt, nxt))
+                    i += 2
+                else:
+                    out.append(text[i])
+                    i += 1
+            if i >= n:
+                raise ParseError("unterminated string in expression file")
+            tokens.append("".join(out))
+            i += 1
+        else:
+            j = i
+            while j < n and text[j] not in ' \t\r\n();"':
+                j += 1
+            tok = text[i:j]
+            # Integers are ASCII -?[0-9]+; int() alone would also read 1_0,
+            # +2 and other scripts' digits.
+            digits = tok[1:] if tok[:1] == "-" else tok
+            try:
+                tokens.append(int(tok) if digits.isascii() and digits.isdecimal() else Symbol(tok))
+            except ValueError:  # past int()'s digit limit
+                tokens.append(Symbol(tok))
+            i = j
+    return tokens

@@ -20,6 +20,7 @@ from .presentations import Presentation, PresentationMorphism
 from .rewriting import (
     britton_is_stable_power,
     britton_push,
+    britton_stable_key,
     britton_word,
     bs_canonical_pass,
     bs_reduce,
@@ -199,15 +200,22 @@ def _trie(images, max_len: int):
             stack.append((prefix + (letter,), child))
 
 
-def _f_table(budget: int) -> Tuple[set, bool]:
-    """The BS(2,3) normal forms of the first `budget` elements of F, the
-    images of the freely reduced words in F's free generators {t, c} of
-    length <= F_WORD_MAX_LEN in length-lexicographic order, and whether
-    any such word was left out."""
+def _f_table(budget: int, wanted: set) -> Tuple[set, bool]:
+    """The BS(2,3) normal forms of those of the first `budget` elements of
+    F whose key (`britton_stable_key`) is in `wanted`, and whether any
+    element of F was left out.  The elements are the images of the freely
+    reduced words in F's free generators {t, c} of length <=
+    F_WORD_MAX_LEN in length-lexicographic order.  The key is an invariant
+    of the element, so an element under another key equals no candidate
+    whose key is wanted and is not canonicalised."""
     generators = zip((GeneratorSymbol("ft"), GeneratorSymbol("fc")), f_generators(_B))
     images = {(sym, eps): (w ** eps).letters for sym, w in generators for eps in (1, -1)}
     nodes = sorted(_trie(images, F_WORD_MAX_LEN), key=lambda node: len(node[0]))
-    known = {bs_canonical_pass(2, 3, britton_word(state)) for _, state in nodes[:budget]}
+    known = {
+        bs_canonical_pass(2, 3, britton_word(state))
+        for _, state in nodes[:budget]
+        if britton_stable_key(state) in wanted
+    }
     return known, len(nodes) > budget
 
 
@@ -236,6 +244,13 @@ def double_coset_probe(max_len: int, budget: int) -> List[Tuple[Word, str]]:
       * not found, all of them looked up      -> "confirmed-in-preimage-unknown-membership"
       * not found, more than `budget` of them -> "exhausted"
 
+    The lookup runs after the walk.  Two pinch-free forms of one element
+    have the same number of t-letters (Lyndon-Schupp, Combinatorial Group
+    Theory, IV.2) and the same t-exponent sum, so an element of F can
+    equal x only if its key (`britton_stable_key`) is x's: only the
+    elements of F under some kept x's key are canonicalised, and none
+    when every kept x is a t-power, as up to length 7.
+
     No status says "not in F": that answer needs a certificate of
     non-membership, which this probe cannot give.
     """
@@ -247,18 +262,22 @@ def double_coset_probe(max_len: int, budget: int) -> List[Tuple[Word, str]]:
         raise SearchBudgetError(
             f"a probe to length {max_len} visits more than {PROBE_NODE_BUDGET} trie nodes"
         )
-    f_known, truncated = _f_table(budget)
-    miss = STATUS_EXHAUSTED if truncated else STATUS_UNKNOWN
     sys = bs_system(2, 3)
     images = {(sym, eps): (_PHI[sym] ** eps).letters for sym in (_A_SYM, _T_SYM) for eps in (1, -1)}
-    results = []
+    kept = []
     for x, phi_state in _trie(images, max_len):
         if not britton_is_stable_power(phi_state):
             continue
         state = None
         for sym, exp in x:
             state = britton_push(sys, state, sym, exp)
-        # Elements equal to a t-power (k = 0 included) lie in <t> <= F.
+        kept.append((x, state))
+    # Elements equal to a t-power (k = 0 included) lie in <t> <= F.
+    wanted = {britton_stable_key(state) for _, state in kept if not britton_is_stable_power(state)}
+    f_known, truncated = _f_table(budget, wanted) if wanted else (set(), False)
+    miss = STATUS_EXHAUSTED if truncated else STATUS_UNKNOWN
+    results = []
+    for x, state in kept:
         in_f = britton_is_stable_power(state) or bs_canonical_pass(2, 3, britton_word(state)) in f_known
         results.append((Word(x), STATUS_IN_F if in_f else miss))
     return sorted(results, key=lambda result: len(result[0]))

@@ -36,7 +36,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Dict, Generator, Iterator, List, Optional, Tuple
+from typing import Dict, Generator, Iterator, List, NamedTuple, Optional, Tuple
 
 from .errors import AlphabetMismatchError, ParseError, SearchBudgetError, UnsupportedEdgeError
 from .presentations import Presentation
@@ -175,6 +175,22 @@ def britton_is_stable_power(state: BrittonState) -> bool:
     the word: adjacent nodes have different letters, so only a lone t-run
     does."""
     return state is None or (state[0] is None and state[1] is _T)
+
+
+def britton_stable_key(state: BrittonState) -> Tuple[int, int]:
+    """(number of t-letters, t-exponent sum) of the word a state spells.
+
+    Both are invariants of the element: every pinch-free form of it has
+    the same number of t-letters (Lyndon-Schupp, Combinatorial Group
+    Theory, IV.2), and the exponent sum is its image under a -> 0, t -> 1.
+    So two states with different keys spell different elements."""
+    letters = total = 0
+    while state is not None:
+        state, sym, exp = state
+        if sym is _T:
+            letters += abs(exp)
+            total += exp
+    return letters, total
 
 
 def britton_normal_form(sys: HnnRewriteSystem, w: Word) -> Word:
@@ -349,8 +365,7 @@ def _is_permutation(p, degree: int) -> bool:
     return isinstance(p, tuple) and all(type(x) is int for x in p) and sorted(p) == list(range(degree))
 
 
-@dataclass(frozen=True)
-class Homomorphism:
+class Homomorphism(NamedTuple):
     """Generator -> permutation table defining a quotient in S_degree."""
 
     degree: int

@@ -2,14 +2,22 @@
 name, `gpforge.<module>.<name>`, or through a module alias such as
 `inf = gpforge.inference`; a renamed or deleted name, or a changed
 certificate constructor, would only show when the benchmark is run, so
-every such name is resolved here from the workload source."""
+every such name is resolved here from the workload source.  So would a
+change of their outputs: one pass of a workload is checked here against
+its committed digests (`bench/expected/`)."""
 
 import ast
 import importlib
 import inspect
+import json
 import os
+import subprocess
+import sys
 
-WORKLOADS_PY = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench", "workloads.py")
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+WORKLOADS_PY = os.path.join(ROOT, "bench", "workloads.py")
 
 
 def _dotted(node):
@@ -78,3 +86,14 @@ def test_certificate_accepts_the_workload_keywords():
     assert {"kind", "presentation", "target", "hom"} <= params
     for call in calls:
         assert {k.arg for k in call.keywords} <= params
+
+
+@pytest.mark.parametrize("workload", ["wordproblem", "constructions"])
+def test_workload_reproduces_the_committed_digests(workload):
+    # The probe, quotient search and construction outputs against
+    # bench/expected/<workload>.json; homology is checked in test_topology.
+    argv = [sys.executable, "bench/one_pass.py", "--workload", workload, "--seed", "1", "--trace", "0"]
+    proc = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["attempted"] > 0 and result["failures"] == []

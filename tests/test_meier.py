@@ -2,6 +2,7 @@ import os
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gpforge import meier
 from gpforge.errors import AlphabetMismatchError, SearchBudgetError
@@ -19,9 +20,9 @@ from gpforge.meier import (
     verified_phi_facts,
 )
 from gpforge.presentations import tietze_simplify
-from gpforge.rewriting import bs_equal, bs_reduce
+from gpforge.rewriting import britton_push, britton_stable_key, bs_equal, bs_reduce, bs_system
 from gpforge.words import Word, commutator, format_word, parse_word
-from tests_util import linear_scan_probe, whole_word_probe
+from tests_util import linear_scan_probe, random_word, whole_word_probe
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -194,3 +195,56 @@ def test_probe_node_budget(monkeypatch):
     for max_len in (13, 1000, 10**12):
         with pytest.raises(SearchBudgetError):
             double_coset_probe(max_len, 10)
+
+
+def _key(letters):
+    state = None
+    for sym, exp in letters:
+        state = britton_push(bs_system(2, 3), state, sym, exp)
+    return britton_stable_key(state)
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(st.randoms(use_true_random=False))
+def test_stable_key_is_an_invariant_of_the_element(rng):
+    # Inserting a conjugate of the relator or a cancelling pair keeps the
+    # element, so it keeps the key the F lookup is filtered by.
+    alphabet = build_meier().B.alphabet
+    relator = parse_word("t^-1 a^2 t a^-3").letters
+    letters = list(random_word(rng, alphabet, max_len=10).letters)
+    key = _key(letters)
+    for _ in range(rng.randint(1, 4)):
+        if rng.random() < 0.5:
+            u = list(random_word(rng, alphabet, max_len=4).letters)
+            r = relator if rng.random() < 0.5 else [(sym, -exp) for sym, exp in reversed(relator)]
+            piece = u + list(r) + [(sym, -exp) for sym, exp in reversed(u)]
+        else:
+            sym, exp = rng.choice(alphabet.symbols), rng.choice([-1, 1])
+            piece = [(sym, exp), (sym, -exp)]
+        at = rng.randint(0, len(letters))
+        letters[at:at] = piece
+    assert _key(letters) == key
+
+
+@pytest.mark.parametrize("budget", [1, 1455, 1457])
+def test_probe_matches_whole_word_probe_len10(budget):
+    # Length 10 looks up 222 candidates under 6 keys (length 8: 16 under
+    # one key), so the key filter is exercised on several keys at once.
+    assert double_coset_probe(10, budget) == whole_word_probe(10, budget)
+
+
+def test_probe_canonicalises_only_the_keys_it_looks_up(monkeypatch):
+    calls = []
+    canonical_pass = meier.bs_canonical_pass
+
+    def counted(*args):
+        calls.append(args)
+        return canonical_pass(*args)
+
+    monkeypatch.setattr(meier, "bs_canonical_pass", counted)
+    double_coset_probe(7, 100_000)
+    # Up to length 7 every candidate is a t-power: F is not walked.
+    assert calls == []
+    double_coset_probe(8, 100_000)
+    # 16 candidates and the 4 elements of F under their key, not all 1,456.
+    assert 0 < len(calls) <= 100

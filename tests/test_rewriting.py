@@ -718,6 +718,22 @@ def test_only_finite_quotient_certificates_revalidate():
     assert finite_quotient_search(bs, 5, target=parse_word("t^-1 a^2 t a^-3", bs.alphabet)) is None
 
 
+def test_homomorphism_semantics():
+    a, b = GeneratorSymbol("a"), GeneratorSymbol("b")
+    hom = Homomorphism(degree=2, images={a: (1, 0), b: (0, 1)})
+    assert hom == Homomorphism(2, {a: (1, 0), b: (0, 1)}) and hom != Homomorphism(2, {a: (0, 1), b: (0, 1)})
+    assert (hom.degree, hom.images) == (2, {a: (1, 0), b: (0, 1)})
+    assert repr(hom) == "Homomorphism(degree=2, images={GeneratorSymbol('a'): (1, 0), GeneratorSymbol('b'): (0, 1)})"
+    assert hom.evaluate(parse_word("a b a")) == (0, 1)
+    # A homomorphism is the 2-tuple (degree, images), so it equals that
+    # plain tuple; no container in the package holds both.
+    assert hom == (2, {a: (1, 0), b: (0, 1)})
+    with pytest.raises(AttributeError):
+        hom.degree = 3
+    with pytest.raises(AttributeError):
+        hom.other = 1
+
+
 def test_britton_equality_agrees_with_affine_representation():
     """Independent one-sided oracle: BS(2,3) maps onto a subgroup of the
     affine group of the rationals by a -> x+1 and t -> (2/3)x (the defining

@@ -1,8 +1,9 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 1 usage error, 2 input error, 3 internal invariant
-violation.  `-` means stdin/stdout for every FILE position.  Randomised
-corpus commands are fully determined by --seed.
+Exit codes: 0 success (also when the reader closes stdout early), 1 usage
+error, 2 input error, 3 internal invariant violation.  `-` means
+stdin/stdout for every FILE position.  Randomised corpus commands are
+fully determined by --seed.
 """
 
 from __future__ import annotations
@@ -331,7 +332,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout, and nothing failed here.  Point stdout
+        # at devnull so the interpreter's last flush stays quiet, as the
+        # `signal` module's documentation recommends.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -557,9 +557,12 @@ def _structural_facts(ctx: _Context):
 
 
 class Derivation:
-    """The least fixpoint of the rule set over one expression tree."""
+    """The least fixpoint of the rule set over one expression tree, with
+    degree-parameterised facts up to `max_degree` <= MAX_QUERY_DEGREE."""
 
     def __init__(self, expr: GroupExpr, max_degree: int):
+        if max_degree > MAX_QUERY_DEGREE:
+            raise ValueError(f"degree must be <= {MAX_QUERY_DEGREE}, got {max_degree}")
         self.expr = expr
         self.max_degree = max_degree
         self.ctx = _Context(expr, max_degree)
@@ -638,8 +641,6 @@ def derive(expr: GroupExpr, max_degree: int = MAX_DEGREE) -> Derivation:
     materialise facts up to `max_degree`; query() re-derives on demand for
     higher degrees, up to MAX_QUERY_DEGREE.
     """
-    if max_degree > MAX_QUERY_DEGREE:
-        raise ValueError(f"degree must be <= {MAX_QUERY_DEGREE}, got {max_degree}")
     return Derivation(expr, max_degree)
 
 

@@ -28,6 +28,7 @@ from .words import (
     _foreign_blank,
     _peel,
     _push_runs,
+    _read_word,
     _reduced,
     format_word,
     parse_word,
@@ -97,17 +98,6 @@ def read_text(path: str) -> str:
         raise ParseError(f"cannot read {path}: not UTF-8 text")
 
 
-def _parse_word_at(text: str, alphabet: Alphabet, line: int, col: int) -> Word:
-    """parse_word on the word text that starts at column `col` of `line`;
-    error columns count from the start of the line."""
-    try:
-        return parse_word(text, alphabet, line=line)
-    except ParseError as exc:
-        if exc.column is None:
-            raise
-        raise ParseError(exc.message, line=line, column=exc.column + col - 1) from None
-
-
 def parse(text: str, name: Optional[str] = None) -> Presentation:
     """Parse the presentation file grammar; errors carry line numbers."""
     alphabet: Optional[Alphabet] = None
@@ -138,11 +128,11 @@ def parse(text: str, name: Optional[str] = None) -> Presentation:
         try:
             equals = "=" in rel_text and _EQUALS.search(rel_text)
             if equals:
-                left = _parse_word_at(rel_text[: equals.start()], alphabet, lineno, col)
-                right = _parse_word_at(rel_text[equals.end() :], alphabet, lineno, col + equals.end())
+                left = _read_word(rel_text[: equals.start()], alphabet, lineno, col)
+                right = _read_word(rel_text[equals.end() :], alphabet, lineno, col + equals.end())
                 relators.append(left * ~right)
             else:
-                relators.append(_parse_word_at(rel_text, alphabet, lineno, col))
+                relators.append(_read_word(rel_text, alphabet, lineno, col))
         except AlphabetMismatchError as exc:
             raise ParseError(f"relator uses undeclared generator: {exc}", line=lineno) from None
     return Presentation(alphabet, tuple(relators), name)
@@ -354,16 +344,14 @@ def tietze_simplify(p: Presentation) -> Presentation:
 class PresentationMorphism:
     """A map of presentations given by images of the source generators.
 
-    A morphism starts out unverified; `verify` returns a copy with
-    `verified` set once every source relator's image is certified trivial
-    in the target by a caller supplied triviality decision (free
+    `verify` checks that every source relator's image is certified
+    trivial in the target by a caller supplied triviality decision (free
     reduction, Britton rewriting, ...).
     """
 
     source: Presentation
     target: Presentation
     images: Dict[GeneratorSymbol, Word]
-    verified: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         for sym in self.source.alphabet:
@@ -377,13 +365,13 @@ class PresentationMorphism:
         return substitute(w, self.images)
 
     def verify(self, is_trivial_in_target: Callable[[Word], bool]) -> "PresentationMorphism":
-        """Return a verified copy if every relator image is certified trivial."""
+        """Return the morphism if every relator image is certified trivial."""
         for rel in self.source.relators:
             if not is_trivial_in_target(self.apply(rel)):
                 raise ParseError(
                     f"morphism does not kill relator {format_word(rel)!r}"
                 )
-        return PresentationMorphism(self.source, self.target, self.images, verified=True)
+        return self
 
 
 def is_stage_embedding(p: Presentation, q: Presentation) -> bool:

@@ -25,7 +25,10 @@ Text syntax (used by every file format and by the CLI):
     ident   := [A-Za-z][A-Za-z0-9_]*
     integer := '-'? [1-9][0-9]*
 
-`1` denotes the empty word, e.g. ``t^-1 a^2 t a^-3``.
+`1` denotes the empty word, e.g. ``t^-1 a^2 t a^-3``.  `parse_word`
+refuses whitespace other than WS (spaces, tabs, LFs and CRs), then reads
+with `_read_word`; `.grp` relators go to `_read_word` directly, as
+`presentations._text_lines` has refused it on their lines.
 """
 
 from __future__ import annotations
@@ -310,11 +313,9 @@ def substitute(w: Word, mapping: Dict[GeneratorSymbol, Word]) -> Word:
     """Homomorphic image of `w` under symbol -> word, freely reduced.
 
     Each letter's image power is pushed onto the result with a seam merge;
-    a single-run image s^e is pushed as the one run s^(e * exp).  A
-    multi-run image is inverted at most once per call.
+    a single-run image s^e is pushed as the one run s^(e * exp).
     """
     out: list = []
-    inverses: dict = {}
     for sym, exp in w.letters:
         try:
             runs = mapping[sym]._letters
@@ -333,10 +334,7 @@ def substitute(w: Word, mapping: Dict[GeneratorSymbol, Word]) -> Word:
                 out.append((s, e))
         elif runs:
             if exp < 0:
-                inv = inverses.get(sym)
-                if inv is None:
-                    inv = inverses[sym] = tuple((s, -e) for s, e in reversed(runs))
-                runs, exp = inv, -exp
+                runs, exp = tuple((s, -e) for s, e in reversed(runs)), -exp
             for _ in range(exp):
                 _push_runs(out, runs)
     return _reduced(tuple(out))
@@ -362,18 +360,23 @@ def parse_word(text: str, alphabet: Optional[Alphabet] = None, *, line: Optional
     """Parse the word text syntax; `1` is the empty word.
 
     When an alphabet is supplied, identifiers must name its generators;
-    without one, each distinct name makes one new symbol per call.  Each
-    distinct atom text is checked and resolved once per call, and the runs
-    are reduced as they are read: within a call a name is one symbol
-    object, so runs merge by identity.  An error's column counts from the
-    start of `text`.  Atoms are separated by spaces, tabs, LFs and CRs;
-    any other whitespace character is an error at its column.
+    without one, each distinct name makes one new symbol per call.  An
+    error's column counts from the start of `text`; a whitespace
+    character other than WS is an error at its column.
     """
     found = _foreign_blank(text)
     if found:
         raise ParseError(
             f"separator {found.group()!r} is not a space, a tab or a line end", line=line, column=found.start() + 1
         )
+    return _read_word(text, alphabet, line, 1)
+
+
+def _read_word(text: str, alphabet: Optional[Alphabet], line: Optional[int], column: int) -> Word:
+    """`parse_word` on text without foreign whitespace that starts at
+    `column` of `line`.  Each distinct atom text is checked and resolved
+    once per call, and the runs are reduced as they are read: within a
+    call a name is one symbol object, so runs merge by identity."""
     stripped = text.strip()
     if stripped == "1":
         return _reduced(())
@@ -388,7 +391,7 @@ def parse_word(text: str, alphabet: Optional[Alphabet] = None, *, line: Optional
             try:
                 atom = atoms[token] = _parse_atom(token, alphabet, made)
             except ParseError as exc:
-                raise ParseError(exc.message, line=line, column=_column(text, token)) from None
+                raise ParseError(exc.message, line=line, column=_column(text, token) + column - 1) from None
         sym, exp = atom
         if out and out[-1][0] is sym:
             exp += out[-1][1]

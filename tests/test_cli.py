@@ -2,6 +2,7 @@ import contextlib
 import io
 import os
 import random
+import shlex
 import subprocess
 import sys
 import time
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gpforge.cli import EXIT_INPUT, EXIT_OK, EXIT_USAGE, main
+from gpforge.combinators import RELATOR_BUDGET
 from gpforge.inference import PREDICATES
 
 
@@ -545,3 +547,74 @@ def test_one_process_runs_commands_back_to_back_like_fresh_processes(tmp_path, m
         assert (code, out) == (fresh.returncode, fresh.stdout), argv
         outputs.append(out)
     assert outputs[1] == "" and outputs[0] != outputs[2]
+
+
+def test_a_reader_that_closes_the_pipe_early_is_no_error():
+    # `corpus --family mu --depth 8` writes about 240 KB, more than a pipe
+    # holds, so the command is still writing when the reader stops.
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    cmd = [sys.executable, "-m", "gpforge.cli", "corpus", "--family", "mu", "--depth", "8"]
+    proc = subprocess.Popen(cmd, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"## mu stage 1\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == EXIT_OK and err == b""
+
+
+def _readme_examples():
+    """(pipeline, output) for each line of README's command block that
+    shows its output after `# ->`, on the line itself or the next one; a
+    pipeline is the argument lists of its `gpforge` commands."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+        block = fh.read().split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    examples, command = [], None
+    for line in block.splitlines():
+        code, _, comment = line.partition("#")
+        if code.strip():
+            command = code
+        if comment.startswith(" -> "):
+            pipeline = [shlex.split(stage) for stage in command.split("|")]
+            assert all(argv[0] == "gpforge" for argv in pipeline), line
+            examples.append(([argv[1:] for argv in pipeline], comment[len(" -> "):]))
+    return examples
+
+
+def test_readme_command_examples(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bs23.grp").write_text(BS23, encoding="utf-8")
+    (tmp_path / "mu2.gx").write_text('(mu (atom "F1" :pres "gens g") :k 2)\n', encoding="utf-8")
+    examples = _readme_examples()
+    assert len(examples) == 4
+    for pipeline, expected in examples:
+        out = ""
+        for argv in pipeline:
+            code, out, err = run_cli(argv, out, monkeypatch, capsys)
+            assert code == EXIT_OK, (argv, err)
+        assert out == expected + "\n", pipeline
+
+
+@pytest.mark.parametrize(
+    "gx",
+    [
+        # 4 nested stages would hold 251,163 relators; the third is refused.
+        '(mu (mu (mu (mu (atom "F1" :pres "gens g") :k 14) :k 14) :k 14) :k 14)',
+        # 90 nested mitoses would hold 980,070; the 42nd is refused.
+        "(mitosis " * 90 + '(atom "F1" :pres "gens g")' + ")" * 90,
+        # 600 x 600 commutators.
+        "(direct "
+        + " ".join(f'(atom "{n}" :pres "gens {" ".join(f"{n}{i}" for i in range(600))}")' for n in "xy")
+        + ")",
+    ],
+    ids=["mu", "mitosis", "direct"],
+)
+def test_nested_forms_past_the_relator_budget_exit_2(gx, tmp_path, monkeypatch, capsys):
+    path = tmp_path / "big.gx"
+    path.write_text(gx + "\n", encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = run_cli(["build", str(path)], capsys=capsys, monkeypatch=monkeypatch)
+    assert time.perf_counter() - start < 2
+    assert code == EXIT_INPUT and out == ""
+    assert err.startswith("input error: a presentation of ")
+    assert err.endswith(f" more than the {RELATOR_BUDGET} allowed\n")

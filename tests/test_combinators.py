@@ -11,7 +11,7 @@ from gpforge.combinators import (
     mu_stage,
     standard_mitosis,
 )
-from gpforge.errors import DegenerateEdgeError, StableLetterError
+from gpforge.errors import DegenerateEdgeError, SearchBudgetError, StableLetterError
 from gpforge.homology import AbelianGroup, abelianization
 from gpforge.presentations import (
     PresentationMorphism,
@@ -23,7 +23,7 @@ from gpforge.presentations import (
     validate,
 )
 from gpforge.words import Word, parse_word, word
-from gpforge.reductions import delta_w, free_source, pi_w
+from gpforge.reductions import MAX_DELTA_DIM, delta_w, free_source, pi_w
 from tests_util import bs_source, canonical_form, canonical_rename, word_commutators, word_mitosis_relators
 
 
@@ -105,11 +105,10 @@ def test_hnn_bs23_and_degenerate_free_product_with_z():
         hnn_extension(base, "a", [])
 
 
-def test_hnn_ascending_from_morphism():
+def test_hnn_ascending_from_pairs():
     base = presentation(["a"])
     a = base.alphabet.symbol("a")
-    phi = PresentationMorphism(base, base, {a: word((a, 2))})
-    e = hnn_extension(base, "t", ascending_domain=phi)
+    e = hnn_extension(base, "t", [(word(a), word((a, 2)))], ascending=True)
     assert e.payload["ascending"]
     assert set(e.payload) == {"stable", "assoc", "ascending", "bac_hnn_chain"}
     assert serialize(e.realized) == "gens a t\nrel t^-1 a t a^-2"
@@ -242,3 +241,31 @@ def test_mitosis_and_witness_product_relators_match_the_word_builders(monkeypatc
         w = parse_word(text, src.presentation.alphabet)
         _assert_same_relators(lambda: pi_w(src, w, 4).presentation, monkeypatch)
         _assert_same_relators(lambda: delta_w(src, w, 3).presentation, monkeypatch)
+
+
+@pytest.mark.parametrize(
+    "build, count",
+    [
+        # The children's relators count too, so nesting cannot get past the budget.
+        (lambda: direct_product(presentation(["a"], ["a^2"]), presentation(["b", "c"], ["b c b"])), 1 + 1 + 2),
+        (lambda: standard_mitosis(presentation(["a", "b"], ["a^3"])), 1 + 2 + 4),
+        # Levels over 1 and 3 generators, then t^-1 g t g^-1 and the two shifts.
+        (lambda: mu_stage(presentation(["g"], ["g^5"]), 2), 1 + 2 + 12 + 3),
+    ],
+)
+def test_relator_budget_is_checked_before_the_relators_are_built(build, count, monkeypatch):
+    monkeypatch.setattr(combinators, "RELATOR_BUDGET", count)
+    assert len(build().realized.relators) == count
+    monkeypatch.setattr(combinators, "RELATOR_BUDGET", count - 1)
+    message = f"^a presentation of {count} relators is more than the {count - 1} allowed$"
+    with pytest.raises(SearchBudgetError, match=message):
+        build()
+
+
+def test_built_in_constructions_stay_a_tenth_below_the_relator_budget():
+    largest = [
+        delta_w(free_source(), parse_word("a^2"), MAX_DELTA_DIM).presentation,
+        mu_stage(presentation(["g"]), combinators.MAX_MU_STAGE).realized,
+    ]
+    assert [len(p.relators) for p in largest] == [8316, 3877]
+    assert 10 * 8316 <= combinators.RELATOR_BUDGET

@@ -26,6 +26,7 @@ from gpforge.inference import (
     PREDICATES,
     AssertionError_,
     Certificate,
+    Derivation,
     Fact,
     check_consistency,
     derive,
@@ -146,8 +147,7 @@ def test_bac_hnn_chain_route_via_r3():
 def test_r3_plain_ascending_hnn_of_bac_base():
     base = atom(presentation(["a"]), facts=(("Amenable", None),))
     a = base.realized.alphabet.symbols[0]
-    phi = PresentationMorphism(base.realized, base.realized, {a: word((a, 2))})
-    expr = hnn_extension(base, "t", ascending_domain=phi)
+    expr = hnn_extension(base, "t", [(word(a), word((a, 2)))], ascending=True)
     d = derive(expr)
     cert = query(d, expr, "BoundedlyAcyclic")
     assert cert is not None and cert.rule == "R3"
@@ -157,8 +157,7 @@ def test_r3_plain_ascending_hnn_of_bac_base():
 def test_r4_coamenable_lift():
     base = atom(presentation(["a"]), facts=(("Mitotic", None),))
     a = base.realized.alphabet.symbols[0]
-    phi = PresentationMorphism(base.realized, base.realized, {a: word((a, 2))})
-    expr = hnn_extension(base, "t", ascending_domain=phi)
+    expr = hnn_extension(base, "t", [(word(a), word((a, 2)))], ascending=True)
     d = derive(expr)
     # R3 fires first in catalog order; R4 would give the same conclusion.
     assert d.has(expr, "BoundedlyAcyclic")
@@ -327,6 +326,8 @@ def test_degree_bound():
         query(d, expr, "LargeHb", MAX_QUERY_DEGREE + 1)
     with pytest.raises(ValueError):
         derive(expr, max_degree=MAX_QUERY_DEGREE + 1)
+    with pytest.raises(ValueError):
+        Derivation(expr, MAX_QUERY_DEGREE + 1)
 
 
 def test_certificate_render_mentions_rule_and_node():

@@ -148,6 +148,26 @@ def test_triangulate_refuses_a_subdivision_that_loses_a_triangle(monkeypatch):
         triangulate(TORUS)
 
 
+def test_triangulate_refuses_a_disconnected_subdivision(monkeypatch):
+    # A disjoint 3-cycle (three vertices, three edges) keeps the Euler
+    # characteristic, so only the connectivity check can catch it.
+    subdivide = topology.barycentric_subdivide
+    calls = []
+
+    def with_a_stray_cycle(c):
+        out = subdivide(c)
+        calls.append(c)
+        if len(calls) == 1:
+            return out
+        n = out.n_vertices
+        cycle = ((n, n + 1), (n + 1, n + 2), (n, n + 2))
+        return DeltaComplex(n + 3, out.edges + cycle, out.triangles)
+
+    monkeypatch.setattr(topology, "barycentric_subdivide", with_a_stray_cycle)
+    with pytest.raises(InvalidComplexError, match="^triangulation is not connected$"):
+        triangulate(TORUS)
+
+
 def test_homology_workload_reproduces_the_committed_digests():
     # The benchmark's homology pass triangulates 101 presentations and
     # checks each output digest against bench/expected/homology.json.

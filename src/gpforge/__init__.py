@@ -52,7 +52,6 @@ from .rewriting import (
     bs_reduce,
     bs_system,
     finite_quotient_search,
-    free_triviality,
 )
 from .homology import (
     AbelianGroup,

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .errors import DegenerateEdgeError, SearchBudgetError, StableLetterError
+from .errors import InvalidInputError, SearchBudgetError
 from .presentations import Presentation, PresentationMorphism
 from .words import Alphabet, GeneratorSymbol, Word, _reduced, substitute, word
 
@@ -281,7 +281,7 @@ def amalgamated_product(
     """
     for u, v in pairs:
         if not u or not v:
-            raise DegenerateEdgeError("amalgam identification words must be nonempty")
+            raise InvalidInputError("amalgam identification words must be nonempty")
     payload = {
         "pairs": tuple(pairs),
         "edge_amenable": edge_amenable,
@@ -310,7 +310,7 @@ def hnn_extension(
     pe = _as_expr(p)
     base = pe.realized
     if stable in base.alphabet:
-        raise StableLetterError(f"stable letter {stable!r} clashes with a base generator")
+        raise InvalidInputError(f"stable letter {stable!r} clashes with a base generator")
     t = GeneratorSymbol(stable)
     for u, v in assoc:
         base.alphabet.check_word(u)
@@ -430,6 +430,6 @@ def bac_hnn(p: ExprLike, embed: PresentationMorphism) -> GroupExpr:
     pe = _as_expr(p)
     base = pe.realized.alphabet
     if embed.source.alphabet != base or embed.target.alphabet != base:
-        raise StableLetterError("ascending domain must be a self-map of the base presentation")
+        raise InvalidInputError("ascending domain must be a self-map of the base presentation")
     assoc = tuple((word(x), embed.apply(word(x))) for x in base)
     return hnn_extension(pe, _fresh_name("t", set(base.names)), assoc, ascending=True, bac_hnn_chain=True)

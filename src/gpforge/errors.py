@@ -1,4 +1,19 @@
-"""Exception hierarchy shared by all gpforge modules."""
+"""Exception hierarchy shared by all gpforge modules.
+
+Each class is here because some caller tells it apart from the others:
+  * GpforgeError: `cli.main` catches it last and exits 2 (input error).
+  * AlphabetMismatchError: `presentations.parse` catches it and raises a
+    ParseError that names the relator's line; otherwise exit 2.
+  * ParseError: `cli` catches it in `--bs`, `--query` and `--oracle`
+    values and exits 1 (usage error); the `.grp` and word readers catch it
+    to add the line and column; otherwise exit 2.
+  * InvalidInputError: the one class for a refused input (an empty
+    amalgam word, a clashing stable letter, an unknown predicate, ...)
+    that library callers catch; exit 2.
+  * SearchBudgetError: a fixed budget was passed; exit 2.
+  * InvalidComplexError, InternalError: `cli.main` exits 3 (internal
+    invariant violation).
+"""
 
 
 class GpforgeError(Exception):
@@ -7,10 +22,6 @@ class GpforgeError(Exception):
 
 class AlphabetMismatchError(GpforgeError):
     """A word uses a symbol that does not belong to the ambient alphabet."""
-
-
-class PartialMapError(GpforgeError):
-    """A substitution map is missing a symbol that occurs in the word."""
 
 
 class ParseError(GpforgeError):
@@ -26,18 +37,6 @@ class ParseError(GpforgeError):
         super().__init__(message + loc)
 
 
-class DegenerateEdgeError(GpforgeError):
-    """An amalgam identification pair contains an empty word."""
-
-
-class StableLetterError(GpforgeError):
-    """The requested HNN stable letter clashes with a base generator."""
-
-
-class UnsupportedEdgeError(GpforgeError):
-    """A Baumslag-Solitar rewrite system was given a zero parameter."""
-
-
 class InvalidInputError(GpforgeError):
     """User-supplied data fails a precondition (e.g. an empty relator)."""
 
@@ -50,10 +49,6 @@ class SearchBudgetError(GpforgeError):
 
 class InvalidComplexError(GpforgeError):
     """Chain-complex or simplicial-complex invariants are violated."""
-
-
-class ConstructionIntegrityError(GpforgeError):
-    """A build-time verification that should be impossible to fail, failed."""
 
 
 class InternalError(GpforgeError):

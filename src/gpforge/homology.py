@@ -85,17 +85,10 @@ class SparseMatrix:
 
     __slots__ = ("rows", "cols", "entries")
 
-    def __init__(self, rows: int, cols: int, entries: Optional[Sequence[Mapping[int, int]]] = None):
+    def __init__(self, rows: int, cols: int):
         self.rows = rows
         self.cols = cols
-        if entries is None:
-            self.entries: List[Dict[int, int]] = [{} for _ in range(rows)]
-        else:
-            if len(entries) != rows or any(
-                not 0 <= j < cols or not v for row in entries for j, v in row.items()
-            ):
-                raise ValueError("sparse rows do not match declared dimensions")
-            self.entries = [dict(row) for row in entries]
+        self.entries: List[Dict[int, int]] = [{} for _ in range(rows)]
 
     def __repr__(self):
         return f"SparseMatrix({self.rows}x{self.cols})"

@@ -41,7 +41,7 @@ from .combinators import (
     MITOSIS,
     MU_STAGE,
 )
-from .errors import GpforgeError, ParseError
+from .errors import InvalidInputError, ParseError
 
 # Argument kinds of a predicate (None: it takes no argument).
 DEGREE = "degree"  # an integer >= 0: a degree, a dimension or a count
@@ -117,10 +117,6 @@ def parse_fact(name: str, arg: object = None) -> Tuple[str, Optional[int]]:
     return predicate, arg
 
 
-class AssertionError_(GpforgeError):
-    """An externally asserted fact was rejected."""
-
-
 @dataclass(frozen=True)
 class Fact:
     """subject node id, predicate name, optional argument."""
@@ -132,10 +128,10 @@ class Fact:
     def __post_init__(self):
         spec = PREDICATES.get(self.predicate)
         if spec is None:
-            raise AssertionError_(f"unknown predicate {self.predicate!r}")
+            raise InvalidInputError(f"unknown predicate {self.predicate!r}")
         problem = _arg_problem(spec.arg, self.arg)
         if problem:
-            raise AssertionError_(f"{self.predicate} {problem}")
+            raise InvalidInputError(f"{self.predicate} {problem}")
 
     def render(self) -> str:
         if self.arg is None:
@@ -577,7 +573,7 @@ class Derivation:
                 fact = Fact(i, pred, arg)
                 # Structural predicates, node-argument ones among them, are S-rule seeds only.
                 if PREDICATES[pred].name is None:
-                    raise AssertionError_(f"{pred} is structural and cannot be asserted")
+                    raise InvalidInputError(f"{pred} is structural and cannot be asserted")
                 facts.add(fact, Certificate(fact, "A0", A0_CITATION))
         for rule_id, fact in _structural_facts(self.ctx):
             facts.add(fact, Certificate(fact, rule_id, _STRUCTURAL_CITATIONS[rule_id]))
@@ -625,10 +621,17 @@ class Derivation:
         return set(self.certificates)
 
     def node_id(self, node: Union[int, GroupExpr]) -> int:
-        """A position, or the first occurrence of a node object."""
+        """A position, or the first occurrence of a node object; a position
+        past either end or a node outside the tree raises InvalidInputError."""
+        nodes = self.ctx.nodes
         if isinstance(node, int):
-            return node
-        return self.ctx.nodes.index(node)
+            if 0 <= node < len(nodes):
+                return node
+            raise InvalidInputError(f"unknown node id {node}")
+        try:
+            return nodes.index(node)
+        except ValueError:
+            raise InvalidInputError(f"unknown node {node!r}") from None
 
     def has(self, node, predicate: str, arg: Optional[int] = None) -> bool:
         return Fact(self.node_id(node), predicate, arg) in self.certificates
@@ -657,10 +660,7 @@ def query(
     """
     if degree is not None and degree > derivation.max_degree:
         derivation = derive(derivation.expr, max_degree=degree)
-    node_id = derivation.node_id(node)
-    if node_id >= len(derivation.ctx.nodes):
-        raise AssertionError_(f"unknown node id {node_id}")
-    return derivation.certificates.get(Fact(node_id, predicate, degree))
+    return derivation.certificates.get(Fact(derivation.node_id(node), predicate, degree))
 
 
 def check_consistency(derivation: Derivation) -> List[Tuple[int, str]]:

@@ -15,7 +15,7 @@ from functools import lru_cache
 from typing import Dict, List, Tuple
 
 from .combinators import GroupExpr, MEIER_GAMMA, MEIER_T, amalgamated_product, atom
-from .errors import AlphabetMismatchError, ConstructionIntegrityError, SearchBudgetError
+from .errors import AlphabetMismatchError, InternalError, SearchBudgetError
 from .presentations import Presentation, PresentationMorphism
 from .rewriting import (
     britton_is_stable_power,
@@ -49,10 +49,8 @@ class MeierData:
     """The verified ingredients of the construction."""
 
     B: Presentation
-    F_generators: Tuple[Word, Word]  # (t, c) with c = [a, t^-1 a t]
     T: Presentation
     T_expr: GroupExpr
-    phi: PresentationMorphism  # a -> a^2, t -> t, relator obligation verified
 
 
 def f_generators(p: Presentation) -> Tuple[Word, Word]:
@@ -74,14 +72,13 @@ def build_meier() -> MeierData:
     assertion consumed by the inference engine.
     """
     t_w, c_w = f_generators(_B)
-    phi = PresentationMorphism(_B, _B, dict(_PHI))
     try:
-        phi = phi.verify(lambda img: not bs_reduce(2, 3, img))
+        PresentationMorphism(_B, _B, dict(_PHI)).verify(lambda img: not bs_reduce(2, 3, img))
     except Exception as exc:  # pragma: no cover - should be impossible
-        raise ConstructionIntegrityError(f"phi relator obligation failed: {exc}") from exc
+        raise InternalError(f"phi relator obligation failed: {exc}") from exc
     for identity, holds in verified_phi_facts().items():
         if not holds:
-            raise ConstructionIntegrityError(f"phi identity fails: {identity}")
+            raise InternalError(f"phi identity fails: {identity}")
 
     # Identifications switching the pairs: t = cbar, c = tbar, where the
     # right-hand words are read in the copy.
@@ -95,7 +92,7 @@ def build_meier() -> MeierData:
         edges_legitimate=True,
         _kind=MEIER_T,
     )
-    return MeierData(B=_B, F_generators=(t_w, c_w), T=t_node.realized, T_expr=t_node, phi=phi)
+    return MeierData(B=_B, T=t_node.realized, T_expr=t_node)
 
 
 def meier_t_expr() -> GroupExpr:

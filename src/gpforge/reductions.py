@@ -36,7 +36,7 @@ from .combinators import (
 )
 from .errors import InvalidInputError, ParseError
 from .presentations import EMPTY_PRESENTATION, Presentation, presentation, serialize
-from .rewriting import HnnRewriteSystem, britton_normal_form, free_triviality, parse_bs
+from .rewriting import HnnRewriteSystem, britton_normal_form, parse_bs
 from .words import Word, word
 
 # Delta_w's largest dimension: its d - 1 nested direct products carry
@@ -68,11 +68,11 @@ class WordProblemSource:
     def is_trivial(self, w: Word) -> bool:
         self.presentation.alphabet.check_word(w)
         if self.system is None:
-            return free_triviality(w)
+            return not w
         return not britton_normal_form(self.system, w)
 
 
-def parse_oracle(spec: str, p: Presentation, asserted_facts: Tuple = ()) -> WordProblemSource:
+def parse_oracle(spec: str, p: Presentation, asserted_facts: Tuple) -> WordProblemSource:
     """The word-problem source for an oracle spec: `free` or `bs:m,n`.
 
     ParseError for a malformed spec; InvalidInputError when the oracle

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Dict, Generator, Iterator, List, NamedTuple, Optional, Tuple
 
-from .errors import AlphabetMismatchError, ParseError, SearchBudgetError, UnsupportedEdgeError
+from .errors import AlphabetMismatchError, InvalidInputError, ParseError, SearchBudgetError
 from .presentations import Presentation
 from .words import _INTEGER_RE, Alphabet, GeneratorSymbol, Word, _push_runs, _reduced
 
@@ -55,7 +55,7 @@ class HnnRewriteSystem:
 
     def __post_init__(self):
         if self.m == 0 or self.n == 0:
-            raise UnsupportedEdgeError("BS parameters must be nonzero")
+            raise InvalidInputError("BS parameters must be nonzero")
 
     @property
     def name(self) -> str:
@@ -293,11 +293,6 @@ def bs_canonical_pass(m: int, n: int, nf: Word) -> Word:
     return _reduced(tuple(out))
 
 
-def free_triviality(w: Word) -> bool:
-    """True iff the word freely reduces to the identity."""
-    return not w
-
-
 # ---------------------------------------------------------------------------
 # Finite symmetric-group quotients.
 # ---------------------------------------------------------------------------
@@ -334,13 +329,6 @@ def _power(p: Perm, k: int) -> Perm:
     return result
 
 
-def evaluate_word(w: Word, images: Dict[GeneratorSymbol, Perm], degree: int) -> Perm:
-    out = _identity(degree)
-    for sym, exp in w.letters:
-        out = _compose(out, _power(images[sym], exp))
-    return out
-
-
 def permutation_cycles(p: Perm) -> str:
     """One-line cycle notation, 1-based, fixed points omitted; identity '()'."""
     seen = [False] * len(p)
@@ -372,7 +360,10 @@ class Homomorphism(NamedTuple):
     images: Dict[GeneratorSymbol, Perm]
 
     def evaluate(self, w: Word) -> Perm:
-        return evaluate_word(w, self.images, self.degree)
+        out = _identity(self.degree)
+        for sym, exp in w.letters:
+            out = _compose(out, _power(self.images[sym], exp))
+        return out
 
 
 @dataclass(frozen=True)
@@ -388,12 +379,12 @@ class TrivialityCertificate:
     """
 
     kind: str
-    presentation: Optional[Presentation] = None
-    target: Optional[Word] = None
-    hom: Optional[Homomorphism] = None
+    presentation: Presentation
+    target: Word
+    hom: Homomorphism
 
     def revalidate(self) -> bool:
-        if self.kind != "FiniteQuotient" or None in (self.hom, self.presentation, self.target):
+        if self.kind != "FiniteQuotient":
             return False
         gens = self.presentation.alphabet
         if not all(_is_permutation(self.hom.images.get(g), self.hom.degree) for g in gens):
@@ -720,7 +711,7 @@ def finite_quotient_search(
     image arrays until one moves; no permutation is composed and only the
     homomorphism returned is built.  The certificate is checked apart from
     the search by `TrivialityCertificate.revalidate`, which evaluates each
-    relator and the target with whole permutations (`evaluate_word`);
+    relator and the target with whole permutations (`Homomorphism.evaluate`);
     `certify-nontrivial` runs it on every certificate it prints.
     A freely trivial target is None at once: every homomorphism fixes it.
     A target with a letter outside p's alphabet raises AlphabetMismatchError.

@@ -37,7 +37,7 @@ import re
 from operator import itemgetter
 from typing import Dict, Iterable, Iterator, Optional, Tuple
 
-from .errors import AlphabetMismatchError, ParseError, PartialMapError
+from .errors import AlphabetMismatchError, InvalidInputError, ParseError
 
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 _INTEGER_RE = re.compile(r"-?[1-9][0-9]*\Z")
@@ -320,7 +320,7 @@ def substitute(w: Word, mapping: Dict[GeneratorSymbol, Word]) -> Word:
         try:
             runs = mapping[sym]._letters
         except KeyError:
-            raise PartialMapError(f"substitution map has no image for {sym.name!r}") from None
+            raise InvalidInputError(f"substitution map has no image for {sym.name!r}") from None
         if len(runs) == 1:
             (s, e), = runs
             e *= exp

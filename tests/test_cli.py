@@ -10,7 +10,8 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gpforge.cli import EXIT_INPUT, EXIT_OK, EXIT_USAGE, main
+from gpforge import meier
+from gpforge.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
 from gpforge.combinators import RELATOR_BUDGET
 from gpforge.inference import PREDICATES
 
@@ -447,6 +448,36 @@ def test_input_error_exit_code(tmp_path, monkeypatch, capsys):
     for argv in mismatched:
         code, out, err = run_cli(argv, capsys=capsys, monkeypatch=monkeypatch)
         assert code == EXIT_INPUT and out == "" and err.startswith("input error:"), argv
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('(hnn (atom "Z" :pres "gens t") :stable "t")', "stable letter 't' clashes with a base generator"),
+        (
+            '(amalgam (atom "A" :pres "gens a") (atom "B" :pres "gens b") :pairs (("1" "b")))',
+            "amalgam identification words must be nonempty",
+        ),
+    ],
+)
+def test_refused_constructions_keep_their_messages(text, message, tmp_path, monkeypatch, capsys):
+    gx = tmp_path / "bad.gx"
+    gx.write_text(text + "\n", encoding="utf-8")
+    code, out, err = run_cli(["build", str(gx)], capsys=capsys, monkeypatch=monkeypatch)
+    assert (code, out, err) == (EXIT_INPUT, "", f"input error: {message}\n")
+
+
+@pytest.fixture
+def fresh_meier_build():
+    meier.build_meier.cache_clear()
+    yield
+    meier.build_meier.cache_clear()
+
+
+def test_a_failed_meier_build_is_an_internal_error(fresh_meier_build, monkeypatch, capsys):
+    monkeypatch.setattr(meier, "verified_phi_facts", lambda: {"phi(c) = 1": False})
+    code, out, err = run_cli(["corpus", "--family", "meier"], capsys=capsys, monkeypatch=monkeypatch)
+    assert (code, out, err) == (EXIT_INTERNAL, "", "internal invariant violation: phi identity fails: phi(c) = 1\n")
 
 
 def test_build_pipes_into_abelianize(tmp_path, monkeypatch, capsys):

@@ -28,6 +28,7 @@ from tests_util import (
     dict_merge_unit_pairs,
     gcd_of_minors_factors,
     separate_uv_smith_normal_form,
+    sparse_matrix,
     transpose,
 )
 
@@ -111,7 +112,7 @@ def test_pair_merge_matches_dense_snf_on_matrix_and_transpose(matrix):
             dense.entries[i][j] = v
     expected = list(smith_normal_form(dense).invariant_factors)
     assert invariant_factors(rows) == expected
-    columns = transpose(SparseMatrix(len(rows), n_cols, rows)).entries
+    columns = transpose(sparse_matrix(len(rows), n_cols, rows)).entries
     assert invariant_factors(columns) == expected
 
 
@@ -248,8 +249,8 @@ def test_complex_homology_circle_and_point():
 
 
 def test_complex_homology_rejects_bad_composition():
-    d1 = SparseMatrix(1, 2, [{0: 1}])
-    d2 = SparseMatrix(2, 1, [{0: 1}, {}])
+    d1 = sparse_matrix(1, 2, [{0: 1}])
+    d2 = sparse_matrix(2, 1, [{0: 1}, {}])
     with pytest.raises(InvalidComplexError):
         complex_homology(ChainComplexData(d1, d2))
 

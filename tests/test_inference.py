@@ -16,7 +16,7 @@ from gpforge.combinators import (
     mu_stage,
     standard_mitosis,
 )
-from gpforge.errors import ParseError
+from gpforge.errors import InvalidInputError, ParseError
 from gpforge.inference import (
     A0_CITATION,
     DEGREE,
@@ -24,7 +24,6 @@ from gpforge.inference import (
     MAX_QUERY_DEGREE,
     NODE,
     PREDICATES,
-    AssertionError_,
     Certificate,
     Derivation,
     Fact,
@@ -363,7 +362,7 @@ def test_argument_kinds():
             if spec.name:
                 assert parse_fact(spec.name, arg) == (predicate, arg)
         for arg in rejected[spec.arg]:
-            with pytest.raises(AssertionError_):
+            with pytest.raises(InvalidInputError):
                 Fact(0, predicate, arg)
             if spec.name:
                 with pytest.raises(ParseError):
@@ -371,9 +370,9 @@ def test_argument_kinds():
 
 
 def test_unknown_predicate_rejected():
-    with pytest.raises(AssertionError_):
+    with pytest.raises(InvalidInputError):
         Fact(0, "Bogus")
-    with pytest.raises(AssertionError_):
+    with pytest.raises(InvalidInputError):
         Fact(0, "LargeHb")  # missing degree
 
 
@@ -402,6 +401,21 @@ def test_repeated_factor_is_a_retract_at_each_position():
     assert d.ctx.kids[0] == [1, 2]
     assert Fact(1, "RetractOf", 0) in d.facts and Fact(2, "RetractOf", 0) in d.facts
     assert d.node_id(x) == 1
+
+
+def test_unknown_nodes_are_refused():
+    expr = mu_stage(atom(presentation(["x", "y"])), 1)
+    d = derive(expr)
+    assert len(d.ctx.nodes) == 2 and d.has(expr, "BoundedlyAcyclic")
+    with pytest.raises(InvalidInputError, match=r"^unknown node id -1$"):
+        query(d, -1, "BoundedlyAcyclic")
+    with pytest.raises(InvalidInputError, match=r"^unknown node id 5$"):
+        d.has(5, "ContainsF2")
+    foreign = atom(presentation(["x", "y"]))
+    with pytest.raises(InvalidInputError, match=r"^unknown node <GroupExpr atom gens=2 children=0>$"):
+        d.has(foreign, "ContainsF2")
+    with pytest.raises(InvalidInputError, match=r"^unknown node <GroupExpr atom "):
+        query(d, foreign, "ContainsF2")
 
 
 def test_derive_is_fast_on_a_wide_witness_tree():
@@ -559,5 +573,5 @@ def test_derive_on_a_deep_chain_yields_linearly_many_conclusions(monkeypatch):
 def test_an_atom_cannot_assert_a_structural_predicate():
     x, y = presentation(["x"]), presentation(["y"])
     for facts in ((("EdgeAmenable", None),), (("EdgeDoubleCosetsAtLeast3", None),), (("CoAmenableIn", 5),)):
-        with pytest.raises(AssertionError_, match="structural"):
+        with pytest.raises(InvalidInputError, match="structural"):
             derive(free_product(atom(x, facts=facts), atom(y, facts=(("LargeHb", 2), ("Amenable", None)))))

@@ -32,7 +32,7 @@ def test_build_meier_shape():
     assert len(data.T.alphabet) == 4
     assert len(data.T.relators) == 4
     assert data.T.alphabet.names == ("a", "t", "a_2", "t_2")
-    t_w, c_w = data.F_generators
+    t_w, c_w = f_generators(data.B)
     assert t_w == parse_word("t")
     assert c_w == parse_word("a^-1 t^-1 a^-1 t a t^-1 a t")
 

@@ -6,9 +6,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from gpforge.combinators import standard_mitosis
-from gpforge.errors import AlphabetMismatchError, ParseError, SearchBudgetError, UnsupportedEdgeError
+from gpforge.errors import AlphabetMismatchError, InvalidInputError, ParseError, SearchBudgetError
 from gpforge.presentations import EMPTY_PRESENTATION, parse, presentation, serialize
-from gpforge import rewriting
 from gpforge.rewriting import (
     SEGMENT_BIT_BUDGET,
     HnnRewriteSystem,
@@ -24,9 +23,7 @@ from gpforge.rewriting import (
     bs_equal,
     bs_reduce,
     bs_system,
-    evaluate_word,
     finite_quotient_search,
-    free_triviality,
     is_pinch_free,
     parse_bs,
     permutation_cycles,
@@ -114,9 +111,9 @@ def test_pinch_free_words_stay_put():
 def test_britton_rejects_foreign_symbols_and_bad_edges():
     with pytest.raises(AlphabetMismatchError):
         bs_reduce(2, 3, parse_word("b"))
-    with pytest.raises(UnsupportedEdgeError):
+    with pytest.raises(InvalidInputError):
         bs_system(0, 3)
-    with pytest.raises(UnsupportedEdgeError):
+    with pytest.raises(InvalidInputError):
         HnnRewriteSystem(2, 0)
 
 
@@ -429,12 +426,12 @@ def test_canonical_pass_matches_normalising_oracle(case):
 
 
 def test_free_triviality():
-    assert free_triviality(parse_word("a b b^-1 a^-1"))
-    assert not free_triviality(commutator(word("a"), word("b")))
+    assert not parse_word("a b b^-1 a^-1")
+    assert commutator(word("a"), word("b"))
     rng = random.Random(1)
     for _ in range(200):
         w = random_bs_word(rng)
-        assert free_triviality(w * ~w)
+        assert not w * ~w
 
 
 def test_finite_quotient_search_cyclic_group():
@@ -571,7 +568,7 @@ def _assert_kernel_matches_scan_oracle(p, target):
     assert (listed, error) == _run_to_budget(scan_homomorphisms(p, 5))
     moving, moving_error = _run_to_budget(_homomorphisms(p, 5, target))
     assert moving_error == error
-    assert moving == [(d, images) for d, images in listed if evaluate_word(target, images, d) != tuple(range(d))]
+    assert moving == [(d, images) for d, images in listed if Homomorphism(d, images).evaluate(target) != tuple(range(d))]
     if not target:
         assert finite_quotient_search(p, 5, target=target) is None
         return
@@ -655,8 +652,8 @@ def test_target_mode_composes_no_permutations(monkeypatch):
     # The target is traced through the image arrays at each leaf; only the
     # independent check, revalidate, evaluates words.
     calls = []
-    real = rewriting.evaluate_word
-    monkeypatch.setattr(rewriting, "evaluate_word", lambda *args: calls.append(args) or real(*args))
+    real = Homomorphism.evaluate
+    monkeypatch.setattr(Homomorphism, "evaluate", lambda *args: calls.append(args) or real(*args))
     bs = parse("gens a t\nrel t^-1 a^2 t = a^3")
     cert = finite_quotient_search(bs, 5, target=parse_word("a", bs.alphabet))
     assert cert is not None and calls == []
@@ -689,7 +686,6 @@ def test_only_finite_quotient_certificates_revalidate():
     assert cert.kind == "FiniteQuotient" and cert.revalidate()
     for kind in ("BrittonNormalForm", "FreeReduction", "TietzeCollapse", "Unknown"):
         assert not TrivialityCertificate(kind, cert.presentation, cert.target, cert.hom).revalidate()
-    assert not TrivialityCertificate("FiniteQuotient", p, cert.target).revalidate()
     # In <a, x | x> the target a x a^-1 is 1.  A map that is no
     # homomorphism into S_2 (a -> (0, 0)), or that leaves a generator of
     # the presentation or a symbol of the target unmapped, certifies

@@ -15,7 +15,6 @@ from gpforge.homology import (
     AbelianGroup,
     ChainComplexData,
     IntegerMatrix,
-    SparseMatrix,
     abelianization,
     invariant_factors,
     smith_normal_form,
@@ -42,6 +41,7 @@ from tests_util import (
     grammatical_texts,
     near_grammar_texts,
     sorted_simplicial_chain_complex,
+    sparse_matrix,
 )
 
 
@@ -475,11 +475,11 @@ def test_sparse_boundary_invariant_factors_match_dense_snf():
 
 
 def test_check_composition_sums_terms_before_judging():
-    d1 = SparseMatrix(1, 2, [{0: 1, 1: 1}])
-    two_terms = ChainComplexData(d1, SparseMatrix(2, 1, [{0: 1}, {0: 1}]))
+    d1 = sparse_matrix(1, 2, [{0: 1, 1: 1}])
+    two_terms = ChainComplexData(d1, sparse_matrix(2, 1, [{0: 1}, {0: 1}]))
     with pytest.raises(InvalidComplexError):
         two_terms.check_composition()
-    cancelling = ChainComplexData(d1, SparseMatrix(2, 1, [{0: 1}, {0: -1}]))
+    cancelling = ChainComplexData(d1, sparse_matrix(2, 1, [{0: 1}, {0: -1}]))
     cancelling.check_composition()
     assert complex_homology(cancelling) == (AbelianGroup(0), AbelianGroup(0), AbelianGroup(0))
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gpforge import combinators, meier, words
-from gpforge.errors import AlphabetMismatchError, ParseError, PartialMapError
+from gpforge.errors import AlphabetMismatchError, InvalidInputError, ParseError
 from gpforge.presentations import presentation, tietze_simplify
 from gpforge.rewriting import britton_push, britton_word, bs_system
 from gpforge.words import (
@@ -181,7 +181,7 @@ def test_substitute_distributes_over_concatenation():
 
 
 def test_substitute_missing_symbol():
-    with pytest.raises(PartialMapError):
+    with pytest.raises(InvalidInputError):
         substitute(word("a", "t"), {A: word("a")})
 
 

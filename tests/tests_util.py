@@ -50,7 +50,6 @@ from gpforge.rewriting import (
     bs_equal,
     bs_reduce,
     bs_system,
-    evaluate_word,
 )
 from gpforge.words import (
     _IDENT_RE,
@@ -516,7 +515,7 @@ def whole_permutation_homomorphisms(p: Presentation, degree_max: int) -> Iterato
                 return
             for perm in perms:
                 images[gens[k]] = perm
-                if all(evaluate_word(rel, images, degree) == ident for rel in checkable_at[k + 1]):
+                if all(Homomorphism(degree, images).evaluate(rel) == ident for rel in checkable_at[k + 1]):
                     yield from assign(k + 1)
             images.pop(gens[k], None)
 
@@ -945,6 +944,14 @@ def resorting_spanning_tree(x: SimplicialComplex) -> List[Tuple[int, int]]:
                 tree.append((min(u, v), max(u, v)))
                 queue.append(v)
     return tree
+
+
+def sparse_matrix(rows: int, cols: int, entries: Sequence[Dict[int, int]]) -> SparseMatrix:
+    """A rows x cols SparseMatrix holding the given {column: entry} rows."""
+    assert len(entries) == rows and all(0 <= j < cols and v for row in entries for j, v in row.items())
+    m = SparseMatrix(rows, cols)
+    m.entries = [dict(row) for row in entries]
+    return m
 
 
 def transpose(m: SparseMatrix) -> SparseMatrix:

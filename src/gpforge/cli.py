@@ -42,6 +42,15 @@ class UsageError(Exception):
     pass
 
 
+def _flag(flag: str, error: type, fn, *args, **kwargs):
+    """fn(*args, **kwargs), where an `error` it raises is the library
+    refusing the value of `flag`: a usage error that names the flag."""
+    try:
+        return fn(*args, **kwargs)
+    except error as exc:
+        raise UsageError(f"{flag}: {exc}")
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
@@ -91,10 +100,7 @@ def _cmd_abelianize(args) -> int:
 
 
 def _cmd_normalize(args) -> int:
-    try:
-        system = parse_bs(args.bs)
-    except ParseError as exc:
-        raise UsageError(f"--bs: {exc}")
+    system = _flag("--bs", ParseError, parse_bs, args.bs)
     w = parse_word(args.word)
     print(format_word(britton_normal_form(system, w)))
     return EXIT_OK
@@ -103,10 +109,7 @@ def _cmd_normalize(args) -> int:
 def _cmd_certify_nontrivial(args) -> int:
     p = _load_presentation(args.file)
     target = parse_word(args.word, p.alphabet)
-    try:
-        cert = finite_quotient_search(p, args.degree, target=target)
-    except ValueError as exc:
-        raise UsageError(f"--degree: {exc}")
+    cert = _flag("--degree", ValueError, finite_quotient_search, p, args.degree, target=target)
     if cert is None:
         print("not found within bound")
         return EXIT_OK
@@ -133,15 +136,9 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_infer(args) -> int:
-    try:
-        predicate, degree = parse_query(args.query)
-    except ParseError as exc:
-        raise UsageError(f"--query: {exc}")
+    predicate, degree = _flag("--query", ParseError, parse_query, args.query)
     expr = _load_expr(args.file)
-    try:
-        derivation = derive(expr, max_degree=max(MAX_DEGREE, degree or 0))
-    except ValueError as exc:
-        raise UsageError(f"--query: {exc}")
+    derivation = _flag("--query", ValueError, derive, expr, max_degree=max(MAX_DEGREE, degree or 0))
     cert = query(derivation, expr, predicate, degree)
     if cert is None:
         print("NOT DERIVABLE")
@@ -157,10 +154,7 @@ def _cmd_infer(args) -> int:
 
 def _cmd_reduce(args) -> int:
     lam = _load_presentation(args.lam)
-    try:
-        src = red.parse_oracle(args.oracle, lam, (("TorsionFree", None),))
-    except ParseError as exc:
-        raise UsageError(f"--oracle: {exc}")
+    src = _flag("--oracle", ParseError, red.parse_oracle, args.oracle, lam, (("TorsionFree", None),))
     w = parse_word(args.word, lam.alphabet)
     construction = args.construction
     if construction == "lambda":
@@ -175,10 +169,7 @@ def _cmd_reduce(args) -> int:
         out = red.witness_w(gamma, src, w)
     else:
         build = {"pi": red.pi_w, "delta": red.delta_w}[construction]
-        try:
-            out = build(src, w, args.dim)
-        except ValueError as exc:
-            raise UsageError(f"--dim: {exc}")
+        out = _flag("--dim", ValueError, build, src, w, args.dim)
     _write_text(args.output, serialize(out.presentation))
     if args.expr_output:
         _write_text(args.expr_output, serialize_expr(out.expr))
@@ -186,10 +177,7 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_meier_probe(args) -> int:
-    try:
-        results = meier_mod.double_coset_probe(args.max_len, args.budget)
-    except ValueError as exc:
-        raise UsageError(f"--max-len/--budget: {exc}")
+    results = _flag("--max-len/--budget", ValueError, meier_mod.double_coset_probe, args.max_len, args.budget)
     for w, status in results:
         print(f"{format_word(w)}\t{status}")
     return EXIT_OK
@@ -206,20 +194,15 @@ def _cmd_corpus(args) -> int:
     family = args.family
     if family == "mu":
         base = presentation(["g"], name="F1")
-        try:  # deepest first, so a depth past the bound is named at once
-            stages = [cb.mu_stage(base, k) for k in range(args.depth, 0, -1)]
-        except ValueError as exc:
-            raise UsageError(f"--depth: {exc}")
+        # Deepest first, so a depth past the bound is named at once.
+        stages = _flag("--depth", ValueError, lambda: [cb.mu_stage(base, k) for k in range(args.depth, 0, -1)])
         for k, stage in enumerate(reversed(stages), start=1):
             _corpus_emit(f"mu stage {k}", serialize(stage.realized))
             _corpus_emit(
                 f"mu stage {k} simplified", serialize(tietze_simplify(stage.realized))
             )
     elif family == "witness":
-        try:
-            witnesses = red.witness_corpus(args.count, rng)
-        except ValueError as exc:
-            raise UsageError(f"--count: {exc}")
+        witnesses = _flag("--count", ValueError, red.witness_corpus, args.count, rng)
         for i, (w, out) in enumerate(witnesses):
             label = "trivial" if out.trivial_branch else "nontrivial"
             _corpus_emit(

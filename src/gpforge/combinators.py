@@ -200,8 +200,7 @@ def _product(
 ) -> GroupExpr:
     """The two-factor node all three products share: p's generators and
     relators, then q's renamed apart, then `cross_relators(p, renaming)`
-    over p's realization and q's renaming.  The renaming is recorded in
-    the payload as `right_renaming`."""
+    over p's realization and q's renaming."""
     pe, qe = _as_expr(p), _as_expr(q)
     taken = set(pe.realized.alphabet.names)
     names: List[str] = []
@@ -212,7 +211,6 @@ def _product(
     alphabet = Alphabet(pe.realized.alphabet.symbols + tuple(names))
     q_rels = tuple(substitute(r, renaming) for r in qe.realized.relators)
     relators = pe.realized.relators + q_rels + tuple(cross_relators(pe.realized, renaming))
-    payload = {"right_renaming": renaming, **payload}
     return GroupExpr(kind, (pe, qe), payload, Presentation(alphabet, relators))
 
 

@@ -435,7 +435,7 @@ def relation_matrix(p: Presentation) -> SparseMatrix:
 
 def abelianization(p: Presentation) -> AbelianGroup:
     """H_1 of the presented group: cokernel of the exponent-sum matrix."""
-    factors = [f for f in invariant_factors(relation_matrix(p).entries) if f]
+    factors = invariant_factors(relation_matrix(p).entries)
     rank = len(p.alphabet) - len(factors)
     torsion = tuple(f for f in factors if f > 1)
     return AbelianGroup(rank, torsion)

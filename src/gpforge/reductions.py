@@ -200,8 +200,8 @@ def _push_out(gamma: GroupExpr, lw: WitnessOutput) -> WitnessOutput:
             _kind=WITNESS_W,
         )
         if first_wbar is None:
-            renaming = expr.payload["right_renaming"]
-            first_wbar = renaming[lw.wbar.letters[0][0]]
+            # wbar is lw's last generator, so renamed it is the amalgam's.
+            first_wbar = word(expr.realized.alphabet.symbols[-1])
     return WitnessOutput(expr, wbar=first_wbar)
 
 

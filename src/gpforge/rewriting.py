@@ -15,10 +15,11 @@ toolkit comes from this module.
   search (Sims, Computation with Finitely Presented Groups, Ch. 5), with
   relator exponents reduced modulo lcm(1..degree) and a fixed budget of
   image assignments per call (QUOTIENT_SEARCH_BUDGET).  Where the
-  complete images make every relator that mentions the remaining
-  generators vanish, those generators are free: their permutations are
-  emitted whole, in lex order, and the budget still counts every
-  assignment the point search would have made there.
+  complete images reduce every relator that mentions the remaining
+  generators to the empty word of S_degree * F(remaining generators),
+  those generators are free: their permutations are emitted whole, in
+  lex order, and the budget still counts every assignment the point
+  search would have made there.
 
 The edge subgroups are <a^m> and <a^n>, so Britton rewriting is integer
 arithmetic: a segment a^e lies in <a^m> iff m divides e.  Pinch
@@ -421,12 +422,13 @@ def _actions(rel: Word, index: Dict[GeneratorSymbol, int], period: int) -> List[
 def _vanish(
     relators: List[List[Tuple[int, int]]], k: int, image: List[List[int]], preimage: List[List[int]], ident: List[int]
 ) -> bool:
-    """Whether each relator, given by its letters in acting order, is the
-    empty cyclic word once each generator below k is replaced by its
+    """Whether each relator, given by its letters in acting order, reduces
+    to the empty word once each generator below k is replaced by its
     complete image array: adjacent replaced letters compose to one
     permutation, identities drop, and letters x^e x^-e of the other
-    generators cancel, also cyclically.  Such relators hold whatever the
-    generators from k on are sent to."""
+    generators cancel.  The stack pass leaves the relator's reduced form in
+    S_degree * F(generators from k on); where it is empty, the relator
+    holds whatever those generators are sent to."""
     for acts in relators:
         out: list = []  # composed arrays (lists) and open letters (tuples)
         for g, sign in acts:
@@ -440,16 +442,7 @@ def _vanish(
                 out.pop()
             else:
                 out.append((g, sign))
-        i, j = 0, len(out) - 1
-        while i < j:
-            first, last = out[i], out[j]
-            if type(first) is list and type(last) is list:
-                if [first[y] for y in last] != ident:
-                    return False
-            elif type(first) is list or type(last) is list or first != (last[0], -last[1]):
-                return False
-            i, j = i + 1, j - 1
-        if i == j:
+        if out:
             return False
     return True
 
@@ -683,16 +676,19 @@ def finite_quotient_search(
 
     Free tails.  When the search enters generator k moving forward, with
     generators 0..k-1 complete, it asks whether every relator that
-    mentions a generator from k on becomes the empty cyclic word once each
-    complete generator is replaced by its image (adjacent images composed,
-    identities dropped, x^e x^-e of the other generators cancelled, also
-    cyclically).  Then those relators hold however the generators from k
-    on are sent, no scan can cut below, and the subtree's homomorphisms
-    are exactly S_degree^(n-k) on those generators in lex order, which
-    are emitted directly.  In m(<g|g^3>), s and d are free wherever g is
-    the identity.  A relator with a nonzero exponent sum in a generator
-    never vanishes while that generator is open, so the test is made only
-    past the last such generator, once per forward crossing.
+    mentions a generator from k on reduces to the empty word of the free
+    product S_degree * F(generators from k on) once each complete
+    generator is replaced by its image (adjacent images composed,
+    identities dropped, x^e x^-e of the other generators cancelled).  A
+    nonempty reduced form and its conjugates are nontrivial there
+    (Lyndon-Schupp IV.1), so no cyclic reading is needed.  Then those
+    relators hold however the generators from k on are sent, no scan can
+    cut below, and the subtree's homomorphisms are exactly S_degree^(n-k)
+    on those generators in lex order, which are emitted directly.  In
+    m(<g|g^3>), s and d are free wherever g is the identity.  A relator
+    with a nonzero exponent sum in a generator never vanishes while that
+    generator is open, so the test is made only past the last such
+    generator, once per forward crossing.
 
     The search tries at most QUOTIENT_SEARCH_BUDGET image assignments over
     all degrees of one call and then raises SearchBudgetError (exit 2 on

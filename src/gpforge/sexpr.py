@@ -162,8 +162,6 @@ class _FormReader:
         return red.parse_oracle(spec, node.realized, node.payload["facts"])
 
     def file(self, raw) -> Presentation:
-        if self.loader is None:
-            raise ParseError("atom :file reference but no loader available")
         return self.loader(_string(raw))
 
     def pres(self, raw) -> Presentation:

@@ -321,15 +321,10 @@ def test_usage_error_exit_code(tmp_path, monkeypatch, capsys):
         reduce + ["pi", "--dim", "2"],
         reduce + ["delta", "--dim", "0"],
         reduce + ["delta", "--dim", "100000"],
-        ["certify-nontrivial", str(bs), "--word", "a", "--degree", "7"],
         ["certify-nontrivial", str(bs), "--word", "a", "--degree", "0"],
         ["certify-nontrivial", str(bs), "--word", "a", "--degree", "-1"],
-        ["meier-probe", "--max-len", "0", "--budget", "10"],
         ["meier-probe", "--max-len", "3", "--budget", "0"],
-        # Past combinators.MAX_MU_STAGE and reductions.MAX_CORPUS_COUNT.
-        ["corpus", "--family", "mu", "--depth", "15"],
         ["corpus", "--family", "mu", "--depth", "100000000000"],
-        ["corpus", "--family", "witness", "--count", "10001"],
         # Negative sizes; 0 is an empty corpus.
         ["corpus", "--family", "mu", "--depth", "-2"],
         ["corpus", "--family", "witness", "--count", "-3"],
@@ -340,6 +335,23 @@ def test_usage_error_exit_code(tmp_path, monkeypatch, capsys):
     for argv in bad:
         code, out, err = run_cli(argv, capsys=capsys, monkeypatch=monkeypatch)
         assert code == EXIT_USAGE and out == "" and err.startswith("usage error:"), argv
+    # One argv for each place where a library refusal becomes a usage
+    # error, with its whole line: the flag, then the library's message.
+    pinned = [
+        (["normalize", "--bs", "0,1", "a"], "--bs: expected m,n with nonzero integers m and n, got '0,1'"),
+        (["certify-nontrivial", str(bs), "--word", "a", "--degree", "7"], "--degree: degree_max must be in 1..6, got 7"),
+        (["infer", str(gx), "--query", "bogus"], "--query: unknown predicate 'bogus'"),
+        (["infer", str(gx), "--query", "large-hb 300"], "--query: degree must be <= 256, got 300"),
+        (reduce + ["gamma", "--oracle", "nope"], "--oracle: unknown oracle 'nope'"),
+        (reduce + ["pi", "--dim", "3"], "--dim: pi_w needs degree d >= 4"),
+        (["meier-probe", "--max-len", "0", "--budget", "10"], "--max-len/--budget: bounds must be positive"),
+        # Past combinators.MAX_MU_STAGE and reductions.MAX_CORPUS_COUNT.
+        (["corpus", "--family", "mu", "--depth", "15"], "--depth: mu stage index must be in 1..14, got 15"),
+        (["corpus", "--family", "witness", "--count", "10001"], "--count: corpus count must be at most 10000, got 10001"),
+    ]
+    for argv, message in pinned:
+        code, out, err = run_cli(argv, capsys=capsys, monkeypatch=monkeypatch)
+        assert (code, out, err) == (EXIT_USAGE, "", f"usage error: {message}\n"), argv
 
 
 @pytest.fixture(scope="module")
@@ -458,6 +470,11 @@ def test_input_error_exit_code(tmp_path, monkeypatch, capsys):
             '(amalgam (atom "A" :pres "gens a") (atom "B" :pres "gens b") :pairs (("1" "b")))',
             "amalgam identification words must be nonempty",
         ),
+        ("", "unexpected end of expression file"),
+        (
+            '(lambda-w (free-product (atom "A" :pres "gens a") (atom "B" :pres "gens b")) "a")',
+            "witness constructions need an atom as word-problem source",
+        ),
     ],
 )
 def test_refused_constructions_keep_their_messages(text, message, tmp_path, monkeypatch, capsys):
@@ -465,6 +482,13 @@ def test_refused_constructions_keep_their_messages(text, message, tmp_path, monk
     gx.write_text(text + "\n", encoding="utf-8")
     code, out, err = run_cli(["build", str(gx)], capsys=capsys, monkeypatch=monkeypatch)
     assert (code, out, err) == (EXIT_INPUT, "", f"input error: {message}\n")
+
+
+def test_infer_reports_a_contradiction_on_stderr(tmp_path, monkeypatch, capsys):
+    gx = tmp_path / "contradiction.gx"
+    gx.write_text('(atom "x" :pres "gens a" :facts (amenable contains-f2))\n', encoding="utf-8")
+    code, out, err = run_cli(["infer", str(gx), "--query", "amenable"], capsys=capsys, monkeypatch=monkeypatch)
+    assert (code, out, err) == (EXIT_OK, "DERIVED via A0\n", "CONTRADICTION at n0: Amenable vs ContainsF2\n")
 
 
 @pytest.fixture

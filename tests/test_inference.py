@@ -418,6 +418,15 @@ def test_unknown_nodes_are_refused():
         query(d, foreign, "ContainsF2")
 
 
+def test_integer_node_ids_are_positions():
+    expr = mu_stage(atom(presentation(["x", "y"])), 1)
+    d = derive(expr)
+    assert d.has(0, "BoundedlyAcyclic") and not d.has(1, "BoundedlyAcyclic")
+    cert = query(d, 0, "BoundedlyAcyclic")
+    assert cert.rule == "R6" and cert == query(d, expr, "BoundedlyAcyclic")
+    assert query(d, 1, "BoundedlyAcyclic") is None
+
+
 def test_derive_is_fast_on_a_wide_witness_tree():
     # One push-out per generator: 800 amalgams, each with an edge fact.
     src = free_source()

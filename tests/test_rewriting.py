@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 from collections import deque
@@ -14,6 +15,7 @@ from gpforge.rewriting import (
     Homomorphism,
     TrivialityCertificate,
     _homomorphisms,
+    _vanish,
     britton_is_stable_power,
     britton_normal_form,
     britton_push,
@@ -30,6 +32,7 @@ from gpforge.rewriting import (
 )
 from gpforge.words import GeneratorSymbol, Word, commutator, format_word, parse_word, word
 from tests_util import (
+    cyclic_vanish,
     normalising_bs_canonical_pass,
     parse_cycles,
     random_presentation,
@@ -629,6 +632,63 @@ def test_quotient_budget_counts_assignments_inside_a_free_tail(budget, monkeypat
     _assert_kernel_matches_scan_oracle(p, parse_word("s", p.alphabet))
 
 
+def _free_tail_case(rng):
+    """A random input of `_vanish`: generators below k complete (each an
+    identity half the time), generators from k on open, and 1-3 relators
+    in acting order, each random, a conjugate u v u^-1, a palindrome
+    u v reversed(u) or a u u^-1, and rotated half the time."""
+    degree, n = rng.randint(1, 3), rng.randint(1, 4)
+    k = rng.randint(0, n)
+    ident = list(range(degree)) + [-1]
+    perms = list(itertools.permutations(range(degree)))
+    image, preimage = [], []
+    for g in range(n):
+        if g < k:
+            perm = tuple(range(degree)) if rng.random() < 0.5 else rng.choice(perms)
+            inverse = sorted(range(degree), key=perm.__getitem__)
+            image.append(list(perm) + [-1])
+            preimage.append(inverse + [-1])
+        else:
+            image.append([-1] * (degree + 1))
+            preimage.append([-1] * (degree + 1))
+
+    def letters(most):
+        return [(rng.randrange(n), rng.choice((1, -1))) for _ in range(rng.randint(0, most))]
+
+    relators = []
+    for _ in range(rng.randint(1, 3)):
+        u, v = letters(4), letters(3)
+        acts = rng.choice(
+            (
+                letters(8),
+                u + v + [(g, -sign) for g, sign in reversed(u)],
+                u + v + u[::-1],
+                u + [(g, -sign) for g, sign in reversed(u)],
+            )
+        )
+        if rng.random() < 0.5:
+            j = rng.randint(0, len(acts))
+            acts = acts[j:] + acts[:j]
+        relators.append(acts)
+    return relators, k, image, preimage, ident
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(st.integers(0, 2**32))
+def test_free_tail_test_matches_the_cyclic_reference(seed):
+    # The stack pass leaves a reduced word of S_degree * F(open generators),
+    # and a nonempty one is not cyclically trivial, so the cyclic pass the
+    # reference adds never changes the answer.
+    rng = random.Random(seed)
+    answers = set()
+    for _ in range(50):
+        relators, k, image, preimage, ident = _free_tail_case(rng)
+        expected = cyclic_vanish(relators, k, image, preimage, ident)
+        assert _vanish(relators, k, image, preimage, ident) == expected
+        answers.add(expected)
+    assert answers == {True, False}
+
+
 # In A5 = <a, b | a^2, b^3, (a b)^5>, which acts on no fewer than 5
 # points, the first certificate for `a` sends it to (2 3)(4 5): it fixes
 # point 0 and moves point 1.  c occurs in no relator.
@@ -687,8 +747,9 @@ def test_only_finite_quotient_certificates_revalidate():
     for kind in ("BrittonNormalForm", "FreeReduction", "TietzeCollapse", "Unknown"):
         assert not TrivialityCertificate(kind, cert.presentation, cert.target, cert.hom).revalidate()
     # In <a, x | x> the target a x a^-1 is 1.  A map that is no
-    # homomorphism into S_2 (a -> (0, 0)), or that leaves a generator of
-    # the presentation or a symbol of the target unmapped, certifies
+    # homomorphism into S_2 (a -> (0, 0)), that leaves a generator of the
+    # presentation or a symbol of the target unmapped, or whose valid
+    # permutations leave the relator nontrivial (x -> (1 2)), certifies
     # nothing and must not raise.
     q = presentation(["a", "x"], ["x"])
     a, x = q.alphabet.symbols
@@ -700,6 +761,7 @@ def test_only_finite_quotient_certificates_revalidate():
         {a: [1, 0], x: (0, 1)},
         {x: (0, 1)},
         {a: (1, 0)},
+        {a: (0, 1), x: (1, 0)},
     ):
         forged = TrivialityCertificate("FiniteQuotient", q, target, Homomorphism(2, images))
         assert forged.revalidate() is False

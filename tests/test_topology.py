@@ -389,7 +389,22 @@ def test_simplicial_complex_invariants():
             SimplicialComplex(n_vertices, facets)
 
 
+def test_delta_complex_refuses_inconsistent_cells():
+    edges = ((0, 1), (1, 2), (0, 2))
+    cases = [
+        (((0, 3),), (), "edge endpoint out of range"),
+        (edges, (((0, 1, 2), ((0, 1), (1, 1), (3, 1))),), "triangle side out of range"),
+        (edges, (((0, 1, 2), ((0, 1), (1, 0), (2, 1))),), "orientation must be \\+1 or -1"),
+        (edges, (((0, 1, 2), ((0, -1), (1, 1), (2, 1))),), "triangle face maps are inconsistent"),
+    ]
+    for edge_list, triangles, message in cases:
+        with pytest.raises(InvalidComplexError, match=f"^{message}$"):
+            DeltaComplex(3, edge_list, triangles)
+
+
 def test_delta_to_simplicial_rejects_non_simplicial_complexes():
+    with pytest.raises(InvalidComplexError, match="^loop edge: complex is not simplicial$"):
+        delta_to_simplicial(DeltaComplex(1, ((0, 0),), ()))
     with pytest.raises(InvalidComplexError, match="^parallel edges: complex is not simplicial$"):
         delta_to_simplicial(DeltaComplex(2, ((0, 1), (1, 0)), ()))
     triangle = ((0, 1, 2), ((0, 1), (1, 1), (2, 1)))

@@ -621,6 +621,40 @@ def scan_certificate(p: Presentation, degree_max: int, target: Word) -> Optional
     return None
 
 
+def cyclic_vanish(
+    relators: List[List[Tuple[int, int]]], k: int, image: List[List[int]], preimage: List[List[int]], ident: List[int]
+) -> bool:
+    """Oracle for rewriting._vanish: its stack pass, then a cyclic pass
+    that cancels what is left from both ends in pairs, arrays whose
+    composition is the identity and letters x^e ... x^-e.  The relator
+    vanishes when nothing is left."""
+    for acts in relators:
+        out: list = []  # composed arrays (lists) and open letters (tuples)
+        for g, sign in acts:
+            if g < k:
+                step = image[g] if sign > 0 else preimage[g]
+                if out and type(out[-1]) is list:
+                    step = [step[y] for y in out.pop()]
+                if step != ident:
+                    out.append(step)
+            elif out and out[-1] == (g, -sign):
+                out.pop()
+            else:
+                out.append((g, sign))
+        i, j = 0, len(out) - 1
+        while i < j:
+            first, last = out[i], out[j]
+            if type(first) is list and type(last) is list:
+                if [first[y] for y in last] != ident:
+                    return False
+            elif type(first) is list or type(last) is list or first != (last[0], -last[1]):
+                return False
+            i, j = i + 1, j - 1
+        if i == j:
+            return False
+    return True
+
+
 def _isolated_symbol(rel: Word, sym: GeneratorSymbol) -> Optional[Word]:
     """If `rel` isolates `sym` (one occurrence, exponent +-1), return the
     word u with sym = u implied by rel; otherwise None."""

@@ -9,6 +9,15 @@ The realized presentation of a node always equals re-running its
 constructor on the children's realizations, and every build is
 deterministic (fresh-name policy: suffix `_2`, `_3`, ... on clashes), so
 repeated builds are bit-identical.
+
+Products and HNN extensions build their relators when `realized` is first
+read, once; a node's alphabet and relator count are known when it is
+built, so parsing a `.gx` tree and deriving its facts build no relator.
+Every check that can refuse a construction (the relator budget, a stable
+letter clash, an empty amalgam word, an associated word outside the base,
+a fresh name) runs when the node is built, not when it is realized.
+Atoms, mitoses, mu stages and `meier-gamma` are built with their
+presentation.
 """
 
 from __future__ import annotations
@@ -143,24 +152,66 @@ FORMS: Dict[str, Form] = {
 
 
 class GroupExpr:
-    """A construction-tree node: kind, children, payload, realized form.
+    """A construction-tree node: kind, children, payload, alphabet, relator
+    count and realized presentation.
 
     `payload` carries kind-specific data (identification pairs, stage
     index, asserted base facts for atoms, construction-certified tags such
     as `nonelementary` or `edge_amenable`) and is treated as immutable
-    after construction.
+    after construction.  A node is built either with its presentation or
+    with its alphabet, its relator count and `relators`, a callable that
+    returns its relators once its children are realized.
     """
 
-    __slots__ = ("kind", "children", "payload", "realized")
+    __slots__ = ("kind", "children", "payload", "alphabet", "relator_count", "_realized", "_relators")
 
-    def __init__(self, kind: str, children: Sequence["GroupExpr"], payload: dict, realized: Presentation):
+    def __init__(
+        self,
+        kind: str,
+        children: Sequence["GroupExpr"],
+        payload: dict,
+        realized: Optional[Presentation] = None,
+        *,
+        alphabet: Optional[Alphabet] = None,
+        relator_count: int = 0,
+        relators: Optional[Callable[[], Tuple[Word, ...]]] = None,
+    ):
         self.kind = kind
         self.children = tuple(children)
         self.payload = payload
-        self.realized = realized
+        if realized is not None:
+            alphabet, relator_count = realized.alphabet, len(realized.relators)
+        self.alphabet = alphabet
+        self.relator_count = relator_count
+        self._realized = realized
+        self._relators = relators
+
+    @property
+    def realized(self) -> Presentation:
+        """The presentation, built on the first read and kept."""
+        if self._realized is None:
+            _realize(self)
+        return self._realized
 
     def __repr__(self):
-        return f"<GroupExpr {self.kind} gens={len(self.realized.alphabet)} children={len(self.children)}>"
+        return f"<GroupExpr {self.kind} gens={len(self.alphabet)} children={len(self.children)}>"
+
+
+def _realize(expr: GroupExpr) -> None:
+    """Build the presentation of `expr` and of every unrealized node under
+    it, each node's after its children's.  Iterative, so nesting depth is
+    bounded by memory, not by the Python stack."""
+    stack = [expr]
+    while stack:
+        node = stack[-1]
+        pending = [child for child in node.children if child._realized is None]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        if node._realized is None:  # a shared node is stacked once per parent
+            node._realized = Presentation(node.alphabet, node._relators())
+            node._relators = None
 
 
 ExprLike = Union[GroupExpr, Presentation]
@@ -195,23 +246,34 @@ def _product(
     kind: str,
     p: ExprLike,
     q: ExprLike,
-    cross_relators: Callable[[Presentation, Dict[GeneratorSymbol, Word]], Iterable[Word]],
+    cross_count: int,
+    cross_relators: Callable[[GroupExpr, Dict[GeneratorSymbol, Word]], Iterable[Word]],
     payload: dict,
 ) -> GroupExpr:
     """The two-factor node all three products share: p's generators and
-    relators, then q's renamed apart, then `cross_relators(p, renaming)`
-    over p's realization and q's renaming."""
+    relators, then q's renamed apart, then the `cross_count` relators
+    `cross_relators(pe, renaming)` over p's node and q's renaming, built
+    when the node is realized."""
     pe, qe = _as_expr(p), _as_expr(q)
-    taken = set(pe.realized.alphabet.names)
+    taken = set(pe.alphabet.names)
     names: List[str] = []
-    for sym in qe.realized.alphabet:
+    for sym in qe.alphabet:
         names.append(_fresh_name(sym.name, taken))
         taken.add(names[-1])
-    renaming = {sym: word(name) for sym, name in zip(qe.realized.alphabet, names)}
-    alphabet = Alphabet(pe.realized.alphabet.symbols + tuple(names))
-    q_rels = tuple(substitute(r, renaming) for r in qe.realized.relators)
-    relators = pe.realized.relators + q_rels + tuple(cross_relators(pe.realized, renaming))
-    return GroupExpr(kind, (pe, qe), payload, Presentation(alphabet, relators))
+
+    def relators() -> Tuple[Word, ...]:
+        renaming = {sym: word(name) for sym, name in zip(qe.alphabet, names)}
+        q_rels = tuple(substitute(r, renaming) for r in qe.realized.relators)
+        return pe.realized.relators + q_rels + tuple(cross_relators(pe, renaming))
+
+    return GroupExpr(
+        kind,
+        (pe, qe),
+        payload,
+        alphabet=Alphabet(pe.alphabet.symbols + tuple(names)),
+        relator_count=pe.relator_count + qe.relator_count + cross_count,
+        relators=relators,
+    )
 
 
 RELATOR_BUDGET = 100_000
@@ -237,7 +299,7 @@ def free_product(p: ExprLike, q: ExprLike, *, nonelementary: bool = False, _kind
     is not virtually cyclic (no trivial factor, not Z/2 * Z/2), which the
     inference engine reads as acylindrical hyperbolicity.
     """
-    return _product(_kind, p, q, lambda pp, renaming: (), {"nonelementary": nonelementary})
+    return _product(_kind, p, q, 0, lambda pe, renaming: (), {"nonelementary": nonelementary})
 
 
 def direct_product(p: ExprLike, q: ExprLike, *, dim: Optional[int] = None, _kind: str = DIRECT_PRODUCT) -> GroupExpr:
@@ -245,12 +307,12 @@ def direct_product(p: ExprLike, q: ExprLike, *, dim: Optional[int] = None, _kind
     generator x of p and y of q.  `dim`, recorded only, is the degree a
     witness product (Pi_w, Delta_w) is built for."""
     pe, qe = _as_expr(p), _as_expr(q)
-    left, right = pe.realized, qe.realized
-    _check_relators(len(left.relators) + len(right.relators) + len(left.alphabet) * len(right.alphabet))
-    return _product(_kind, pe, qe, _commutators, {"dim": dim})
+    cross = len(pe.alphabet) * len(qe.alphabet)
+    _check_relators(pe.relator_count + qe.relator_count + cross)
+    return _product(_kind, pe, qe, cross, _commutators, {"dim": dim})
 
 
-def _commutators(pp: Presentation, renaming: Dict[GeneratorSymbol, Word]) -> List[Word]:
+def _commutators(pp: GroupExpr, renaming: Dict[GeneratorSymbol, Word]) -> List[Word]:
     """[x, y] = x^-1 y^-1 x y for every generator x of pp and every renamed
     generator y, x outermost; each generator's two runs are shared by all
     of its relators."""
@@ -277,17 +339,18 @@ def amalgamated_product(
     `edges_legitimate`.  The keyword tags are caller assertions consumed
     by the inference engine.
     """
+    pairs = tuple(pairs)
     for u, v in pairs:
         if not u or not v:
             raise InvalidInputError("amalgam identification words must be nonempty")
     payload = {
-        "pairs": tuple(pairs),
+        "pairs": pairs,
         "edge_amenable": edge_amenable,
         "doublecoset_at_least_3": doublecoset_at_least_3,
         "proper_edge": proper_edge,
         "edges_legitimate": edges_legitimate,
     }
-    return _product(_kind, p, q, lambda pp, renaming: [u * ~substitute(v, renaming) for u, v in pairs], payload)
+    return _product(_kind, p, q, len(pairs), lambda pe, renaming: [u * ~substitute(v, renaming) for u, v in pairs], payload)
 
 
 def hnn_extension(
@@ -306,24 +369,27 @@ def hnn_extension(
     acyclic (read only on ascending nodes).
     """
     pe = _as_expr(p)
-    base = pe.realized
-    if stable in base.alphabet:
+    base = pe.alphabet
+    if stable in base:
         raise InvalidInputError(f"stable letter {stable!r} clashes with a base generator")
     t = GeneratorSymbol(stable)
+    assoc = tuple(assoc)
     for u, v in assoc:
-        base.alphabet.check_word(u)
-        base.alphabet.check_word(v)
-    alphabet = Alphabet(tuple(base.alphabet.symbols) + (t,))
-    tw = Word(((t, 1),))
-    rels = tuple((~tw) * u * tw * ~v for u, v in assoc)
-    realized = Presentation(alphabet, base.relators + rels)
+        base.check_word(u)
+        base.check_word(v)
+
+    def relators() -> Tuple[Word, ...]:
+        tw = Word(((t, 1),))
+        return pe.realized.relators + tuple((~tw) * u * tw * ~v for u, v in assoc)
+
     payload = {
         "stable": t,
-        "assoc": tuple(assoc),
+        "assoc": assoc,
         "ascending": ascending,
         "bac_hnn_chain": bac_hnn_chain,
     }
-    return GroupExpr(HNN, (pe,), payload, realized)
+    alphabet = Alphabet(base.symbols + (t,))
+    return GroupExpr(HNN, (pe,), payload, alphabet=alphabet, relator_count=pe.relator_count + len(assoc), relators=relators)
 
 
 def _mitosis_relators(gens: Sequence[GeneratorSymbol], s: GeneratorSymbol, d: GeneratorSymbol) -> List[Word]:
@@ -350,9 +416,9 @@ def standard_mitosis(p: ExprLike) -> GroupExpr:
     fresh letters (kill the base, fix s and d).
     """
     pe = _as_expr(p)
+    n = len(pe.alphabet)
+    _check_relators(pe.relator_count + n + n * n)
     base = pe.realized
-    n = len(base.alphabet)
-    _check_relators(len(base.relators) + n + n * n)
     taken = set(base.alphabet.names)
     s = GeneratorSymbol(_fresh_name("s", taken))
     taken.add(s.name)
@@ -387,9 +453,9 @@ def mu_stage(p: ExprLike, k: int) -> GroupExpr:
     if not 1 <= k <= MAX_MU_STAGE:
         raise ValueError(f"mu stage index must be in 1..{MAX_MU_STAGE}, got {k}")
     pe = _as_expr(p)
+    n = len(pe.alphabet)
+    _check_relators(pe.relator_count + sum(g + g * g for g in range(n, n + 2 * k, 2)) + n + 2 * (k - 1))
     base = pe.realized
-    n = len(base.alphabet)
-    _check_relators(len(base.relators) + sum(g + g * g for g in range(n, n + 2 * k, 2)) + n + 2 * (k - 1))
     taken = set(base.alphabet.names)
     s_syms: List[GeneratorSymbol] = []
     d_syms: List[GeneratorSymbol] = []
@@ -426,7 +492,7 @@ def bac_hnn(p: ExprLike, embed: PresentationMorphism) -> GroupExpr:
     (x, embed(x)) over the base generators, tagged for the inference rule
     that certifies bounded acyclicity from the base's embedding chain."""
     pe = _as_expr(p)
-    base = pe.realized.alphabet
+    base = pe.alphabet
     if embed.source.alphabet != base or embed.target.alphabet != base:
         raise InvalidInputError("ascending domain must be a self-map of the base presentation")
     assoc = tuple((word(x), embed.apply(word(x))) for x in base)

@@ -14,7 +14,9 @@ R1..R21 (R7 intentionally unused).
 Rules read facts through one index, `_Facts`, always in derivation order,
 so the certificate kept for a fact does not depend on how facts are stored.
 Negative facts are never derived: absence means "not derivable", never
-"false".
+"false".  Facts and certificates are tuples, so each equals and hashes
+like the plain tuple of its fields: (node, predicate, arg) and (fact,
+rule, citation, premises).
 
 Deliberately absent rules: no quotient-closure rule for bounded
 acyclicity (whether the class is quotient-closed is an open problem) and
@@ -117,21 +119,26 @@ def parse_fact(name: str, arg: object = None) -> Tuple[str, Optional[int]]:
     return predicate, arg
 
 
-@dataclass(frozen=True)
-class Fact:
-    """subject node id, predicate name, optional argument."""
-
+class _FactFields(NamedTuple):
     node: int
     predicate: str
     arg: Optional[int] = None
 
-    def __post_init__(self):
-        spec = PREDICATES.get(self.predicate)
+
+class Fact(_FactFields):
+    """subject node id, predicate name, optional argument; the constructor
+    refuses a predicate PREDICATES lacks and an argument of the wrong kind."""
+
+    __slots__ = ()
+
+    def __new__(cls, node: int, predicate: str, arg: Optional[int] = None):
+        spec = PREDICATES.get(predicate)
         if spec is None:
-            raise InvalidInputError(f"unknown predicate {self.predicate!r}")
-        problem = _arg_problem(spec.arg, self.arg)
+            raise InvalidInputError(f"unknown predicate {predicate!r}")
+        problem = _arg_problem(spec.arg, arg)
         if problem:
-            raise InvalidInputError(f"{self.predicate} {problem}")
+            raise InvalidInputError(f"{predicate} {problem}")
+        return tuple.__new__(cls, (node, predicate, arg))
 
     def render(self) -> str:
         if self.arg is None:
@@ -139,8 +146,7 @@ class Fact:
         return f"{self.predicate}({self.arg})@n{self.node}"
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """A derivation-tree node: conclusion, rule id, citation, premises.
 
     Leaves carry rule A0 (asserted base fact) or a structural S-rule; the
@@ -536,9 +542,8 @@ def _structural_facts(ctx: _Context):
         family = ctx.family[i]
         payload = node.payload
         if family == ATOM:
-            pres = node.realized
             yield "S1", Fact(i, "FinPres")
-            yield "S1", Fact(i, "FinGen", len(pres.alphabet))
+            yield "S1", Fact(i, "FinGen", len(node.alphabet))
             yield "S1", Fact(i, "RecPres")
         if family == HNN and payload.get("ascending"):
             (base,) = ctx.kids[i]

@@ -130,7 +130,7 @@ def lambda_w(src: WordProblemSource, w: Word) -> WitnessOutput:
         return WitnessOutput(_trivial_atom("lambda-w-collapsed"))
     base = atom(src.presentation, facts=src.asserted_facts, name=src.presentation.name)
     expr = free_product(base, _z_atom(), _kind=LAMBDA_W)
-    z_sym = expr.realized.alphabet.symbols[-1]
+    z_sym = expr.alphabet.symbols[-1]
     return WitnessOutput(expr, wbar=word(z_sym))
 
 
@@ -189,7 +189,7 @@ def _push_out(gamma: GroupExpr, lw: WitnessOutput) -> WitnessOutput:
 
     expr: GroupExpr = gamma
     first_wbar: Optional[Word] = None
-    for s in gamma.realized.alphabet.symbols:
+    for s in gamma.alphabet.symbols:
         expr = amalgamated_product(
             expr,
             lw.expr,
@@ -201,7 +201,7 @@ def _push_out(gamma: GroupExpr, lw: WitnessOutput) -> WitnessOutput:
         )
         if first_wbar is None:
             # wbar is lw's last generator, so renamed it is the amalgam's.
-            first_wbar = word(expr.realized.alphabet.symbols[-1])
+            first_wbar = word(expr.alphabet.symbols[-1])
     return WitnessOutput(expr, wbar=first_wbar)
 
 

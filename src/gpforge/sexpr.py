@@ -181,11 +181,11 @@ class _FormReader:
         return raw
 
     def word(self, raw) -> Word:
-        return parse_word(_string(raw), self.exprs[-1].realized.alphabet)
+        return parse_word(_string(raw), self.exprs[-1].alphabet)
 
     def pairs(self, raw) -> List[Tuple[Word, Word]]:
         _expect(isinstance(raw, list), "a list of word pairs", raw)
-        left, right = self.exprs[0].realized.alphabet, self.exprs[-1].realized.alphabet
+        left, right = self.exprs[0].alphabet, self.exprs[-1].alphabet
         out = []
         for item in raw:
             _expect(isinstance(item, list) and len(item) == 2, "a word pair", item)

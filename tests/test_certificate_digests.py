@@ -13,10 +13,11 @@ Regenerate (only when certificates are meant to change):
 import hashlib
 import os
 
+from gpforge.cli import main
 from gpforge.combinators import amalgamated_product, atom, bac_hnn, direct_product, mu_stage
 from gpforge.inference import check_consistency, derive, replay_certificate
 from gpforge.meier import meier_gamma_expr, meier_t_expr
-from gpforge.presentations import PresentationMorphism, presentation
+from gpforge.presentations import PresentationMorphism, presentation, serialize
 from gpforge.reductions import (
     delta_w,
     free_source,
@@ -26,6 +27,7 @@ from gpforge.reductions import (
     pi_w,
     witness_w,
 )
+from gpforge.sexpr import parse_expr, serialize_expr
 from gpforge.words import parse_word, word
 from tests_util import bs_source
 
@@ -121,6 +123,19 @@ def test_every_corpus_certificate_replays():
             derivation = derive(expr, max_degree=degree)
             for cert in derivation.certificates.values():
                 assert replay_certificate(derivation, cert), (label, degree, cert.fact.render())
+
+
+def test_every_corpus_tree_realizes_alike_from_its_gx_text(capsys):
+    # Products and HNN nodes build their relators on first read: read back
+    # from `.gx` text, each tree realizes to what its constructors give.
+    trees = dict(corpus())
+    for label, expr in trees.items():
+        again = parse_expr(serialize_expr(expr))
+        assert serialize(again.realized) == serialize(expr.realized), label
+    # `corpus --family large` writes two of these trees.
+    assert main(["corpus", "--family", "large"]) == 0
+    sections = [s.split("\n", 1)[1].strip() for s in capsys.readouterr().out.split("## ") if s]
+    assert sections == [serialize_expr(trees["meier-gamma"]), serialize_expr(trees["thompson x hyp3"])]
 
 
 if __name__ == "__main__":

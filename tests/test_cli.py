@@ -470,6 +470,10 @@ def test_input_error_exit_code(tmp_path, monkeypatch, capsys):
             '(amalgam (atom "A" :pres "gens a") (atom "B" :pres "gens b") :pairs (("1" "b")))',
             "amalgam identification words must be nonempty",
         ),
+        (
+            '(hnn (atom "Z" :pres "gens a") :stable "t" :assoc (("a" "b")))',
+            "no generator named 'b' in alphabet",
+        ),
         ("", "unexpected end of expression file"),
         (
             '(lambda-w (free-product (atom "A" :pres "gens a") (atom "B" :pres "gens b")) "a")',

@@ -318,6 +318,37 @@ def test_render_deeper_than_the_stack():
     assert lines[-1] == "  " * 5000 + f"A0 FinPres@n0 -- {A0_CITATION}"
 
 
+def test_fact_and_certificate_semantics():
+    # Facts and certificates are tuples: each equals, and hashes like, the
+    # plain tuple of its fields; no container in the package holds both.
+    fact = Fact(1, "FinGen", 3)
+    assert fact == (1, "FinGen", 3) and hash(fact) == hash((1, "FinGen", 3))
+    assert (fact.node, fact.predicate, fact.arg) == (1, "FinGen", 3)
+    assert Fact(0, "Amenable") == (0, "Amenable", None)
+    assert repr(fact) == "Fact(node=1, predicate='FinGen', arg=3)"
+    assert (fact.render(), Fact(0, "Amenable").render()) == ("FinGen(3)@n1", "Amenable@n0")
+    cert = Certificate(Fact(2, "LargeHb", 2), "R11", "c", (Certificate(Fact(2, "AcylHyp"), "A0", A0_CITATION),))
+    plain = ((2, "LargeHb", 2), "R11", "c", (((2, "AcylHyp", None), "A0", A0_CITATION, ()),))
+    assert cert == plain and hash(cert) == hash(plain)
+    assert cert.render() == f"R11 LargeHb(2)@n2 -- c\n  A0 AcylHyp@n2 -- {A0_CITATION}"
+    for value, field in ((fact, "arg"), (cert, "rule")):
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+        with pytest.raises(AttributeError):
+            value.other = 1
+    # The constructor still refuses what it refused as a dataclass.
+    with pytest.raises(InvalidInputError, match=r"^unknown predicate 'Bogus'$"):
+        Fact(0, "Bogus")
+    d = derive(atom(presentation(["a"])))
+    message = r"^LargeHb needs a degree argument >= 0, got -1$"
+    with pytest.raises(InvalidInputError, match=message):
+        d.has(0, "LargeHb", -1)
+    with pytest.raises(InvalidInputError, match=message):
+        query(d, 0, "LargeHb", -1)
+    with pytest.raises(InvalidInputError, match=r"^CoAmenableIn is structural and cannot be asserted$"):
+        derive(atom(presentation(["a"]), facts=(("CoAmenableIn", 0),)))
+
+
 def test_degree_bound():
     expr = direct_product(thompson_atom(), hyperbolic_manifold_atom(3))
     d = derive(expr, max_degree=6)

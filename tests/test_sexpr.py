@@ -1,13 +1,16 @@
 import importlib
 import inspect
+import os
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gpforge import combinators
 from gpforge.cli import main
 from gpforge.combinators import (
     FAMILY,
     FORMS,
+    RELATOR_BUDGET,
     GroupExpr,
     amalgamated_product,
     atom,
@@ -17,9 +20,9 @@ from gpforge.combinators import (
     mu_stage,
     standard_mitosis,
 )
-from gpforge.errors import GpforgeError, InvalidInputError, ParseError
+from gpforge.errors import GpforgeError, InvalidInputError, ParseError, SearchBudgetError
 from gpforge.homology import AbelianGroup, abelianization
-from gpforge.inference import PREDICATES, derive
+from gpforge.inference import PREDICATES, check_consistency, derive, query, replay_certificate
 from gpforge.meier import meier_gamma_expr, meier_t_expr
 from gpforge.presentations import presentation, serialize
 from gpforge.reductions import free_source, gamma_w, pi_w
@@ -301,6 +304,78 @@ def test_round_trip_deeper_than_the_stack():
     for _ in range(600):
         text = f'(free-product {text} (atom "Z" :pres "gens z"))'
     assert serialize_expr(parse_expr(text)) == text
+
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _count_realizations(monkeypatch):
+    """A list that gets one entry per call into the builder of deferred
+    relators (products and HNN nodes build theirs on first read)."""
+    calls = []
+    build = combinators._realize
+
+    def spy(expr):
+        calls.append(expr)
+        build(expr)
+
+    monkeypatch.setattr(combinators, "_realize", spy)
+    return calls
+
+
+def _reads_without_building(text, predicate, degree=None):
+    """Parse, derive, query, check and replay: the reads of `infer`."""
+    expr = parse_expr(text)
+    d = derive(expr)
+    cert = query(d, expr, predicate, degree)
+    assert not check_consistency(d)
+    assert cert is None or replay_certificate(d, cert)
+    assert repr(expr).startswith(f"<GroupExpr {expr.kind} ")
+    return expr
+
+
+def test_witness_trees_parse_and_derive_without_building_a_relator(tmp_path, monkeypatch, capsys):
+    # The Pi_w trees of the seed-1 constructions bench, as `reduce` writes them.
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "bench"))
+    gen, workloads = importlib.import_module("gen"), importlib.import_module("workloads")
+    trees = []
+    for i, spec in enumerate(gen.constructions_inputs(1)["witness"]):
+        lam, grp, gx = (tmp_path / f"{i}.{ext}" for ext in ("lam", "grp", "gx"))
+        lam.write_text(workloads.LAMBDA_FILES[spec["oracle"]], encoding="utf-8")
+        argv = ["reduce", "--construction", "pi", "--lambda", str(lam), "--oracle", spec["oracle"]]
+        assert main(argv + ["--word", gen.fmt(spec["word"]), "-o", str(grp), "--expr", str(gx)]) == 0
+        trees.append((gx.read_text(encoding="utf-8"), grp.read_text(encoding="utf-8")))
+    capsys.readouterr()
+    assert len(trees) == 20
+    calls = _count_realizations(monkeypatch)
+    for text, built in trees:
+        expr = _reads_without_building(text, "LargeHb", 4)
+        assert calls == []
+        assert serialize(expr.realized) + "\n" == built
+        assert expr.realized is expr.realized
+        calls.clear()
+
+
+def test_a_deep_free_product_chain_derives_without_building_a_relator(monkeypatch):
+    text = '(atom "G" :pres "gens x y" :facts (contains-f2))'
+    for _ in range(300):
+        text = f'(free-product {text} (atom "Z" :pres "gens z\\nrel z^3"))'
+    calls = _count_realizations(monkeypatch)
+    expr = _reads_without_building(text, "CdbAtLeast", 3)
+    assert calls == []
+    names = ["z"] + [f"z_{k}" for k in range(2, 301)]
+    assert serialize(expr.realized) == "\n".join([f"gens x y {' '.join(names)}"] + [f"rel {n}^3" for n in names])
+    assert len(calls) == 1
+
+
+def test_a_nested_direct_product_past_the_relator_budget_builds_no_relator(monkeypatch):
+    # 200 x 200 commutators inside, 400 x 200 more outside: 120,000 in all.
+    x, y, z = (f'(atom "{n}" :pres "gens {" ".join(f"{n}{i}" for i in range(200))}")' for n in "xyz")
+    calls = _count_realizations(monkeypatch)
+    message = f"^a presentation of 120000 relators is more than the {RELATOR_BUDGET} allowed$"
+    with pytest.raises(SearchBudgetError, match=message):
+        parse_expr(f"(direct (direct {x} {y}) {z})")
+    assert calls == []
 
 
 # Values per argument type, each one token of the fuzz vocabulary (an

@@ -183,8 +183,8 @@ def _push_out(gamma: GroupExpr, lw: WitnessOutput) -> WitnessOutput:
         # Lambda_w is the empty presentation and wbar is empty, so the
         # identifications kill the distinguished generators outright.
         relators = list(gamma.realized.relators)
-        relators.extend(word(s) for s in gamma.realized.alphabet)
-        pres = Presentation(gamma.realized.alphabet, tuple(relators), name="witness-w")
+        relators.extend(word(s) for s in gamma.alphabet)
+        pres = Presentation(gamma.alphabet, tuple(relators), name="witness-w")
         return WitnessOutput(atom(pres, facts=(("Finite", None), ("Amenable", None)), name="witness-w-collapsed"))
 
     expr: GroupExpr = gamma

@@ -11,12 +11,15 @@ Run with: python demos/02_mitosis_and_mu.py
 """
 
 from gpforge import (
+    PresentationMorphism,
+    Word,
     abelianization,
     mu_stage,
     presentation,
     serialize,
     standard_mitosis,
     tietze_simplify,
+    word,
 )
 from gpforge.presentations import is_stage_embedding
 
@@ -26,7 +29,9 @@ print("== standard mitosis of the infinite cyclic group ==")
 print(serialize(m.realized))
 print("abelianization:", abelianization(m.realized), " (g = 2g kills g, leaving s and d)")
 
-quotient = m.payload["quotient_to_f2"]
+s, d = m.alphabet.symbols[-2:]
+images = {x: word(x) if x in (s, d) else Word() for x in m.alphabet}
+quotient = PresentationMorphism(m.realized, presentation([s.name, d.name]), images)
 print("\nkilling g and keeping s, d is a well-defined quotient map onto F2:")
 for rel in m.realized.relators:
     print(f"  relator -> {quotient.apply(rel)!s:>2}")

@@ -10,14 +10,16 @@ constructor on the children's realizations, and every build is
 deterministic (fresh-name policy: suffix `_2`, `_3`, ... on clashes), so
 repeated builds are bit-identical.
 
-Products and HNN extensions build their relators when `realized` is first
-read, once; a node's alphabet and relator count are known when it is
-built, so parsing a `.gx` tree and deriving its facts build no relator.
-Every check that can refuse a construction (the relator budget, a stable
-letter clash, an empty amalgam word, an associated word outside the base,
-a fresh name) runs when the node is built, not when it is realized.
-Atoms, mitoses, mu stages and `meier-gamma` are built with their
-presentation.
+Every node with children (products, HNN extensions, mitoses, mu stages)
+is built one way: its alphabet and relator count when it is built, its
+relators when `realized` is first read, once.  So parsing a `.gx` tree
+and deriving its facts build no relator.  Every check that can refuse a
+construction (the relator budget, the mu stage range, a stable letter
+clash, an empty amalgam word, an amalgam or associated word outside its
+factor, a fresh name) runs when the node is built, not when it is
+realized.  Only atoms and `meier-gamma`, whose presentations ignore their
+children, are built with their presentation.  Every fresh letter comes
+from `_fresh_letters`.
 """
 
 from __future__ import annotations
@@ -158,9 +160,10 @@ class GroupExpr:
     `payload` carries kind-specific data (identification pairs, stage
     index, asserted base facts for atoms, construction-certified tags such
     as `nonelementary` or `edge_amenable`) and is treated as immutable
-    after construction.  A node is built either with its presentation or
-    with its alphabet, its relator count and `relators`, a callable that
-    returns its relators once its children are realized.
+    after construction.  An atom or `meier-gamma` node is built with its
+    presentation; every other node with its alphabet, its relator count
+    and `relators`, a callable that returns its relators once its children
+    are realized.
     """
 
     __slots__ = ("kind", "children", "payload", "alphabet", "relator_count", "_realized", "_relators")
@@ -233,13 +236,18 @@ def _as_expr(x: ExprLike) -> GroupExpr:
     return x if isinstance(x, GroupExpr) else atom(x)
 
 
-def _fresh_name(base: str, taken: set) -> str:
-    if base not in taken:
-        return base
-    k = 2
-    while f"{base}_{k}" in taken:
-        k += 1
-    return f"{base}_{k}"
+def _fresh_letters(taken: Iterable[str], wanted: Iterable[str]) -> List[GeneratorSymbol]:
+    """The `wanted` names as letters, renamed apart from `taken` and from
+    each other in order: a clash gets the first free suffix `_2`, `_3`, ..."""
+    taken = set(taken)
+    letters = []
+    for base in wanted:
+        name, k = base, 2
+        while name in taken:
+            name, k = f"{base}_{k}", k + 1
+        taken.add(name)
+        letters.append(GeneratorSymbol(name))
+    return letters
 
 
 def _product(
@@ -255,14 +263,10 @@ def _product(
     `cross_relators(pe, renaming)` over p's node and q's renaming, built
     when the node is realized."""
     pe, qe = _as_expr(p), _as_expr(q)
-    taken = set(pe.alphabet.names)
-    names: List[str] = []
-    for sym in qe.alphabet:
-        names.append(_fresh_name(sym.name, taken))
-        taken.add(names[-1])
+    letters = _fresh_letters(pe.alphabet.names, qe.alphabet.names)
 
     def relators() -> Tuple[Word, ...]:
-        renaming = {sym: word(name) for sym, name in zip(qe.alphabet, names)}
+        renaming = {sym: word(letter) for sym, letter in zip(qe.alphabet, letters)}
         q_rels = tuple(substitute(r, renaming) for r in qe.realized.relators)
         return pe.realized.relators + q_rels + tuple(cross_relators(pe, renaming))
 
@@ -270,7 +274,7 @@ def _product(
         kind,
         (pe, qe),
         payload,
-        alphabet=Alphabet(pe.alphabet.symbols + tuple(names)),
+        alphabet=Alphabet(pe.alphabet.symbols + tuple(letters)),
         relator_count=pe.relator_count + qe.relator_count + cross_count,
         relators=relators,
     )
@@ -339,10 +343,13 @@ def amalgamated_product(
     `edges_legitimate`.  The keyword tags are caller assertions consumed
     by the inference engine.
     """
+    pe, qe = _as_expr(p), _as_expr(q)
     pairs = tuple(pairs)
     for u, v in pairs:
         if not u or not v:
             raise InvalidInputError("amalgam identification words must be nonempty")
+        pe.alphabet.check_word(u)
+        qe.alphabet.check_word(v)
     payload = {
         "pairs": pairs,
         "edge_amenable": edge_amenable,
@@ -350,7 +357,7 @@ def amalgamated_product(
         "proper_edge": proper_edge,
         "edges_legitimate": edges_legitimate,
     }
-    return _product(_kind, p, q, len(pairs), lambda pe, renaming: [u * ~substitute(v, renaming) for u, v in pairs], payload)
+    return _product(_kind, pe, qe, len(pairs), lambda _, renaming: [u * ~substitute(v, renaming) for u, v in pairs], payload)
 
 
 def hnn_extension(
@@ -410,28 +417,18 @@ def _mitosis_relators(gens: Sequence[GeneratorSymbol], s: GeneratorSymbol, d: Ge
 
 
 def standard_mitosis(p: ExprLike) -> GroupExpr:
-    """Adjoin s, d with the two-step HNN relators of the standard mitosis.
-
-    The node records the quotient morphism onto the free group on the two
-    fresh letters (kill the base, fix s and d).
-    """
+    """Adjoin s, d with the two-step HNN relators of the standard mitosis."""
     pe = _as_expr(p)
     n = len(pe.alphabet)
-    _check_relators(pe.relator_count + n + n * n)
-    base = pe.realized
-    taken = set(base.alphabet.names)
-    s = GeneratorSymbol(_fresh_name("s", taken))
-    taken.add(s.name)
-    d = GeneratorSymbol(_fresh_name("d", taken))
-    alphabet = Alphabet(tuple(base.alphabet.symbols) + (s, d))
-    rels = base.relators + tuple(_mitosis_relators(base.alphabet.symbols, s, d))
-    realized = Presentation(alphabet, rels)
-    f2 = Presentation(Alphabet((s, d)), ())
-    images = {g: Word() for g in base.alphabet}
-    images[s] = word(s)
-    images[d] = word(d)
-    quotient = PresentationMorphism(realized, f2, images)
-    return GroupExpr(MITOSIS, (pe,), {"quotient_to_f2": quotient}, realized)
+    count = pe.relator_count + n + n * n
+    _check_relators(count)
+    s, d = _fresh_letters(pe.alphabet.names, ("s", "d"))
+
+    def relators() -> Tuple[Word, ...]:
+        return pe.realized.relators + tuple(_mitosis_relators(pe.alphabet.symbols, s, d))
+
+    alphabet = Alphabet(pe.alphabet.symbols + (s, d))
+    return GroupExpr(MITOSIS, (pe,), {}, alphabet=alphabet, relator_count=count, relators=relators)
 
 
 # mu_stage's largest stage.  Stage k has 2k + 2 generators and O(k^2)
@@ -453,38 +450,23 @@ def mu_stage(p: ExprLike, k: int) -> GroupExpr:
     if not 1 <= k <= MAX_MU_STAGE:
         raise ValueError(f"mu stage index must be in 1..{MAX_MU_STAGE}, got {k}")
     pe = _as_expr(p)
-    n = len(pe.alphabet)
-    _check_relators(pe.relator_count + sum(g + g * g for g in range(n, n + 2 * k, 2)) + n + 2 * (k - 1))
-    base = pe.realized
-    taken = set(base.alphabet.names)
-    s_syms: List[GeneratorSymbol] = []
-    d_syms: List[GeneratorSymbol] = []
-    for i in range(1, k + 1):
-        s = GeneratorSymbol(_fresh_name(f"s_{i}", taken))
-        taken.add(s.name)
-        d = GeneratorSymbol(_fresh_name(f"d_{i}", taken))
-        taken.add(d.name)
-        s_syms.append(s)
-        d_syms.append(d)
-    t = GeneratorSymbol(_fresh_name("t", taken))
-    ordered: List[GeneratorSymbol] = list(base.alphabet.symbols)
-    for s, d in zip(s_syms, d_syms):
-        ordered.extend((s, d))
-    ordered.append(t)
-    alphabet = Alphabet(ordered)
+    base = pe.alphabet
+    n = len(base)
+    count = pe.relator_count + sum(g + g * g for g in range(n, n + 2 * k, 2)) + n + 2 * (k - 1)
+    _check_relators(count)
+    *fresh, t = _fresh_letters(base.names, [f"{x}_{i}" for i in range(1, k + 1) for x in "sd"] + ["t"])
 
-    rels: List[Word] = list(base.relators)
-    level_gens: List[GeneratorSymbol] = list(base.alphabet.symbols)
-    for i in range(k):
-        rels.extend(_mitosis_relators(level_gens, s_syms[i], d_syms[i]))
-        level_gens = level_gens + [s_syms[i], d_syms[i]]
-    tw = word(t)
-    for g in base.alphabet:
-        rels.append((~tw) * word(g) * tw * ~word(g))
-    for i in range(k - 1):
-        rels.append((~tw) * word(s_syms[i]) * tw * ~word(s_syms[i + 1]))
-        rels.append((~tw) * word(d_syms[i]) * tw * ~word(d_syms[i + 1]))
-    return GroupExpr(MU_STAGE, (pe,), {"k": k}, Presentation(alphabet, tuple(rels)))
+    def relators() -> Tuple[Word, ...]:
+        rels = list(pe.realized.relators)
+        for i in range(k):  # level i + 1, over S and the letters of levels 1..i
+            rels += _mitosis_relators(base.symbols + tuple(fresh[: 2 * i]), fresh[2 * i], fresh[2 * i + 1])
+        # t^-1 g t = g for g in S, then t^-1 x t = y for each s_i, d_i and its successor.
+        tw = word(t)
+        rels += [(~tw) * word(x) * tw * ~word(y) for x, y in [(g, g) for g in base] + list(zip(fresh, fresh[2:]))]
+        return tuple(rels)
+
+    alphabet = Alphabet(base.symbols + tuple(fresh) + (t,))
+    return GroupExpr(MU_STAGE, (pe,), {"k": k}, alphabet=alphabet, relator_count=count, relators=relators)
 
 
 def bac_hnn(p: ExprLike, embed: PresentationMorphism) -> GroupExpr:
@@ -496,4 +478,5 @@ def bac_hnn(p: ExprLike, embed: PresentationMorphism) -> GroupExpr:
     if embed.source.alphabet != base or embed.target.alphabet != base:
         raise InvalidInputError("ascending domain must be a self-map of the base presentation")
     assoc = tuple((word(x), embed.apply(word(x))) for x in base)
-    return hnn_extension(pe, _fresh_name("t", set(base.names)), assoc, ascending=True, bac_hnn_chain=True)
+    t, = _fresh_letters(base.names, ("t",))
+    return hnn_extension(pe, t.name, assoc, ascending=True, bac_hnn_chain=True)

@@ -38,7 +38,7 @@ from __future__ import annotations
 import os
 import re
 import reprlib
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from . import combinators as cb
 from . import meier as meier_mod
@@ -144,8 +144,8 @@ def parse_query(text: str) -> Tuple[str, Optional[int]]:
 class _FormReader:
     """One form's arguments, read against its schema in `cb.FORMS`."""
 
-    def __init__(self, head: str, items: List[object], loader):
-        self.head, self.loader = head, loader
+    def __init__(self, head: str, items: List[object], loader, parsed):
+        self.head, self.loader, self.parsed = head, loader, parsed
         self.positional, self.keywords = _split_args(items)
         self.exprs: List[cb.GroupExpr] = []  # sub-expressions read so far
         self.values = {}  # keyed arguments read so far
@@ -165,7 +165,10 @@ class _FormReader:
         return self.loader(_string(raw))
 
     def pres(self, raw) -> Presentation:
-        return parse_presentation(_string(raw), name=self.values["name"])
+        key = (_string(raw), self.values["name"])
+        if key not in self.parsed:
+            self.parsed[key] = parse_presentation(*key)
+        return self.parsed[key]
 
     def facts(self, raw) -> Tuple:
         _expect(isinstance(raw, list), "a fact list", raw)
@@ -202,13 +205,14 @@ _READ = {
 _MODULES = {"combinators": cb, "meier": meier_mod, "reductions": red}
 
 
-def _build(head: str, items: List[object], loader: Callable[[str], Presentation]) -> cb.GroupExpr:
+def _build(head: str, items: List[object], loader: Callable[[str], Presentation], parsed: dict) -> cb.GroupExpr:
     """Evaluate one form, its sub-forms already built, to a GroupExpr.
 
-    `loader` resolves `:file` references in atom forms.
+    `loader` resolves `:file` references in atom forms; `parsed` holds the
+    `:pres` presentations read so far, by text and name.
     """
     spec = cb.FORMS[head]
-    reader = _FormReader(head, items, loader)
+    reader = _FormReader(head, items, loader, parsed)
     args, values = [], reader.values
     for arg in spec.args:
         if arg.keyword is None:
@@ -251,12 +255,14 @@ def parse_expr(text: str, *, base_dir: Optional[str] = None) -> cb.GroupExpr:
     by memory only: one loop over the tokens keeps a stack of open lists,
     and each list is finished when its `)` is read.  A list whose head is
     a `cb.FORMS` key is built into a GroupExpr then, its sub-forms already
-    built; any other list stays data (`:pairs`, `:facts`)."""
+    built; any other list stays data (`:pairs`, `:facts`).  Each distinct
+    `:pres` text and atom name is parsed once per call."""
 
     def loader(path: str) -> Presentation:
         full = path if base_dir is None else os.path.join(base_dir, path)
         return parse_presentation(read_text(full), name=os.path.basename(path))
 
+    parsed: Dict[Tuple[str, str], Presentation] = {}
     stack: List[List[object]] = [[]]
     for tok in _tokenize(text):
         if isinstance(tok, Symbol) and tok == "(":
@@ -267,7 +273,7 @@ def parse_expr(text: str, *, base_dir: Optional[str] = None) -> cb.GroupExpr:
             items = stack.pop()
             head = items[0] if items else None
             if isinstance(head, Symbol) and head in cb.FORMS:
-                stack[-1].append(_build(str(head), items[1:], loader))
+                stack[-1].append(_build(str(head), items[1:], loader, parsed))
             else:
                 stack[-1].append(items)
         else:

@@ -11,7 +11,7 @@ from gpforge.combinators import (
     mu_stage,
     standard_mitosis,
 )
-from gpforge.errors import InvalidInputError, SearchBudgetError
+from gpforge.errors import AlphabetMismatchError, InvalidInputError, SearchBudgetError
 from gpforge.homology import AbelianGroup, abelianization
 from gpforge.presentations import (
     PresentationMorphism,
@@ -87,6 +87,14 @@ def test_amalgam_identifications_and_degenerate_error():
         amalgamated_product(p, q, [(Word(), parse_word("b"))])
 
 
+@pytest.mark.parametrize("u, v, name", [("zz", "b", "zz"), ("b", "b", "b"), ("a", "zz", "zz"), ("a", "a", "a")])
+def test_amalgam_words_outside_their_factor_are_refused_when_built(u, v, name):
+    # A left word is read in the left factor, a right word in the right one.
+    p, q = presentation(["a"]), presentation(["b"])
+    with pytest.raises(AlphabetMismatchError, match=f"^symbol '{name}' not in alphabet$"):
+        amalgamated_product(p, q, [(parse_word(u), parse_word(v))])
+
+
 def test_amalgam_with_no_pairs_realizes_free_product():
     p = presentation(["a"], ["a^2"])
     q = presentation(["b"])
@@ -137,7 +145,9 @@ def test_mitosis_relator_count_scales_quadratically():
 
 def test_mitosis_quotient_to_f2_kills_all_relators():
     e = standard_mitosis(presentation(["g", "h"], ["g^3"]))
-    quotient = e.payload["quotient_to_f2"]
+    s, d = e.alphabet.symbols[-2:]
+    images = {x: word(x) if x in (s, d) else Word() for x in e.alphabet}
+    quotient = PresentationMorphism(e.realized, presentation(["s", "d"]), images)
     for rel in e.realized.relators[1:]:  # mitosis relators, not the base one
         assert quotient.apply(rel) == Word()
 

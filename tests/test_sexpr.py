@@ -5,7 +5,7 @@ import os
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gpforge import combinators
+from gpforge import combinators, sexpr
 from gpforge.cli import main
 from gpforge.combinators import (
     FAMILY,
@@ -309,18 +309,23 @@ def test_round_trip_deeper_than_the_stack():
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
+def _count_calls(monkeypatch, module, name):
+    """A list that gets the arguments of each call to `module.name`."""
+    calls = []
+    function = getattr(module, name)
+
+    def spy(*args):
+        calls.append(args)
+        return function(*args)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
 def _count_realizations(monkeypatch):
     """A list that gets one entry per call into the builder of deferred
-    relators (products and HNN nodes build theirs on first read)."""
-    calls = []
-    build = combinators._realize
-
-    def spy(expr):
-        calls.append(expr)
-        build(expr)
-
-    monkeypatch.setattr(combinators, "_realize", spy)
-    return calls
+    relators (every node with children builds its relators on first read)."""
+    return _count_calls(monkeypatch, combinators, "_realize")
 
 
 def _reads_without_building(text, predicate, degree=None):
@@ -366,6 +371,44 @@ def test_a_deep_free_product_chain_derives_without_building_a_relator(monkeypatc
     names = ["z"] + [f"z_{k}" for k in range(2, 301)]
     assert serialize(expr.realized) == "\n".join([f"gens x y {' '.join(names)}"] + [f"rel {n}^3" for n in names])
     assert len(calls) == 1
+
+
+def test_a_mu_stage_over_a_mitosis_derives_without_building_a_relator(monkeypatch):
+    text = '(mu (mitosis (free-product (atom "A" :pres "gens a\\nrel a^2") (atom "B" :pres "gens b"))) :k 3)'
+    calls = _count_realizations(monkeypatch)
+    expr = _reads_without_building(text, "BoundedlyAcyclic")
+    assert calls == []
+    with open(os.path.join(ROOT, "tests", "data", "mu_of_mitosis.grp"), encoding="utf-8") as f:
+        assert serialize(expr.realized) + "\n" == f.read()
+    assert len(calls) == 1
+
+
+def test_each_distinct_inline_presentation_is_parsed_once(monkeypatch):
+    calls = _count_calls(monkeypatch, sexpr, "parse_presentation")
+    text = '(atom "G" :pres "gens x y")'
+    for name in ["Z", "Y"] * 50:
+        text = f'(free-product {text} (atom "{name}" :pres "gens z\\nrel z^3"))'
+    expr = parse_expr(text)
+    assert sorted(calls) == [("gens x y", "G"), ("gens z\nrel z^3", "Y"), ("gens z\nrel z^3", "Z")]
+    assert serialize_expr(expr) == text
+    names = ["z"] + [f"z_{k}" for k in range(2, 101)]
+    assert serialize(expr.realized) == "\n".join([f"gens x y {' '.join(names)}"] + [f"rel {n}^3" for n in names])
+
+
+@pytest.mark.parametrize("form, count", [
+    ("(mitosis (mitosis {x}))", 90_300 + 91_506),
+    ("(mu (mu {y} :k 14) :k 14)", 27_454 + 74_579),
+    ("(mu (mitosis {x}) :k 1)", 90_300 + 91_808),
+])
+def test_nested_mitoses_and_mu_stages_past_the_relator_budget_build_no_relator(monkeypatch, form, count):
+    # The inner node fits the budget; the two together do not.
+    x, y = (f'(atom "{n}" :pres "gens {" ".join(f"{n}{i}" for i in range(size))}")' for n, size in (("x", 300), ("y", 30)))
+    calls = _count_realizations(monkeypatch)
+    levels = _count_calls(monkeypatch, combinators, "_mitosis_relators")
+    message = f"^a presentation of {count} relators is more than the {RELATOR_BUDGET} allowed$"
+    with pytest.raises(SearchBudgetError, match=message):
+        parse_expr(form.format(x=x, y=y))
+    assert calls == levels == []
 
 
 def test_a_nested_direct_product_past_the_relator_budget_builds_no_relator(monkeypatch):
